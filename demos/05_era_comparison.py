@@ -9,11 +9,10 @@ summarize each era's network with the average weighted degree.  The
 tighter era should dominate at every scale.
 """
 
-import dataclasses
-
 from longmem import (
     BlockSpec,
     RatePanel,
+    TimeSeries,
     average_weighted_degree,
     build_network,
     dma,
@@ -33,8 +32,7 @@ tight = generate_blocks(BlockSpec(common_weight=0.9, seed=1, **base))
 dates = trading_dates(2 * half)
 members = []
 for a, b in zip(loose.series, tight.series):
-    members.append(dataclasses.replace(
-        a, dates=dates, values=np.concatenate([a.values, b.values])))
+    members.append(TimeSeries(a.id, dates, np.concatenate([a.values, b.values])))
 panel = RatePanel(tuple(members))
 
 windows = [(dates[0], dates[half - 1]), (dates[half], dates[-1])]

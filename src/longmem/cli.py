@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dcca import pairwise_matrix, rho_vs_scale
@@ -455,7 +454,7 @@ def _load_aligned(cfg: RunConfig) -> RatePanel:
 
 
 def _profile_length(cfg: RunConfig, panel: RatePanel) -> int:
-    return len(panel.date_index) - (1 if cfg.input_kind == "levels" else 0)
+    return len(panel.days) - (1 if cfg.input_kind == "levels" else 0)
 
 
 def _analysis_grid(cfg: RunConfig, n_profile: int) -> ScaleGrid:
@@ -643,7 +642,7 @@ def _run_synth(cfg: RunConfig, files: dict[str, str]) -> int:
                          n=cfg.n_obs, seed=cfg.seed, sigma=cfg.sigma)
         panel = generate_blocks(spec)
     files["panel.csv"] = panel_to_csv(panel)
-    print(f"generated {len(panel)} series x {len(panel.date_index)} observations")
+    print(f"generated {len(panel)} series x {len(panel.days)} observations")
     return 0
 
 
@@ -728,7 +727,6 @@ def _manifest(cfg: RunConfig) -> str:
         "versions": {
             "longmem": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     })

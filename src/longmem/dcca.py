@@ -47,6 +47,13 @@ def _check_same_length(pa: Profile, pb: Profile) -> None:
         )
 
 
+def _check_common_dates(a: TimeSeries, b: TimeSeries) -> None:
+    if not (a.days is b.days or np.array_equal(a.days, b.days)):
+        raise AlignmentError(
+            f"series {a.id!r} and {b.id!r} are not on a common date index"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CrossFluctuation:
     """Signed squared cross-fluctuation of one pair over a scale grid."""
@@ -162,10 +169,7 @@ def rho_dcca(
     input_kind: str = "levels",
 ) -> float:
     """Coefficient for two series observed on the same dates."""
-    if a.dates != b.dates:
-        raise AlignmentError(
-            f"series {a.id!r} and {b.id!r} are not on a common date index"
-        )
+    _check_common_dates(a, b)
     pa = series_profile(a, input_kind=input_kind)
     pb = series_profile(b, input_kind=input_kind)
     return rho_from_profiles(pa, pb, s, method)
@@ -321,10 +325,7 @@ def rho_vs_scale(
     """
     if method is None:
         raise ValueError("method is required")
-    if a.dates != b.dates:
-        raise AlignmentError(
-            f"series {a.id!r} and {b.id!r} are not on a common date index"
-        )
+    _check_common_dates(a, b)
     pa = series_profile(a, input_kind=input_kind)
     pb = series_profile(b, input_kind=input_kind)
     if grid is None:

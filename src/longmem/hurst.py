@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import AlignmentError, FitError, LongmemError
 from .scaling import (
@@ -119,18 +118,36 @@ def fit_hurst(
     if np.ptp(log_s) == 0.0:
         raise FitError(f"{f.series_id!r}: all usable scales identical")
 
-    res = stats.linregress(log_s, log_f)
-    r2 = min(max(float(res.rvalue) ** 2, 0.0), 1.0)
+    slope, intercept, r, stderr = _regression(log_s, log_f)
     return HurstEstimate(
         series_id=f.series_id,
-        hurst=float(res.slope),
-        intercept=float(res.intercept),
-        r_squared=r2,
-        stderr=float(res.stderr),
+        hurst=slope,
+        intercept=intercept,
+        r_squared=r ** 2,
+        stderr=stderr,
         fit_range=(int(s_used[0]), int(s_used[-1])),
         n_points=int(usable.sum()),
         n_excluded=n_excluded,
     )
+
+
+def _regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line with correlation and slope standard error.
+
+    Returns (slope, intercept, r, stderr) for n >= 3 points.  The moments
+    come from the biased covariance matrix, as in ``scipy.stats.linregress``,
+    whose results this reproduces bit for bit.  r is clamped to [-1, 1]; for
+    flat y it is 0, or NaN when the cross moment is exactly 0 as well.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(float(ssxym / np.sqrt(ssxm * ssym)), -1.0), 1.0)
+    slope = float(ssxym / ssxm)
+    intercept = float(y.mean() - slope * x.mean())
+    stderr = float(np.sqrt((1 - r ** 2) * ssym / ssxm / (x.size - 2)))
+    return slope, intercept, r, stderr
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -318,7 +335,7 @@ def hurst_distribution(
         raise AlignmentError("panel must be aligned before batch estimation")
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
-    n_profile = len(panel.date_index) - (1 if input_kind == "levels" else 0)
+    n_profile = len(panel.days) - (1 if input_kind == "levels" else 0)
     if grid is None:
         grid = default_grid(n_profile)
 

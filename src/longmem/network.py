@@ -352,16 +352,14 @@ def split_periods(
         raise ValueError("need at least one window")
     out = []
     for d_from, d_to in windows:
-        members = [ts.restrict(d_from, d_to) for ts in panel.series]
-        shared = set(members[0].dates)
-        for ts in members[1:]:
-            shared &= set(ts.dates)
-        if len(shared) < 2:
+        sub = panel.restrict(d_from, d_to)
+        n_shared = int((~np.isnan(sub.matrix)).all(axis=0).sum())
+        if n_shared < 2:
             raise LongmemError(
                 f"window {d_from.isoformat()}..{d_to.isoformat()} leaves "
-                f"{len(shared)} shared dates, need at least 2"
+                f"{n_shared} shared dates, need at least 2"
             )
-        out.append(RatePanel(series=tuple(members)))
+        out.append(sub)
     return out
 
 

@@ -6,6 +6,10 @@ series, its header being the series id.  Cells are decimal-point numerics;
 an empty cell marks a missing observation.  Dates are calendar labels only:
 all scale arithmetic elsewhere in the package counts observations
 (trading days).
+
+In memory a panel is one sorted ``datetime64[D]`` date index plus an
+``(n_series, n_dates)`` float matrix holding NaN for missing cells; a
+:class:`TimeSeries` is a light view of one row.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import csv
 import datetime as dt
 import io
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,90 +41,223 @@ __all__ = [
 
 # Telescoping check on the profile's final element, relative to sum(|X|).
 _PROFILE_TOL = 1e-9
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+def _readonly(values) -> np.ndarray:
+    return _frozen(np.array(values, dtype=float))
+
+
+def _as_days(dates) -> np.ndarray:
+    """Read-only datetime64[D] copy of datetime.date objects or datetime64s."""
+    if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
+        return _frozen(dates.astype("datetime64[D]"))
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64)
+    return _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry of a 1-D mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _first_unsorted(days: np.ndarray) -> np.datetime64 | None:
+    i = _first(days[1:] <= days[:-1])
+    return None if i is None else days[i]
+
+
 class TimeSeries:
-    """One dated observation vector (rate levels, percent units)."""
+    """One dated observation vector (rate levels, percent units).
 
-    id: str
-    dates: tuple[dt.date, ...]
-    values: np.ndarray
+    ``days`` holds the strictly increasing dates as ``datetime64[D]`` and
+    ``values`` the matching observations; both are read-only.  ``dates``
+    gives the same dates as ``datetime.date`` objects.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.ndim != 1:
-            raise ValueError(f"series {self.id!r}: values must be 1-D")
-        if len(self.dates) != len(self.values):
-            raise ValueError(f"series {self.id!r}: {len(self.dates)} dates vs "
-                             f"{len(self.values)} values")
-        if len(self.values) < 2:
-            raise ValueError(f"series {self.id!r}: length {len(self.values)} < 2")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"series {self.id!r}: non-finite values")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValueError(f"series {self.id!r}: dates not strictly "
-                                 f"increasing at {a}")
+    __slots__ = ("id", "days", "values", "_dates")
+
+    def __init__(self, id: str, dates, values):
+        days = _as_days(dates)
+        values = _readonly(values)
+        if values.ndim != 1:
+            raise ValueError(f"series {id!r}: values must be 1-D")
+        if len(days) != len(values):
+            raise ValueError(f"series {id!r}: {len(days)} dates vs "
+                             f"{len(values)} values")
+        if len(values) < 2:
+            raise ValueError(f"series {id!r}: length {len(values)} < 2")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"series {id!r}: non-finite values")
+        unsorted = _first_unsorted(days)
+        if unsorted is not None:
+            raise ValueError(f"series {id!r}: dates not strictly "
+                             f"increasing at {unsorted}")
+        self._set(id, days, values)
+
+    def _set(self, id, days, values) -> None:
+        self.id, self.days, self.values, self._dates = id, days, values, None
+
+    @classmethod
+    def _view(cls, id: str, days: np.ndarray, values: np.ndarray) -> "TimeSeries":
+        """Wrap read-only arrays already known to satisfy the invariants."""
+        ts = cls.__new__(cls)
+        ts._set(id, days, values)
+        return ts
+
+    @property
+    def dates(self) -> tuple[dt.date, ...]:
+        if self._dates is None:
+            self._dates = tuple(self.days.tolist())
+        return self._dates
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def __repr__(self) -> str:
+        return f"TimeSeries({self.id!r}, {len(self)} observations)"
+
     def restrict(self, date_from: dt.date, date_to: dt.date) -> "TimeSeries":
         """Sub-series with dates in the inclusive window [date_from, date_to]."""
-        keep = [i for i, d in enumerate(self.dates) if date_from <= d <= date_to]
-        if len(keep) < 2:
+        lo, hi = _window(self.days, date_from, date_to)
+        if hi - lo < 2:
             raise AlignmentError(
                 f"series {self.id!r}: window {date_from}..{date_to} keeps "
-                f"{len(keep)} observations (< 2)")
-        return TimeSeries(self.id, tuple(self.dates[i] for i in keep),
-                          self.values[keep])
+                f"{max(hi - lo, 0)} observations (< 2)")
+        return TimeSeries._view(self.id, self.days[lo:hi], self.values[lo:hi])
 
 
-@dataclass(frozen=True, eq=False)
+def _window(days: np.ndarray, date_from, date_to) -> tuple[int, int]:
+    """Slice bounds of the inclusive date window [date_from, date_to]."""
+    lo = np.searchsorted(days, np.datetime64(date_from, "D"), side="left")
+    hi = np.searchsorted(days, np.datetime64(date_to, "D"), side="right")
+    return int(lo), int(hi)
+
+
 class RatePanel:
-    """A collection of series sharing one date index once aligned."""
+    """Series on one sorted date index, stored as one float matrix.
 
-    series: tuple[TimeSeries, ...]
-    date_index: tuple[dt.date, ...] = field(default=())
+    ``days`` is the ``datetime64[D]`` index and ``matrix`` the read-only
+    ``(n_series, n_dates)`` array, NaN where a series has no observation.
+    Built from :class:`TimeSeries` members, the index defaults to the union
+    of their dates.  ``series`` and :meth:`member` give row views holding
+    only each series' observed cells.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        if not self.series:
+    __slots__ = ("ids", "days", "matrix", "_series", "_date_index")
+
+    def __init__(self, series, date_index=()):
+        series = tuple(series)
+        if not series:
             raise ValueError("panel has no series")
-        ids = [s.id for s in self.series]
+        if date_index is not None and len(date_index):
+            days = _as_days(date_index)
+        else:
+            days = _frozen(np.unique(np.concatenate([s.days for s in series])))
+        matrix = np.full((len(series), len(days)), np.nan)
+        for i, s in enumerate(series):
+            if s.days is days or np.array_equal(s.days, days):
+                matrix[i] = s.values
+                continue
+            pos = np.minimum(np.searchsorted(days, s.days), len(days) - 1)
+            if not np.array_equal(days[pos], s.days):
+                raise ValueError(f"series {s.id!r} has dates outside the "
+                                 f"panel's date index")
+            matrix[i, pos] = s.values
+        self._set([s.id for s in series], days, matrix, series)
+
+    @classmethod
+    def from_matrix(cls, ids, dates, matrix) -> "RatePanel":
+        """Panel from an ``(n_series, n_dates)`` array, NaN marking gaps.
+
+        The panel keeps ``matrix`` (made read-only) rather than a copy.
+        """
+        panel = cls.__new__(cls)
+        panel._set(ids, _as_days(dates), np.asarray(matrix, dtype=float), None)
+        return panel
+
+    def _set(self, ids, days, matrix, series) -> None:
+        ids = tuple(ids)
+        if not ids:
+            raise ValueError("panel has no series")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate series ids: {', '.join(dupes)}")
-        if not self.date_index:
-            union = sorted({d for s in self.series for d in s.dates})
-            object.__setattr__(self, "date_index", tuple(union))
-        else:
-            object.__setattr__(self, "date_index", tuple(self.date_index))
+        if matrix.shape != (len(ids), len(days)):
+            raise ValueError(f"matrix shape {matrix.shape} does not match "
+                             f"{len(ids)} series x {len(days)} dates")
+        unsorted = _first_unsorted(days)
+        if unsorted is not None:
+            raise ValueError(f"panel dates not strictly increasing at {unsorted}")
+        if np.isinf(matrix).any():
+            raise ValueError("panel has non-finite values")
+        counts = (~np.isnan(matrix)).sum(axis=1)
+        i = _first(counts < 2)
+        if i is not None:
+            raise ValueError(f"series {ids[i]!r}: length {counts[i]} < 2")
+        self.ids, self.days, self.matrix = ids, days, _frozen(matrix)
+        self._series, self._date_index = series, None
+
+    def _row(self, i: int) -> TimeSeries:
+        row = self.matrix[i]
+        seen = ~np.isnan(row)
+        if seen.all():
+            return TimeSeries._view(self.ids[i], self.days, row)
+        return TimeSeries._view(self.ids[i], _frozen(self.days[seen]),
+                                _frozen(row[seen]))
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.series)
+    def series(self) -> tuple[TimeSeries, ...]:
+        if self._series is None:
+            self._series = tuple(self._row(i) for i in range(len(self.ids)))
+        return self._series
+
+    @property
+    def date_index(self) -> tuple[dt.date, ...]:
+        if self._date_index is None:
+            self._date_index = tuple(self.days.tolist())
+        return self._date_index
 
     @property
     def is_aligned(self) -> bool:
-        return all(s.dates == self.date_index for s in self.series)
+        return not np.isnan(self.matrix).any()
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"RatePanel({len(self.ids)} series x {len(self.days)} dates)"
 
     def member(self, series_id: str) -> TimeSeries:
-        for s in self.series:
-            if s.id == series_id:
-                return s
-        raise KeyError(f"no series {series_id!r} in panel")
+        try:
+            return self.series[self.ids.index(series_id)]
+        except ValueError:
+            raise KeyError(f"no series {series_id!r} in panel") from None
+
+    def restrict(self, date_from: dt.date, date_to: dt.date) -> "RatePanel":
+        """Sub-panel on the inclusive window [date_from, date_to].
+
+        Dates in the window where no series is observed are dropped, and
+        every series must keep at least two observations.
+        """
+        lo, hi = _window(self.days, date_from, date_to)
+        sub, days = self.matrix[:, lo:hi], self.days[lo:hi]
+        seen = ~np.isnan(sub)
+        counts = seen.sum(axis=1)
+        i = _first(counts < 2)
+        if i is not None:
+            raise AlignmentError(
+                f"series {self.ids[i]!r}: window {date_from}..{date_to} keeps "
+                f"{counts[i]} observations (< 2)")
+        used = seen.any(axis=0)
+        if not used.all():
+            sub, days = sub[:, used], days[used]
+        return RatePanel.from_matrix(self.ids, days, sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,39 +298,33 @@ class Profile:
         return len(self.values)
 
 
-def load_panel(path, *, delimiter: str = ",") -> RatePanel:
-    """Read a delimited panel file into a (possibly unaligned) RatePanel.
+def _parse_cells(path, labels, lineno: int,
+                 cells: list[str]) -> tuple[list[float], list[bool]]:
+    """Values and blank flags of one row's cells, NaN where blank.
 
-    Each column becomes one TimeSeries holding only the dates where it has
-    a value; gaps are resolved later by :func:`align`.  Rows whose date
-    cell does not parse are dropped with a warning.
-
-    Raises SchemaError for an unreadable file, missing value columns,
-    duplicate column labels, duplicate dates, non-numeric cells, or any
-    column with fewer than two observations.
+    Cells go through ``float()``, stripped of surrounding whitespace; a
+    cell that does not parse raises naming its line and column.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
+    values, blank = [], []
+    for label, raw in zip(labels, cells):
+        raw = raw.strip()
+        blank.append(not raw)
+        try:
+            values.append(float(raw) if raw else np.nan)
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: column {label!r}: "
+                              f"non-numeric cell {raw!r}") from None
+    return values, blank
 
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2:
-        raise SchemaError(f"{path}: no value columns (header: {header})")
-    labels = header[1:]
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        raise SchemaError(f"{path}: duplicate column labels: {', '.join(dupes)}")
-    if any(not l for l in labels):
-        raise SchemaError(f"{path}: empty column label in header")
 
+def _read_body(path, reader, labels) -> tuple[list[dt.date], np.ndarray, np.ndarray]:
+    """Dates, (n_rows, n_labels) values and blank mask, in file order."""
+    width = len(labels)
     dates: list[dt.date] = []
-    cells: list[list[float | None]] = [[] for _ in labels]
+    values = array("d")
+    blank = bytearray()
     n_bad_dates = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         try:
@@ -200,44 +332,81 @@ def load_panel(path, *, delimiter: str = ",") -> RatePanel:
         except ValueError:
             n_bad_dates += 1
             continue
+        cells = row[1:]
+        if len(cells) > width:
+            raise SchemaError(f"{path}:{lineno}: {len(cells)} value cells "
+                              f"but the header names {width} columns")
+        cells += [""] * (width - len(cells))
+        try:  # fast path: no whitespace-only or bad cells in the row
+            row_values = [float(c) if c else np.nan for c in cells]
+            row_blank = [not c for c in cells]
+        except ValueError:
+            row_values, row_blank = _parse_cells(path, labels, lineno, cells)
         dates.append(d)
-        for j, label in enumerate(labels):
-            raw = row[j + 1].strip() if j + 1 < len(row) else ""
-            if raw == "":
-                cells[j].append(None)
-                continue
-            try:
-                cells[j].append(float(raw))
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: column {label!r}: "
-                                  f"non-numeric cell {raw!r}") from None
+        values.extend(row_values)
+        blank.extend(row_blank)
     if n_bad_dates:
         warnings.warn(f"{path}: dropped {n_bad_dates} rows with unparseable dates",
-                      stacklevel=2)
+                      stacklevel=3)
+    return (dates, np.frombuffer(values).reshape(-1, width),
+            np.frombuffer(blank, dtype=bool).reshape(-1, width))
 
-    if len(set(dates)) != len(dates):
-        seen, dupes = set(), set()
-        for d in dates:
-            (dupes if d in seen else seen).add(d)
+
+def load_panel(path, *, delimiter: str = ",") -> RatePanel:
+    """Read a delimited panel file into a (possibly unaligned) RatePanel.
+
+    Rows may come in any date order; they are sorted on read.  Each column
+    becomes one series holding only the dates where it has a value; gaps
+    are resolved later by :func:`align`.  Rows whose date cell does not
+    parse are dropped with a warning; a row with fewer cells than the
+    header is missing the rest.
+
+    Raises SchemaError for an unreadable file, missing value columns,
+    duplicate column labels, a row with more cells than the header,
+    duplicate dates, non-numeric or non-finite cells, or any column with
+    fewer than two observations.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(header) < 2:
+                raise SchemaError(f"{path}: no value columns (header: {header})")
+            labels = header[1:]
+            if len(set(labels)) != len(labels):
+                dupes = sorted({l for l in labels if labels.count(l) > 1})
+                raise SchemaError(f"{path}: duplicate column labels: "
+                                  f"{', '.join(dupes)}")
+            if any(not l for l in labels):
+                raise SchemaError(f"{path}: empty column label in header")
+            dates, values, blank = _read_body(path, reader, labels)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+    days = _as_days(dates)
+    order = np.argsort(days, kind="stable")
+    days, values, blank = days[order], values[order], blank[order]
+    dupes = days[1:][days[1:] == days[:-1]]
+    if dupes.size:
         raise SchemaError(f"{path}: duplicate dates: "
-                          + ", ".join(str(d) for d in sorted(dupes)))
+                          + ", ".join(str(d) for d in np.unique(dupes)))
 
-    order = np.argsort(np.array([d.toordinal() for d in dates]))
-    members = []
-    for j, label in enumerate(labels):
-        col_dates, col_values = [], []
-        for i in order:
-            if cells[j][i] is not None:
-                col_dates.append(dates[i])
-                col_values.append(cells[j][i])
-        if len(col_values) < 2:
-            raise SchemaError(f"{path}: column {label!r} has "
-                              f"{len(col_values)} observations (< 2)")
-        try:
-            members.append(TimeSeries(label, tuple(col_dates), col_values))
-        except ValueError as exc:
-            raise SchemaError(f"{path}: column {label!r}: {exc}") from exc
-    return RatePanel(tuple(members))
+    counts = (~blank).sum(axis=0)
+    non_finite = (~np.isfinite(values) & ~blank).any(axis=0)
+    j = _first((counts < 2) | non_finite)
+    if j is not None:
+        if counts[j] < 2:
+            raise SchemaError(f"{path}: column {labels[j]!r} has "
+                              f"{counts[j]} observations (< 2)")
+        raise SchemaError(f"{path}: column {labels[j]!r}: non-finite values")
+    used = ~blank.all(axis=1)  # a date with no value in any column
+    return RatePanel.from_matrix(labels, days[used],
+                                 np.ascontiguousarray(values[used].T))
 
 
 def panel_to_csv(panel: RatePanel) -> str:
@@ -247,50 +416,42 @@ def panel_to_csv(panel: RatePanel) -> str:
     write-then-read reproduces the panel exactly.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *panel.ids])
-    lookup = [dict(zip(s.dates, s.values)) for s in panel.series]
-    for d in panel.date_index:
-        row = [d.isoformat()]
-        for values_by_date in lookup:
-            v = values_by_date.get(d)
-            row.append("" if v is None else repr(float(v)))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerow(["date", *panel.ids])
+    gappy = np.isnan(panel.matrix).any(axis=0).tolist()
+    for day, column, gap in zip(panel.days.astype(str).tolist(),
+                                panel.matrix.T, gappy):
+        row = column.tolist()
+        if gap:
+            cells = ["" if v != v else repr(v) for v in row]
+        else:
+            cells = map(repr, row)
+        buf.write(day + "," + ",".join(cells) + "\n")
     return buf.getvalue()
 
 
-def _forward_fill(ts: TimeSeries, index: tuple[dt.date, ...],
-                  max_gap: int) -> TimeSeries:
-    """Fill runs of <= max_gap missing index dates from the last observation.
+def _forward_fill(panel: RatePanel, max_gap: int) -> np.ndarray:
+    """Panel matrix with runs of <= max_gap missing dates filled.
 
-    A fillable run at the series start has no prior value and raises;
-    longer runs (including a long leading run) are left missing and fall
-    to the subsequent intersection.
+    A run counts missing dates of the panel's index and is filled from the
+    last observation before it.  A fillable run at a series start has no
+    prior value and raises; longer runs (including a long leading run) are
+    left missing and fall to the subsequent intersection.
     """
-    have = dict(zip(ts.dates, ts.values))
-    out_dates: list[dt.date] = []
-    out_values: list[float] = []
-    run: list[dt.date] = []
-    for d in index:
-        if d in have:
-            if run and len(run) <= max_gap:
-                if not out_values:
-                    raise AlignmentError(
-                        f"series {ts.id!r}: gap of {len(run)} at series start "
-                        f"cannot be forward-filled (no prior value)")
-                out_dates.extend(run)
-                out_values.extend([out_values[-1]] * len(run))
-            run = []
-            out_dates.append(d)
-            out_values.append(have[d])
-        else:
-            run.append(d)
-    if run and len(run) <= max_gap and out_values:
-        out_dates.extend(run)
-        out_values.extend([out_values[-1]] * len(run))
-    order = sorted(range(len(out_dates)), key=lambda i: out_dates[i])
-    return TimeSeries(ts.id, tuple(out_dates[i] for i in order),
-                      [out_values[i] for i in order])
+    m = panel.matrix
+    missing = np.isnan(m)
+    n = m.shape[1]
+    cols = np.arange(n)
+    last = np.maximum.accumulate(np.where(missing, -1, cols), axis=1)
+    after = np.minimum.accumulate(np.where(missing, n, cols)[:, ::-1],
+                                  axis=1)[:, ::-1]
+    short = missing & (after - last - 1 <= max_gap)
+    i = _first((short & (last < 0) & (after < n)).any(axis=1))
+    if i is not None:
+        raise AlignmentError(
+            f"series {panel.ids[i]!r}: gap of {after[i, 0]} at series start "
+            f"cannot be forward-filled (no prior value)")
+    prior = np.take_along_axis(m, np.maximum(last, 0), axis=1)
+    return np.where(short & (last >= 0), prior, m)
 
 
 def align(panel: RatePanel, policy: str = "intersect",
@@ -304,24 +465,18 @@ def align(panel: RatePanel, policy: str = "intersect",
     """
     if policy not in ("intersect", "forward_fill"):
         raise ValueError(f"unknown alignment policy {policy!r}")
-    members = list(panel.series)
+    matrix = panel.matrix
     if policy == "forward_fill":
         if max_gap is None or max_gap < 1:
             raise ValueError("forward_fill requires max_gap >= 1")
-        members = [_forward_fill(s, panel.date_index, max_gap) for s in members]
+        matrix = _forward_fill(panel, max_gap)
 
-    shared = set(members[0].dates)
-    for s in members[1:]:
-        shared &= set(s.dates)
-    if len(shared) < 2:
-        raise AlignmentError(f"aligned panel would have {len(shared)} shared "
+    shared = ~np.isnan(matrix).any(axis=0)
+    n_shared = int(shared.sum())
+    if n_shared < 2:
+        raise AlignmentError(f"aligned panel would have {n_shared} shared "
                              f"dates (< 2)")
-    index = tuple(sorted(shared))
-    out = []
-    for s in members:
-        keep = [i for i, d in enumerate(s.dates) if d in shared]
-        out.append(TimeSeries(s.id, index, s.values[keep]))
-    return RatePanel(tuple(out), index)
+    return RatePanel.from_matrix(panel.ids, panel.days[shared], matrix[:, shared])
 
 
 def increments(series: TimeSeries) -> IncrementSeries:

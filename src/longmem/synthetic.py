@@ -93,11 +93,14 @@ class BlockSpec:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
+def _trading_days(n: int, start: dt.date = dt.date(2000, 1, 3)) -> np.ndarray:
+    return np.busday_offset(np.datetime64(start, "D"), np.arange(n),
+                            roll="forward")
+
+
 def trading_dates(n: int, start: dt.date = dt.date(2000, 1, 3)) -> tuple[dt.date, ...]:
     """n consecutive weekdays starting at (or after) ``start``."""
-    d64 = np.busday_offset(np.datetime64(start, "D"), np.arange(n),
-                           roll="forward")
-    return tuple(d64.astype("datetime64[D]").tolist())
+    return tuple(_trading_days(n, start).tolist())
 
 
 def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
@@ -172,7 +175,7 @@ def generate_fgn(spec: FgnSpec, method: str = "auto") -> TimeSeries:
     rng = np.random.default_rng(spec.seed)
     values = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
     return TimeSeries(f"fgn-h{spec.hurst:g}-seed{spec.seed}",
-                      trading_dates(spec.n), values)
+                      _trading_days(spec.n), values)
 
 
 def generate_blocks(spec: BlockSpec, method: str = "auto") -> RatePanel:
@@ -183,14 +186,13 @@ def generate_blocks(spec: BlockSpec, method: str = "auto") -> RatePanel:
     Hurst exponent.  Ids follow the "b<block>:m<member>" pattern.
     """
     rng = np.random.default_rng(spec.seed)
-    dates = trading_dates(spec.n)
-    members = []
+    ids = []
+    matrix = np.empty((spec.n_blocks * spec.block_size, spec.n))
     for b in range(1, spec.n_blocks + 1):
         common = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
         for m in range(1, spec.block_size + 1):
             own = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
-            values = (spec.common_weight * common
-                      + (1.0 - spec.common_weight) * own)
-            members.append(TimeSeries(f"b{b}:m{m}", dates, values))
-    index = dates
-    return RatePanel(tuple(members), index)
+            matrix[len(ids)] = (spec.common_weight * common
+                                + (1.0 - spec.common_weight) * own)
+            ids.append(f"b{b}:m{m}")
+    return RatePanel.from_matrix(ids, _trading_days(spec.n), matrix)

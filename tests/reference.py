@@ -7,6 +7,7 @@ vectorized production implementation.  Used as brute-force oracles.
 
 import numpy as np
 
+from longmem.errors import AlignmentError
 from longmem.scaling import DetrendMethod
 
 
@@ -72,3 +73,33 @@ def naive_rho(ya: np.ndarray, yb: np.ndarray, s: int,
     fa = naive_fluctuation(ya, s, method)
     fb = naive_fluctuation(yb, s, method)
     return f2x / (fa * fb)
+
+
+def naive_forward_fill(series_id, dates, values, index, max_gap):
+    """Fill runs of <= max_gap missing index dates from the last observation.
+
+    Walks the panel index date by date.  A fillable run at the series start
+    has no prior value and raises AlignmentError; longer runs (including a
+    long leading run) are left missing.  Returns the filled (dates, values)
+    in index order.
+    """
+    have = dict(zip(dates, values))
+    out_dates, out_values, run = [], [], []
+    for d in index:
+        if d in have:
+            if run and len(run) <= max_gap:
+                if not out_values:
+                    raise AlignmentError(
+                        f"series {series_id!r}: gap of {len(run)} at series "
+                        f"start cannot be forward-filled (no prior value)")
+                out_dates.extend(run)
+                out_values.extend([out_values[-1]] * len(run))
+            run = []
+            out_dates.append(d)
+            out_values.append(have[d])
+        else:
+            run.append(d)
+    if run and len(run) <= max_gap and out_values:
+        out_dates.extend(run)
+        out_values.extend([out_values[-1]] * len(run))
+    return out_dates, out_values

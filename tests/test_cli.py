@@ -6,7 +6,6 @@ quality of the results is covered elsewhere; here we pin down plumbing:
 flag parsing, file layout, determinism, and error-path exit codes.
 """
 
-import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -46,7 +45,7 @@ def panel_dir(tmp_path_factory) -> Path:
     for name, seed in (("a", 1), ("b", 2), ("c", 3)):
         own = generate_fgn(FgnSpec(n=600, hurst=0.5, seed=seed))
         mixed = 0.8 * common + 0.2 * own.values
-        members.append(dataclasses.replace(own, id=name, values=mixed))
+        members.append(TimeSeries(name, own.dates, mixed))
     panel = RatePanel(tuple(members))
     (root / "abc.csv").write_text(panel_to_csv(panel))
     flat = TimeSeries("flat", members[0].dates, np.full(600, 3.0))
@@ -69,6 +68,16 @@ def test_missing_input_exits_one(tmp_path, capsys):
                 "--output-dir", tmp_path / "out"])
     assert code == 1
     assert "no such file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_row_longer_than_header_exits_one(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("date,a,b\n2020-01-01,1,2,99\n2020-01-02,3,4\n"
+                   "2020-01-03,5,6\n")
+    code = run(["hurst", "--input", bad, "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert "ragged.csv:2: 3 value cells" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -158,7 +167,7 @@ def test_manifest_records_argv_and_defaults(panel_dir, tmp_path):
     assert manifest["seed"] == 0
     assert manifest["config"]["fit_max"] == 250
     assert manifest["config"]["input_kind"] == "increments"
-    assert set(manifest["versions"]) >= {"longmem", "numpy", "scipy", "python"}
+    assert set(manifest["versions"]) == {"longmem", "numpy", "python"}
 
 
 def test_threads_env_fallback(panel_dir, tmp_path, monkeypatch):

@@ -45,6 +45,35 @@ class TestClassify:
 
 
 class TestFitHurst:
+    def test_closed_form_line_fit(self):
+        # log10 s = 1..4 and log10 F = 0, 1, 1, 3: Sxx = 5, Sxy = 4.5,
+        # Syy = 4.75, so slope 0.9, intercept 1.25 - 0.9 * 2.5 = -1,
+        # r^2 = 4.5^2 / (5 * 4.75) = 81/95 and
+        # stderr = sqrt((1 - r^2) * Syy / Sxx / (n - 2)) = sqrt(0.07).
+        f = FluctuationFunction("cf", dfa(1), [10, 100, 1000, 10000],
+                                [1.0, 10.0, 10.0, 1000.0])
+        est = fit_hurst(f, fit_range=(None, None))
+        assert est.hurst == pytest.approx(0.9, abs=1e-14)
+        assert est.intercept == pytest.approx(-1.0, abs=1e-14)
+        assert est.r_squared == pytest.approx(81 / 95, abs=1e-14)
+        assert est.stderr == pytest.approx(0.07 ** 0.5, abs=1e-14)
+
+    def test_matches_scipy_linregress_bitwise(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(5)
+        scales = np.unique(np.geomspace(4, 900, 25).astype(int))
+        for _ in range(20):
+            values = scales ** rng.uniform(0.2, 1.2) * np.exp(
+                rng.normal(0.0, 0.1, scales.size))
+            est = fit_hurst(FluctuationFunction("r", dfa(1), scales, values),
+                            fit_range=(None, None))
+            res = stats.linregress(np.log10(scales.astype(float)),
+                                   np.log10(values))
+            assert est.hurst == float(res.slope)
+            assert est.intercept == float(res.intercept)
+            assert est.r_squared == float(res.rvalue) ** 2
+            assert est.stderr == float(res.stderr)
+
     def test_exact_power_law(self):
         est = fit_hurst(power_law(TEN_SCALES, 2.0, 0.83))
         assert est.hurst == pytest.approx(0.83, abs=1e-12)

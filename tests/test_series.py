@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from longmem.errors import AlignmentError, SchemaError
+from longmem.synthetic import trading_dates
 from longmem.series import (
     RatePanel,
     TimeSeries,
@@ -19,6 +21,7 @@ from longmem.series import (
 )
 
 from conftest import make_panel, make_series
+from reference import naive_forward_fill
 
 
 class TestTimeSeries:
@@ -50,6 +53,13 @@ class TestTimeSeries:
         ts = make_series([1.0, 2.0, 3.0])
         with pytest.raises(AlignmentError):
             ts.restrict(ts.dates[0], ts.dates[0])
+
+    def test_datetime64_dates_accepted(self):
+        ts = make_series([1.0, 2.0, 3.0])
+        same = TimeSeries("y", ts.days, ts.values)
+        assert same.dates == ts.dates
+        assert same.days.dtype == np.dtype("datetime64[D]")
+        assert not same.days.flags.writeable
 
 
 class TestLoadPanel:
@@ -102,6 +112,52 @@ class TestLoadPanel:
             panel = load_panel(p)
         assert len(panel.member("a")) == 2
 
+    def test_longer_row_is_error(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("date,a,b\n2020-01-02,1,2\n2020-01-01,1,2,99\n"
+                     "2020-01-03,3,4\n")
+        with pytest.raises(SchemaError, match=r"r\.csv:3: 3 value cells"):
+            load_panel(p)
+
+    def test_shorter_row_reads_as_missing(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("date,a,b\n2020-01-01,1,2\n2020-01-02,3\n"
+                     "2020-01-03,5,6\n")
+        panel = load_panel(p)
+        assert list(panel.member("a").values) == [1.0, 3.0, 5.0]
+        assert list(panel.member("b").values) == [2.0, 6.0]
+        assert np.isnan(panel.matrix[1, 1])
+
+    def test_rows_sorted_on_read(self, tmp_path):
+        p = tmp_path / "u.csv"
+        p.write_text("date,a\n2020-01-03,3\n2020-01-01,1\n2020-01-02,2\n")
+        panel = load_panel(p)
+        assert panel.date_index == (dt.date(2020, 1, 1), dt.date(2020, 1, 2),
+                                    dt.date(2020, 1, 3))
+        assert list(panel.member("a").values) == [1.0, 2.0, 3.0]
+
+    def test_blank_and_padded_cells(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("date,a,b\n2020-01-01, 1 ,  \n2020-01-02,2,5\n"
+                     "2020-01-03,3,6\n")
+        panel = load_panel(p)
+        assert list(panel.member("a").values) == [1.0, 2.0, 3.0]
+        assert len(panel.member("b")) == 2
+
+    def test_non_finite_cell(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("date,a,b\n2020-01-01,1,nan\n2020-01-02,2,5\n"
+                     "2020-01-03,3,6\n")
+        with pytest.raises(SchemaError, match="'b'.*non-finite"):
+            load_panel(p)
+
+    def test_date_without_values_is_not_indexed(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("date,a\n2020-01-01,1\n2020-01-02,\n2020-01-03,3\n")
+        panel = load_panel(p)
+        assert len(panel.date_index) == 2
+        assert panel.is_aligned
+
     def test_round_trip(self, csv_panel):
         panel = load_panel(csv_panel)
         text = panel_to_csv(panel)
@@ -109,6 +165,23 @@ class TestLoadPanel:
         back_path.write_text(text)
         back = load_panel(back_path)
         assert back.ids == panel.ids
+        for a, b in zip(panel.series, back.series):
+            assert a.dates == b.dates
+            assert np.array_equal(a.values, b.values)
+
+
+    def test_gappy_round_trip(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("date,a,b,c\n2020-01-01,1.5,,0.1\n2020-01-02,,2.25,\n"
+                     "2020-01-03,-3e-09,4.0,0.3\n2020-01-06,7.0,,1e+22\n")
+        panel = load_panel(p)
+        text = panel_to_csv(panel)
+        assert text == p.read_text()
+        back_path = tmp_path / "back.csv"
+        back_path.write_text(text)
+        back = load_panel(back_path)
+        assert back.ids == panel.ids
+        assert back.date_index == panel.date_index
         for a, b in zip(panel.series, back.series):
             assert a.dates == b.dates
             assert np.array_equal(a.values, b.values)
@@ -166,6 +239,49 @@ class TestAlign:
         with pytest.raises(AlignmentError, match="no prior value"):
             align(RatePanel((full, late)), policy="forward_fill", max_gap=2)
 
+    def test_forward_fill_trailing_run(self):
+        full = make_series(np.arange(6.0), "full")
+        short = TimeSeries("short", full.dates[:4], [0.0, 1.0, 2.0, 3.0])
+        out = align(RatePanel((full, short)), policy="forward_fill", max_gap=2)
+        assert out.date_index == full.dates
+        assert list(out.member("short").values) == [0.0, 1.0, 2.0, 3.0, 3.0, 3.0]
+
+    @given(st.data())
+    def test_forward_fill_matches_loop_oracle(self, data):
+        n_dates = data.draw(st.integers(4, 30))
+        max_gap = data.draw(st.integers(1, 4))
+        observed_head = data.draw(st.booleans())
+        index = trading_dates(n_dates)
+        members = []
+        for k in range(data.draw(st.integers(1, 4))):
+            seen = data.draw(st.lists(st.sampled_from([True, True, False]),
+                                      min_size=n_dates, max_size=n_dates))
+            seen[0] = seen[0] or observed_head
+            if sum(seen) < 2:
+                seen[-2:] = [True, True]
+            dates = [d for d, s in zip(index, seen) if s]
+            values = [100.0 * k + i for i, s in enumerate(seen) if s]
+            members.append(TimeSeries(f"s{k}", dates, values))
+        panel = RatePanel(members, index)
+
+        try:
+            filled = [naive_forward_fill(ts.id, ts.dates, ts.values, index,
+                                         max_gap) for ts in members]
+        except AlignmentError as exc:
+            with pytest.raises(AlignmentError, match=re.escape(str(exc))):
+                align(panel, policy="forward_fill", max_gap=max_gap)
+            return
+        shared = sorted(set.intersection(*(set(d) for d, _ in filled)))
+        if len(shared) < 2:
+            with pytest.raises(AlignmentError, match="shared dates"):
+                align(panel, policy="forward_fill", max_gap=max_gap)
+            return
+        out = align(panel, policy="forward_fill", max_gap=max_gap)
+        assert out.date_index == tuple(shared)
+        for ts, (dates, values) in zip(out.series, filled):
+            by_date = dict(zip(dates, values))
+            assert list(ts.values) == [by_date[d] for d in shared]
+
     def test_unknown_policy(self):
         panel = make_panel({"a": np.arange(4.0)})
         with pytest.raises(ValueError, match="policy"):
@@ -219,6 +335,41 @@ class TestRatePanel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no series"):
             RatePanel(())
+
+    def test_from_matrix_views(self):
+        days = np.array(["2020-01-01", "2020-01-02", "2020-01-03"],
+                        dtype="datetime64[D]")
+        panel = RatePanel.from_matrix(["a", "b"], days,
+                                      [[1.0, 2.0, 3.0], [4.0, np.nan, 6.0]])
+        assert not panel.is_aligned
+        assert list(panel.member("b").values) == [4.0, 6.0]
+        assert panel.member("b").dates == (dt.date(2020, 1, 1),
+                                           dt.date(2020, 1, 3))
+        assert not panel.member("a").values.flags.writeable
+        with pytest.raises(ValueError):
+            panel.matrix[0, 0] = 9.0
+
+    def test_from_matrix_rejects_short_row(self):
+        days = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
+        with pytest.raises(ValueError, match="'b': length 1"):
+            RatePanel.from_matrix(["a", "b"], days, [[1.0, 2.0], [np.nan, 1.0]])
+
+    def test_date_outside_index_rejected(self):
+        a = make_series([1.0, 2.0, 3.0], "a")
+        with pytest.raises(ValueError, match="outside"):
+            RatePanel((a,), a.dates[:2])
+
+    def test_restrict_drops_unobserved_dates(self):
+        days = np.array(["2020-01-01", "2020-01-02", "2020-01-03",
+                         "2020-01-04"], dtype="datetime64[D]")
+        panel = RatePanel.from_matrix(
+            ["a", "b"], days,
+            [[1.0, np.nan, 3.0, 4.0], [5.0, np.nan, 7.0, 8.0]])
+        sub = panel.restrict(dt.date(2020, 1, 2), dt.date(2020, 1, 4))
+        assert sub.date_index == (dt.date(2020, 1, 3), dt.date(2020, 1, 4))
+        assert sub.is_aligned
+        with pytest.raises(AlignmentError, match="'a'.*keeps 1"):
+            panel.restrict(dt.date(2020, 1, 1), dt.date(2020, 1, 2))
 
     def test_member_lookup(self):
         panel = make_panel({"a": [1.0, 2.0], "b": [3.0, 4.0]})
