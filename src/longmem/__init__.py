@@ -41,7 +41,6 @@ from .network import (
     average_weighted_degree,
     build_network,
     detect_communities,
-    partition_table,
     split_periods,
     to_dot,
     to_graphml,
@@ -56,9 +55,7 @@ from .scaling import (
     dfa,
     dma,
     fluctuation,
-    local_trend,
     moving_average,
-    segment_bounds,
 )
 from .series import (
     IncrementSeries,
@@ -92,8 +89,8 @@ __all__ = [
     "profile", "profile_from_values", "series_profile",
     # scaling
     "DetrendMethod", "ScaleGrid", "FluctuationFunction",
-    "DEFAULT_SCALE_CAP", "dfa", "dma", "default_grid", "segment_bounds",
-    "moving_average", "detrended_segments", "local_trend", "fluctuation",
+    "DEFAULT_SCALE_CAP", "dfa", "dma", "default_grid",
+    "moving_average", "detrended_segments", "fluctuation",
     # hurst
     "HurstEstimate", "CrossoverReport", "HurstDistribution",
     "classify", "fit_hurst", "detect_crossover", "hurst_distribution",
@@ -104,7 +101,7 @@ __all__ = [
     # network
     "CorrelationNetwork", "CommunityPartition",
     "build_network", "detect_communities", "average_weighted_degree",
-    "split_periods", "to_graphml", "to_dot", "partition_table",
+    "split_periods", "to_graphml", "to_dot",
     # synthetic
     "FgnSpec", "BlockSpec", "autocovariance", "trading_dates",
     "generate_fgn", "generate_blocks",

@@ -25,9 +25,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .dcca import pairwise_matrix, rho_vs_scale
+from .dcca import DccaMatrix, pairwise_matrix, rho_vs_scale
 from .errors import LongmemError, SchemaError
-from .hurst import detect_crossover, fit_hurst, hurst_distribution
+from .hurst import (
+    HurstDistribution,
+    detect_crossover,
+    hurst_distribution,
+    map_members,
+)
 from .network import (
     average_weighted_degree,
     build_network,
@@ -186,7 +191,8 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
     p.add_argument("--output-dir", required=True, help="directory for all outputs")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: LONGMEM_THREADS or 1)")
+                   help="recorded in the manifest, no effect on the run "
+                        "(default: LONGMEM_THREADS or 1)")
     p.add_argument("--format", default="all",
                    help="comma list of table,json,graphml,dot (default all)")
     p.add_argument("--strict", action="store_true",
@@ -473,19 +479,19 @@ def _crossover_grid(cfg: RunConfig, n_profile: int) -> ScaleGrid:
                         num=max(cfg.num_scales, 25))
 
 
-def _crossover_rows(cfg: RunConfig, panel: RatePanel,
-                    grid: ScaleGrid) -> list[dict]:
-    rows = []
-    for ts in sorted(panel.series, key=lambda t: t.id):
-        try:
-            prof = series_profile(ts, input_kind=cfg.input_kind)
-            f = fluctuation(prof, grid, cfg.method)
-            rep = detect_crossover(f, min_side_points=cfg.min_side_points,
-                                   improvement_threshold=cfg.crossover_threshold)
-            rows.append(rep.to_json_dict())
-        except LongmemError as exc:
-            rows.append({"series_id": ts.id, "error": str(exc)})
-    return rows
+def _crossover_rows(cfg: RunConfig, panel: RatePanel, grid: ScaleGrid
+                    ) -> tuple[list[dict], list[tuple[str, str]]]:
+    def search(ts):
+        f = fluctuation(series_profile(ts, input_kind=cfg.input_kind), grid,
+                        cfg.method)
+        return detect_crossover(f, min_side_points=cfg.min_side_points,
+                                improvement_threshold=cfg.crossover_threshold)
+
+    results, failures = map_members(search, panel)
+    rows = [rep.to_json_dict() for _, rep in results]
+    rows += [{"series_id": sid, "error": msg} for sid, msg in failures]
+    rows.sort(key=lambda r: r["series_id"])
+    return rows, failures
 
 
 def _crossover_table(rows: list[dict]) -> str:
@@ -515,117 +521,155 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_hurst(cfg: RunConfig, files: dict[str, str]) -> int:
-    panel = _load_aligned(cfg)
-    n_prof = _profile_length(cfg, panel)
-    grid = _analysis_grid(cfg, n_prof)
-    dist = hurst_distribution(
-        panel, cfg.method, grid=grid, fit_range=(cfg.fit_min, cfg.fit_max),
-        bin_width=cfg.bin_width, input_kind=cfg.input_kind, threads=cfg.threads,
-    )
-    payload = dist.to_json_dict()
-    if cfg.crossover:
-        rows = _crossover_rows(cfg, panel, _crossover_grid(cfg, n_prof))
-        payload["crossover"] = rows
-        if "table" in cfg.formats:
-            files["crossover.csv"] = _crossover_table(rows)
-    if "table" in cfg.formats:
-        files["hurst_estimates.csv"] = dist.estimates_table()
-        files["hurst_histogram.csv"] = dist.histogram_table()
-        if dist.failures:
-            files["failures.csv"] = _failures_table(dist.failures)
-    if "json" in cfg.formats:
-        files["hurst.json"] = _json_text(payload)
-
-    lo, hi = dist.mode_bin
-    print(f"estimated {len(dist.estimates)} series, {len(dist.failures)} failed; "
-          f"mode bin [{lo:.2f}, {hi:.2f})")
-    if dist.failures:
-        for sid, msg in dist.failures:
-            print(f"failed: {sid}: {msg}", file=sys.stderr)
-        if cfg.strict:
-            return 3
-    return 0
-
-
-def _run_dcca(cfg: RunConfig, files: dict[str, str]) -> int:
-    panel = _load_aligned(cfg)
-    if cfg.all_pairs and len(panel) < 2:
-        raise ConfigError("--all needs a panel with at least 2 series")
-    known = set(panel.ids)
-    missing = sorted({sid for pair in cfg.pairs for sid in pair} - known)
+def _check_pairs(cfg: RunConfig, panel: RatePanel) -> None:
+    missing = sorted({sid for pair in cfg.pairs for sid in pair} - set(panel.ids))
     if missing:
         raise ConfigError(f"unknown series id(s) in --pair: {', '.join(missing)}")
 
+
+def _failure_code(cfg: RunConfig, failures: list[tuple[str, str]]) -> int:
+    for sid, msg in failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
+    return 3 if failures and cfg.strict else 0
+
+
+def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
+                   files: dict[str, str]
+                   ) -> tuple[HurstDistribution, list[tuple[str, str]]]:
+    """Exponents, histogram and (with cfg.crossover) breakpoint rows.
+
+    Returns the distribution and every per-series failure, fit and
+    crossover alike, in id order.
+    """
     n_prof = _profile_length(cfg, panel)
+    dist = hurst_distribution(
+        panel, cfg.method, grid=_analysis_grid(cfg, n_prof),
+        fit_range=(cfg.fit_min, cfg.fit_max), bin_width=cfg.bin_width,
+        input_kind=cfg.input_kind,
+    )
+    payload = dist.to_json_dict()
+    failures = list(dist.failures)
+    if cfg.crossover:
+        rows, crossover_failures = _crossover_rows(
+            cfg, panel, _crossover_grid(cfg, n_prof))
+        payload["crossover"] = rows
+        failures += [(sid, f"crossover: {msg}") for sid, msg in crossover_failures]
+        failures.sort(key=lambda f: f[0])
+        if "table" in cfg.formats:
+            files[f"{prefix}crossover.csv"] = _crossover_table(rows)
+    payload["failures"] = [{"series_id": i, "error": m} for i, m in failures]
+    if "table" in cfg.formats:
+        files[f"{prefix}hurst_estimates.csv"] = dist.estimates_table()
+        files[f"{prefix}hurst_histogram.csv"] = dist.histogram_table()
+        if failures:
+            files[f"{prefix}failures.csv"] = _failures_table(failures)
+    if "json" in cfg.formats:
+        files[f"{prefix}hurst.json"] = _json_text(payload)
+    return dist, failures
+
+
+def _dcca_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
+                  files: dict[str, str], curve_grid: ScaleGrid | None,
+                  with_matrices: bool) -> list[DccaMatrix]:
+    """Curves for cfg.pairs, then (if asked) one matrix per cfg.matrix_scales.
+
+    Returns the matrices so a caller can build networks from them.
+    """
     payload: dict = {"pairs": [], "matrices": []}
-    curve_grid = None
-    if cfg.pairs:
-        curve_grid = _analysis_grid(cfg, n_prof)
     for k, (a, b) in enumerate(cfg.pairs):
         curve = rho_vs_scale(panel.member(a), panel.member(b), grid=curve_grid,
                              method=cfg.method, input_kind=cfg.input_kind)
         payload["pairs"].append(curve.to_json_dict())
         if "table" in cfg.formats:
             name = f"rho_curve_{k:02d}_{_safe_name(a)}__{_safe_name(b)}.csv"
-            files[name] = curve.to_table()
-    if cfg.all_pairs:
-        for s in cfg.matrix_scales:
-            m = pairwise_matrix(panel, s, cfg.method,
-                                input_kind=cfg.input_kind, threads=cfg.threads)
-            payload["matrices"].append(m.to_json_dict())
-            if "table" in cfg.formats:
-                files[f"rho_matrix_s{s}.csv"] = m.to_table()
+            files[prefix + name] = curve.to_table()
+    matrices = _matrices(cfg, panel) if with_matrices else []
+    for m in matrices:
+        payload["matrices"].append(m.to_json_dict())
+        if "table" in cfg.formats:
+            files[f"{prefix}rho_matrix_s{m.scale}.csv"] = m.to_table()
     if "json" in cfg.formats:
-        files["dcca.json"] = _json_text(payload)
-    print(f"wrote {len(payload['pairs'])} curve(s), "
-          f"{len(payload['matrices'])} matrix(es)")
-    return 0
+        files[f"{prefix}dcca.json"] = _json_text(payload)
+    return matrices
+
+
+def _matrices(cfg: RunConfig, panel: RatePanel) -> list[DccaMatrix]:
+    return [pairwise_matrix(panel, s, cfg.method, input_kind=cfg.input_kind)
+            for s in cfg.matrix_scales]
 
 
 def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
-                     files: dict[str, str], payload: list[dict]) -> None:
-    degree_rows = []
-    for s in cfg.matrix_scales:
-        m = pairwise_matrix(panel, s, cfg.method,
-                            input_kind=cfg.input_kind, threads=cfg.threads)
-        net = build_network(m, threshold=cfg.threshold)
-        if net.n_edges == 0:
-            print(f"warning: empty network at s={s} "
-                  f"(threshold {cfg.threshold})", file=sys.stderr)
-        part = detect_communities(net, resolution=cfg.resolution, seed=cfg.seed)
-        deg = average_weighted_degree(net)
-        degree_rows.append((s, deg))
-        payload.append({
-            "prefix": prefix.rstrip("/") or None,
-            "network": net.to_json_dict(),
-            "partition": part.to_json_dict(),
-            "average_weighted_degree": deg,
-        })
-        if "graphml" in cfg.formats:
-            files[f"{prefix}network_s{s}.graphml"] = to_graphml(net, part)
-        if "dot" in cfg.formats:
-            files[f"{prefix}network_s{s}.dot"] = to_dot(net, part)
+                     files: dict[str, str],
+                     matrices: list[DccaMatrix] | None = None) -> None:
+    """Networks, partitions and degree curves, per --period window if any.
+
+    ``matrices`` are the whole panel's, reused when there are no periods.
+    """
+    if cfg.periods:
+        windows = ((f"{prefix}period_{i}/", _matrices(cfg, sub))
+                   for i, sub in enumerate(split_periods(panel, list(cfg.periods)),
+                                           start=1))
+    else:
+        windows = [(prefix, matrices or _matrices(cfg, panel))]
+    payload: list[dict] = []
+    for sub_prefix, window_matrices in windows:
+        degree_rows = []
+        for m in window_matrices:
+            net = build_network(m, threshold=cfg.threshold)
+            if net.n_edges == 0:
+                print(f"warning: empty network at s={m.scale} "
+                      f"(threshold {cfg.threshold})", file=sys.stderr)
+            part = detect_communities(net, resolution=cfg.resolution,
+                                      seed=cfg.seed)
+            deg = average_weighted_degree(net)
+            degree_rows.append((m.scale, deg))
+            payload.append({
+                "prefix": sub_prefix.rstrip("/") or None,
+                "network": net.to_json_dict(),
+                "partition": part.to_json_dict(),
+                "average_weighted_degree": deg,
+            })
+            stem = f"{sub_prefix}network_s{m.scale}"
+            if "graphml" in cfg.formats:
+                files[stem + ".graphml"] = to_graphml(net, part)
+            if "dot" in cfg.formats:
+                files[stem + ".dot"] = to_dot(net, part)
+            if "table" in cfg.formats:
+                files[f"{sub_prefix}partition_s{m.scale}.csv"] = part.to_table()
         if "table" in cfg.formats:
-            files[f"{prefix}partition_s{s}.csv"] = part.to_table()
-    if "table" in cfg.formats:
-        lines = ["s,average_weighted_degree"]
-        lines += [f"{s},{_fmt(d)}" for s, d in degree_rows]
-        files[f"{prefix}degree_vs_scale.csv"] = "\n".join(lines) + "\n"
+            lines = ["s,average_weighted_degree"]
+            lines += [f"{s},{_fmt(d)}" for s, d in degree_rows]
+            files[f"{sub_prefix}degree_vs_scale.csv"] = "\n".join(lines) + "\n"
+    if "json" in cfg.formats:
+        files[f"{prefix}network.json"] = _json_text(payload)
+
+
+def _run_hurst(cfg: RunConfig, files: dict[str, str]) -> int:
+    dist, failures = _hurst_outputs(cfg, _load_aligned(cfg), "", files)
+    lo, hi = dist.mode_bin
+    print(f"estimated {len(dist.estimates)} series, {len(dist.failures)} failed; "
+          f"mode bin [{lo:.2f}, {hi:.2f})")
+    return _failure_code(cfg, failures)
+
+
+def _run_dcca(cfg: RunConfig, files: dict[str, str]) -> int:
+    panel = _load_aligned(cfg)
+    if cfg.all_pairs and len(panel) < 2:
+        raise ConfigError("--all needs a panel with at least 2 series")
+    _check_pairs(cfg, panel)
+    curve_grid = None
+    if cfg.pairs:
+        curve_grid = _analysis_grid(cfg, _profile_length(cfg, panel))
+    matrices = _dcca_outputs(cfg, panel, "", files, curve_grid, cfg.all_pairs)
+    print(f"wrote {len(cfg.pairs)} curve(s), {len(matrices)} matrix(es)")
+    return 0
 
 
 def _run_network(cfg: RunConfig, files: dict[str, str]) -> int:
     panel = _load_aligned(cfg)
     if len(panel) < 2:
         raise ConfigError("network needs a panel with at least 2 series")
-    payload: list[dict] = []
-    if cfg.periods:
-        for i, sub in enumerate(split_periods(panel, list(cfg.periods)), start=1):
-            _network_outputs(cfg, sub, f"period_{i}/", files, payload)
-    else:
-        _network_outputs(cfg, panel, "", files, payload)
-    if "json" in cfg.formats:
-        files["network.json"] = _json_text(payload)
+    _network_outputs(cfg, panel, "", files)
     return 0
 
 
@@ -647,66 +691,24 @@ def _run_synth(cfg: RunConfig, files: dict[str, str]) -> int:
 
 
 def _run_report(cfg: RunConfig, files: dict[str, str]) -> int:
+    """The hurst, dcca and network outputs of one panel, in subdirectories.
+
+    Report has no --crossover flag; its config always sets crossover.
+    Curves use the dcca default span, not the exponent grid.  Matrices
+    and networks need at least two series, and the networks reuse the
+    dcca matrices unless --period splits the panel.
+    """
     panel = _load_aligned(cfg)
-    known = set(panel.ids)
-    missing = sorted({sid for pair in cfg.pairs for sid in pair} - known)
-    if missing:
-        raise ConfigError(f"unknown series id(s) in --pair: {', '.join(missing)}")
-
+    _check_pairs(cfg, panel)
+    _, failures = _hurst_outputs(cfg, panel, "hurst/", files)
     n_prof = _profile_length(cfg, panel)
-    grid = _analysis_grid(cfg, n_prof)
-    dist = hurst_distribution(
-        panel, cfg.method, grid=grid, fit_range=(cfg.fit_min, cfg.fit_max),
-        bin_width=cfg.bin_width, input_kind=cfg.input_kind, threads=cfg.threads,
-    )
-    payload = dist.to_json_dict()
-    rows = _crossover_rows(cfg, panel, _crossover_grid(cfg, n_prof))
-    payload["crossover"] = rows
-    if "table" in cfg.formats:
-        files["hurst/hurst_estimates.csv"] = dist.estimates_table()
-        files["hurst/hurst_histogram.csv"] = dist.histogram_table()
-        files["hurst/crossover.csv"] = _crossover_table(rows)
-        if dist.failures:
-            files["hurst/failures.csv"] = _failures_table(dist.failures)
-    if "json" in cfg.formats:
-        files["hurst/hurst.json"] = _json_text(payload)
-
-    dcca_payload: dict = {"pairs": [], "matrices": []}
-    curve_grid = default_grid(n_prof, s_min=5,
-                              s_max=min(500, n_prof // 2), num=40)
-    for k, (a, b) in enumerate(cfg.pairs):
-        curve = rho_vs_scale(panel.member(a), panel.member(b), grid=curve_grid,
-                             method=cfg.method, input_kind=cfg.input_kind)
-        dcca_payload["pairs"].append(curve.to_json_dict())
-        if "table" in cfg.formats:
-            name = f"dcca/rho_curve_{k:02d}_{_safe_name(a)}__{_safe_name(b)}.csv"
-            files[name] = curve.to_table()
-    if len(panel) >= 2:
-        for s in cfg.matrix_scales:
-            m = pairwise_matrix(panel, s, cfg.method,
-                                input_kind=cfg.input_kind, threads=cfg.threads)
-            dcca_payload["matrices"].append(m.to_json_dict())
-            if "table" in cfg.formats:
-                files[f"dcca/rho_matrix_s{s}.csv"] = m.to_table()
-        net_payload: list[dict] = []
-        if cfg.periods:
-            for i, sub in enumerate(split_periods(panel, list(cfg.periods)),
-                                    start=1):
-                _network_outputs(cfg, sub, f"network/period_{i}/", files,
-                                 net_payload)
-        else:
-            _network_outputs(cfg, panel, "network/", files, net_payload)
-        if "json" in cfg.formats:
-            files["network/network.json"] = _json_text(net_payload)
-    if "json" in cfg.formats:
-        files["dcca/dcca.json"] = _json_text(dcca_payload)
-
-    if dist.failures:
-        for sid, msg in dist.failures:
-            print(f"failed: {sid}: {msg}", file=sys.stderr)
-        if cfg.strict:
-            return 3
-    return 0
+    curve_grid = default_grid(n_prof, s_min=5, s_max=min(500, n_prof // 2),
+                              num=40)
+    matrices = _dcca_outputs(cfg, panel, "dcca/", files, curve_grid,
+                             len(panel) >= 2)
+    if matrices:
+        _network_outputs(cfg, panel, "network/", files, matrices)
+    return _failure_code(cfg, failures)
 
 
 _RUNNERS = {
@@ -773,7 +775,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     files[_MANIFEST_NAME] = _manifest(cfg)
-    _write_all(cfg, files)
+    try:
+        _write_all(cfg, files)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {cfg.output_dir}: {exc}",
+              file=sys.stderr)
+        return 1
     print(f"wrote {len(files)} file(s) to {cfg.output_dir}")
     return code
 

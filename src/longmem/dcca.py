@@ -23,7 +23,6 @@ import numpy as np
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
 from .scaling import DetrendMethod, ScaleGrid, default_grid, detrended_segments
 from .series import Profile, RatePanel, TimeSeries, series_profile
-from .util import ordered_map
 
 __all__ = [
     "CrossFluctuation",
@@ -231,21 +230,18 @@ def pairwise_matrix(
     Residual segments are computed once per series and reused across
     pairs.  If any member has zero fluctuation at this scale the whole
     computation aborts with every offending id listed, because a matrix
-    with undefined holes is worse than no matrix.
+    with undefined holes is worse than no matrix.  ``threads`` is accepted
+    for compatibility and ignored.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before pairwise analysis")
     if len(panel.series) < 2:
         raise ValueError("need at least two series for a pairwise matrix")
 
-    members = list(panel.series)
-    ids = tuple(ts.id for ts in members)
-
-    def residuals(ts):
-        prof = series_profile(ts, input_kind=input_kind)
-        return detrended_segments(prof.values, s, method)
-
-    segs = ordered_map(residuals, members, threads=threads)
+    ids = panel.ids
+    segs = [detrended_segments(series_profile(ts, input_kind=input_kind).values,
+                               s, method)
+            for ts in panel.series]
     k, seg_len = segs[0].shape
     flat = np.stack([r.reshape(-1) for r in segs])  # (n_series, k*seg_len)
 
@@ -313,7 +309,8 @@ def rho_vs_scale(
     a: TimeSeries,
     b: TimeSeries,
     grid: ScaleGrid | None = None,
-    method: DetrendMethod | None = None,
+    *,
+    method: DetrendMethod,
     input_kind: str = "levels",
 ) -> RhoCurve:
     """Trace the coefficient of one pair across a scale grid.
@@ -323,8 +320,6 @@ def rho_vs_scale(
     the series must be long enough for the largest scale (an error from
     the segmentation propagates otherwise).
     """
-    if method is None:
-        raise ValueError("method is required")
     _check_common_dates(a, b)
     pa = series_profile(a, input_kind=input_kind)
     pb = series_profile(b, input_kind=input_kind)

@@ -28,7 +28,6 @@ from .scaling import (
     fluctuation,
 )
 from .series import RatePanel, series_profile
-from .util import ordered_map
 
 __all__ = [
     "HurstEstimate",
@@ -316,6 +315,22 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
     return edges, counts
 
 
+def map_members(fn, panel: RatePanel) -> tuple[list, list[tuple[str, str]]]:
+    """Apply ``fn`` to every panel member in id order.
+
+    Returns ``(results, failures)``: ``(id, fn(member))`` for each member
+    that succeeded and ``(id, message)`` for each whose call raised a
+    LongmemError or ValueError, both in id order.
+    """
+    results, failures = [], []
+    for ts in sorted(panel.series, key=lambda t: t.id):
+        try:
+            results.append((ts.id, fn(ts)))
+        except (LongmemError, ValueError) as exc:
+            failures.append((ts.id, str(exc)))
+    return results, failures
+
+
 def hurst_distribution(
     panel: RatePanel,
     method: DetrendMethod,
@@ -330,6 +345,8 @@ def hurst_distribution(
     A member whose fit fails (too short for the grid, constant, zero
     fluctuations) is recorded under ``failures`` instead of aborting the
     rest.  The panel must be aligned so every member sees the same grid.
+    ``threads`` is accepted for compatibility and ignored: members run one
+    after another, which measured faster than a thread pool.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")
@@ -339,26 +356,19 @@ def hurst_distribution(
     if grid is None:
         grid = default_grid(n_profile)
 
-    def one(ts):
-        try:
-            prof = series_profile(ts, input_kind=input_kind)
-            f = fluctuation(prof, grid, method)
-            return ts.id, fit_hurst(f, fit_range), None
-        except (LongmemError, ValueError) as exc:
-            return ts.id, None, str(exc)
+    def fit(ts):
+        prof = series_profile(ts, input_kind=input_kind)
+        return fit_hurst(fluctuation(prof, grid, method), fit_range)
 
-    members = sorted(panel.series, key=lambda t: t.id)
-    results = ordered_map(one, members, threads=threads)
-
-    estimates = tuple(e for _, e, _ in results if e is not None)
-    failures = tuple((i, m) for i, _, m in results if m is not None)
+    results, failures = map_members(fit, panel)
+    estimates = tuple(e for _, e in results)
     if not estimates:
         raise FitError("no panel member produced a usable fit")
     h = np.array([e.hurst for e in estimates])
     edges, counts = _histogram(h, bin_width)
     return HurstDistribution(
         estimates=estimates,
-        failures=failures,
+        failures=tuple(failures),
         bin_width=bin_width,
         bin_edges=edges,
         counts=counts,

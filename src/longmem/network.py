@@ -33,7 +33,6 @@ __all__ = [
     "split_periods",
     "to_graphml",
     "to_dot",
-    "partition_table",
 ]
 
 # Relative slack for "these two modularity gains are the same number".
@@ -427,7 +426,3 @@ def to_dot(
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def partition_table(partition: CommunityPartition) -> str:
-    return partition.to_table()

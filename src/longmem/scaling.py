@@ -31,8 +31,6 @@ __all__ = [
     "dma",
     "FluctuationFunction",
     "default_grid",
-    "segment_bounds",
-    "local_trend",
     "fluctuation",
     "detrended_segments",
 ]
@@ -135,28 +133,8 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
     return ScaleGrid(tuple(int(s) for s in scales), s_min=s_min)
 
 
-def segment_bounds(n: int, s: int) -> list[tuple[int, int]]:
-    """Index ranges of the 2*floor(n/s) segments tiling a length-n profile.
-
-    The first floor(n/s) windows tile from the start, the next floor(n/s)
-    from the end (listed end-first); both passes are kept even when s
-    divides n.
-    """
-    if s > n:
-        raise ScaleError(f"scale {s} exceeds profile length {n}")
-    if s < 2:
-        raise ScaleError(f"scale {s} < 2")
-    n_seg = n // s
-    fwd = [(v * s, (v + 1) * s) for v in range(n_seg)]
-    bwd = [(n - (v + 1) * s, n - v * s) for v in range(n_seg)]
-    return fwd + bwd
-
-
 def _poly_basis(s: int, order: int):
     """Design matrix on a normalized abscissa and its pseudoinverse."""
-    if s < order + 2:
-        raise ScaleError(f"scale {s} too small for dfa order {order} "
-                         f"(needs >= {order + 2})")
     x = np.arange(s, dtype=float)
     half = max((s - 1) / 2.0, 1.0)
     x = (x - (s - 1) / 2.0) / half
@@ -189,8 +167,10 @@ def moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.nda
 def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarray:
     """Residual matrix of shape (2*floor(n/s), s) after local detrending.
 
-    Rows follow the segment_bounds order.  Shared by the auto- and
-    cross-fluctuation paths so both see identical residuals.
+    The first floor(n/s) rows tile the profile from the start, the next
+    floor(n/s) from the end (listed end-first); both passes are kept even
+    when s divides n.  Shared by the auto- and cross-fluctuation paths so
+    both see identical residuals.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -218,32 +198,6 @@ def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarr
     t_fwd = trend[:n_seg * s].reshape(n_seg, s)
     t_bwd = trend[n - n_seg * s:].reshape(n_seg, s)[::-1]
     return segments - np.concatenate([t_fwd, t_bwd], axis=0)
-
-
-def local_trend(profile: Profile | np.ndarray, index_range: tuple[int, int],
-                method: DetrendMethod, scale: int | None = None) -> np.ndarray:
-    """Trend values over one index range [start, stop) of the profile.
-
-    Accepts a Profile or a plain value array.  For dma methods ``scale``
-    sets the moving-average window and defaults to the range length; the
-    dfa variant always fits over the full range.
-    """
-    y = profile.values if isinstance(profile, Profile) else np.asarray(
-        profile, dtype=float)
-    start, stop = index_range
-    if not (0 <= start < stop <= len(y)):
-        raise ScaleError(f"range [{start}, {stop}) outside profile of length "
-                         f"{len(y)}")
-    s = stop - start
-    if method.kind == "dfa":
-        basis, pinv = _poly_basis(s, method.order)
-        coef = pinv @ y[start:stop]
-        return basis @ coef
-    window = s if scale is None else int(scale)
-    if window < method.min_scale:
-        raise ScaleError(f"window {window} below method minimum "
-                         f"{method.min_scale} ({method.label})")
-    return moving_average(y, window, method.alignment)[start:stop]
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,11 +5,10 @@ The fGn sampler embeds the target autocovariance
     gamma(k) = (sigma^2 / 2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
 in a circulant matrix of power-of-two size and draws through its FFT
-eigendecomposition, which reproduces the covariance exactly.  Should the
-embedding produce genuinely negative eigenvalues, generation falls back to
-the (also exact, O(n^2)) conditional recursion sampler rather than
-approximating; eigenvalues negative only at rounding level are clamped
-to zero.
+eigendecomposition, which reproduces the covariance exactly.  For fGn the
+embedding is nonnegative definite (Craigmile, J. Time Ser. Anal. 24, 505,
+2003); eigenvalues negative only at rounding level are clamped to zero,
+and a genuinely negative one raises ValueError rather than approximating.
 
 Generated panels hold noise values, i.e. the series values are already
 increments.  Feed them to the estimators with ``input_kind="increments"``.
@@ -103,18 +102,25 @@ def trading_dates(n: int, start: dt.date = dt.date(2000, 1, 3)) -> tuple[dt.date
     return tuple(_trading_days(n, start).tolist())
 
 
-def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Exact unit-variance fGn via circulant embedding; None if indefinite."""
+def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Eigenvalues of the power-of-two circulant embedding of gamma(0..n-1)."""
     m = 1 << int(np.ceil(np.log2(n)))
     lags = np.arange(m + 1)
     row = np.concatenate([autocovariance(lags, hurst),
                           autocovariance(lags[1:m][::-1], hurst)])
-    eigvals = np.fft.fft(row).real
-    floor = -_EIGEN_TOL * eigvals.max()
-    if eigvals.min() < floor:
-        return None
+    return np.fft.fft(row).real
+
+
+def _fgn_values(n: int, hurst: float, sigma: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Exact fGn of scale sigma via circulant embedding."""
+    eigvals = _embedding_eigenvalues(n, hurst)
+    if eigvals.min() < -_EIGEN_TOL * eigvals.max():
+        raise ValueError(f"circulant embedding for n={n}, hurst={hurst} is "
+                         "not nonnegative definite")
     eigvals = np.maximum(eigvals, 0.0)
 
+    m = eigvals.size // 2
     two_m = 2 * m
     z = rng.standard_normal(two_m)
     w = np.zeros(two_m, dtype=complex)
@@ -123,62 +129,22 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     half = np.sqrt(eigvals[1:m] / (2.0 * two_m))
     w[1:m] = half * (z[2:m + 1] + 1j * z[m + 1:two_m])
     w[m + 1:] = np.conj(w[1:m][::-1])
-    return np.fft.fft(w)[:n].real
+    return sigma * np.fft.fft(w)[:n].real
 
 
-def _fgn_hosking(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact unit-variance fGn by the conditional-distribution recursion."""
-    gamma = autocovariance(np.arange(n), hurst)
-    out = np.empty(n)
-    out[0] = rng.standard_normal()
-    phi = np.empty(n)
-    prev = np.empty(n)
-    variance = 1.0
-    length = 0
-    for i in range(1, n):
-        if length == 0:
-            phi[0] = gamma[1]
-        else:
-            reflection = (gamma[length + 1]
-                          - phi[:length] @ gamma[length:0:-1]) / variance
-            prev[:length] = phi[:length]
-            phi[:length] = prev[:length] - reflection * prev[:length][::-1]
-            phi[length] = reflection
-        length += 1
-        variance *= 1.0 - phi[length - 1] ** 2
-        mean = phi[:length] @ out[i - 1::-1][:length]
-        out[i] = mean + np.sqrt(variance) * rng.standard_normal()
-    return out
-
-
-def _fgn_values(n: int, hurst: float, sigma: float,
-                rng: np.random.Generator, method: str = "auto") -> np.ndarray:
-    if method not in ("auto", "circulant", "hosking"):
-        raise ValueError(f"unknown generation method {method!r}")
-    values = None
-    if method in ("auto", "circulant"):
-        values = _fgn_circulant(n, hurst, rng)
-        if values is None and method == "circulant":
-            raise ValueError("circulant embedding is not nonnegative definite "
-                             "for this spec; use method='hosking'")
-    if values is None:
-        values = _fgn_hosking(n, hurst, rng)
-    return sigma * values
-
-
-def generate_fgn(spec: FgnSpec, method: str = "auto") -> TimeSeries:
+def generate_fgn(spec: FgnSpec) -> TimeSeries:
     """Stationary Gaussian series with exact fGn covariance, seed-determined.
 
     The sample is labelled with synthetic weekday dates; its values are the
     noise itself (increments), not integrated levels.
     """
     rng = np.random.default_rng(spec.seed)
-    values = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
+    values = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
     return TimeSeries(f"fgn-h{spec.hurst:g}-seed{spec.seed}",
                       _trading_days(spec.n), values)
 
 
-def generate_blocks(spec: BlockSpec, method: str = "auto") -> RatePanel:
+def generate_blocks(spec: BlockSpec) -> RatePanel:
     """Aligned panel of n_blocks x block_size mixed-factor fGn members.
 
     Member values are common_weight * block_factor +
@@ -189,9 +155,9 @@ def generate_blocks(spec: BlockSpec, method: str = "auto") -> RatePanel:
     ids = []
     matrix = np.empty((spec.n_blocks * spec.block_size, spec.n))
     for b in range(1, spec.n_blocks + 1):
-        common = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
+        common = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
         for m in range(1, spec.block_size + 1):
-            own = _fgn_values(spec.n, spec.hurst, spec.sigma, rng, method)
+            own = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
             matrix[len(ids)] = (spec.common_weight * common
                                 + (1.0 - spec.common_weight) * own)
             ids.append(f"b{b}:m{m}")

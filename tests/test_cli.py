@@ -237,6 +237,56 @@ def test_strict_turns_partial_failure_into_exit_three(panel_dir, tmp_path):
     assert (out / "hurst_estimates.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def short_grid_panel(tmp_path_factory) -> Path:
+    """A 2x2 block panel; five scales are too few for a crossover search."""
+    out = tmp_path_factory.mktemp("blocks")
+    assert run(["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst",
+                "0.7", "--n", "600", "--output-dir", out]) == 0
+    return out / "panel.csv"
+
+
+CROSSOVER_STARVED = ["--input-kind", "increments",
+                     "--scales", "10,20,30,40,50", "--strict"]
+
+
+def test_strict_counts_crossover_failures(short_grid_panel, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["hurst", "--input", short_grid_panel, "--output-dir", out,
+                "--crossover", *CROSSOVER_STARVED])
+    assert code == 3
+    ids = ["b1:m1", "b1:m2", "b2:m1", "b2:m2"]
+    assert [r[:2] for r in read_rows(out / "crossover.csv")[1:]] == [
+        [sid, "error"] for sid in ids]
+    failures = read_rows(out / "failures.csv")[1:]
+    assert [r[0] for r in failures] == ids
+    assert all(r[1].startswith('"crossover: ') for r in failures)
+    payload = json.loads((out / "hurst.json").read_text())
+    assert [f["series_id"] for f in payload["failures"]] == ids
+    assert capsys.readouterr().err.count("failed: ") == 4
+
+
+def test_report_strict_counts_crossover_failures(short_grid_panel, tmp_path):
+    out = tmp_path / "out"
+    code = run(["report", "--input", short_grid_panel, "--output-dir", out,
+                "--scale", "20", "--threshold", "0.5", *CROSSOVER_STARVED])
+    assert code == 3
+    assert len(read_rows(out / "hurst" / "failures.csv")) == 5
+    assert (out / "network" / "network.json").exists()
+
+
+def test_unwritable_output_dir_exits_one(panel_dir, tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "sub"
+    code = run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
+                out, "--input-kind", "increments"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err
+
+
 def test_json_only_format_writes_no_tables(panel_dir, tmp_path):
     out = tmp_path / "out"
     assert run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
@@ -391,6 +441,25 @@ def test_report_writes_grouped_layout(panel_dir, tmp_path):
             "dcca/rho_matrix_s20.csv", "dcca/dcca.json",
             "network/partition_s10.csv", "network/degree_vs_scale.csv",
             "network/network.json", "run_manifest.json"} <= names
+
+
+def test_report_builds_each_matrix_once(panel_dir, tmp_path, monkeypatch):
+    import longmem.cli
+
+    scales = []
+    original = longmem.cli.pairwise_matrix
+
+    def counting(panel, s, *args, **kwargs):
+        scales.append(s)
+        return original(panel, s, *args, **kwargs)
+
+    monkeypatch.setattr(longmem.cli, "pairwise_matrix", counting)
+    out = tmp_path / "out"
+    assert run(["report", "--input", panel_dir / "abc.csv", "--output-dir",
+                out, "--input-kind", "increments", "--scale", "20,60",
+                "--threshold", "0.5"]) == 0
+    assert scales == [20, 60]
+    assert (out / "network" / "network_s60.graphml").exists()
 
 
 def test_rerun_from_manifest_is_byte_identical(panel_dir, tmp_path):

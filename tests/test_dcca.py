@@ -284,7 +284,7 @@ class TestRhoVsScale:
 
     def test_method_required(self):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(TypeError, match="keyword-only argument: 'method'"):
             rho_vs_scale(a, a)
 
     def test_table(self):

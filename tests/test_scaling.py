@@ -16,9 +16,7 @@ from longmem.scaling import (
     dfa,
     dma,
     fluctuation,
-    local_trend,
     moving_average,
-    segment_bounds,
 )
 from longmem.series import Profile, profile_from_values
 
@@ -113,35 +111,42 @@ class TestScaleGrid:
         assert list(default_grid(1000, s_min=5))[0] == 5
 
 
+def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:
+    """Rows detrended_segments must give under dma() for these index ranges."""
+    resid = y - moving_average(y, s, "centered")
+    return np.array([resid[lo:hi] for lo, hi in ranges])
+
+
 class TestSegmentBounds:
+    """Row order of detrended_segments: tiled from the start, then the end."""
+
     def test_n10_s3(self):
-        assert segment_bounds(10, 3) == [(0, 3), (3, 6), (6, 9),
-                                         (7, 10), (4, 7), (1, 4)]
+        y = np.random.default_rng(3).standard_normal(10).cumsum()
+        want = dma_rows(y, 3, [(0, 3), (3, 6), (6, 9), (7, 10), (4, 7), (1, 4)])
+        assert np.array_equal(detrended_segments(y, 3, dma()), want)
 
     def test_exact_division_keeps_both_passes(self):
-        bounds = segment_bounds(9, 3)
-        assert bounds == [(0, 3), (3, 6), (6, 9),
-                          (6, 9), (3, 6), (0, 3)]
+        y = np.random.default_rng(4).standard_normal(9).cumsum()
+        got = detrended_segments(y, 3, dma())
+        assert got.shape == (6, 3)
+        assert np.array_equal(got[3:], got[2::-1])
 
     def test_scale_exceeds_length(self):
         with pytest.raises(ScaleError, match="exceeds"):
-            segment_bounds(5, 6)
+            detrended_segments(np.zeros(5), 6, dma())
 
     def test_scale_below_two(self):
-        with pytest.raises(ScaleError, match="< 2"):
-            segment_bounds(10, 1)
+        with pytest.raises(ScaleError, match="method minimum 2"):
+            detrended_segments(np.zeros(10), 1, dma())
 
-    @given(n=st.integers(4, 400), s=st.integers(2, 400))
+    @given(n=st.integers(4, 400), s=st.integers(2, 200))
     def test_tiling_properties(self, n, s):
-        assume(s <= n)
-        bounds = segment_bounds(n, s)
-        k = n // s
-        assert len(bounds) == 2 * k
-        assert all(hi - lo == s for lo, hi in bounds)
-        fwd, bwd = bounds[:k], bounds[k:]
-        assert fwd[0][0] == 0 and fwd[-1][1] == k * s
-        assert bwd[0][1] == n and bwd[-1][0] == n - k * s
-        assert bounds == reference.naive_segment_ranges(n, s)
+        assume(s <= n // 2)
+        y = np.arange(n, dtype=float) ** 1.5
+        got = detrended_segments(y, s, dma())
+        assert got.shape == (2 * (n // s), s)
+        assert np.array_equal(
+            got, dma_rows(y, s, reference.naive_segment_ranges(n, s)))
 
 
 class TestMovingAverage:
@@ -168,30 +173,28 @@ class TestMovingAverage:
 
 
 class TestLocalTrend:
+    """The trend detrended_segments removes from each segment."""
+
     def test_backward_trailing_means(self):
-        trend = local_trend([0.0, 1.0, 2.0, 3.0], (1, 4), dma("backward"),
-                            scale=2)
-        assert list(trend) == [0.5, 1.5, 2.5]
+        # trailing means 0, 0.5, 1.5, 2.5 leave residuals 0, 0.5, 0.5, 0.5
+        resid = detrended_segments(np.array([0.0, 1.0, 2.0, 3.0]), 2,
+                                   dma("backward"))
+        assert resid.tolist() == [[0.0, 0.5], [0.5, 0.5], [0.5, 0.5],
+                                  [0.0, 0.5]]
 
     def test_dfa_reproduces_linear_profile(self):
         prof = Profile("lin", np.linspace(-5.0, 0.0, 20))
-        trend = local_trend(prof, (3, 11), dfa(1))
-        assert np.allclose(trend, prof.values[3:11], atol=1e-12)
+        assert np.all(detrended_segments(prof.values, 8, dfa(1)) == 0.0)
 
     def test_dma_constant_profile(self):
-        prof = Profile("flat", np.zeros(12))
-        assert list(local_trend(prof, (2, 9), dma())) == [0.0] * 7
-
-    def test_range_validation(self):
-        prof = Profile("lin", np.linspace(-5.0, 0.0, 20))
-        for bad in [(5, 3), (-1, 4), (0, 99)]:
-            with pytest.raises(ScaleError, match="range"):
-                local_trend(prof, bad, dfa(1))
+        assert np.all(detrended_segments(np.full(12, 3.0), 5, dma()) == 0.0)
 
     def test_dfa_segment_too_short(self):
-        prof = Profile("lin", np.linspace(-5.0, 0.0, 20))
-        with pytest.raises(ScaleError, match="too small"):
-            local_trend(prof, (0, 3), dfa(2))
+        y = np.random.default_rng(5).standard_normal(40).cumsum()
+        for order in (1, 2, 3):
+            with pytest.raises(ScaleError, match="method minimum"):
+                detrended_segments(y, order + 1, dfa(order))
+            assert detrended_segments(y, order + 2, dfa(order)).shape[1] == order + 2
 
 
 class TestDetrendedSegments:

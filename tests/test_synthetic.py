@@ -16,7 +16,7 @@ from longmem.synthetic import (
     generate_fgn,
     trading_dates,
 )
-from longmem.synthetic import _fgn_hosking
+from longmem import synthetic
 
 
 class TestAutocovariance:
@@ -137,23 +137,18 @@ class TestGenerateFgn:
                 ests.append(fit_hurst(f).hurst)
             assert np.mean(ests) == pytest.approx(target, abs=0.05)
 
-    def test_hosking_covariance(self):
-        draws = []
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            x = _fgn_hosking(2048, 0.6, rng)
-            draws.append(np.mean(x[:-1] * x[1:]))
-        se = np.std(draws, ddof=1) / np.sqrt(len(draws))
-        assert abs(np.mean(draws) - autocovariance(1, 0.6)) <= 4 * se
+    def test_embedding_nonnegative_definite(self):
+        hursts = [0.01] + [round(0.05 * k, 2) for k in range(1, 20)] + [0.99]
+        for n in (16, 1000, 65536):
+            for h in hursts:
+                eig = synthetic._embedding_eigenvalues(n, h)
+                assert eig.min() >= -synthetic._EIGEN_TOL * eig.max(), (n, h)
 
-    def test_forced_methods(self):
-        circ = generate_fgn(FgnSpec(n=256, hurst=0.7, seed=0),
-                            method="circulant")
-        hosk = generate_fgn(FgnSpec(n=256, hurst=0.7, seed=0),
-                            method="hosking")
-        assert len(circ) == len(hosk) == 256
-        with pytest.raises(ValueError, match="method"):
-            generate_fgn(FgnSpec(n=256, hurst=0.7, seed=0), method="magic")
+    def test_indefinite_embedding_raises(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_embedding_eigenvalues",
+                            lambda n, h: np.array([1.0, -0.5, 1.0, -0.5]))
+        with pytest.raises(ValueError, match="not nonnegative definite"):
+            generate_fgn(FgnSpec(n=16, hurst=0.7))
 
 
 class TestGenerateBlocks:
