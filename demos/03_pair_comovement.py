@@ -9,8 +9,7 @@ per scale: two series can track each other week to week yet decouple
 quarter to quarter, and one number cannot show that.
 """
 
-from longmem import (FgnSpec, ScaleGrid, TimeSeries, dma, generate_fgn, rho_dcca,
-                     rho_vs_scale)
+from longmem import FgnSpec, ScaleGrid, TimeSeries, dma, generate_fgn, rho_vs_scale
 
 method = dma("centered")
 n = 2 ** 13
@@ -24,8 +23,8 @@ print("weight   rho at s=50   rho at s=250")
 for w in (0.0, 0.3, 0.6, 0.9):
     a = TimeSeries(own_a.id, own_a.days, w * common.values + (1 - w) * own_a.values)
     b = TimeSeries(own_b.id, own_b.days, w * common.values + (1 - w) * own_b.values)
-    r50 = rho_dcca(a, b, 50, method, input_kind="increments")
-    r250 = rho_dcca(a, b, 250, method, input_kind="increments")
+    r50, r250 = rho_vs_scale(a, b, ScaleGrid((50, 250)), method=method,
+                             input_kind="increments").values
     print(f"{w:.1f}      {r50:+.3f}        {r250:+.3f}")
 
 # The full curve across scales, for one mixed pair.

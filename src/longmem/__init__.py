@@ -9,12 +9,9 @@ target exponent backs all of it as the test oracle.
 """
 
 from .dcca import (
-    CrossFluctuation,
     DccaMatrix,
     RhoCurve,
-    cross_fluctuation,
     pairwise_matrix,
-    rho_dcca,
     rho_from_profiles,
     rho_vs_scale,
 )
@@ -58,15 +55,12 @@ from .scaling import (
     moving_average,
 )
 from .series import (
-    IncrementSeries,
     Profile,
     RatePanel,
     TimeSeries,
     align,
-    increments,
     load_panel,
     panel_to_csv,
-    profile,
     profile_from_values,
     series_profile,
 )
@@ -84,9 +78,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # series
-    "TimeSeries", "RatePanel", "IncrementSeries", "Profile",
-    "load_panel", "panel_to_csv", "align", "increments",
-    "profile", "profile_from_values", "series_profile",
+    "TimeSeries", "RatePanel", "Profile",
+    "load_panel", "panel_to_csv", "align",
+    "profile_from_values", "series_profile",
     # scaling
     "DetrendMethod", "ScaleGrid", "FluctuationFunction",
     "DEFAULT_SCALE_CAP", "dfa", "dma", "default_grid",
@@ -95,9 +89,8 @@ __all__ = [
     "HurstEstimate", "CrossoverReport", "HurstDistribution",
     "classify", "fit_hurst", "detect_crossover", "hurst_distribution",
     # dcca
-    "CrossFluctuation", "DccaMatrix", "RhoCurve",
-    "cross_fluctuation", "rho_from_profiles", "rho_dcca",
-    "pairwise_matrix", "rho_vs_scale",
+    "DccaMatrix", "RhoCurve",
+    "rho_from_profiles", "pairwise_matrix", "rho_vs_scale",
     # network
     "CorrelationNetwork", "CommunityPartition",
     "build_network", "detect_communities", "average_weighted_degree",

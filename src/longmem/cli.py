@@ -229,6 +229,43 @@ def _add_grid(p: argparse.ArgumentParser, s_min: int, s_max: int | None, num: in
                    help="explicit comma list of scales, overrides the grid flags")
 
 
+def _add_fit(p: argparse.ArgumentParser):
+    p.add_argument("--fit-min", type=int, default=None,
+                   help="smallest scale used in the exponent fit")
+    p.add_argument("--fit-max", type=int, default=250,
+                   help="largest scale used in the exponent fit (default 250)")
+    p.add_argument("--bin-width", type=float, default=0.02,
+                   help="histogram bin width (default 0.02)")
+    p.add_argument("--crossover-threshold", type=float, default=0.5,
+                   help="SSE improvement ratio required (default 0.5)")
+    p.add_argument("--min-side-points", type=int, default=3,
+                   help="fit points required each side of a breakpoint")
+
+
+def _add_pairs(p: argparse.ArgumentParser):
+    p.add_argument("--pair", action="append", default=[], metavar="A,B",
+                   help="series pair for a coefficient-vs-scale curve "
+                        "(repeatable)")
+
+
+def _add_scale(p: argparse.ArgumentParser):
+    p.add_argument("--scale", default="50,150,250",
+                   help="comma list of matrix and network scales "
+                        "(default 50,150,250)")
+
+
+def _add_network(p: argparse.ArgumentParser):
+    _add_scale(p)
+    p.add_argument("--threshold", type=float, default=0.8,
+                   help="minimum |coefficient| for an edge (default 0.8)")
+    p.add_argument("--resolution", type=float, default=1.0,
+                   help="modularity resolution (default 1.0)")
+    p.add_argument("--period", action="append", default=[],
+                   metavar="FROM:TO",
+                   help="date window YYYY-MM-DD:YYYY-MM-DD (repeatable); "
+                        "when given, outputs go to period_<k>/ subdirectories")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="longmem",
                      description="Long-memory and cross-correlation analysis "
@@ -240,44 +277,23 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_method(p)
     _add_grid(p, 10, None, 20)
-    p.add_argument("--fit-min", type=int, default=None,
-                   help="smallest scale used in the exponent fit")
-    p.add_argument("--fit-max", type=int, default=250,
-                   help="largest scale used in the exponent fit (default 250)")
-    p.add_argument("--bin-width", type=float, default=0.02,
-                   help="histogram bin width (default 0.02)")
+    _add_fit(p)
     p.add_argument("--crossover", action="store_true",
                    help="also run breakpoint detection on an extended grid")
-    p.add_argument("--crossover-threshold", type=float, default=0.5,
-                   help="SSE improvement ratio required (default 0.5)")
-    p.add_argument("--min-side-points", type=int, default=3,
-                   help="fit points required each side of a breakpoint")
 
     p = sub.add_parser("dcca", help="cross-correlation curves and matrices")
     _add_common(p)
     _add_method(p)
     _add_grid(p, 5, 500, 40)
-    p.add_argument("--pair", action="append", default=[], metavar="A,B",
-                   help="series pair for a coefficient-vs-scale curve "
-                        "(repeatable)")
+    _add_pairs(p)
     p.add_argument("--all", action="store_true", dest="all_pairs",
                    help="full pairwise matrix at each --scale")
-    p.add_argument("--scale", default="50,150,250",
-                   help="comma list of matrix scales (default 50,150,250)")
+    _add_scale(p)
 
     p = sub.add_parser("network", help="thresholded networks + communities")
     _add_common(p)
     _add_method(p)
-    p.add_argument("--scale", default="50,150,250",
-                   help="comma list of network scales (default 50,150,250)")
-    p.add_argument("--threshold", type=float, default=0.8,
-                   help="minimum |coefficient| for an edge (default 0.8)")
-    p.add_argument("--resolution", type=float, default=1.0,
-                   help="modularity resolution (default 1.0)")
-    p.add_argument("--period", action="append", default=[],
-                   metavar="FROM:TO",
-                   help="date window YYYY-MM-DD:YYYY-MM-DD (repeatable); "
-                        "when given, outputs go to period_<k>/ subdirectories")
+    _add_network(p)
 
     p = sub.add_parser("synth", help="generate synthetic panels")
     _add_common(p, with_input=False)
@@ -300,18 +316,9 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_method(p)
     _add_grid(p, 10, None, 20)
-    p.add_argument("--fit-min", type=int, default=None)
-    p.add_argument("--fit-max", type=int, default=250)
-    p.add_argument("--bin-width", type=float, default=0.02)
-    p.add_argument("--crossover-threshold", type=float, default=0.5)
-    p.add_argument("--min-side-points", type=int, default=3)
-    p.add_argument("--pair", action="append", default=[], metavar="A,B",
-                   help="pairs to trace across scales (repeatable)")
-    p.add_argument("--scale", default="50,150,250",
-                   help="matrix/network scales (default 50,150,250)")
-    p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--period", action="append", default=[], metavar="FROM:TO")
+    _add_fit(p)
+    _add_pairs(p)
+    _add_network(p)
 
     return parser
 
@@ -694,16 +701,19 @@ def _run_report(cfg: RunConfig, files: dict[str, str]) -> int:
     """The hurst, dcca and network outputs of one panel, in subdirectories.
 
     Report has no --crossover flag; its config always sets crossover.
-    Curves use the dcca default span, not the exponent grid.  Matrices
-    and networks need at least two series, and the networks reuse the
-    dcca matrices unless --period splits the panel.
+    Curves, built only for --pair, use the dcca default span rather than
+    the exponent grid.  Matrices and networks need at least two series,
+    and the networks reuse the dcca matrices unless --period splits the
+    panel.
     """
     panel = _load_aligned(cfg)
     _check_pairs(cfg, panel)
     _, failures = _hurst_outputs(cfg, panel, "hurst/", files)
-    n_prof = _profile_length(cfg, panel)
-    curve_grid = default_grid(n_prof, s_min=5, s_max=min(500, n_prof // 2),
-                              num=40)
+    curve_grid = None
+    if cfg.pairs:
+        n_prof = _profile_length(cfg, panel)
+        curve_grid = default_grid(n_prof, s_min=5, s_max=min(500, n_prof // 2),
+                                  num=40)
     matrices = _dcca_outputs(cfg, panel, "dcca/", files, curve_grid,
                              len(panel) >= 2)
     if matrices:

@@ -15,7 +15,6 @@ treated as a bug, not data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,25 +24,14 @@ from .scaling import DetrendMethod, ScaleGrid, default_grid, detrended_segments
 from .series import Profile, RatePanel, TimeSeries, series_profile
 
 __all__ = [
-    "CrossFluctuation",
     "DccaMatrix",
     "RhoCurve",
-    "cross_fluctuation",
     "rho_from_profiles",
-    "rho_dcca",
     "pairwise_matrix",
     "rho_vs_scale",
 ]
 
 _RHO_OVERSHOOT_TOL = 1e-9
-
-
-def _check_same_length(pa: Profile, pb: Profile) -> None:
-    if pa.values.size != pb.values.size:
-        raise AlignmentError(
-            f"profiles {pa.parent_id!r} and {pb.parent_id!r} have different "
-            f"lengths ({pa.values.size} vs {pb.values.size}); align first"
-        )
 
 
 def _check_common_dates(a: TimeSeries, b: TimeSeries) -> None:
@@ -53,81 +41,38 @@ def _check_common_dates(a: TimeSeries, b: TimeSeries) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CrossFluctuation:
-    """Signed squared cross-fluctuation of one pair over a scale grid."""
+def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
+    """Coefficient matrix from auto moments ``f2`` and cross moments ``gram``.
 
-    pair: tuple[str, str]
-    method: DetrendMethod
-    scales: np.ndarray
-    values: np.ndarray  # signed, one per scale
-    n_segments: np.ndarray
-
-    def __post_init__(self):
-        for name in ("scales", "values", "n_segments"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
-        if not (self.scales.size == self.values.size == self.n_segments.size):
-            raise ValueError("scales, values and n_segments must match in length")
-
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(s), float(v)) for s, v in zip(self.scales, self.values)]
-
-    def to_table(self) -> str:
-        lines = ["s,cross_f2"]
-        for s, v in self.points:
-            lines.append(f"{s},{v!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "method": self.method.to_json_dict(),
-            "scales": [int(s) for s in self.scales],
-            "values": [float(v) for v in self.values],
-            "n_segments": [int(k) for k in self.n_segments],
-        }
-
-
-def cross_fluctuation(
-    pa: Profile,
-    pb: Profile,
-    grid: ScaleGrid,
-    method: DetrendMethod,
-) -> CrossFluctuation:
-    """Average the segmentwise residual products of two equal-length profiles.
-
-    Symmetric in its profile arguments.  The value at each scale is the
-    mean over segments of the mean pointwise product of the two detrended
-    segments; it keeps its sign.
+    The one place a coefficient is formed, for a single pair and for a
+    whole panel alike.  Every member with zero fluctuation is named in one
+    DegenerateSeriesError, since the coefficient is then undefined.  The
+    upper triangle is mirrored so symmetry is exact, the diagonal is set
+    to exactly 1, and overshoot past +-1 up to the rounding tolerance is
+    clamped; a larger one raises LongmemError.
     """
-    _check_same_length(pa, pb)
-    values = np.empty(len(grid.scales))
-    n_segments = np.empty(len(grid.scales), dtype=int)
-    for i, s in enumerate(grid.scales):
-        ra = detrended_segments(pa.values, s, method)
-        rb = detrended_segments(pb.values, s, method)
-        values[i] = float(np.mean(np.mean(ra * rb, axis=1)))
-        n_segments[i] = ra.shape[0]
-    return CrossFluctuation(
-        pair=(pa.parent_id, pb.parent_id),
-        method=method,
-        scales=np.asarray(grid.scales, dtype=int),
-        values=values,
-        n_segments=n_segments,
-    )
-
-
-def _clamp_rho(rho: float, id_a: str, id_b: str, s: int) -> float:
-    if abs(rho) <= 1.0:
-        return rho
-    if abs(rho) - 1.0 <= _RHO_OVERSHOOT_TOL:
-        return 1.0 if rho > 0 else -1.0
-    raise LongmemError(
-        f"|rho|={abs(rho)} for ({id_a!r}, {id_b!r}) at s={s} exceeds 1 "
-        "beyond rounding tolerance; this indicates a bug"
-    )
+    bad = [i for i, v in zip(ids, f2) if v <= 0.0]
+    if bad:
+        raise DegenerateSeriesError(
+            bad,
+            f"zero detrended fluctuation at s={s} for {bad}; "
+            "coefficient undefined",
+        )
+    denom = np.sqrt(f2)
+    rho = np.triu(gram / np.outer(denom, denom), 1)
+    rho = rho + rho.T
+    np.fill_diagonal(rho, 1.0)
+    over = np.abs(rho) > 1.0
+    if np.any(over):
+        i, j = np.unravel_index(np.argmax(np.abs(rho)), rho.shape)
+        if abs(rho[i, j]) - 1.0 > _RHO_OVERSHOOT_TOL:
+            raise LongmemError(
+                f"|rho|={abs(rho[i, j])} for ({ids[i]!r}, {ids[j]!r}) at "
+                f"s={s} exceeds 1 beyond rounding tolerance; "
+                "this indicates a bug"
+            )
+        rho[over] = np.sign(rho[over])
+    return rho
 
 
 def rho_from_profiles(
@@ -143,35 +88,19 @@ def rho_from_profiles(
     perfectly linear profile under dfa(1), for instance), since the
     coefficient is then undefined.
     """
-    _check_same_length(pa, pb)
+    if pa.values.size != pb.values.size:
+        raise AlignmentError(
+            f"profiles {pa.parent_id!r} and {pb.parent_id!r} have different "
+            f"lengths ({pa.values.size} vs {pb.values.size}); align first"
+        )
     ra = detrended_segments(pa.values, s, method)
     rb = detrended_segments(pb.values, s, method)
-    f2a = float(np.mean(np.mean(ra * ra, axis=1)))
-    f2b = float(np.mean(np.mean(rb * rb, axis=1)))
-    bad = [p.parent_id for p, f2 in ((pa, f2a), (pb, f2b)) if f2 <= 0.0]
-    if bad:
-        raise DegenerateSeriesError(
-            bad,
-            f"zero detrended fluctuation at s={s} for {bad}; "
-            "coefficient undefined",
-        )
-    f2x = float(np.mean(np.mean(ra * rb, axis=1)))
-    rho = f2x / (np.sqrt(f2a) * np.sqrt(f2b))
-    return _clamp_rho(rho, pa.parent_id, pb.parent_id, s)
-
-
-def rho_dcca(
-    a: TimeSeries,
-    b: TimeSeries,
-    s: int,
-    method: DetrendMethod,
-    input_kind: str = "levels",
-) -> float:
-    """Coefficient for two series observed on the same dates."""
-    _check_common_dates(a, b)
-    pa = series_profile(a, input_kind=input_kind)
-    pb = series_profile(b, input_kind=input_kind)
-    return rho_from_profiles(pa, pb, s, method)
+    f2a = np.mean(np.mean(ra * ra, axis=1))
+    f2b = np.mean(np.mean(rb * rb, axis=1))
+    f2x = np.mean(np.mean(ra * rb, axis=1))
+    rho = _normalize(np.array([f2a, f2b]), np.array([[f2a, f2x], [f2x, f2b]]),
+                     (pa.parent_id, pb.parent_id), s)
+    return float(rho[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +143,6 @@ class DccaMatrix:
             "rho": [[float(v) for v in row] for row in self.rho],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def pairwise_matrix(
     panel: RatePanel,
@@ -246,28 +172,8 @@ def pairwise_matrix(
     flat = np.stack([r.reshape(-1) for r in segs])  # (n_series, k*seg_len)
 
     f2 = np.einsum("ij,ij->i", flat, flat) / (k * seg_len)
-    bad = [ids[i] for i in range(len(ids)) if f2[i] <= 0.0]
-    if bad:
-        raise DegenerateSeriesError(
-            bad,
-            f"zero detrended fluctuation at s={s} for {bad}; "
-            "pairwise matrix undefined",
-        )
-
     gram = (flat @ flat.T) / (k * seg_len)
-    denom = np.sqrt(f2)
-    rho = gram / np.outer(denom, denom)
-    # mirror the upper triangle so symmetry is exact, not just within float noise
-    rho = np.triu(rho, 1)
-    rho = rho + rho.T
-    np.fill_diagonal(rho, 1.0)
-    over = np.abs(rho) > 1.0
-    if np.any(np.abs(rho[over]) - 1.0 > _RHO_OVERSHOOT_TOL):
-        raise LongmemError(
-            f"|rho| exceeds 1 beyond rounding tolerance at s={s}; "
-            "this indicates a bug"
-        )
-    rho[over] = np.sign(rho[over])
+    rho = _normalize(f2, gram, ids, s)
     return DccaMatrix(ids=ids, scale=int(s), method=method, rho=rho)
 
 

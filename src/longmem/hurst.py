@@ -12,7 +12,6 @@ enough of the squared error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -299,9 +298,6 @@ class HurstDistribution:
                 "mode_bin": list(self.mode_bin),
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ ill-defined near segment edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,15 +225,6 @@ class FluctuationFunction:
         if np.any(values < 0):
             raise ValueError("auto-fluctuation values must be >= 0")
 
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(s), float(f)) for s, f in zip(self.scales, self.values)]
-
-    def to_table(self) -> str:
-        lines = ["s,F"]
-        lines += [f"{int(s)},{float(f)!r}" for s, f in zip(self.scales, self.values)]
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "series_id": self.series_id,
@@ -243,9 +233,6 @@ class FluctuationFunction:
                        for s, f in zip(self.scales, self.values)],
             "n_segments": [int(k) for k in self.n_segments],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def fluctuation(profile: Profile, grid: ScaleGrid,

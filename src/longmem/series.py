@@ -28,13 +28,10 @@ from .errors import AlignmentError, SchemaError
 __all__ = [
     "TimeSeries",
     "RatePanel",
-    "IncrementSeries",
     "Profile",
     "load_panel",
     "panel_to_csv",
     "align",
-    "increments",
-    "profile",
     "profile_from_values",
     "series_profile",
 ]
@@ -121,15 +118,6 @@ class TimeSeries:
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.id!r}, {len(self)} observations)"
-
-    def restrict(self, date_from: dt.date, date_to: dt.date) -> "TimeSeries":
-        """Sub-series with dates in the inclusive window [date_from, date_to]."""
-        lo, hi = _window(self.days, date_from, date_to)
-        if hi - lo < 2:
-            raise AlignmentError(
-                f"series {self.id!r}: window {date_from}..{date_to} keeps "
-                f"{max(hi - lo, 0)} observations (< 2)")
-        return TimeSeries._view(self.id, self.days[lo:hi], self.values[lo:hi])
 
 
 def _window(days: np.ndarray, date_from, date_to) -> tuple[int, int]:
@@ -258,24 +246,6 @@ class RatePanel:
         if not used.all():
             sub, days = sub[:, used], days[used]
         return RatePanel.from_matrix(self.ids, days, sub)
-
-
-@dataclass(frozen=True, eq=False)
-class IncrementSeries:
-    """Absolute one-step changes |R(i+1) - R(i)| of a parent series."""
-
-    parent_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if len(self.values) < 1:
-            raise ValueError(f"{self.parent_id!r}: empty increment series")
-        if np.any(self.values < 0):
-            raise ValueError(f"{self.parent_id!r}: negative increments")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,16 +449,6 @@ def align(panel: RatePanel, policy: str = "intersect",
     return RatePanel.from_matrix(panel.ids, panel.days[shared], matrix[:, shared])
 
 
-def increments(series: TimeSeries) -> IncrementSeries:
-    """Absolute one-step fluctuation X(i) = |R(i+1) - R(i)|."""
-    return IncrementSeries(series.id, np.abs(np.diff(series.values)))
-
-
-def profile(x: IncrementSeries) -> Profile:
-    """Mean-centered cumulative sum Y(t) of an increment series."""
-    return profile_from_values(x.values, x.parent_id)
-
-
 def profile_from_values(values, parent_id: str) -> Profile:
     """Profile of a raw (possibly signed) increment vector.
 
@@ -509,11 +469,12 @@ def profile_from_values(values, parent_id: str) -> Profile:
 def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
     """Profile of a series under the chosen input interpretation.
 
-    ``levels`` (default) applies the absolute-change transform first;
-    ``increments`` treats the stored values as the increment series itself.
+    ``levels`` (default) first takes the absolute one-step changes
+    X(i) = |R(i+1) - R(i)|; ``increments`` treats the stored values as
+    the increment series itself.
     """
     if input_kind == "levels":
-        return profile(increments(series))
+        return profile_from_values(np.abs(np.diff(series.values)), series.id)
     if input_kind == "increments":
         return profile_from_values(series.values, series.id)
     raise ValueError(f"unknown input_kind {input_kind!r}")

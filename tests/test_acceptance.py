@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from longmem.cli import main, rerun_from_manifest
-from longmem.dcca import pairwise_matrix, rho_dcca
+from longmem.dcca import pairwise_matrix, rho_from_profiles, rho_vs_scale
 from longmem.errors import DegenerateSeriesError, FitError
 from longmem.hurst import detect_crossover, fit_hurst
 from longmem.network import (
@@ -34,7 +34,7 @@ from longmem.scaling import (
 from longmem.series import Profile, TimeSeries, profile_from_values, series_profile
 from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn, trading_dates
 
-from reference import naive_cross_f2, naive_fluctuation, naive_rho
+from reference import naive_fluctuation, naive_rho
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -84,11 +84,17 @@ def test_criterion_2_rho_bounds_and_identities():
         b = generate_fgn(FgnSpec(n=n, hurst=float(hb), seed=int(rng.integers(2 ** 31))))
         s = int(rng.integers(5, n // 2 + 1))
         method = methods[k % 2]
-        r_ab = rho_dcca(a, b, s, method, input_kind="increments")
-        r_ba = rho_dcca(b, a, s, method, input_kind="increments")
+        grid = ScaleGrid((s,), s_min=2)
+
+        def rho(x, y):
+            return rho_vs_scale(x, y, grid, method=method,
+                                input_kind="increments").values[0]
+
+        r_ab = rho(a, b)
+        r_ba = rho(b, a)
         symmetric = symmetric and (r_ab == r_ba)
         worst_abs = max(worst_abs, abs(r_ab))
-        r_self = rho_dcca(a, a, s, method, input_kind="increments")
+        r_self = rho(a, a)
         worst_self = max(worst_self, abs(r_self - 1.0))
     verdict(2, worst_self <= 1e-12 and worst_abs <= 1.0 + 1e-9 and symmetric,
             f"1000 draws: max |rho(x,x)-1| = {worst_self:.2e} <= 1e-12, "
@@ -107,13 +113,10 @@ def test_criterion_3_brute_force_equivalence():
             pa = profile_from_values(rng.normal(size=n), "a")
             pb = profile_from_values(rng.normal(size=n), "b")
             for s in (5, 10):
-                f = fluctuation(pa, ScaleGrid((s,), s_min=2), method).values[0]
-                ref = naive_fluctuation(pa.values, s, method)
-                worst = max(worst, abs(f - ref) / abs(ref))
-                from longmem.dcca import cross_fluctuation, rho_from_profiles
-                fx = cross_fluctuation(pa, pb, ScaleGrid((s,), s_min=2), method).values[0]
-                refx = naive_cross_f2(pa.values, pb.values, s, method)
-                worst = max(worst, abs(fx - refx) / abs(refx))
+                for p in (pa, pb):
+                    f = fluctuation(p, ScaleGrid((s,), s_min=2), method).values[0]
+                    ref = naive_fluctuation(p.values, s, method)
+                    worst = max(worst, abs(f - ref) / abs(ref))
                 r = rho_from_profiles(pa, pb, s, method)
                 refr = naive_rho(pa.values, pb.values, s, method)
                 worst = max(worst, abs(r - refr) / abs(refr))
@@ -274,7 +277,8 @@ def test_criterion_8_degenerate_handling():
     flat = TimeSeries("flat", dates, np.full(256, 1.0))
     other = generate_fgn(FgnSpec(n=256, hurst=0.5, seed=3))
     try:
-        rho_dcca(flat, other, 20, dma("centered"), input_kind="increments")
+        rho_vs_scale(flat, other, ScaleGrid((20,)), method=dma("centered"),
+                     input_kind="increments")
         named = False
     except DegenerateSeriesError as exc:
         named = exc.ids == ("flat",) and "flat" in str(exc)

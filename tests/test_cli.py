@@ -63,6 +63,33 @@ def test_help_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+SHARED_FLAGS = {
+    "hurst": ("--fit-min", "--fit-max", "--bin-width",
+              "--crossover-threshold", "--min-side-points"),
+    "dcca": ("--pair", "--scale"),
+    "network": ("--scale", "--threshold", "--resolution", "--period"),
+}
+
+
+def test_shared_flags_match_report():
+    import argparse
+
+    from longmem.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def action(command, flag):
+        return next(a for a in sub.choices[command]._actions
+                    if flag in a.option_strings)
+
+    for command, flags in SHARED_FLAGS.items():
+        for flag in flags:
+            own, report = action(command, flag), action("report", flag)
+            assert own.default == report.default, (command, flag)
+            assert own.help and report.help, (command, flag)
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     code = run(["hurst", "--input", tmp_path / "nope.csv",
                 "--output-dir", tmp_path / "out"])
@@ -441,6 +468,25 @@ def test_report_writes_grouped_layout(panel_dir, tmp_path):
             "dcca/rho_matrix_s20.csv", "dcca/dcca.json",
             "network/partition_s10.csv", "network/degree_vs_scale.csv",
             "network/network.json", "run_manifest.json"} <= names
+
+
+def test_report_without_pairs_needs_no_curve_grid(tmp_path, capsys):
+    # nine dates leave no scale in the 5..500 curve span; without --pair
+    # report must not build that grid, just as dcca does not
+    dates = [f"2020-01-{d:02d}" for d in range(1, 10)]
+    rows = ["date,a,b"] + [f"{d},{np.sin(k)},{np.cos(3 * k)}"
+                           for k, d in enumerate(dates)]
+    panel = tmp_path / "short.csv"
+    panel.write_text("\n".join(rows) + "\n")
+    flags = ["--input", panel, "--input-kind", "increments", "--smin", "2",
+             "--scales", "2,3,4"]
+    assert run(["hurst", *flags, "--output-dir", tmp_path / "h"]) == 0
+    out = tmp_path / "r"
+    assert run(["report", *flags, "--scale", "2", "--output-dir", out]) == 0
+    assert "no scales" not in capsys.readouterr().err
+    names = set(tree_bytes(out))
+    assert "dcca/rho_matrix_s2.csv" in names
+    assert not any("rho_curve" in n for n in names)
 
 
 def test_report_builds_each_matrix_once(panel_dir, tmp_path, monkeypatch):

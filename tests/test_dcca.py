@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from longmem.dcca import (
-    CrossFluctuation,
     DccaMatrix,
-    cross_fluctuation,
+    _normalize,
     pairwise_matrix,
-    rho_dcca,
     rho_from_profiles,
     rho_vs_scale,
 )
-from longmem.errors import AlignmentError, DegenerateSeriesError, ScaleError
-from longmem.scaling import ScaleGrid, default_grid, dfa, dma, fluctuation
+from longmem.errors import (
+    AlignmentError,
+    DegenerateSeriesError,
+    LongmemError,
+    ScaleError,
+)
+from longmem.scaling import ScaleGrid, default_grid, dfa, dma
 from longmem.series import (
     Profile,
     RatePanel,
@@ -37,43 +40,40 @@ SMALL_GRID = ScaleGrid((10, 20, 50, 100))
 
 
 class TestCrossFluctuation:
-    def test_self_pair_equals_auto(self):
-        prof = fgn_profile(0)
-        cross = cross_fluctuation(prof, prof, SMALL_GRID, dfa(1))
-        auto = fluctuation(prof, SMALL_GRID, dfa(1))
-        assert np.allclose(cross.values, auto.values ** 2, rtol=1e-12)
-        assert list(cross.n_segments) == list(auto.n_segments)
-
-    def test_negated_pair_flips_sign(self):
-        prof = fgn_profile(1)
-        neg = Profile(prof.parent_id + "-neg", -prof.values)
-        cross = cross_fluctuation(prof, neg, SMALL_GRID, dfa(1))
-        auto = fluctuation(prof, SMALL_GRID, dfa(1))
-        assert np.allclose(cross.values, -(auto.values ** 2), rtol=1e-12)
+    """The signed cross term of a pair, as it reaches the coefficient."""
 
     def test_argument_order_irrelevant(self):
         pa, pb = fgn_profile(2), fgn_profile(3)
-        ab = cross_fluctuation(pa, pb, SMALL_GRID, dma())
-        ba = cross_fluctuation(pb, pa, SMALL_GRID, dma())
-        assert np.array_equal(ab.values, ba.values)
-        assert ab.pair == ("fgn-h0.7-seed2", "fgn-h0.7-seed3")
-        assert ba.pair == ("fgn-h0.7-seed3", "fgn-h0.7-seed2")
+        for s in SMALL_GRID:
+            assert (rho_from_profiles(pa, pb, s, dma())
+                    == rho_from_profiles(pb, pa, s, dma()))
 
     def test_length_mismatch(self):
         pa = fgn_profile(0, n=512)
         pb = fgn_profile(1, n=1024)
         with pytest.raises(AlignmentError, match="different"):
-            cross_fluctuation(pa, pb, SMALL_GRID, dfa(1))
+            rho_from_profiles(pa, pb, 10, dfa(1))
 
-    def test_table_and_json(self):
-        pa, pb = fgn_profile(2), fgn_profile(3)
-        cross = cross_fluctuation(pa, pb, SMALL_GRID, dfa(1))
-        lines = cross.to_table().strip().split("\n")
-        assert lines[0] == "s,cross_f2"
-        assert len(lines) == len(SMALL_GRID.scales) + 1
-        payload = cross.to_json_dict()
-        assert payload["pair"] == list(cross.pair)
-        json.dumps(payload)
+
+class TestNormalize:
+    """The one normalizer behind pair coefficients and matrices."""
+
+    IDS = ("a", "b")
+
+    @staticmethod
+    def moments(cross):
+        return np.array([1.0, 1.0]), np.array([[1.0, cross], [cross, 1.0]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rounding_overshoot_is_clamped(self, sign):
+        rho = _normalize(*self.moments(sign * (1.0 + 1e-12)), self.IDS, 10)
+        assert rho[0, 1] == rho[1, 0] == sign
+        assert np.all(np.diag(rho) == 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_large_overshoot_raises(self, sign):
+        with pytest.raises(LongmemError, match="'a', 'b'.*s=10"):
+            _normalize(*self.moments(sign * (1.0 + 1e-6)), self.IDS, 10)
 
 
 class TestRho:
@@ -93,8 +93,8 @@ class TestRho:
         ts = make_series(np.abs(np.random.default_rng(5).standard_normal(600))
                          + 1.0, "x")
         scaled = TimeSeries("cx", ts.dates, 3.7 * ts.values)
-        assert rho_dcca(ts, scaled, 25, dfa(1)) == pytest.approx(1.0,
-                                                                 abs=1e-12)
+        curve = rho_vs_scale(ts, scaled, ScaleGrid((25,)), method=dfa(1))
+        assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_everywhere(self):
         rng = np.random.default_rng(6)
@@ -141,7 +141,7 @@ class TestRho:
                                   .standard_normal(300)) + 1.0, "good")
         flat = TimeSeries("flat", good.dates, np.full(300, 2.0))
         with pytest.raises(DegenerateSeriesError) as err:
-            rho_dcca(good, flat, 20, dfa(1))
+            rho_vs_scale(good, flat, ScaleGrid((20,)), method=dfa(1))
         assert err.value.ids == ("flat",)
 
     def test_both_degenerate_listed(self):
@@ -149,7 +149,7 @@ class TestRho:
         f1 = TimeSeries("f1", dates, np.full(100, 1.0))
         f2 = TimeSeries("f2", dates, np.full(100, 2.0))
         with pytest.raises(DegenerateSeriesError) as err:
-            rho_dcca(f1, f2, 10, dfa(1))
+            rho_vs_scale(f1, f2, ScaleGrid((10,)), method=dfa(1))
         assert err.value.ids == ("f1", "f2")
 
     def test_date_mismatch(self):
@@ -158,7 +158,7 @@ class TestRho:
         a = make_series(np.arange(100.0), "a")
         b = make_series(np.arange(100.0), "b", start=dt.date(2001, 1, 1))
         with pytest.raises(AlignmentError, match="common date index"):
-            rho_dcca(a, b, 10, dfa(1))
+            rho_vs_scale(a, b, ScaleGrid((10,)), method=dfa(1))
 
 
 class TestPairwiseMatrix:
@@ -174,8 +174,10 @@ class TestPairwiseMatrix:
             for s in range(4)))
         m = pairwise_matrix(panel, 64, dfa(1), input_kind="increments")
         for a, b in itertools.combinations(panel.ids, 2):
-            direct = rho_dcca(panel.member(a), panel.member(b), 64, dfa(1),
-                              input_kind="increments")
+            direct = rho_from_profiles(
+                series_profile(panel.member(a), input_kind="increments"),
+                series_profile(panel.member(b), input_kind="increments"),
+                64, dfa(1))
             assert m.pair_value(a, b) == pytest.approx(direct, abs=1e-12)
 
     def test_exact_symmetry_and_diagonal(self):
@@ -241,7 +243,7 @@ class TestPairwiseMatrix:
         first = lines[1].split(",")
         assert first[0] == m.ids[0]
         assert float(first[1]) == 1.0
-        payload = json.loads(m.to_json())
+        payload = json.loads(json.dumps(m.to_json_dict()))
         assert payload["scale"] == 32
 
     def test_matrix_validation(self):
@@ -310,18 +312,6 @@ class TestBruteForce:
         want = reference.naive_rho(pa.values, pb.values, s, method)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_cross_f2_matches_naive(self):
-        rng = np.random.default_rng(13)
-        pa = profile_from_values(rng.standard_normal(60), "a")
-        pb = profile_from_values(rng.standard_normal(60), "b")
-        grid = ScaleGrid((5, 10), s_min=5)
-        for method in (dfa(1), dma()):
-            cross = cross_fluctuation(pa, pb, grid, method)
-            for s, got in cross.points:
-                want = reference.naive_cross_f2(pa.values, pb.values, s,
-                                                method)
-                assert got == pytest.approx(want, rel=1e-10)
-
 
 class TestSeriesLevelPipeline:
     def test_series_profile_feeds_pipeline(self):
@@ -329,5 +319,5 @@ class TestSeriesLevelPipeline:
                                 .standard_normal(400)) + 2.0, "r")
         prof = series_profile(ts)
         assert len(prof) == len(ts) - 1
-        rho = rho_dcca(ts, ts, 20, dfa(1))
-        assert rho == pytest.approx(1.0, abs=1e-12)
+        curve = rho_vs_scale(ts, ts, ScaleGrid((20,)), method=dfa(1))
+        assert curve.values[0] == pytest.approx(1.0, abs=1e-12)

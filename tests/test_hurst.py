@@ -305,7 +305,7 @@ class TestHurstDistribution:
         assert len(est_lines) == 5
         hist_lines = dist.histogram_table().strip().split("\n")
         assert hist_lines[0] == "bin_low,bin_high,count"
-        payload = json.loads(dist.to_json())
+        payload = json.loads(json.dumps(dist.to_json_dict()))
         assert len(payload["estimates"]) == 4
         assert payload["summary"]["mode_bin"][0] <= payload["summary"]["h_max"]
 

@@ -311,15 +311,12 @@ class TestFluctuation:
         ratio = se_10 / se_5
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.30)
 
-    def test_table_and_json(self):
+    def test_json_dict(self):
         prof = profile_from_values(
             np.random.default_rng(2).standard_normal(300), "r")
         f = fluctuation(prof, ScaleGrid((10, 20)), dma())
-        lines = f.to_table().strip().split("\n")
-        assert lines[0] == "s,F"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[1]) == f.values[0]
-        payload = json.loads(f.to_json())
+        payload = json.loads(json.dumps(f.to_json_dict()))
+        assert payload["points"][0] == [10, f.values[0]]
         assert payload["series_id"] == "r"
         assert payload["method"] == {"kind": "dma", "alignment": "centered"}
         assert len(payload["points"]) == 2

@@ -12,10 +12,8 @@ from longmem.series import (
     RatePanel,
     TimeSeries,
     align,
-    increments,
     load_panel,
     panel_to_csv,
-    profile,
     profile_from_values,
     series_profile,
 )
@@ -42,17 +40,6 @@ class TestTimeSeries:
         ts = make_series([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
-
-    def test_restrict_inclusive(self):
-        ts = make_series([1.0, 2.0, 3.0, 4.0, 5.0])
-        sub = ts.restrict(ts.dates[1], ts.dates[3])
-        assert sub.dates == ts.dates[1:4]
-        assert list(sub.values) == [2.0, 3.0, 4.0]
-
-    def test_restrict_too_narrow(self):
-        ts = make_series([1.0, 2.0, 3.0])
-        with pytest.raises(AlignmentError):
-            ts.restrict(ts.dates[0], ts.dates[0])
 
     def test_datetime64_dates_accepted(self):
         ts = make_series([1.0, 2.0, 3.0])
@@ -288,15 +275,22 @@ class TestAlign:
             align(panel, policy="pad")
 
 
+def assert_levels_profile(levels, abs_changes):
+    """series_profile of levels equals the profile of hand-computed |dR|."""
+    got = series_profile(make_series(levels))
+    want = profile_from_values(abs_changes, "x")
+    assert np.array_equal(got.values, want.values)
+
+
 class TestIncrementsAndProfile:
     def test_increments_basic(self):
-        assert list(increments(make_series([2, 3, 5])).values) == [1.0, 2.0]
+        assert_levels_profile([2, 3, 5], [1.0, 2.0])
 
     def test_increments_constant(self):
-        assert list(increments(make_series([4, 4, 4, 4])).values) == [0.0, 0.0, 0.0]
+        assert_levels_profile([4, 4, 4, 4], [0.0, 0.0, 0.0])
 
     def test_increments_absolute(self):
-        assert list(increments(make_series([1.0, 0.5, 1.5])).values) == [0.5, 1.0]
+        assert_levels_profile([1.0, 0.5, 1.5], [0.5, 1.0])
 
     def test_profile_small(self):
         prof = profile_from_values([1.0, 2.0, 3.0], "t")
@@ -310,7 +304,7 @@ class TestIncrementsAndProfile:
         ts = make_series([1.0, 3.0, 2.0, 5.0])
         via_levels = series_profile(ts)  # default: absolute changes first
         assert np.allclose(via_levels.values,
-                           profile(increments(ts)).values)
+                           profile_from_values([2.0, 1.0, 3.0], "x").values)
         via_incr = series_profile(ts, input_kind="increments")
         assert np.allclose(via_incr.values,
                            np.cumsum(ts.values - ts.values.mean()))
