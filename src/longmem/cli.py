@@ -61,6 +61,8 @@ from .synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 __all__ = ["main", "rerun_from_manifest", "RunConfig", "ConfigError"]
 
 _FORMATS = ("table", "json", "graphml", "dot")
+# The output kind of each file extension, for the --format filter.
+_KINDS = {".csv": "table", ".json": "json", ".graphml": "graphml", ".dot": "dot"}
 _MANIFEST_NAME = "run_manifest.json"
 
 
@@ -114,22 +116,23 @@ class RunConfig:
     sigma: float = 1.0
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "argv":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, DetrendMethod):
-                value = value.to_json_dict()
-            elif f.name == "periods":
-                value = [[a.isoformat(), b.isoformat()] for a, b in value]
-            elif isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "argv"}
+        if self.method is not None:
+            out["method"] = self.method.to_json_dict()
+        out["periods"] = [[a.isoformat(), b.isoformat()] for a, b in self.periods]
         return out
 
 
 # ---------------------------------------------------------------- parsing
+#
+# Every flag parses straight into the RunConfig field named by its dest, and
+# its default is that field's default.  Subparsers leave an unset flag off
+# the namespace, so a command only overrides a default through
+# set_defaults.  The parsers below raise ConfigError, which argparse does
+# not catch: main reports it and exits 1.
+
+_DEFAULT = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -140,6 +143,15 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     if not values:
         raise ConfigError(f"{what}: empty list")
     return tuple(sorted(set(values)))
+
+
+def _parse_scales(text: str) -> tuple[int, ...] | None:
+    # an empty --scales leaves the log-spaced grid in charge
+    return _parse_int_list(text, "--scales") if text else None
+
+
+def _parse_matrix_scales(text: str) -> tuple[int, ...]:
+    return _parse_int_list(text, "--scale")
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -189,79 +201,87 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
     if with_input:
         p.add_argument("--input", required=True, help="panel file (see docs for schema)")
     p.add_argument("--output-dir", required=True, help="directory for all outputs")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--seed", type=int,
+                   help=f"RNG seed (default {_DEFAULT['seed']})")
+    p.add_argument("--threads", type=int,
                    help="recorded in the manifest, no effect on the run "
                         "(default: LONGMEM_THREADS or 1)")
-    p.add_argument("--format", default="all",
+    p.add_argument("--format", type=_parse_formats, dest="formats",
+                   metavar="FORMAT",
                    help="comma list of table,json,graphml,dot (default all)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when some series fail instead of continuing")
 
 
 def _add_method(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=("dma", "dfa"), default="dma",
+    p.add_argument("--method", choices=("dma", "dfa"),
                    help="detrending method (default dma)")
     p.add_argument("--dfa-order", type=int, default=1,
                    help="polynomial order for dfa (default 1)")
     p.add_argument("--dma-alignment", choices=("centered", "backward"),
                    default="centered", help="moving-average window placement")
     p.add_argument("--align", choices=("intersect", "forward_fill"),
-                   default="intersect", dest="align_policy",
-                   help="panel alignment policy (default intersect)")
-    p.add_argument("--max-gap", type=int, default=None,
+                   dest="align_policy",
+                   help=f"panel alignment policy (default {_DEFAULT['align_policy']})")
+    p.add_argument("--max-gap", type=int,
                    help="largest missing run forward_fill may bridge")
     p.add_argument("--input-kind", choices=("levels", "increments"),
-                   default="levels",
                    help="treat columns as rate levels (default) or as "
                         "ready-made increments, e.g. synthetic noise panels")
 
 
-def _add_grid(p: argparse.ArgumentParser, s_min: int, s_max: int | None, num: int):
-    p.add_argument("--smin", type=int, default=s_min,
-                   help=f"smallest grid scale (default {s_min})")
-    p.add_argument("--smax", type=int, default=s_max,
-                   help="largest grid scale (default: "
-                        + (str(s_max) if s_max else "min(250, N/4)") + ")")
-    p.add_argument("--num-scales", type=int, default=num,
-                   help=f"number of log-spaced scales (default {num})")
-    p.add_argument("--scales", default=None,
+def _add_grid(p: argparse.ArgumentParser, **overrides):
+    """Grid flags; ``overrides`` replace RunConfig's defaults for this command."""
+    p.set_defaults(**overrides)
+    d = {**_DEFAULT, **overrides}
+    p.add_argument("--smin", type=int, dest="s_min", metavar="SMIN",
+                   help=f"smallest grid scale (default {d['s_min']})")
+    p.add_argument("--smax", type=int, dest="s_max", metavar="SMAX",
+                   help=f"largest grid scale (default: {d['s_max'] or 'min(250, N/4)'})")
+    p.add_argument("--num-scales", type=int,
+                   help=f"number of log-spaced scales (default {d['num_scales']})")
+    p.add_argument("--scales", type=_parse_scales,
                    help="explicit comma list of scales, overrides the grid flags")
 
 
 def _add_fit(p: argparse.ArgumentParser):
-    p.add_argument("--fit-min", type=int, default=None,
+    p.add_argument("--fit-min", type=int,
                    help="smallest scale used in the exponent fit")
-    p.add_argument("--fit-max", type=int, default=250,
-                   help="largest scale used in the exponent fit (default 250)")
-    p.add_argument("--bin-width", type=float, default=0.02,
-                   help="histogram bin width (default 0.02)")
-    p.add_argument("--crossover-threshold", type=float, default=0.5,
-                   help="SSE improvement ratio required (default 0.5)")
-    p.add_argument("--min-side-points", type=int, default=3,
+    p.add_argument("--fit-max", type=int,
+                   help="largest scale used in the exponent fit "
+                        f"(default {_DEFAULT['fit_max']})")
+    p.add_argument("--bin-width", type=float,
+                   help=f"histogram bin width (default {_DEFAULT['bin_width']})")
+    p.add_argument("--crossover-threshold", type=float,
+                   help="SSE improvement ratio required "
+                        f"(default {_DEFAULT['crossover_threshold']})")
+    p.add_argument("--min-side-points", type=int,
                    help="fit points required each side of a breakpoint")
 
 
 def _add_pairs(p: argparse.ArgumentParser):
-    p.add_argument("--pair", action="append", default=[], metavar="A,B",
+    p.add_argument("--pair", action="append", type=_parse_pair, dest="pairs",
+                   metavar="A,B",
                    help="series pair for a coefficient-vs-scale curve "
                         "(repeatable)")
 
 
 def _add_scale(p: argparse.ArgumentParser):
-    p.add_argument("--scale", default="50,150,250",
-                   help="comma list of matrix and network scales "
-                        "(default 50,150,250)")
+    p.add_argument("--scale", type=_parse_matrix_scales, dest="matrix_scales",
+                   metavar="SCALE",
+                   help="comma list of matrix and network scales (default "
+                        + ",".join(map(str, _DEFAULT["matrix_scales"])) + ")")
 
 
 def _add_network(p: argparse.ArgumentParser):
     _add_scale(p)
-    p.add_argument("--threshold", type=float, default=0.8,
-                   help="minimum |coefficient| for an edge (default 0.8)")
-    p.add_argument("--resolution", type=float, default=1.0,
-                   help="modularity resolution (default 1.0)")
-    p.add_argument("--period", action="append", default=[],
-                   metavar="FROM:TO",
+    p.add_argument("--threshold", type=float,
+                   help="minimum |coefficient| for an edge "
+                        f"(default {_DEFAULT['threshold']})")
+    p.add_argument("--resolution", type=float,
+                   help=f"modularity resolution (default {_DEFAULT['resolution']})")
+    p.add_argument("--period", action="append", type=_parse_period,
+                   dest="periods", metavar="FROM:TO",
                    help="date window YYYY-MM-DD:YYYY-MM-DD (repeatable); "
                         "when given, outputs go to period_<k>/ subdirectories")
 
@@ -273,52 +293,58 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("hurst", help="per-series scaling exponents + histogram")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help,
+                              argument_default=argparse.SUPPRESS)
+
+    p = command("hurst", "per-series scaling exponents + histogram")
     _add_common(p)
     _add_method(p)
-    _add_grid(p, 10, None, 20)
+    _add_grid(p)
     _add_fit(p)
     p.add_argument("--crossover", action="store_true",
                    help="also run breakpoint detection on an extended grid")
 
-    p = sub.add_parser("dcca", help="cross-correlation curves and matrices")
+    p = command("dcca", "cross-correlation curves and matrices")
     _add_common(p)
     _add_method(p)
-    _add_grid(p, 5, 500, 40)
+    _add_grid(p, s_min=5, s_max=500, num_scales=40)
     _add_pairs(p)
     p.add_argument("--all", action="store_true", dest="all_pairs",
                    help="full pairwise matrix at each --scale")
     _add_scale(p)
 
-    p = sub.add_parser("network", help="thresholded networks + communities")
+    p = command("network", "thresholded networks + communities")
     _add_common(p)
     _add_method(p)
     _add_network(p)
 
-    p = sub.add_parser("synth", help="generate synthetic panels")
+    p = command("synth", "generate synthetic panels")
     _add_common(p, with_input=False)
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--fgn", action="store_true",
-                      help="single correlated-noise series")
-    kind.add_argument("--blocks", default=None, metavar="BxM",
+    kind.add_argument("--fgn", action="store_const", const="fgn",
+                      dest="synth_kind", help="single correlated-noise series")
+    kind.add_argument("--blocks", type=_parse_blocks, metavar="BxM",
                       help="B blocks of M members sharing a common component")
+    p.set_defaults(synth_kind="blocks")
     p.add_argument("--hurst", type=float, required=True, dest="hurst_value",
                    help="target exponent in (0, 1)")
     p.add_argument("--n", type=int, required=True, dest="n_obs",
                    help="observations per series")
-    p.add_argument("--weight", type=float, default=None,
+    p.add_argument("--weight", type=float,
                    help="common-component weight in [0, 1] (blocks only)")
-    p.add_argument("--sigma", type=float, default=1.0,
-                   help="noise standard deviation (default 1.0)")
+    p.add_argument("--sigma", type=float,
+                   help=f"noise standard deviation (default {_DEFAULT['sigma']})")
 
-    p = sub.add_parser("report", help="full pipeline: exponents, crossover, "
-                                      "matrices, networks, degree curves")
+    p = command("report", "full pipeline: exponents, crossover, "
+                          "matrices, networks, degree curves")
     _add_common(p)
     _add_method(p)
-    _add_grid(p, 10, None, 20)
+    _add_grid(p)
     _add_fit(p)
     _add_pairs(p)
     _add_network(p)
+    p.set_defaults(crossover=True)  # report has no --crossover flag
 
     return parser
 
@@ -337,117 +363,77 @@ def _resolve_threads(value: int | None) -> int:
 
 def _resolve_method(ns) -> DetrendMethod:
     try:
-        if ns.method == "dfa":
+        if getattr(ns, "method", "dma") == "dfa":
             return dfa(ns.dfa_order)
         return dma(ns.dma_alignment)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
+def _check(cfg: RunConfig) -> None:
+    """Raise ConfigError for the first out-of-range setting.
+
+    Every RunConfig default passes every check, so a command is only
+    checked on the flags it has.
+    """
+    if cfg.align_policy == "forward_fill" and (cfg.max_gap is None or cfg.max_gap < 1):
+        raise ConfigError("--align forward_fill requires --max-gap >= 1")
+    if cfg.s_min < 2:
+        raise ConfigError(f"--smin must be >= 2, got {cfg.s_min}")
+    if cfg.s_max is not None and cfg.s_max < cfg.s_min:
+        raise ConfigError(f"--smax {cfg.s_max} below --smin {cfg.s_min}")
+    if cfg.num_scales < 3:
+        raise ConfigError(f"--num-scales must be >= 3, got {cfg.num_scales}")
+    if cfg.scales and cfg.scales[0] < 2:
+        raise ConfigError(f"--scales: scale {cfg.scales[0]} < 2")
+    if cfg.fit_min is not None and cfg.fit_max is not None and cfg.fit_min > cfg.fit_max:
+        raise ConfigError(f"--fit-min {cfg.fit_min} above --fit-max {cfg.fit_max}")
+    if cfg.bin_width <= 0.0:
+        raise ConfigError(f"--bin-width must be positive, got {cfg.bin_width}")
+    if not 0.0 < cfg.crossover_threshold < 1.0:
+        raise ConfigError("--crossover-threshold must be in (0, 1), got "
+                          f"{cfg.crossover_threshold}")
+    if cfg.min_side_points < 2:
+        raise ConfigError(f"--min-side-points must be >= 2, got "
+                          f"{cfg.min_side_points}")
+    if cfg.command == "dcca" and not cfg.all_pairs and not cfg.pairs:
+        raise ConfigError("dcca needs --pair and/or --all")
+    if cfg.matrix_scales[0] < 2:
+        raise ConfigError(f"--scale: scale {cfg.matrix_scales[0]} < 2")
+    if not 0.0 < cfg.threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in (0, 1], got {cfg.threshold}")
+    if cfg.resolution <= 0.0:
+        raise ConfigError(f"--resolution must be positive, got {cfg.resolution}")
+    if cfg.hurst_value is not None and not 0.0 < cfg.hurst_value < 1.0:
+        raise ConfigError(f"--hurst must be in (0, 1), got {cfg.hurst_value}")
+    if cfg.n_obs is not None and cfg.n_obs < 16:
+        raise ConfigError(f"--n must be >= 16, got {cfg.n_obs}")
+    if cfg.sigma <= 0.0:
+        raise ConfigError(f"--sigma must be positive, got {cfg.sigma}")
+    if cfg.synth_kind == "blocks" and cfg.weight is None:
+        raise ConfigError("--blocks requires --weight")
+    if cfg.synth_kind == "fgn" and cfg.weight is not None:
+        raise ConfigError("--weight only applies to --blocks")
+    if cfg.weight is not None and not 0.0 <= cfg.weight <= 1.0:
+        raise ConfigError(f"--weight must be in [0, 1], got {cfg.weight}")
+    if cfg.blocks is not None and min(cfg.blocks) < 2:
+        raise ConfigError(f"--blocks needs at least 2x2, got "
+                          f"{cfg.blocks[0]}x{cfg.blocks[1]}")
+
+
 def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
     """Turn parsed flags into a validated RunConfig; no filesystem writes."""
-    common = dict(
-        command=ns.command,
-        argv=tuple(argv),
-        output_dir=ns.output_dir,
-        seed=ns.seed,
-        threads=_resolve_threads(ns.threads),
-        formats=_parse_formats(ns.format),
-        strict=ns.strict,
-    )
-
-    if ns.command == "synth":
-        kind = "fgn" if ns.fgn else "blocks"
-        blocks = _parse_blocks(ns.blocks) if kind == "blocks" else None
-        if not 0.0 < ns.hurst_value < 1.0:
-            raise ConfigError(f"--hurst must be in (0, 1), got {ns.hurst_value}")
-        if ns.n_obs < 16:
-            raise ConfigError(f"--n must be >= 16, got {ns.n_obs}")
-        if ns.sigma <= 0.0:
-            raise ConfigError(f"--sigma must be positive, got {ns.sigma}")
-        if kind == "blocks":
-            if ns.weight is None:
-                raise ConfigError("--blocks requires --weight")
-            if not 0.0 <= ns.weight <= 1.0:
-                raise ConfigError(f"--weight must be in [0, 1], got {ns.weight}")
-            if blocks[0] < 2 or blocks[1] < 2:
-                raise ConfigError(f"--blocks needs at least 2x2, got "
-                                  f"{blocks[0]}x{blocks[1]}")
-        elif ns.weight is not None:
-            raise ConfigError("--weight only applies to --blocks")
-        return RunConfig(**common, synth_kind=kind, blocks=blocks,
-                         hurst_value=ns.hurst_value, n_obs=ns.n_obs,
-                         weight=ns.weight, sigma=ns.sigma)
-
-    if not os.path.isfile(ns.input):
-        raise ConfigError(f"--input: no such file: {ns.input}")
-    common.update(
-        input=ns.input,
-        method=_resolve_method(ns),
-        align_policy=ns.align_policy,
-        max_gap=ns.max_gap,
-        input_kind=ns.input_kind,
-    )
-    if ns.align_policy == "forward_fill" and (ns.max_gap is None or ns.max_gap < 1):
-        raise ConfigError("--align forward_fill requires --max-gap >= 1")
-
-    grid_args = {}
-    if hasattr(ns, "smin"):
-        scales = _parse_int_list(ns.scales, "--scales") if ns.scales else None
-        if ns.smin < 2:
-            raise ConfigError(f"--smin must be >= 2, got {ns.smin}")
-        if ns.smax is not None and ns.smax < ns.smin:
-            raise ConfigError(f"--smax {ns.smax} below --smin {ns.smin}")
-        if ns.num_scales < 3:
-            raise ConfigError(f"--num-scales must be >= 3, got {ns.num_scales}")
-        if scales and scales[0] < 2:
-            raise ConfigError(f"--scales: scale {scales[0]} < 2")
-        grid_args = dict(s_min=ns.smin, s_max=ns.smax,
-                         num_scales=ns.num_scales, scales=scales)
-
-    fit_args = {}
-    if hasattr(ns, "fit_max"):
-        if (ns.fit_min is not None and ns.fit_max is not None
-                and ns.fit_min > ns.fit_max):
-            raise ConfigError(f"--fit-min {ns.fit_min} above --fit-max {ns.fit_max}")
-        if ns.bin_width <= 0.0:
-            raise ConfigError(f"--bin-width must be positive, got {ns.bin_width}")
-        if not 0.0 < ns.crossover_threshold < 1.0:
-            raise ConfigError("--crossover-threshold must be in (0, 1), got "
-                              f"{ns.crossover_threshold}")
-        if ns.min_side_points < 2:
-            raise ConfigError(f"--min-side-points must be >= 2, got "
-                              f"{ns.min_side_points}")
-        fit_args = dict(fit_min=ns.fit_min, fit_max=ns.fit_max,
-                        bin_width=ns.bin_width,
-                        crossover=getattr(ns, "crossover", True),
-                        crossover_threshold=ns.crossover_threshold,
-                        min_side_points=ns.min_side_points)
-
-    pair_args = {}
-    if hasattr(ns, "pair"):
-        pair_args["pairs"] = tuple(_parse_pair(p) for p in ns.pair)
-    if hasattr(ns, "all_pairs"):
-        pair_args["all_pairs"] = ns.all_pairs
-        if not ns.all_pairs and not ns.pair:
-            raise ConfigError("dcca needs --pair and/or --all")
-
-    net_args = {}
-    if hasattr(ns, "scale"):
-        net_args["matrix_scales"] = _parse_int_list(ns.scale, "--scale")
-        if net_args["matrix_scales"][0] < 2:
-            raise ConfigError(f"--scale: scale {net_args['matrix_scales'][0]} < 2")
-    if hasattr(ns, "threshold"):
-        if not 0.0 < ns.threshold <= 1.0:
-            raise ConfigError(f"--threshold must be in (0, 1], got {ns.threshold}")
-        if ns.resolution <= 0.0:
-            raise ConfigError(f"--resolution must be positive, got {ns.resolution}")
-        net_args["threshold"] = ns.threshold
-        net_args["resolution"] = ns.resolution
-    if hasattr(ns, "period"):
-        net_args["periods"] = tuple(_parse_period(p) for p in ns.period)
-
-    return RunConfig(**common, **grid_args, **fit_args, **pair_args, **net_args)
+    # a repeatable flag collects a list; the config holds tuples
+    values = {name: tuple(v) if isinstance(v, list) else v
+              for name, v in vars(ns).items() if name in _DEFAULT}
+    values["threads"] = _resolve_threads(values.get("threads"))
+    if ns.command != "synth":
+        if not os.path.isfile(ns.input):
+            raise ConfigError(f"--input: no such file: {ns.input}")
+        values["method"] = _resolve_method(ns)
+    cfg = RunConfig(argv=tuple(argv), **values)
+    _check(cfg)
+    return cfg
 
 
 # ------------------------------------------------------------- execution
@@ -470,20 +456,20 @@ def _profile_length(cfg: RunConfig, panel: RatePanel) -> int:
     return len(panel.days) - (1 if cfg.input_kind == "levels" else 0)
 
 
-def _analysis_grid(cfg: RunConfig, n_profile: int) -> ScaleGrid:
-    if cfg.scales:
-        return ScaleGrid(cfg.scales, s_min=min(2, cfg.scales[0]))
-    return default_grid(n_profile, s_min=cfg.s_min, s_max=cfg.s_max,
-                        num=cfg.num_scales)
+def _analysis_grid(cfg: RunConfig, n_profile: int,
+                   crossover: bool = False) -> ScaleGrid:
+    """The --scales list, else the log-spaced grid of the grid flags.
 
-
-def _crossover_grid(cfg: RunConfig, n_profile: int) -> ScaleGrid:
-    """Extended grid for breakpoint search: past the fit cap, up to 500."""
+    The crossover grid extends past the fit cap: up to 500 (at most half
+    the profile) unless --smax is given, with at least 25 scales.
+    """
     if cfg.scales:
-        return ScaleGrid(cfg.scales, s_min=min(2, cfg.scales[0]))
-    s_max = cfg.s_max if cfg.s_max is not None else min(500, n_profile // 2)
-    return default_grid(n_profile, s_min=cfg.s_min, s_max=s_max,
-                        num=max(cfg.num_scales, 25))
+        return ScaleGrid(cfg.scales, s_min=2)
+    s_max, num = cfg.s_max, cfg.num_scales
+    if crossover:
+        s_max = s_max if s_max is not None else min(500, n_profile // 2)
+        num = max(num, 25)
+    return default_grid(n_profile, s_min=cfg.s_min, s_max=s_max, num=num)
 
 
 def _crossover_rows(cfg: RunConfig, panel: RatePanel, grid: ScaleGrid
@@ -558,20 +544,17 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
     failures = list(dist.failures)
     if cfg.crossover:
         rows, crossover_failures = _crossover_rows(
-            cfg, panel, _crossover_grid(cfg, n_prof))
+            cfg, panel, _analysis_grid(cfg, n_prof, crossover=True))
         payload["crossover"] = rows
         failures += [(sid, f"crossover: {msg}") for sid, msg in crossover_failures]
         failures.sort(key=lambda f: f[0])
-        if "table" in cfg.formats:
-            files[f"{prefix}crossover.csv"] = _crossover_table(rows)
+        files[f"{prefix}crossover.csv"] = _crossover_table(rows)
     payload["failures"] = [{"series_id": i, "error": m} for i, m in failures]
-    if "table" in cfg.formats:
-        files[f"{prefix}hurst_estimates.csv"] = dist.estimates_table()
-        files[f"{prefix}hurst_histogram.csv"] = dist.histogram_table()
-        if failures:
-            files[f"{prefix}failures.csv"] = _failures_table(failures)
-    if "json" in cfg.formats:
-        files[f"{prefix}hurst.json"] = _json_text(payload)
+    files[f"{prefix}hurst_estimates.csv"] = dist.estimates_table()
+    files[f"{prefix}hurst_histogram.csv"] = dist.histogram_table()
+    if failures:
+        files[f"{prefix}failures.csv"] = _failures_table(failures)
+    files[f"{prefix}hurst.json"] = _json_text(payload)
     return dist, failures
 
 
@@ -587,16 +570,13 @@ def _dcca_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
         curve = rho_vs_scale(panel.member(a), panel.member(b), grid=curve_grid,
                              method=cfg.method, input_kind=cfg.input_kind)
         payload["pairs"].append(curve.to_json_dict())
-        if "table" in cfg.formats:
-            name = f"rho_curve_{k:02d}_{_safe_name(a)}__{_safe_name(b)}.csv"
-            files[prefix + name] = curve.to_table()
+        name = f"rho_curve_{k:02d}_{_safe_name(a)}__{_safe_name(b)}.csv"
+        files[prefix + name] = curve.to_table()
     matrices = _matrices(cfg, panel) if with_matrices else []
     for m in matrices:
         payload["matrices"].append(m.to_json_dict())
-        if "table" in cfg.formats:
-            files[f"{prefix}rho_matrix_s{m.scale}.csv"] = m.to_table()
-    if "json" in cfg.formats:
-        files[f"{prefix}dcca.json"] = _json_text(payload)
+        files[f"{prefix}rho_matrix_s{m.scale}.csv"] = m.to_table()
+    files[f"{prefix}dcca.json"] = _json_text(payload)
     return matrices
 
 
@@ -637,18 +617,13 @@ def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
                 "average_weighted_degree": deg,
             })
             stem = f"{sub_prefix}network_s{m.scale}"
-            if "graphml" in cfg.formats:
-                files[stem + ".graphml"] = to_graphml(net, part)
-            if "dot" in cfg.formats:
-                files[stem + ".dot"] = to_dot(net, part)
-            if "table" in cfg.formats:
-                files[f"{sub_prefix}partition_s{m.scale}.csv"] = part.to_table()
-        if "table" in cfg.formats:
-            lines = ["s,average_weighted_degree"]
-            lines += [f"{s},{_fmt(d)}" for s, d in degree_rows]
-            files[f"{sub_prefix}degree_vs_scale.csv"] = "\n".join(lines) + "\n"
-    if "json" in cfg.formats:
-        files[f"{prefix}network.json"] = _json_text(payload)
+            files[stem + ".graphml"] = to_graphml(net, part)
+            files[stem + ".dot"] = to_dot(net, part)
+            files[f"{sub_prefix}partition_s{m.scale}.csv"] = part.to_table()
+        lines = ["s,average_weighted_degree"]
+        lines += [f"{s},{_fmt(d)}" for s, d in degree_rows]
+        files[f"{sub_prefix}degree_vs_scale.csv"] = "\n".join(lines) + "\n"
+    files[f"{prefix}network.json"] = _json_text(payload)
 
 
 def _run_hurst(cfg: RunConfig, files: dict[str, str]) -> int:
@@ -771,19 +746,17 @@ def main(argv: list[str] | None = None) -> int:
     files: dict[str, str] = {}
     try:
         code = _RUNNERS[cfg.command](cfg, files)
-    except ConfigError as exc:
+    except (ConfigError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LongmemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (LongmemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # synth's panel.csv is its one output, written under any --format
+    if cfg.command != "synth":
+        files = {rel: text for rel, text in files.items()
+                 if _KINDS[os.path.splitext(rel)[1]] in cfg.formats}
     files[_MANIFEST_NAME] = _manifest(cfg)
     try:
         _write_all(cfg, files)

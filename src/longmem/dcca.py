@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
-from .scaling import DetrendMethod, ScaleGrid, default_grid, detrended_segments
+from .scaling import DetrendMethod, ScaleGrid, detrended_segments
 from .series import Profile, RatePanel, TimeSeries, series_profile
 
 __all__ = [
@@ -124,11 +124,6 @@ class DccaMatrix:
         if np.max(np.abs(self.rho)) > 1.0:
             raise ValueError("entries must lie in [-1, 1]")
 
-    def pair_value(self, id_a: str, id_b: str) -> float:
-        i = self.ids.index(id_a)
-        j = self.ids.index(id_b)
-        return float(self.rho[i, j])
-
     def to_table(self) -> str:
         lines = ["id," + ",".join(self.ids)]
         for i, row_id in enumerate(self.ids):
@@ -214,23 +209,19 @@ class RhoCurve:
 def rho_vs_scale(
     a: TimeSeries,
     b: TimeSeries,
-    grid: ScaleGrid | None = None,
+    grid: ScaleGrid,
     *,
     method: DetrendMethod,
     input_kind: str = "levels",
 ) -> RhoCurve:
     """Trace the coefficient of one pair across a scale grid.
 
-    The default grid is 40 log-spaced scales from 5 to 500, the range
-    where scale-dependent co-movement of rate panels is typically read;
-    the series must be long enough for the largest scale (an error from
-    the segmentation propagates otherwise).
+    The series must be long enough for the grid's largest scale (an error
+    from the segmentation propagates otherwise).
     """
     _check_common_dates(a, b)
     pa = series_profile(a, input_kind=input_kind)
     pb = series_profile(b, input_kind=input_kind)
-    if grid is None:
-        grid = default_grid(pa.values.size, s_min=5, s_max=500, num=40)
     values = np.array(
         [rho_from_profiles(pa, pb, s, method) for s in grid.scales]
     )

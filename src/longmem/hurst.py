@@ -46,9 +46,9 @@ _SSE_TIE_REL = 1e-9
 _SSE_FLOOR = 1e-20
 
 
-def classify(hurst: float, tol: float = 0.0) -> str:
+def classify(hurst: float) -> str:
     """Bucket an exponent: 0.5 means increments look uncorrelated."""
-    if abs(hurst - 0.5) <= tol:
+    if hurst == 0.5:
         return "uncorrelated"
     return "persistent" if hurst > 0.5 else "antipersistent"
 
@@ -66,8 +66,8 @@ class HurstEstimate:
     n_points: int
     n_excluded: int  # in-range scales dropped because F was zero
 
-    def classify(self, tol: float = 0.0) -> str:
-        return classify(self.hurst, tol)
+    def classify(self) -> str:
+        return classify(self.hurst)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ labels are renumbered by each community's smallest member id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 from xml.sax.saxutils import escape, quoteattr
@@ -88,15 +87,16 @@ def build_network(m: DccaMatrix, threshold: float = 0.8) -> CorrelationNetwork:
     """Keep the pairs whose coefficient magnitude reaches the threshold."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    edges = []
-    n = len(m.ids)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = float(m.rho[i, j])
-            if abs(w) >= threshold:
-                edges.append((m.ids[i], m.ids[j], w))
+    rows, cols = np.triu_indices(len(m.ids), k=1)
+    weights = m.rho[rows, cols]
+    keep = np.abs(weights) >= threshold
+    edges = tuple(
+        (m.ids[i], m.ids[j], w)
+        for i, j, w in zip(rows[keep].tolist(), cols[keep].tolist(),
+                           weights[keep].tolist())
+    )
     return CorrelationNetwork(
-        ids=m.ids, edges=tuple(edges), scale=m.scale, threshold=threshold
+        ids=m.ids, edges=edges, scale=m.scale, threshold=threshold
     )
 
 
@@ -127,10 +127,6 @@ class CommunityPartition:
         return tuple(
             tuple(sorted(by_label[lab])) for lab in sorted(by_label)
         )
-
-    @property
-    def n_communities(self) -> int:
-        return len({lab for _, lab in self.assignment})
 
     def to_table(self) -> str:
         lines = ["id,community"]
@@ -366,31 +362,20 @@ def _fmt_weight(w: float) -> str:
     return repr(float(w))
 
 
-def to_graphml(
-    net: CorrelationNetwork,
-    partition: CommunityPartition | None = None,
-) -> str:
-    """GraphML text with edge weights and optional community labels."""
-    labels = partition.labels if partition is not None else None
+def to_graphml(net: CorrelationNetwork, partition: CommunityPartition) -> str:
+    """GraphML text with edge weights and community labels."""
+    labels = partition.labels
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+        '  <key id="community" for="node" attr.name="community" attr.type="int"/>',
+        '  <graph id="rho-network" edgedefault="undirected">',
     ]
-    if labels is not None:
-        lines.append(
-            '  <key id="community" for="node" attr.name="community" attr.type="int"/>'
-        )
-    lines.append('  <graph id="rho-network" edgedefault="undirected">')
     for node in net.ids:
-        if labels is None:
-            lines.append(f"    <node id={quoteattr(node)}/>")
-        else:
-            lines.append(f"    <node id={quoteattr(node)}>")
-            lines.append(
-                f'      <data key="community">{labels[node]}</data>'
-            )
-            lines.append("    </node>")
+        lines.append(f"    <node id={quoteattr(node)}>")
+        lines.append(f'      <data key="community">{labels[node]}</data>')
+        lines.append("    </node>")
     for a, b, w in net.edges:
         lines.append(
             f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
@@ -406,20 +391,12 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(
-    net: CorrelationNetwork,
-    partition: CommunityPartition | None = None,
-) -> str:
-    """Graphviz DOT text with edge weights and optional community labels."""
-    labels = partition.labels if partition is not None else None
+def to_dot(net: CorrelationNetwork, partition: CommunityPartition) -> str:
+    """Graphviz DOT text with edge weights and community labels."""
+    labels = partition.labels
     lines = ["graph rho_network {"]
     for node in net.ids:
-        if labels is None:
-            lines.append(f"  {_dot_quote(node)};")
-        else:
-            lines.append(
-                f"  {_dot_quote(node)} [community={labels[node]}];"
-            )
+        lines.append(f"  {_dot_quote(node)} [community={labels[node]}];")
     for a, b, w in net.edges:
         lines.append(
             f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={_fmt_weight(w)}];"

@@ -16,7 +16,7 @@ ill-defined near segment edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +207,6 @@ class FluctuationFunction:
     method: DetrendMethod
     scales: np.ndarray
     values: np.ndarray
-    n_segments: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=int)
@@ -216,23 +215,10 @@ class FluctuationFunction:
         values.setflags(write=False)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "values", values)
-        if self.n_segments is not None:
-            nseg = np.asarray(self.n_segments, dtype=int)
-            nseg.setflags(write=False)
-            object.__setattr__(self, "n_segments", nseg)
         if len(scales) != len(values):
             raise ValueError("scales and values length mismatch")
         if np.any(values < 0):
             raise ValueError("auto-fluctuation values must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "series_id": self.series_id,
-            "method": self.method.to_json_dict(),
-            "points": [[int(s), float(f)]
-                       for s, f in zip(self.scales, self.values)],
-            "n_segments": [int(k) for k in self.n_segments],
-        }
 
 
 def fluctuation(profile: Profile, grid: ScaleGrid,
@@ -240,11 +226,9 @@ def fluctuation(profile: Profile, grid: ScaleGrid,
     """Fluctuation function F(s) of a profile over a scale grid."""
     y = profile.values
     values = np.empty(len(grid))
-    n_segments = np.empty(len(grid), dtype=int)
     for k, s in enumerate(grid):
         residuals = detrended_segments(y, s, method)
         seg_var = np.mean(residuals * residuals, axis=1)
         values[k] = np.sqrt(np.mean(seg_var))
-        n_segments[k] = residuals.shape[0]
     return FluctuationFunction(profile.parent_id, method,
-                               np.array(list(grid)), values, n_segments)
+                               np.array(list(grid)), values)

@@ -322,8 +322,8 @@ def _read_body(path, reader, labels) -> tuple[list[dt.date], np.ndarray, np.ndar
             np.frombuffer(blank, dtype=bool).reshape(-1, width))
 
 
-def load_panel(path, *, delimiter: str = ",") -> RatePanel:
-    """Read a delimited panel file into a (possibly unaligned) RatePanel.
+def load_panel(path) -> RatePanel:
+    """Read a comma-separated panel file into a (possibly unaligned) RatePanel.
 
     Rows may come in any date order; they are sorted on read.  Each column
     becomes one series holding only the dates where it has a value; gaps
@@ -332,13 +332,14 @@ def load_panel(path, *, delimiter: str = ",") -> RatePanel:
     header is missing the rest.
 
     Raises SchemaError for an unreadable file, missing value columns,
-    duplicate column labels, a row with more cells than the header,
+    duplicate column labels, a label holding a comma, quote or line break
+    (outputs write ids unquoted), a row with more cells than the header,
     duplicate dates, non-numeric or non-finite cells, or any column with
     fewer than two observations.
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
@@ -352,6 +353,10 @@ def load_panel(path, *, delimiter: str = ",") -> RatePanel:
                                   f"{', '.join(dupes)}")
             if any(not l for l in labels):
                 raise SchemaError(f"{path}: empty column label in header")
+            bad = next((l for l in labels if any(c in l for c in ',"\r\n')), None)
+            if bad is not None:
+                raise SchemaError(f"{path}: column label {bad!r} contains a "
+                                  "comma, quote or line break")
             dates, values, blank = _read_body(path, reader, labels)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc

@@ -75,6 +75,16 @@ def naive_rho(ya: np.ndarray, yb: np.ndarray, s: int,
     return f2x / (fa * fb)
 
 
+def naive_edges(ids, rho, threshold):
+    edges = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            w = float(rho[i, j])
+            if abs(w) >= threshold:
+                edges.append((ids[i], ids[j], w))
+    return tuple(edges)
+
+
 def naive_forward_fill(series_id, dates, values, index, max_gap):
     """Fill runs of <= max_gap missing index dates from the last observation.
 

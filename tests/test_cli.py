@@ -90,6 +90,30 @@ def test_shared_flags_match_report():
             assert own.help and report.help, (command, flag)
 
 
+def test_every_flag_parses_into_a_config_field():
+    import argparse
+    from dataclasses import fields
+
+    from longmem.cli import RunConfig, build_parser
+
+    config_fields = {f.name for f in fields(RunConfig)}
+    allowed = config_fields | {"command", "input", "output_dir", "threads",
+                               "method", "dfa_order", "dma_alignment"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            where = (command, action.option_strings)
+            assert action.dest in allowed, where
+            if action.dest in config_fields:
+                # the default is the RunConfig field's, or the command's own
+                # set_defaults value; never one written on the flag itself
+                own = parser._defaults.get(action.dest, argparse.SUPPRESS)
+                assert action.default in (argparse.SUPPRESS, own), where
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     code = run(["hurst", "--input", tmp_path / "nope.csv",
                 "--output-dir", tmp_path / "out"])
@@ -105,6 +129,16 @@ def test_row_longer_than_header_exits_one(tmp_path, capsys):
     code = run(["hurst", "--input", bad, "--output-dir", tmp_path / "out"])
     assert code == 1
     assert "ragged.csv:2: 3 value cells" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_with_comma_exits_one(tmp_path, capsys):
+    bad = tmp_path / "comma.csv"
+    bad.write_text('date,"a,b",c\n2020-01-01,1,2\n2020-01-02,3,4\n'
+                   "2020-01-03,5,7\n")
+    code = run(["report", "--input", bad, "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert "column label 'a,b' contains a comma" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -320,6 +354,33 @@ def test_json_only_format_writes_no_tables(panel_dir, tmp_path):
                 out, "--input-kind", "increments", "--format", "json"]) == 0
     names = set(tree_bytes(out))
     assert names == {"hurst.json", "run_manifest.json"}
+
+
+def test_single_format_writes_that_kind_of_the_full_run(panel_dir, tmp_path):
+    kind_of = {".csv": "table", ".json": "json", ".graphml": "graphml",
+               ".dot": "dot"}
+    flags = ["report", "--input", panel_dir / "abc.csv", "--input-kind",
+             "increments", "--pair", "a,b", "--scale", "10,20",
+             "--threshold", "0.5"]
+    assert run([*flags, "--output-dir", tmp_path / "all"]) == 0
+    full = tree_bytes(tmp_path / "all")
+    full.pop("run_manifest.json")
+    for kind in ("table", "json", "graphml", "dot"):
+        out = tmp_path / kind
+        assert run([*flags, "--output-dir", out, "--format", kind]) == 0
+        got = tree_bytes(out)
+        manifest = json.loads(got.pop("run_manifest.json"))
+        assert manifest["config"]["formats"] == [kind]
+        assert got == {name: data for name, data in full.items()
+                       if kind_of[Path(name).suffix] == kind}, kind
+        assert got, kind
+
+
+def test_synth_writes_panel_under_any_format(tmp_path):
+    out = tmp_path / "out"
+    assert run(["synth", "--fgn", "--hurst", "0.6", "--n", "64",
+                "--format", "json", "--output-dir", out]) == 0
+    assert set(tree_bytes(out)) == {"panel.csv", "run_manifest.json"}
 
 
 def test_explicit_scale_grid_recorded(panel_dir, tmp_path):

@@ -173,12 +173,12 @@ class TestPairwiseMatrix:
             generate_fgn(FgnSpec(n=1024, hurst=0.6, seed=s))
             for s in range(4)))
         m = pairwise_matrix(panel, 64, dfa(1), input_kind="increments")
-        for a, b in itertools.combinations(panel.ids, 2):
+        for i, j in itertools.combinations(range(len(m.ids)), 2):
             direct = rho_from_profiles(
-                series_profile(panel.member(a), input_kind="increments"),
-                series_profile(panel.member(b), input_kind="increments"),
+                series_profile(panel.member(m.ids[i]), input_kind="increments"),
+                series_profile(panel.member(m.ids[j]), input_kind="increments"),
                 64, dfa(1))
-            assert m.pair_value(a, b) == pytest.approx(direct, abs=1e-12)
+            assert m.rho[i, j] == pytest.approx(direct, abs=1e-12)
 
     def test_exact_symmetry_and_diagonal(self):
         spec = BlockSpec(n_blocks=2, block_size=3, common_weight=0.7,
@@ -195,10 +195,10 @@ class TestPairwiseMatrix:
         panel = generate_blocks(spec)
         m = pairwise_matrix(panel, 100, dfa(1), input_kind="increments")
         within, across = [], []
-        for a, b in itertools.combinations(m.ids, 2):
-            value = m.pair_value(a, b)
+        for i, j in itertools.combinations(range(len(m.ids)), 2):
+            a, b = m.ids[i], m.ids[j]
             (within if a.split(":")[0] == b.split(":")[0]
-             else across).append(value)
+             else across).append(m.rho[i, j])
         assert np.mean(within) > np.mean(across)
 
     def test_degenerate_members_all_listed(self):
@@ -266,28 +266,21 @@ class TestRhoVsScale:
         values = np.abs(np.random.default_rng(4).standard_normal(2048)) + 1.0
         a = make_series(values, "a")
         b = TimeSeries("b", a.dates, values)
-        curve = rho_vs_scale(a, b, method=dfa(1))
+        curve = rho_vs_scale(a, b, ScaleGrid((5, 20, 100, 500), s_min=5),
+                             method=dfa(1))
         assert np.allclose(curve.values, 1.0, atol=1e-12)
-
-    def test_default_grid_span(self):
-        a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
-        b = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=1))
-        curve = rho_vs_scale(a, b, method=dma(), input_kind="increments")
-        assert curve.scales[0] == 5
-        assert curve.scales[-1] == 500
-        assert len(curve.scales) <= 40
-        assert np.all(np.abs(curve.values) <= 1.0)
 
     def test_too_short_for_default_grid(self):
         a = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=0))
         b = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=1))
         with pytest.raises(ScaleError, match="half"):
-            rho_vs_scale(a, b, method=dfa(1), input_kind="increments")
+            rho_vs_scale(a, b, ScaleGrid((5, 500), s_min=5), method=dfa(1),
+                         input_kind="increments")
 
     def test_method_required(self):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
         with pytest.raises(TypeError, match="keyword-only argument: 'method'"):
-            rho_vs_scale(a, a)
+            rho_vs_scale(a, a, SMALL_GRID)
 
     def test_table(self):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))

@@ -39,10 +39,6 @@ class TestClassify:
         assert classify(0.49) == "antipersistent"
         assert classify(0.51) == "persistent"
 
-    def test_tolerance(self):
-        assert classify(0.52, tol=0.03) == "uncorrelated"
-        assert classify(0.54, tol=0.03) == "persistent"
-
 
 class TestFitHurst:
     def test_closed_form_line_fit(self):

@@ -22,6 +22,7 @@ from longmem.series import RatePanel
 from longmem.synthetic import BlockSpec, generate_blocks
 
 from conftest import make_series
+from reference import naive_edges
 
 
 def matrix_from(rho: np.ndarray, ids=None) -> DccaMatrix:
@@ -86,6 +87,14 @@ class TestBuildNetwork:
                     assert edges <= previous
                 previous = edges
 
+    def test_matches_loop_oracle(self):
+        m = random_matrix(7, n=40)
+        for t in (0.05, 0.2, 0.5):
+            net = build_network(m, t)
+            want = naive_edges(m.ids, m.rho, t)
+            assert net.edges == want
+            assert all(type(w) is float for *_, w in net.edges)
+
     def test_threshold_validation(self):
         m = matrix_from(np.ones((2, 2)))
         for bad in (0.0, -0.5, 1.01):
@@ -119,7 +128,7 @@ class TestDetectCommunities:
                       for x, y in itertools.combinations(ids, 2))
         net = CorrelationNetwork(ids, edges, 10, 0.5)
         part = detect_communities(net)
-        assert part.n_communities == 1
+        assert len(part.communities) == 1
         assert part.modularity_q == pytest.approx(0.0, abs=1e-12)
 
     def test_high_resolution_splits(self):
@@ -127,7 +136,7 @@ class TestDetectCommunities:
         edges = tuple((x, y, 0.9)
                       for x, y in itertools.combinations(ids, 2))
         net = CorrelationNetwork(ids, edges, 10, 0.5)
-        assert detect_communities(net, resolution=50.0).n_communities == 5
+        assert len(detect_communities(net, resolution=50.0).communities) == 5
 
     def test_block_ensemble_end_to_end(self):
         spec = BlockSpec(n_blocks=3, block_size=5, common_weight=0.9,
@@ -144,7 +153,7 @@ class TestDetectCommunities:
     def test_edgeless_network_is_singletons(self):
         net = CorrelationNetwork(("a", "b", "c"), (), 50, 0.8)
         part = detect_communities(net)
-        assert part.n_communities == 3
+        assert len(part.communities) == 3
         assert part.modularity_q == 0.0
 
     def test_q_bounds(self):
@@ -266,15 +275,10 @@ class TestExports:
         weight = edges[0].find(f"{ns}data")
         assert float(weight.text) == 0.9
 
-    def test_graphml_without_partition(self):
-        text = to_graphml(clique_pair_network())
-        assert "community" not in text
-        ET.fromstring(text)
-
     def test_graphml_escapes_ids(self):
         net = CorrelationNetwork(('we"ird', "ok"), (('we"ird', "ok", 0.9),),
                                  50, 0.8)
-        root = ET.fromstring(to_graphml(net))
+        root = ET.fromstring(to_graphml(net, detect_communities(net)))
         ns = "{http://graphml.graphdrawing.org/xmlns}"
         ids = [n.get("id") for n in root.findall(f"{ns}graph/{ns}node")]
         assert 'we"ird' in ids
@@ -290,7 +294,7 @@ class TestExports:
 
     def test_dot_quotes_ids(self):
         net = CorrelationNetwork(('we"ird', "ok"), (), 50, 0.8)
-        assert '"we\\"ird";' in to_dot(net)
+        assert '"we\\"ird" [community=1];' in to_dot(net, detect_communities(net))
 
 
 class TestDatesHelper:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -265,8 +263,6 @@ class TestFluctuation:
         f = fluctuation(prof, grid, dfa(1))
         assert list(f.scales) == list(grid)
         assert np.all(f.values >= 0)
-        assert all(k == 2 * (len(prof) // s)
-                   for s, k in zip(f.scales, f.n_segments))
 
     def test_linear_profile_is_flat_zero(self):
         prof = Profile("lin", np.linspace(-7.5, 0.0, 120))
@@ -310,16 +306,6 @@ class TestFluctuation:
         se_10 = np.std(slopes.reshape(20, 10).mean(axis=1))
         ratio = se_10 / se_5
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.30)
-
-    def test_json_dict(self):
-        prof = profile_from_values(
-            np.random.default_rng(2).standard_normal(300), "r")
-        f = fluctuation(prof, ScaleGrid((10, 20)), dma())
-        payload = json.loads(json.dumps(f.to_json_dict()))
-        assert payload["points"][0] == [10, f.values[0]]
-        assert payload["series_id"] == "r"
-        assert payload["method"] == {"kind": "dma", "alignment": "centered"}
-        assert len(payload["points"]) == 2
 
     def test_value_validation(self):
         with pytest.raises(ValueError, match=">= 0"):

@@ -76,6 +76,19 @@ class TestLoadPanel:
         with pytest.raises(SchemaError, match="duplicate column labels"):
             load_panel(p)
 
+    @pytest.mark.parametrize("char", [",", '"', "\n"])
+    def test_label_with_csv_metacharacter(self, tmp_path, char):
+        # a quoted header cell may hold any of these; outputs write ids
+        # unquoted, so such a label would shift every cell after it
+        label = f"x{char}y"
+        quoted = '"' + label.replace('"', '""') + '"'
+        p = tmp_path / "m.csv"
+        p.write_text(f"date,{quoted},b\n2020-01-01,1,2\n2020-01-02,3,4\n")
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == (f"{p}: column label {label!r} contains a "
+                                   "comma, quote or line break")
+
     def test_single_row_column(self, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("date,a\n2020-01-01,1\n")

@@ -183,8 +183,8 @@ class TestGenerateBlocks:
                          hurst=0.7, n=2048, seed=2)
         m = pairwise_matrix(generate_blocks(spec), 100, dfa(1),
                             input_kind="increments")
-        off_diag = [abs(m.pair_value(a, b))
-                    for a, b in itertools.combinations(m.ids, 2)]
+        off_diag = [abs(m.rho[i, j])
+                    for i, j in itertools.combinations(range(len(m.ids)), 2)]
         assert np.mean(off_diag) < 0.15
 
     def test_weight_raises_within_block_correlation(self):
@@ -193,5 +193,5 @@ class TestGenerateBlocks:
         for w in (0.0, 0.5, 0.9):
             panel = generate_blocks(BlockSpec(common_weight=w, **base))
             m = pairwise_matrix(panel, 100, dfa(1), input_kind="increments")
-            rho_by_weight[w] = m.pair_value("b1:m1", "b1:m2")
+            rho_by_weight[w] = m.rho[m.ids.index("b1:m1"), m.ids.index("b1:m2")]
         assert rho_by_weight[0.0] < rho_by_weight[0.5] < rho_by_weight[0.9]
