@@ -43,7 +43,6 @@ from .network import (
     to_graphml,
 )
 from .scaling import (
-    DEFAULT_SCALE_CAP,
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
@@ -52,7 +51,6 @@ from .scaling import (
     dfa,
     dma,
     fluctuation,
-    moving_average,
 )
 from .series import (
     Profile,
@@ -67,7 +65,6 @@ from .series import (
 from .synthetic import (
     BlockSpec,
     FgnSpec,
-    autocovariance,
     generate_blocks,
     generate_fgn,
     trading_dates,
@@ -83,8 +80,7 @@ __all__ = [
     "profile_from_values", "series_profile",
     # scaling
     "DetrendMethod", "ScaleGrid", "FluctuationFunction",
-    "DEFAULT_SCALE_CAP", "dfa", "dma", "default_grid",
-    "moving_average", "detrended_segments", "fluctuation",
+    "dfa", "dma", "default_grid", "detrended_segments", "fluctuation",
     # hurst
     "HurstEstimate", "CrossoverReport", "HurstDistribution",
     "classify", "fit_hurst", "detect_crossover", "hurst_distribution",
@@ -96,7 +92,7 @@ __all__ = [
     "build_network", "detect_communities", "average_weighted_degree",
     "split_periods", "to_graphml", "to_dot",
     # synthetic
-    "FgnSpec", "BlockSpec", "autocovariance", "trading_dates",
+    "FgnSpec", "BlockSpec", "trading_dates",
     "generate_fgn", "generate_blocks",
     # errors
     "LongmemError", "SchemaError", "AlignmentError", "ScaleError",

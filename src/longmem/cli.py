@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import os
 import platform
@@ -51,6 +52,7 @@ from .scaling import (
 )
 from .series import (
     RatePanel,
+    _profile_length,
     align,
     load_panel,
     panel_to_csv,
@@ -135,23 +137,14 @@ class RunConfig:
 _DEFAULT = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated integers, got {text!r}")
+        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}")
     if not values:
-        raise ConfigError(f"{what}: empty list")
+        raise ConfigError(f"{flag}: empty list")
     return tuple(sorted(set(values)))
-
-
-def _parse_scales(text: str) -> tuple[int, ...] | None:
-    # an empty --scales leaves the log-spaced grid in charge
-    return _parse_int_list(text, "--scales") if text else None
-
-
-def _parse_matrix_scales(text: str) -> tuple[int, ...]:
-    return _parse_int_list(text, "--scale")
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -240,7 +233,7 @@ def _add_grid(p: argparse.ArgumentParser, **overrides):
                    help=f"largest grid scale (default: {d['s_max'] or 'min(250, N/4)'})")
     p.add_argument("--num-scales", type=int,
                    help=f"number of log-spaced scales (default {d['num_scales']})")
-    p.add_argument("--scales", type=_parse_scales,
+    p.add_argument("--scales", type=functools.partial(_parse_int_list, "--scales"),
                    help="explicit comma list of scales, overrides the grid flags")
 
 
@@ -267,8 +260,8 @@ def _add_pairs(p: argparse.ArgumentParser):
 
 
 def _add_scale(p: argparse.ArgumentParser):
-    p.add_argument("--scale", type=_parse_matrix_scales, dest="matrix_scales",
-                   metavar="SCALE",
+    p.add_argument("--scale", type=functools.partial(_parse_int_list, "--scale"),
+                   dest="matrix_scales", metavar="SCALE",
                    help="comma list of matrix and network scales (default "
                         + ",".join(map(str, _DEFAULT["matrix_scales"])) + ")")
 
@@ -378,6 +371,8 @@ def _check(cfg: RunConfig) -> None:
     """
     if cfg.align_policy == "forward_fill" and (cfg.max_gap is None or cfg.max_gap < 1):
         raise ConfigError("--align forward_fill requires --max-gap >= 1")
+    if cfg.align_policy != "forward_fill" and cfg.max_gap is not None:
+        raise ConfigError("--max-gap only applies to --align forward_fill")
     if cfg.s_min < 2:
         raise ConfigError(f"--smin must be >= 2, got {cfg.s_min}")
     if cfg.s_max is not None and cfg.s_max < cfg.s_min:
@@ -450,10 +445,6 @@ def _safe_name(s: str) -> str:
 def _load_aligned(cfg: RunConfig) -> RatePanel:
     panel = load_panel(cfg.input)
     return align(panel, policy=cfg.align_policy, max_gap=cfg.max_gap)
-
-
-def _profile_length(cfg: RunConfig, panel: RatePanel) -> int:
-    return len(panel.days) - (1 if cfg.input_kind == "levels" else 0)
 
 
 def _analysis_grid(cfg: RunConfig, n_profile: int,
@@ -534,7 +525,7 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
     Returns the distribution and every per-series failure, fit and
     crossover alike, in id order.
     """
-    n_prof = _profile_length(cfg, panel)
+    n_prof = _profile_length(panel, cfg.input_kind)
     dist = hurst_distribution(
         panel, cfg.method, grid=_analysis_grid(cfg, n_prof),
         fit_range=(cfg.fit_min, cfg.fit_max), bin_width=cfg.bin_width,
@@ -641,7 +632,7 @@ def _run_dcca(cfg: RunConfig, files: dict[str, str]) -> int:
     _check_pairs(cfg, panel)
     curve_grid = None
     if cfg.pairs:
-        curve_grid = _analysis_grid(cfg, _profile_length(cfg, panel))
+        curve_grid = _analysis_grid(cfg, _profile_length(panel, cfg.input_kind))
     matrices = _dcca_outputs(cfg, panel, "", files, curve_grid, cfg.all_pairs)
     print(f"wrote {len(cfg.pairs)} curve(s), {len(matrices)} matrix(es)")
     return 0
@@ -686,7 +677,7 @@ def _run_report(cfg: RunConfig, files: dict[str, str]) -> int:
     _, failures = _hurst_outputs(cfg, panel, "hurst/", files)
     curve_grid = None
     if cfg.pairs:
-        n_prof = _profile_length(cfg, panel)
+        n_prof = _profile_length(panel, cfg.input_kind)
         curve_grid = default_grid(n_prof, s_min=5, s_max=min(500, n_prof // 2),
                                   num=40)
     matrices = _dcca_outputs(cfg, panel, "dcca/", files, curve_grid,
@@ -720,12 +711,24 @@ def _manifest(cfg: RunConfig) -> str:
 
 
 def _write_all(cfg: RunConfig, files: dict[str, str]) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    for rel in sorted(files):
+    """Write each file via a ``.tmp`` sibling and os.replace, manifest last.
+
+    A stale manifest is removed first, so a manifest marks a complete run.
+    """
+    manifest = os.path.join(cfg.output_dir, _MANIFEST_NAME)
+    if os.path.lexists(manifest):
+        os.remove(manifest)
+    for rel in sorted(files, key=lambda rel: (rel == _MANIFEST_NAME, rel)):
         path = os.path.join(cfg.output_dir, rel)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(files[rel])
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(files[rel])
+            os.replace(tmp, path)
+        finally:  # after a successful replace there is no tmp left
+            if os.path.lexists(tmp):
+                os.remove(tmp)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,13 +34,6 @@ __all__ = [
 _RHO_OVERSHOOT_TOL = 1e-9
 
 
-def _check_common_dates(a: TimeSeries, b: TimeSeries) -> None:
-    if not (a.days is b.days or np.array_equal(a.days, b.days)):
-        raise AlignmentError(
-            f"series {a.id!r} and {b.id!r} are not on a common date index"
-        )
-
-
 def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     """Coefficient matrix from auto moments ``f2`` and cross moments ``gram``.
 
@@ -75,6 +68,20 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     return rho
 
 
+def _rho_matrix(profiles, ids, s: int, method: DetrendMethod) -> np.ndarray:
+    """Coefficient matrix of equal-length profile arrays at one scale.
+
+    Every cross moment is formed here, for one pair and a whole panel
+    alike, as a dot product of two rows of flattened residual segments.
+    """
+    flat = np.stack([detrended_segments(y, s, method).reshape(-1)
+                     for y in profiles])
+    n = flat.shape[1]
+    f2 = np.einsum("ij,ij->i", flat, flat) / n
+    gram = (flat @ flat.T) / n
+    return _normalize(f2, gram, ids, s)
+
+
 def rho_from_profiles(
     pa: Profile,
     pb: Profile,
@@ -83,6 +90,7 @@ def rho_from_profiles(
 ) -> float:
     """Normalized cross-correlation coefficient at one scale.
 
+    Equal bit for bit to the entry of a two-member ``pairwise_matrix``.
     Raises DegenerateSeriesError naming the offending profile(s) when
     either single-series fluctuation is zero at this scale (constant or
     perfectly linear profile under dfa(1), for instance), since the
@@ -93,14 +101,8 @@ def rho_from_profiles(
             f"profiles {pa.parent_id!r} and {pb.parent_id!r} have different "
             f"lengths ({pa.values.size} vs {pb.values.size}); align first"
         )
-    ra = detrended_segments(pa.values, s, method)
-    rb = detrended_segments(pb.values, s, method)
-    f2a = np.mean(np.mean(ra * ra, axis=1))
-    f2b = np.mean(np.mean(rb * rb, axis=1))
-    f2x = np.mean(np.mean(ra * rb, axis=1))
-    rho = _normalize(np.array([f2a, f2b]), np.array([[f2a, f2x], [f2x, f2b]]),
-                     (pa.parent_id, pb.parent_id), s)
-    return float(rho[0, 1])
+    ids = (pa.parent_id, pb.parent_id)
+    return float(_rho_matrix((pa.values, pb.values), ids, s, method)[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,17 +161,10 @@ def pairwise_matrix(
     if len(panel.series) < 2:
         raise ValueError("need at least two series for a pairwise matrix")
 
-    ids = panel.ids
-    segs = [detrended_segments(series_profile(ts, input_kind=input_kind).values,
-                               s, method)
-            for ts in panel.series]
-    k, seg_len = segs[0].shape
-    flat = np.stack([r.reshape(-1) for r in segs])  # (n_series, k*seg_len)
-
-    f2 = np.einsum("ij,ij->i", flat, flat) / (k * seg_len)
-    gram = (flat @ flat.T) / (k * seg_len)
-    rho = _normalize(f2, gram, ids, s)
-    return DccaMatrix(ids=ids, scale=int(s), method=method, rho=rho)
+    profiles = (series_profile(ts, input_kind=input_kind).values
+                for ts in panel.series)
+    rho = _rho_matrix(profiles, panel.ids, s, method)
+    return DccaMatrix(ids=panel.ids, scale=int(s), method=method, rho=rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +214,10 @@ def rho_vs_scale(
     The series must be long enough for the grid's largest scale (an error
     from the segmentation propagates otherwise).
     """
-    _check_common_dates(a, b)
+    if not (a.days is b.days or np.array_equal(a.days, b.days)):
+        raise AlignmentError(
+            f"series {a.id!r} and {b.id!r} are not on a common date index"
+        )
     pa = series_profile(a, input_kind=input_kind)
     pb = series_profile(b, input_kind=input_kind)
     values = np.array(

@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import AlignmentError, FitError, LongmemError
 from .scaling import (
-    DEFAULT_SCALE_CAP,
+    _DEFAULT_SCALE_CAP,
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
     default_grid,
     fluctuation,
 )
-from .series import RatePanel, series_profile
+from .series import RatePanel, _profile_length, series_profile
 
 __all__ = [
     "HurstEstimate",
@@ -94,7 +94,7 @@ def fit_hurst(
     (their count is reported).  Fewer than three usable points is an error.
     """
     if fit_range is None:
-        fit_range = (None, DEFAULT_SCALE_CAP)
+        fit_range = (None, _DEFAULT_SCALE_CAP)
     s_lo, s_hi = fit_range
     lo = 0 if s_lo is None else int(s_lo)
     hi = np.inf if s_hi is None else int(s_hi)
@@ -116,7 +116,7 @@ def fit_hurst(
     if np.ptp(log_s) == 0.0:
         raise FitError(f"{f.series_id!r}: all usable scales identical")
 
-    slope, intercept, r, stderr = _regression(log_s, log_f)
+    slope, intercept, r, stderr, _ = _fit_line(log_s, log_f)
     return HurstEstimate(
         series_id=f.series_id,
         hurst=slope,
@@ -129,34 +129,31 @@ def fit_hurst(
     )
 
 
-def _regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line with correlation and slope standard error.
+def _fit_line(x: np.ndarray, y: np.ndarray
+              ) -> tuple[float, float, float, float, float]:
+    """Least-squares line: (slope, intercept, r, stderr, sse).
 
-    Returns (slope, intercept, r, stderr) for n >= 3 points.  The moments
-    come from the biased covariance matrix, as in ``scipy.stats.linregress``,
-    whose results this reproduces bit for bit.  r is clamped to [-1, 1]; for
-    flat y it is 0, or NaN when the cross moment is exactly 0 as well.
+    The moments are those of ``np.cov(x, y, bias=1)``, formed as it forms
+    them (stack, center, ``X @ X.T``, scale by 1/n) without its overhead,
+    so the first four match ``scipy.stats.linregress`` bit for bit.  r is
+    clamped to [-1, 1]; for flat y it is 0, or NaN when the cross moment is
+    exactly 0 as well.  stderr is NaN for two points.
     """
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    n = x.size
+    d = np.stack((x, y))
+    mean = d.mean(axis=1)
+    d -= mean[:, None]
+    ssxm, ssxym, _, ssym = ((d @ d.T) * (1.0 / n)).flat
     if ssxm == 0.0 or ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:
         r = min(max(float(ssxym / np.sqrt(ssxm * ssym)), -1.0), 1.0)
     slope = float(ssxym / ssxm)
-    intercept = float(y.mean() - slope * x.mean())
-    stderr = float(np.sqrt((1 - r ** 2) * ssym / ssxm / (x.size - 2)))
-    return slope, intercept, r, stderr
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line; returns (slope, intercept, sse)."""
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    slope = float(np.dot(dx, y - ym) / np.dot(dx, dx))
-    intercept = float(ym - slope * xm)
+    intercept = float(mean[1] - slope * mean[0])
+    stderr = (float(np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2)))
+              if n > 2 else math.nan)
     resid = y - (intercept + slope * x)
-    return slope, intercept, float(np.dot(resid, resid))
+    return slope, intercept, r, stderr, float(np.dot(resid, resid))
 
 
 @dataclass(frozen=True)
@@ -215,13 +212,13 @@ def detect_crossover(
     log_s = np.log10(scales.astype(float))
     log_f = np.log10(f.values[usable])
 
-    _, _, sse_single = _line_fit(log_s, log_f)
+    *_, sse_single = _fit_line(log_s, log_f)
 
     best_k = -1
     best = (math.inf, 0.0, 0.0)  # sse, slope_left, slope_right
     for k in range(min_side_points - 1, n_pts - min_side_points):
-        sl, _, sse_l = _line_fit(log_s[: k + 1], log_f[: k + 1])
-        sr, _, sse_r = _line_fit(log_s[k + 1 :], log_f[k + 1 :])
+        sl, *_, sse_l = _fit_line(log_s[: k + 1], log_f[: k + 1])
+        sr, *_, sse_r = _fit_line(log_s[k + 1 :], log_f[k + 1 :])
         sse = sse_l + sse_r
         tie = max(_SSE_FLOOR, _SSE_TIE_REL * max(sse, best[0]))
         if sse < best[0] - tie or abs(sse - best[0]) <= tie:
@@ -348,9 +345,8 @@ def hurst_distribution(
         raise AlignmentError("panel must be aligned before batch estimation")
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
-    n_profile = len(panel.days) - (1 if input_kind == "levels" else 0)
     if grid is None:
-        grid = default_grid(n_profile)
+        grid = default_grid(_profile_length(panel, input_kind))
 
     def fit(ts):
         prof = series_profile(ts, input_kind=input_kind)

@@ -34,7 +34,7 @@ __all__ = [
     "detrended_segments",
 ]
 
-DEFAULT_SCALE_CAP = 250  # one trading year
+_DEFAULT_SCALE_CAP = 250  # one trading year
 
 # Relative level below which a detrended segment is indistinguishable from
 # an exact polynomial fit (a few dozen ulps of the segment magnitude).
@@ -123,7 +123,7 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
     crossover studies.
     """
     if s_max is None:
-        s_max = min(DEFAULT_SCALE_CAP, n // 4)
+        s_max = min(_DEFAULT_SCALE_CAP, n // 4)
     if s_max < s_min:
         raise ScaleError(f"profile of length {n} leaves no scales in "
                          f"[{s_min}, {s_max}]")
@@ -141,7 +141,7 @@ def _poly_basis(s: int, order: int):
     return basis, np.linalg.pinv(basis)
 
 
-def moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.ndarray:
+def _moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.ndarray:
     """Window-s moving average of y with truncation at the boundaries.
 
     centered: window [i - (s-1)//2, i + s - 1 - (s-1)//2], clipped to the
@@ -193,7 +193,7 @@ def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarr
         floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(segments).max(axis=1))
         resid[np.abs(resid).max(axis=1) <= floor] = 0.0
         return resid
-    trend = moving_average(y, s, method.alignment)
+    trend = _moving_average(y, s, method.alignment)
     t_fwd = trend[:n_seg * s].reshape(n_seg, s)
     t_bwd = trend[n - n_seg * s:].reshape(n_seg, s)[::-1]
     return segments - np.concatenate([t_fwd, t_bwd], axis=0)

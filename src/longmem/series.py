@@ -483,3 +483,8 @@ def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
     if input_kind == "increments":
         return profile_from_values(series.values, series.id)
     raise ValueError(f"unknown input_kind {input_kind!r}")
+
+
+def _profile_length(panel: RatePanel, input_kind: str) -> int:
+    """Length of the profiles ``series_profile`` builds on an aligned panel."""
+    return len(panel.days) - (1 if input_kind == "levels" else 0)

@@ -26,7 +26,6 @@ from .series import RatePanel, TimeSeries
 __all__ = [
     "FgnSpec",
     "BlockSpec",
-    "autocovariance",
     "generate_fgn",
     "generate_blocks",
     "trading_dates",
@@ -37,7 +36,7 @@ __all__ = [
 _EIGEN_TOL = 1e-12
 
 
-def autocovariance(k, hurst: float, sigma: float = 1.0):
+def _autocovariance(k, hurst: float, sigma: float = 1.0):
     """Analytic fGn autocovariance gamma(k) at integer lag(s) k."""
     k = np.abs(np.asarray(k, dtype=float))
     two_h = 2.0 * hurst
@@ -106,8 +105,8 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     """Eigenvalues of the power-of-two circulant embedding of gamma(0..n-1)."""
     m = 1 << int(np.ceil(np.log2(n)))
     lags = np.arange(m + 1)
-    row = np.concatenate([autocovariance(lags, hurst),
-                          autocovariance(lags[1:m][::-1], hurst)])
+    row = np.concatenate([_autocovariance(lags, hurst),
+                          _autocovariance(lags[1:m][::-1], hurst)])
     return np.fft.fft(row).real
 
 

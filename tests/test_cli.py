@@ -178,6 +178,27 @@ def test_weight_rejected_for_fgn(tmp_path, capsys):
     assert "--weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("align", [[], ["--align", "intersect"]],
+                         ids=["default-align", "intersect"])
+def test_max_gap_needs_forward_fill(panel_dir, tmp_path, capsys, align):
+    code = run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
+                tmp_path / "out", "--max-gap", "3", *align])
+    assert code == 1
+    assert ("error: --max-gap only applies to --align forward_fill"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--scales", "--scale"])
+@pytest.mark.parametrize("text", ["", ","], ids=["blank", "comma"])
+def test_empty_scale_list_exits_one(panel_dir, tmp_path, capsys, flag, text):
+    code = run(["report", "--input", panel_dir / "abc.csv", "--output-dir",
+                tmp_path / "out", flag, text])
+    assert code == 1
+    assert f"error: {flag}: empty list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dcca_needs_pair_or_all(panel_dir, tmp_path, capsys):
     code = run(["dcca", "--input", panel_dir / "abc.csv",
                 "--output-dir", tmp_path / "out"])
@@ -346,6 +367,23 @@ def test_unwritable_output_dir_exits_one(panel_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(out) in err
+
+
+def test_failed_write_leaves_no_temp_and_no_manifest(panel_dir, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    argv = ["hurst", "--input", panel_dir / "abc.csv", "--output-dir", out,
+            "--input-kind", "increments"]
+    assert run(argv) == 0
+    # a directory in the way fails the second of three output writes;
+    # the manifest would have come after them
+    (out / "hurst_estimates.csv").unlink()
+    (out / "hurst_estimates.csv").mkdir()
+    assert run(argv) == 1
+    assert (f"error: cannot write outputs to {out}: "
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "hurst.json", "hurst_estimates.csv", "hurst_histogram.csv"]
 
 
 def test_json_only_format_writes_no_tables(panel_dir, tmp_path):

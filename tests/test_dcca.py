@@ -180,6 +180,17 @@ class TestPairwiseMatrix:
                 64, dfa(1))
             assert m.rho[i, j] == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("method", [dfa(1), dfa(2), dma(), dma("backward")],
+                             ids=lambda m: m.label)
+    def test_pair_is_two_member_matrix_bitwise(self, method):
+        panel = RatePanel(tuple(
+            generate_fgn(FgnSpec(n=1024, hurst=0.6, seed=s)) for s in (4, 5)))
+        pa, pb = (series_profile(ts, input_kind="increments")
+                  for ts in panel.series)
+        for s in (8, 50, 200):
+            m = pairwise_matrix(panel, s, method, input_kind="increments")
+            assert m.rho[0, 1] == rho_from_profiles(pa, pb, s, method)
+
     def test_exact_symmetry_and_diagonal(self):
         spec = BlockSpec(n_blocks=2, block_size=3, common_weight=0.7,
                          hurst=0.8, n=1024, seed=3)

@@ -37,9 +37,9 @@ RUNS = {
 EXPECTED = {
     "dcca": {
         "dcca.json":
-            "40fdc7b5c6195181cede34189c889ceaca7a1d89dcadb7b5bcbe0c06df114fd2",
+            "ea6e734781eb597e05a0f6880067eabf1042352a34ebbfe979ee7e157850fdce",
         "rho_curve_00_b1_m1__b2_m1.csv":
-            "a2f4c29d5d2708d2e524639f7856a0ef320cae14163231ec96155119530a0aab",
+            "3508410cf12df6fb097f5c6a2cc6c216338661d43a860e57d6e7298af0bd38a8",
         "rho_matrix_s20.csv":
             "4cf332b4d32a56253a73ef69ec149346bd3d32300301c8add397d9f65050addc",
         "rho_matrix_s60.csv":
@@ -49,9 +49,9 @@ EXPECTED = {
     },
     "hurst": {
         "crossover.csv":
-            "049973aec2445497d47780a8679ef8d88d807b25a743aa4f5dce2783766f9305",
+            "e6265c969ee7a099042491cc9ed70b2a8b44fc2e8bcd8e8f89ac18f744a7e712",
         "hurst.json":
-            "d2e7f13679354e74b621e89f25f9c293c154883141f7d800096d402a36bac562",
+            "c4cbfe1b939e2a3bdbe6403277f01674b144ee4fad3cb1361b3cbf85210b861e",
         "hurst_estimates.csv":
             "1d0dc5bce422a998bcd895343f18ffcb87c1727a38273ef254360b20c89edd28",
         "hurst_histogram.csv":
@@ -95,19 +95,19 @@ EXPECTED = {
     },
     "report": {
         "dcca/dcca.json":
-            "f2c9ed51a652d6eae25b79c9dea83a3c2f433e068acad79bd63801bf18d0eb45",
+            "be93166672cc9533f2189415981ed5b09e28698aa655c31d7544ceb422440ebf",
         "dcca/rho_curve_00_b1_m1__b1_m2.csv":
-            "e0fc4da14d55099eed8f769e71316ea9c17b41b1209d38128e60ef957cf10c2a",
+            "2540cb020b26834b5189cab2b859df30aa8d879e2aa1b32e766eb02e1fab5119",
         "dcca/rho_curve_01_b1_m1__b3_m4.csv":
-            "d4123b0340c265500cd6d70b4753842c95d0010332749935b27c796052b302b8",
+            "5f53c3e02046e710bf63ef35c75ef05e036a78e4ca1139481c90ac996f4e7516",
         "dcca/rho_matrix_s20.csv":
             "7a0f3c6eab4a0e1daa24e43f6888fec76041fbf7cafbc0c1a71877c669522961",
         "dcca/rho_matrix_s60.csv":
             "aa05eb2cfe238f4adf486ec1bd8c5ecf5d3b4cbc6cdca622d38265a812757bea",
         "hurst/crossover.csv":
-            "d3b22ef332f1575a1108581583d45094c1816dd2197ece9e145f010d6d3bb60d",
+            "e5d4f4439afe7b175c85aaac9fcde7a038936c5df5795701ce2031c07fbee936",
         "hurst/hurst.json":
-            "9e5d0bfd8323be72aa69fba17472e2a2f15c0c14778add4e42f6a742925bff60",
+            "18b3901db8125967725326b3c3203eaee55014097c187bfe3f97d17169deb594",
         "hurst/hurst_estimates.csv":
             "89c9a986cc08c82f40e9e56e890afeb13d2bff297443a878f4afc4d50e1f57f2",
         "hurst/hurst_histogram.csv":
@@ -173,6 +173,18 @@ def _digests(root: Path) -> dict[str, str]:
     return out
 
 
+def _changes(expected: dict, found: dict) -> list[str]:
+    """One line per run/file whose digest changed, went missing or appeared."""
+    lines = []
+    for run in sorted(expected.keys() | found.keys()):
+        want, got = expected.get(run, {}), found.get(run, {})
+        for rel in sorted(want.keys() | got.keys()):
+            if want.get(rel) != got.get(rel):
+                lines.append(f"{run}/{rel}: expected {want.get(rel, 'no file')}, "
+                             f"found {got.get(rel, 'no file')}")
+    return lines
+
+
 def test_golden_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative paths keep the manifests stable
     found = {}
@@ -181,4 +193,5 @@ def test_golden_outputs(tmp_path, monkeypatch):
         if name == "synth":
             _levels_csv(tmp_path / "synth" / "panel.csv", tmp_path / "levels.csv")
         found[name] = _digests(tmp_path / name)
-    assert found == EXPECTED
+    assert found == EXPECTED, "\n".join(
+        ["golden digests differ:", *_changes(EXPECTED, found)])

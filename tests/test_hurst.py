@@ -192,6 +192,20 @@ class TestDetectCrossover:
         rep = detect_crossover(f)
         assert rep.breakpoint_scale in (156, 250, 400)
 
+    def test_side_slopes_are_fit_hurst_exponents(self):
+        # one line fit serves both: each side's slope is, bit for bit, the
+        # exponent fit_hurst reports on that side's scales
+        rng = np.random.default_rng(3)
+        values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)
+        for _ in range(10):
+            noisy = values * 10 ** rng.normal(0.0, 0.02, size=len(values))
+            f = FluctuationFunction("pw", dfa(1), PIECEWISE_GRID, noisy)
+            rep = detect_crossover(f)
+            s_break = rep.breakpoint_scale
+            right_lo = int(PIECEWISE_GRID[PIECEWISE_GRID > s_break][0])
+            assert rep.slope_left == fit_hurst(f, (None, s_break)).hurst
+            assert rep.slope_right == fit_hurst(f, (right_lo, None)).hurst
+
     def test_piecewise_never_beats_single_by_construction(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

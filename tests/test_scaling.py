@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from longmem.errors import ScaleError
 from longmem.scaling import (
-    DEFAULT_SCALE_CAP,
+    _DEFAULT_SCALE_CAP,
+    _moving_average,
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
@@ -14,7 +15,6 @@ from longmem.scaling import (
     dfa,
     dma,
     fluctuation,
-    moving_average,
 )
 from longmem.series import Profile, profile_from_values
 
@@ -90,7 +90,7 @@ class TestScaleGrid:
         grid = default_grid(100_000)
         scales = list(grid)
         assert scales[0] == 10
-        assert scales[-1] == DEFAULT_SCALE_CAP
+        assert scales[-1] == _DEFAULT_SCALE_CAP
         assert all(b > a for a, b in zip(scales, scales[1:]))
         assert len(scales) <= 20
 
@@ -111,7 +111,7 @@ class TestScaleGrid:
 
 def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:
     """Rows detrended_segments must give under dma() for these index ranges."""
-    resid = y - moving_average(y, s, "centered")
+    resid = y - _moving_average(y, s, "centered")
     return np.array([resid[lo:hi] for lo, hi in ranges])
 
 
@@ -150,22 +150,22 @@ class TestSegmentBounds:
 class TestMovingAverage:
     def test_backward_pairs(self):
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert list(moving_average(y, 2, "backward")) == [0.0, 0.5, 1.5, 2.5]
+        assert list(_moving_average(y, 2, "backward")) == [0.0, 0.5, 1.5, 2.5]
 
     def test_centered_window_three(self):
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert list(moving_average(y, 3, "centered")) == [0.5, 1.0, 2.0, 2.5]
+        assert list(_moving_average(y, 3, "centered")) == [0.5, 1.0, 2.0, 2.5]
 
     def test_unknown_alignment(self):
         with pytest.raises(ValueError, match="alignment"):
-            moving_average(np.zeros(4), 2, "forward")
+            _moving_average(np.zeros(4), 2, "forward")
 
     @given(values=st.lists(st.floats(-100, 100), min_size=8, max_size=40),
            s=st.integers(2, 7),
            alignment=st.sampled_from(["centered", "backward"]))
     def test_matches_naive_windows(self, values, s, alignment):
         y = np.array(values)
-        got = moving_average(y, s, alignment)
+        got = _moving_average(y, s, alignment)
         want = reference.naive_ma_trend(y, s, alignment)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
 

@@ -11,7 +11,7 @@ from longmem.series import profile_from_values
 from longmem.synthetic import (
     BlockSpec,
     FgnSpec,
-    autocovariance,
+    _autocovariance,
     generate_blocks,
     generate_fgn,
     trading_dates,
@@ -22,21 +22,21 @@ from longmem import synthetic
 class TestAutocovariance:
     def test_lag_zero_is_variance(self):
         for h in (0.3, 0.5, 0.8):
-            assert autocovariance(0, h) == pytest.approx(1.0)
-        assert autocovariance(0, 0.7, sigma=2.0) == pytest.approx(4.0)
+            assert _autocovariance(0, h) == pytest.approx(1.0)
+        assert _autocovariance(0, 0.7, sigma=2.0) == pytest.approx(4.0)
 
     def test_half_is_white(self):
-        assert np.allclose(autocovariance(np.arange(1, 10), 0.5), 0.0,
+        assert np.allclose(_autocovariance(np.arange(1, 10), 0.5), 0.0,
                            atol=1e-12)
 
     def test_sign_symmetric(self):
         k = np.arange(1, 6)
-        assert np.array_equal(autocovariance(k, 0.8),
-                              autocovariance(-k, 0.8))
+        assert np.array_equal(_autocovariance(k, 0.8),
+                              _autocovariance(-k, 0.8))
 
     def test_persistent_positive_antipersistent_negative(self):
-        assert autocovariance(1, 0.8) > 0
-        assert autocovariance(1, 0.3) < 0
+        assert _autocovariance(1, 0.8) > 0
+        assert _autocovariance(1, 0.3) < 0
 
 
 class TestSpecValidation:
@@ -111,7 +111,7 @@ class TestGenerateFgn:
         for k, draws in samples.items():
             draws = np.array(draws)
             se = draws.std(ddof=1) / np.sqrt(len(draws))
-            assert abs(draws.mean() - autocovariance(k, 0.8)) <= 3 * se
+            assert abs(draws.mean() - _autocovariance(k, 0.8)) <= 3 * se
 
     def test_second_moment_near_sigma_squared(self):
         for h in (0.3, 0.5, 0.7, 0.9):
