@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
-from .scaling import DetrendMethod, ScaleGrid, detrended_segments
+from .scaling import DetrendMethod, ScaleGrid, _Residuals
 from .series import Profile, RatePanel, TimeSeries, series_profile
 
 __all__ = [
@@ -73,9 +73,16 @@ def _rho_matrix(profiles, ids, s: int, method: DetrendMethod) -> np.ndarray:
 
     Every cross moment is formed here, for one pair and a whole panel
     alike, as a dot product of two rows of flattened residual segments.
+    Each member's residuals are written straight into its row, forward
+    segments then backward ones end-first, one profile at a time.
     """
-    flat = np.stack([detrended_segments(y, s, method).reshape(-1)
-                     for y in profiles])
+    flat = None
+    for i, y in enumerate(profiles):
+        engine = _Residuals(y, method)
+        k = engine.n_segments(s)
+        if flat is None:
+            flat = np.empty((len(ids), 2 * k * s))
+        engine.residuals(s, flat[i].reshape(2 * k, s))
     n = flat.shape[1]
     f2 = np.einsum("ij,ij->i", flat, flat) / n
     gram = (flat @ flat.T) / n

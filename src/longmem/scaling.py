@@ -8,10 +8,30 @@ fit for DFA, moving average for DMA) and the fluctuation value is
     F(s) = sqrt( mean over segments of (1/s) * sum(residual^2) ),
 
 the root of the mean segment variance, which keeps F(s) ~ s^H
-dimensionally consistent.  The DMA trend is computed once over the whole
-profile with the window truncated at the boundaries, then segmented
-exactly like the DFA residuals; a per-segment moving average would be
-ill-defined near segment edges.
+dimensionally consistent.
+
+One private residual engine, ``_Residuals``, serves ``fluctuation``, the
+coefficient matrices of ``dcca`` and ``detrended_segments``.  It is built
+once per profile and call and reads the segments as views, never as
+concatenated copies:
+
+- DMA (Alessio et al., EPJ B 27, 197, 2002) takes one cumulative sum of
+  the profile for all scales.  The moving-average trend is a difference of
+  two cumsum slices over the window length, the interior and the < s
+  boundary points (where the window is truncated) alike.  The residual
+  y - trend is formed once per scale over the whole profile, in place,
+  and the forward and backward segments are the views
+  ``r[:k*s].reshape(k, s)`` and ``r[n-k*s:].reshape(k, s)[::-1]``.  A
+  per-segment moving average would be ill-defined near segment edges.
+- DFA projects the (2k, s) segment block onto the polynomial basis in one
+  product and subtracts and squares in place.
+- Segments at the rounding floor snap to zero for both methods.  Only the
+  segments whose mean square could be that small are checked exactly, so
+  the common case costs one comparison per segment.
+
+Every F(s) value and coefficient is bit for bit what the materialized
+(2k, s) residual block of ``detrended_segments`` gives when reduced row by
+row, forward segments first and backward ones end-first.
 """
 
 from __future__ import annotations
@@ -141,26 +161,145 @@ def _poly_basis(s: int, order: int):
     return basis, np.linalg.pinv(basis)
 
 
-def _moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.ndarray:
-    """Window-s moving average of y with truncation at the boundaries.
+def _segment_starts(n: int, s: int) -> np.ndarray:
+    """First index of every segment: forward tiles, then backward end-first."""
+    i = np.arange(n // s)
+    return np.concatenate((i * s, n - (i + 1) * s))
 
-    centered: window [i - (s-1)//2, i + s - 1 - (s-1)//2], clipped to the
-    array.  backward: the s most recent points [i - s + 1, i], clipped at
-    the start.
+
+class _Residuals:
+    """The residual engine: detrended segments of one profile, scale by scale.
+
+    Built once per profile and call; it holds what every scale shares: the
+    profile, its cumulative sum (dma) and the bound on a segment's mean
+    square below which the segment may sit at the rounding floor.  Each
+    scale reads the segments as views of the profile or of one residual
+    vector; only dfa copies them, into the (2k, s) operand of its one
+    projection product.
     """
-    n = len(y)
-    idx = np.arange(n)
-    if alignment == "centered":
-        left = (s - 1) // 2
-        lo = np.clip(idx - left, 0, n)
-        hi = np.clip(idx + (s - 1 - left) + 1, 0, n)
-    elif alignment == "backward":
-        lo = np.clip(idx - s + 1, 0, n)
-        hi = idx + 1
-    else:
-        raise ValueError(f"unknown dma alignment {alignment!r}")
-    cs = np.concatenate(([0.0], np.cumsum(y)))
-    return (cs[hi] - cs[lo]) / (hi - lo)
+
+    def __init__(self, y, method: DetrendMethod):
+        self.y = y = np.asarray(y, dtype=float)
+        self.n = len(y)
+        self.method = method
+        if method.kind == "dma":
+            self._cs = np.empty(self.n + 1)
+            self._cs[0] = 0.0
+            np.cumsum(y, out=self._cs[1:])
+        # A segment snaps only if max|r| <= floor <= top, so its mean square
+        # is at most top**2; the 2x slack covers a rounded mean of squares
+        # landing a few ulps above its largest term.  fmax skips NaN, which
+        # never snaps, so the bound still covers every finite segment.
+        top = _RESIDUAL_FLOOR * max(1.0, float(np.fmax.reduce(np.abs(y),
+                                                              initial=0.0)))
+        self._ms_bound = 2.0 * top * top
+
+    def n_segments(self, s: int) -> int:
+        """Segments per direction at scale s, after checking s is usable."""
+        n = self.n
+        if s > n // 2:
+            raise ScaleError(f"scale {s} exceeds half the profile length {n}")
+        if s < self.method.min_scale:
+            raise ScaleError(f"scale {s} below method minimum "
+                             f"{self.method.min_scale} ({self.method.label})")
+        return n // s
+
+    def trend(self, s: int) -> np.ndarray:
+        """Moving-average trend of the whole profile (dma).
+
+        Point i averages the window [i - a, i - a + s), a = (s-1)//2 when
+        centered and s - 1 (the s most recent points) when backward,
+        clipped to the profile.  Every value is a difference of cumsum
+        slices over the window length, so the whole trend takes slices
+        only: the interior, the first a points (window clipped at 0) and,
+        when centered, the last s - 1 - a (window clipped at n).
+        """
+        n, cs = self.n, self._cs
+        a = (s - 1) // 2 if self.method.alignment == "centered" else s - 1
+        out = np.empty(n)
+        inner = out[a:n - s + a + 1]
+        np.subtract(cs[s:], cs[:n - s + 1], out=inner)
+        inner /= s
+        np.divide(cs[s - a:s], np.arange(s - a, s), out=out[:a])
+        np.divide(cs[n] - cs[n - s + 1:n - a], np.arange(s - 1, a, -1),
+                  out=out[n - s + a + 1:])
+        return out
+
+    def _dma(self, s: int) -> np.ndarray:
+        """Residual y - trend over the whole profile, formed in place."""
+        r = self.trend(s)
+        return np.subtract(self.y, r, out=r)
+
+    def _dfa(self, s: int, k: int):
+        """The (2k, s) segments and their polynomial trend.
+
+        Both products keep the one (2k, s) operand: a product's bits depend
+        on its operand shape.
+        """
+        seg = np.concatenate((self.y[:k * s].reshape(k, s),
+                              self.y[self.n - k * s:].reshape(k, s)[::-1]))
+        basis, pinv = _poly_basis(s, self.method.order)
+        return seg, (seg @ pinv.T) @ basis.T
+
+    def _snapped(self, s: int, ms: np.ndarray, trend) -> np.ndarray:
+        """Segments whose residual is at the rounding floor.
+
+        A residual no larger than the floor, a few dozen ulps of its segment
+        magnitude, is numerically zero.  Snapping it keeps perfectly
+        detrended segments (constant or polynomial profiles) at F = 0, so
+        they are excluded from log fits instead of being fitted on
+        cancellation noise.  Only segments whose mean square ``ms`` is
+        within the bound are checked exactly, on residuals re-formed from
+        the profile and its trend (``trend`` for dfa; dma forms its trend
+        again), so the common case costs one comparison per segment.
+        """
+        rows = np.flatnonzero(ms <= self._ms_bound)
+        if rows.size == 0:
+            return rows
+        pos = _segment_starts(self.n, s)[rows, None] + np.arange(s)
+        seg = self.y[pos]
+        trend = trend[rows] if self.method.kind == "dfa" else self.trend(s)[pos]
+        floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(seg).max(axis=1))
+        return rows[np.abs(seg - trend).max(axis=1) <= floor]
+
+    def mean_squares(self, s: int) -> np.ndarray:
+        """Per-segment mean squared residual at scale s, in segment order."""
+        k = self.n_segments(s)
+        if self.method.kind == "dma":
+            r2 = self._dma(s)
+            np.multiply(r2, r2, out=r2)
+            ms = np.concatenate((
+                np.mean(r2[:k * s].reshape(k, s), axis=1),
+                np.mean(r2[self.n - k * s:].reshape(k, s), axis=1)[::-1]))
+            trend = None
+        else:
+            r2, trend = self._dfa(s, k)
+            np.subtract(r2, trend, out=r2)
+            np.multiply(r2, r2, out=r2)
+            ms = np.mean(r2, axis=1)
+        ms[self._snapped(s, ms, trend)] = 0.0
+        return ms
+
+    def residuals(self, s: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Residual segments at scale s, written into ``out`` (2k, s)."""
+        k = self.n_segments(s)
+        if out is None:
+            out = np.empty((2 * k, s))
+        if self.method.kind == "dma":
+            r = self._dma(s)
+            out[:k] = r[:k * s].reshape(k, s)
+            out[k:] = r[self.n - k * s:].reshape(k, s)[::-1]
+            trend = None
+        else:
+            seg, trend = self._dfa(s, k)
+            np.subtract(seg, trend, out=out)
+        out[self._snapped(s, np.einsum("ij,ij->i", out, out) / s, trend)] = 0.0
+        return out
+
+
+def _moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.ndarray:
+    """Window-s moving average of y with truncation at the boundaries."""
+    return _Residuals(y, dma(alignment)).trend(s)
 
 
 def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarray:
@@ -168,35 +307,10 @@ def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarr
 
     The first floor(n/s) rows tile the profile from the start, the next
     floor(n/s) from the end (listed end-first); both passes are kept even
-    when s divides n.  Shared by the auto- and cross-fluctuation paths so
-    both see identical residuals.
+    when s divides n.  The rows are the ones ``fluctuation`` and the
+    coefficient matrices reduce, materialized in one array.
     """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if s > n // 2:
-        raise ScaleError(f"scale {s} exceeds half the profile length {n}")
-    if s < method.min_scale:
-        raise ScaleError(f"scale {s} below method minimum {method.min_scale} "
-                         f"({method.label})")
-    n_seg = n // s
-    fwd = y[:n_seg * s].reshape(n_seg, s)
-    bwd = y[n - n_seg * s:].reshape(n_seg, s)[::-1]
-    segments = np.concatenate([fwd, bwd], axis=0)
-    if method.kind == "dfa":
-        basis, pinv = _poly_basis(s, method.order)
-        coef = segments @ pinv.T
-        resid = segments - coef @ basis.T
-        # A residual at the projection's own rounding floor is numerically
-        # zero.  Snapping it keeps perfectly-detrended segments (constant or
-        # polynomial profiles) at F = 0, so they are excluded from log fits
-        # instead of being fitted on cancellation noise.
-        floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(segments).max(axis=1))
-        resid[np.abs(resid).max(axis=1) <= floor] = 0.0
-        return resid
-    trend = _moving_average(y, s, method.alignment)
-    t_fwd = trend[:n_seg * s].reshape(n_seg, s)
-    t_bwd = trend[n - n_seg * s:].reshape(n_seg, s)[::-1]
-    return segments - np.concatenate([t_fwd, t_bwd], axis=0)
+    return _Residuals(y, method).residuals(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +338,7 @@ class FluctuationFunction:
 def fluctuation(profile: Profile, grid: ScaleGrid,
                 method: DetrendMethod) -> FluctuationFunction:
     """Fluctuation function F(s) of a profile over a scale grid."""
-    y = profile.values
-    values = np.empty(len(grid))
-    for k, s in enumerate(grid):
-        residuals = detrended_segments(y, s, method)
-        seg_var = np.mean(residuals * residuals, axis=1)
-        values[k] = np.sqrt(np.mean(seg_var))
+    engine = _Residuals(profile.values, method)
+    values = np.array([np.sqrt(np.mean(engine.mean_squares(s))) for s in grid])
     return FluctuationFunction(profile.parent_id, method,
                                np.array(list(grid)), values)

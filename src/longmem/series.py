@@ -436,7 +436,8 @@ def align(panel: RatePanel, policy: str = "intersect",
     ``intersect`` keeps only dates where every series has a value; it
     never fabricates data and is the default.  ``forward_fill`` first fills
     missing runs of length <= max_gap from the last observation, then
-    intersects.
+    intersects.  ``max_gap`` belongs to ``forward_fill`` alone; passing it
+    with ``intersect`` is a ValueError rather than silently ignored.
     """
     if policy not in ("intersect", "forward_fill"):
         raise ValueError(f"unknown alignment policy {policy!r}")
@@ -445,6 +446,9 @@ def align(panel: RatePanel, policy: str = "intersect",
         if max_gap is None or max_gap < 1:
             raise ValueError("forward_fill requires max_gap >= 1")
         matrix = _forward_fill(panel, max_gap)
+    elif max_gap is not None:
+        raise ValueError(f"max_gap={max_gap} applies only to forward_fill, "
+                         f"not {policy!r}")
 
     shared = ~np.isnan(matrix).any(axis=0)
     n_shared = int(shared.sum())

@@ -26,6 +26,18 @@ def make_panel(columns: dict) -> RatePanel:
     return RatePanel(tuple(make_series(v, k) for k, v in columns.items()))
 
 
+def ramp_panel(n: int = 800) -> RatePanel:
+    """Levels panel whose member "lin" rises by exactly 0.01 a day.
+
+    Its absolute changes are constant, so its profile is pure cancellation
+    noise, which every detrending method must report as F = 0.
+    """
+    rng = np.random.default_rng(1)
+    steps = 0.1 * rng.standard_normal((2, n)).cumsum(axis=1)
+    return make_panel({"lin": 1.0 + 0.01 * np.arange(n), "b": 5.0 + steps[0],
+                       "c": 3.0 + steps[1]})
+
+
 @pytest.fixture
 def csv_panel(tmp_path):
     """Write a small complete 2-series panel file and return its path."""

@@ -17,6 +17,8 @@ from longmem.cli import ConfigError, main, rerun_from_manifest
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
 from longmem.synthetic import FgnSpec, generate_fgn
 
+from conftest import ramp_panel
+
 
 def run(args) -> int:
     return main([str(a) for a in args])
@@ -484,6 +486,17 @@ def test_degenerate_pair_exits_two_and_names_series(panel_dir, tmp_path,
     assert code == 2
     assert "flat" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cancellation_noise_member_fails_hurst_and_matrix(tmp_path, capsys):
+    path = tmp_path / "ramp.csv"
+    path.write_text(panel_to_csv(ramp_panel()))
+    assert run(["hurst", "--input", path, "--output-dir", tmp_path / "h"]) == 0
+    assert read_rows(tmp_path / "h" / "failures.csv")[1][0] == "lin"
+    code = run(["dcca", "--input", path, "--output-dir", tmp_path / "d",
+                "--all", "--scale", "20"])
+    assert code == 2
+    assert "lin" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

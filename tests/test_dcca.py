@@ -28,7 +28,7 @@ from longmem.series import (
 from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
 import reference
-from conftest import make_panel, make_series
+from conftest import make_panel, make_series, ramp_panel
 
 
 def fgn_profile(seed, n=2048, hurst=0.7):
@@ -220,6 +220,13 @@ class TestPairwiseMatrix:
         with pytest.raises(DegenerateSeriesError) as err:
             pairwise_matrix(RatePanel((good, c1, c2)), 20, dfa(1))
         assert err.value.ids == ("c1", "c2")
+
+    @pytest.mark.parametrize("method", [dma(), dma("backward"), dfa(1)],
+                             ids=lambda m: m.label)
+    def test_cancellation_noise_member_is_degenerate(self, method):
+        with pytest.raises(DegenerateSeriesError) as err:
+            pairwise_matrix(ramp_panel(), 20, method)
+        assert err.value.ids == ("lin",)
 
     def test_unaligned_rejected(self):
         import datetime as dt

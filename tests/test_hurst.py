@@ -22,7 +22,7 @@ from longmem.scaling import (
 from longmem.series import RatePanel, TimeSeries, profile_from_values, series_profile
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
-from conftest import make_series
+from conftest import make_series, ramp_panel
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
 
@@ -272,6 +272,14 @@ class TestHurstDistribution:
         assert [i for i, _ in dist.failures] == ["flat"]
         assert "usable" in dist.failures[0][1]
         assert len(dist.estimates) == 1
+
+    @pytest.mark.parametrize("method", [dma(), dma("backward"), dfa(1)],
+                             ids=lambda m: m.label)
+    def test_cancellation_noise_profile_is_a_failure(self, method):
+        dist = hurst_distribution(ramp_panel(), method)
+        assert [i for i, _ in dist.failures] == ["lin"]
+        assert "0 usable scales" in dist.failures[0][1]
+        assert [e.series_id for e in dist.estimates] == ["b", "c"]
 
     def test_unaligned_panel_rejected(self):
         a = make_series(np.arange(300.0), "a", start=dt.date(2000, 1, 3))

@@ -233,6 +233,13 @@ class TestAlign:
         with pytest.raises(ValueError, match="max_gap"):
             align(panel, policy="forward_fill")
 
+    def test_intersect_rejects_max_gap(self):
+        a = make_series(np.arange(6.0), "a")
+        b = TimeSeries("b", a.dates[:2] + a.dates[4:], [0.0, 1.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="max_gap=3 applies only to "
+                                             "forward_fill"):
+            align(RatePanel((a, b)), policy="intersect", max_gap=3)
+
     def test_forward_fill_leading_gap_is_error(self):
         full = make_series(np.arange(5.0), "full")
         late = TimeSeries("late", full.dates[1:], np.arange(4.0))
