@@ -68,17 +68,17 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     return rho
 
 
-def _rho_matrix(profiles, ids, s: int, method: DetrendMethod) -> np.ndarray:
-    """Coefficient matrix of equal-length profile arrays at one scale.
+def _rho_matrix(engines, ids, s: int) -> np.ndarray:
+    """Coefficient matrix at one scale of equal-length profiles' engines.
 
     Every cross moment is formed here, for one pair and a whole panel
     alike, as a dot product of two rows of flattened residual segments.
     Each member's residuals are written straight into its row, forward
-    segments then backward ones end-first, one profile at a time.
+    segments then backward ones end-first, one engine at a time; a
+    generator of engines keeps one alive at a time.
     """
     flat = None
-    for i, y in enumerate(profiles):
-        engine = _Residuals(y, method)
+    for i, engine in enumerate(engines):
         k = engine.n_segments(s)
         if flat is None:
             flat = np.empty((len(ids), 2 * k * s))
@@ -109,7 +109,8 @@ def rho_from_profiles(
             f"lengths ({pa.values.size} vs {pb.values.size}); align first"
         )
     ids = (pa.parent_id, pb.parent_id)
-    return float(_rho_matrix((pa.values, pb.values), ids, s, method)[0, 1])
+    engines = (_Residuals(p.values, method) for p in (pa, pb))
+    return float(_rho_matrix(engines, ids, s)[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +169,9 @@ def pairwise_matrix(
     if len(panel.series) < 2:
         raise ValueError("need at least two series for a pairwise matrix")
 
-    profiles = (series_profile(ts, input_kind=input_kind).values
-                for ts in panel.series)
-    rho = _rho_matrix(profiles, panel.ids, s, method)
+    engines = (_Residuals(series_profile(ts, input_kind=input_kind).values,
+                          method) for ts in panel.series)
+    rho = _rho_matrix(engines, panel.ids, s)
     return DccaMatrix(ids=panel.ids, scale=int(s), method=method, rho=rho)
 
 
@@ -218,17 +219,20 @@ def rho_vs_scale(
 ) -> RhoCurve:
     """Trace the coefficient of one pair across a scale grid.
 
-    The series must be long enough for the grid's largest scale (an error
+    Each member's residual engine is built once for the whole grid; every
+    value equals ``rho_from_profiles`` at its scale bit for bit.  The
+    series must be long enough for the grid's largest scale (an error
     from the segmentation propagates otherwise).
     """
     if not (a.days is b.days or np.array_equal(a.days, b.days)):
         raise AlignmentError(
             f"series {a.id!r} and {b.id!r} are not on a common date index"
         )
-    pa = series_profile(a, input_kind=input_kind)
-    pb = series_profile(b, input_kind=input_kind)
+    engines = tuple(_Residuals(series_profile(ts, input_kind=input_kind).values,
+                               method) for ts in (a, b))
+    ids = (a.id, b.id)
     values = np.array(
-        [rho_from_profiles(pa, pb, s, method) for s in grid.scales]
+        [_rho_matrix(engines, ids, s)[0, 1] for s in grid.scales]
     )
     return RhoCurve(
         pair=(a.id, b.id),

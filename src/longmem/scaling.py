@@ -11,9 +11,11 @@ the root of the mean segment variance, which keeps F(s) ~ s^H
 dimensionally consistent.
 
 One private residual engine, ``_Residuals``, serves ``fluctuation``, the
-coefficient matrices of ``dcca`` and ``detrended_segments``.  It is built
-once per profile and call and reads the segments as views, never as
-concatenated copies:
+coefficient matrices and pair curves of ``dcca`` and
+``detrended_segments``.  It is built once per profile and call (a pair
+curve builds one per member for its whole grid) and reads the segments as
+views, never as concatenated copies.  The profiles it reads come from
+``series_profile``, which builds each series' profile once per input kind:
 
 - DMA (Alessio et al., EPJ B 27, 197, 2002) takes one cumulative sum of
   the profile for all scales.  The moving-average trend is a difference of
@@ -24,7 +26,8 @@ concatenated copies:
   ``r[:k*s].reshape(k, s)`` and ``r[n-k*s:].reshape(k, s)[::-1]``.  A
   per-segment moving average would be ill-defined near segment edges.
 - DFA projects the (2k, s) segment block onto the polynomial basis in one
-  product and subtracts and squares in place.
+  product and subtracts and squares in place.  The basis and its
+  pseudoinverse are built once per (s, order) and shared read-only.
 - Segments at the rounding floor snap to zero for both methods.  Only the
   segments whose mean square could be that small are checked exactly, so
   the common case costs one comparison per segment.
@@ -36,12 +39,13 @@ row, forward segments first and backward ones end-first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScaleError
-from .series import Profile
+from .series import Profile, _frozen
 
 __all__ = [
     "ScaleGrid",
@@ -152,13 +156,17 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
     return ScaleGrid(tuple(int(s) for s in scales), s_min=s_min)
 
 
+@functools.lru_cache(maxsize=1024)
 def _poly_basis(s: int, order: int):
-    """Design matrix on a normalized abscissa and its pseudoinverse."""
+    """Design matrix on a normalized abscissa and its pseudoinverse.
+
+    Built once per (s, order) and shared, so both arrays are read-only.
+    """
     x = np.arange(s, dtype=float)
     half = max((s - 1) / 2.0, 1.0)
     x = (x - (s - 1) / 2.0) / half
     basis = np.vander(x, order + 1, increasing=True)
-    return basis, np.linalg.pinv(basis)
+    return _frozen(basis), _frozen(np.linalg.pinv(basis))
 
 
 def _segment_starts(n: int, s: int) -> np.ndarray:
@@ -269,14 +277,17 @@ class _Residuals:
             r2 = self._dma(s)
             np.multiply(r2, r2, out=r2)
             ms = np.concatenate((
-                np.mean(r2[:k * s].reshape(k, s), axis=1),
-                np.mean(r2[self.n - k * s:].reshape(k, s), axis=1)[::-1]))
+                np.add.reduce(r2[:k * s].reshape(k, s), axis=1),
+                np.add.reduce(r2[self.n - k * s:].reshape(k, s), axis=1)[::-1]))
             trend = None
         else:
             r2, trend = self._dfa(s, k)
             np.subtract(r2, trend, out=r2)
             np.multiply(r2, r2, out=r2)
-            ms = np.mean(r2, axis=1)
+            ms = np.add.reduce(r2, axis=1)
+        # np.mean's own steps (the sum, then a true divide by the count)
+        # without its wrapper, so the bits are the same.
+        ms /= s
         ms[self._snapped(s, ms, trend)] = 0.0
         return ms
 
@@ -339,6 +350,10 @@ def fluctuation(profile: Profile, grid: ScaleGrid,
                 method: DetrendMethod) -> FluctuationFunction:
     """Fluctuation function F(s) of a profile over a scale grid."""
     engine = _Residuals(profile.values, method)
-    values = np.array([np.sqrt(np.mean(engine.mean_squares(s))) for s in grid])
+    values = np.empty(len(grid))
+    for i, s in enumerate(grid):
+        ms = engine.mean_squares(s)
+        values[i] = np.add.reduce(ms) / ms.size
+    np.sqrt(values, out=values)
     return FluctuationFunction(profile.parent_id, method,
                                np.array(list(grid)), values)

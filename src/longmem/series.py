@@ -74,10 +74,11 @@ class TimeSeries:
 
     ``days`` holds the strictly increasing dates as ``datetime64[D]`` and
     ``values`` the matching observations; both are read-only.  ``dates``
-    gives the same dates as ``datetime.date`` objects.
+    gives the same dates as ``datetime.date`` objects.  ``_profiles`` keeps
+    the profiles :func:`series_profile` built, keyed by input kind.
     """
 
-    __slots__ = ("id", "days", "values", "_dates")
+    __slots__ = ("id", "days", "values", "_dates", "_profiles")
 
     def __init__(self, id: str, dates, values):
         days = _as_days(dates)
@@ -99,6 +100,7 @@ class TimeSeries:
 
     def _set(self, id, days, values) -> None:
         self.id, self.days, self.values, self._dates = id, days, values, None
+        self._profiles = {}
 
     @classmethod
     def _view(cls, id: str, days: np.ndarray, values: np.ndarray) -> "TimeSeries":
@@ -462,12 +464,15 @@ def profile_from_values(values, parent_id: str) -> Profile:
     """Profile of a raw (possibly signed) increment vector.
 
     This is the entry point for validation data whose values already are
-    increments, e.g. synthetic noise panels.
+    increments, e.g. synthetic noise panels.  A NaN or infinite increment
+    is a ValueError.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError(f"{parent_id!r}: need a 1-D increment vector of "
                          f"length >= 2")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{parent_id!r}: non-finite increments")
     centered = x - x.mean()
     # Second pass removes the rounding residual of the first; without it a
     # long constant series at large magnitude fails the telescoping check.
@@ -480,13 +485,21 @@ def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
 
     ``levels`` (default) first takes the absolute one-step changes
     X(i) = |R(i+1) - R(i)|; ``increments`` treats the stored values as
-    the increment series itself.
+    the increment series itself.  The profile is built once per series and
+    kind and kept on the series (both are read-only); a failed build is not
+    kept, so it raises again on the next call.
     """
+    prof = series._profiles.get(input_kind)
+    if prof is not None:
+        return prof
     if input_kind == "levels":
-        return profile_from_values(np.abs(np.diff(series.values)), series.id)
-    if input_kind == "increments":
-        return profile_from_values(series.values, series.id)
-    raise ValueError(f"unknown input_kind {input_kind!r}")
+        prof = profile_from_values(np.abs(np.diff(series.values)), series.id)
+    elif input_kind == "increments":
+        prof = profile_from_values(series.values, series.id)
+    else:
+        raise ValueError(f"unknown input_kind {input_kind!r}")
+    series._profiles[input_kind] = prof
+    return prof
 
 
 def _profile_length(panel: RatePanel, input_kind: str) -> int:

@@ -161,6 +161,19 @@ class TestRho:
             rho_vs_scale(a, b, ScaleGrid((10,)), method=dfa(1))
 
 
+class TestCurveEngines:
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=lambda m: m.label)
+    def test_curve_equals_per_scale_pairs_bitwise(self, method):
+        a, b = (generate_fgn(FgnSpec(n=3000, hurst=0.7, seed=s))
+                for s in (6, 7))
+        grid = default_grid(3000, s_min=5, s_max=500, num=40)
+        curve = rho_vs_scale(a, b, grid, method=method,
+                             input_kind="increments")
+        pa, pb = (series_profile(ts, input_kind="increments") for ts in (a, b))
+        want = [rho_from_profiles(pa, pb, s, method) for s in grid]
+        assert curve.values.tolist() == want
+
+
 class TestPairwiseMatrix:
     def test_identical_pair_is_ones(self):
         values = np.abs(np.random.default_rng(2).standard_normal(500)) + 1.0

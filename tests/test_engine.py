@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from longmem.dcca import _normalize, pairwise_matrix
 from longmem.errors import DegenerateSeriesError
+from longmem.hurst import hurst_distribution
 from longmem.scaling import (
     _RESIDUAL_FLOOR,
     ScaleGrid,
@@ -23,6 +24,7 @@ from longmem.scaling import (
     fluctuation,
 )
 from longmem.series import Profile, RatePanel, series_profile
+from longmem.synthetic import BlockSpec, generate_blocks
 
 import reference
 from conftest import make_series
@@ -181,3 +183,28 @@ class TestFloorCandidates:
         floor = _RESIDUAL_FLOOR * 1.6369616873214543
         r = np.full((1, 154), floor)
         assert np.mean(r * r, axis=1)[0] > floor * floor
+
+
+class TestWarmCalls:
+    """A call on a panel whose profiles are kept equals the first call."""
+
+    SPEC = BlockSpec(n_blocks=2, block_size=3, common_weight=0.6, hurst=0.7,
+                     n=2048, seed=8)
+
+    def test_hurst_distribution(self):
+        panel = generate_blocks(self.SPEC)
+        for method in (dma(), dfa(2)):
+            cold = hurst_distribution(panel, method, input_kind="increments")
+            warm = hurst_distribution(panel, method, input_kind="increments")
+            fresh = hurst_distribution(generate_blocks(self.SPEC), method,
+                                       input_kind="increments")
+            assert warm.to_json_dict() == cold.to_json_dict()
+            assert fresh.to_json_dict() == cold.to_json_dict()
+
+    def test_pairwise_matrix(self):
+        panel = generate_blocks(self.SPEC)
+        for method in (dma(), dfa(2)):
+            for s in (16, 100):
+                cold = pairwise_matrix(panel, s, method, input_kind="increments")
+                warm = pairwise_matrix(panel, s, method, input_kind="increments")
+                assert np.array_equal(warm.rho, cold.rho)

@@ -7,6 +7,7 @@ from longmem.errors import ScaleError
 from longmem.scaling import (
     _DEFAULT_SCALE_CAP,
     _moving_average,
+    _poly_basis,
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
@@ -193,6 +194,26 @@ class TestLocalTrend:
             with pytest.raises(ScaleError, match="method minimum"):
                 detrended_segments(y, order + 1, dfa(order))
             assert detrended_segments(y, order + 2, dfa(order)).shape[1] == order + 2
+
+
+class TestPolyBasis:
+    """The DFA basis and pseudoinverse, built once per (s, order)."""
+
+    @pytest.mark.parametrize("s,order", [(3, 1), (20, 1), (20, 2), (257, 3)])
+    def test_equals_fresh_pinv_and_is_read_only(self, s, order):
+        x = (np.arange(s, dtype=float) - (s - 1) / 2.0) / ((s - 1) / 2.0)
+        want = np.vander(x, order + 1, increasing=True)
+        basis, pinv = _poly_basis(s, order)
+        assert np.array_equal(basis, want)
+        assert np.array_equal(pinv, np.linalg.pinv(want))
+        for arr in (basis, pinv):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_built_once(self):
+        basis, pinv = _poly_basis(37, 2)
+        again = _poly_basis(37, 2)
+        assert again[0] is basis and again[1] is pinv
 
 
 class TestDetrendedSegments:

@@ -333,6 +333,51 @@ class TestIncrementsAndProfile:
         with pytest.raises(ValueError, match="input_kind"):
             series_profile(make_series([1.0, 2.0]), input_kind="returns")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_rejects_non_finite_increments(self, bad):
+        with pytest.raises(ValueError, match="'z9': non-finite increments"):
+            profile_from_values([1.0, bad, 2.0, 0.5], "z9")
+
+
+class TestProfileMemo:
+    """series_profile builds a series' profile once per input kind."""
+
+    def test_same_object_on_repeat(self):
+        ts = make_series([1.0, 3.0, 2.0, 5.0])
+        first = series_profile(ts, input_kind="increments")
+        assert series_profile(ts, input_kind="increments") is first
+        assert series_profile(ts) is series_profile(ts, input_kind="levels")
+
+    def test_one_profile_per_kind(self):
+        ts = make_series([1.0, 3.0, 2.0, 5.0])
+        levels = series_profile(ts, input_kind="levels")
+        increments = series_profile(ts, input_kind="increments")
+        assert levels is not increments
+        assert np.array_equal(levels.values,
+                              profile_from_values([2.0, 1.0, 3.0], "x").values)
+        assert np.array_equal(increments.values,
+                              profile_from_values(ts.values, "x").values)
+
+    def test_kept_profile_is_read_only(self):
+        prof = series_profile(make_series([1.0, 3.0, 2.0, 5.0]))
+        with pytest.raises(ValueError):
+            prof.values[0] = 1.0
+
+    def test_failures_are_not_kept(self):
+        short = make_series([1.0, 2.0])  # one level change: too short
+        for _ in range(2):
+            with pytest.raises(ValueError, match="length >= 2"):
+                series_profile(short, input_kind="levels")
+            with pytest.raises(ValueError, match="input_kind"):
+                series_profile(short, input_kind="returns")
+        assert len(series_profile(short, input_kind="increments")) == 2
+
+    def test_panel_members_keep_their_profiles(self):
+        panel = make_panel({"a": [1.0, 2.0, 4.0], "b": [3.0, 1.0, 2.0]})
+        first = [series_profile(ts) for ts in panel.series]
+        again = [series_profile(panel.member(i)) for i in panel.ids]
+        assert all(p is q for p, q in zip(first, again))
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
     def test_profile_telescopes_to_zero(self, xs):
         prof = profile_from_values(xs, "h")
