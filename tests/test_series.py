@@ -338,6 +338,12 @@ class TestIncrementsAndProfile:
         with pytest.raises(ValueError, match="'z9': non-finite increments"):
             profile_from_values([1.0, bad, 2.0, 0.5], "z9")
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
+    def test_profile_telescopes_to_zero(self, xs):
+        prof = profile_from_values(xs, "h")
+        variation = float(np.sum(np.abs(np.diff(prof.values))))
+        assert abs(prof.values[-1]) <= 1e-9 * max(variation, 1.0)
+
 
 class TestProfileMemo:
     """series_profile builds a series' profile once per input kind."""
@@ -377,12 +383,6 @@ class TestProfileMemo:
         first = [series_profile(ts) for ts in panel.series]
         again = [series_profile(panel.member(i)) for i in panel.ids]
         assert all(p is q for p, q in zip(first, again))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
-    def test_profile_telescopes_to_zero(self, xs):
-        prof = profile_from_values(xs, "h")
-        variation = float(np.sum(np.abs(np.diff(prof.values))))
-        assert abs(prof.values[-1]) <= 1e-9 * max(variation, 1.0)
 
 
 class TestRatePanel:
