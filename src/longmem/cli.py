@@ -434,8 +434,30 @@ def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
 # ------------------------------------------------------------- execution
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+class _Quoted(str):
+    """Free text for a CSV cell, always written double-quoted."""
+
+
+def _cell(v) -> str:
+    if isinstance(v, float):  # np.float64 too, which subclasses float
+        return repr(float(v))
+    if v is None:
+        return ""
+    if isinstance(v, _Quoted):  # RFC 4180: quote, double embedded quotes
+        return '"' + v.replace('"', '""') + '"'
+    return str(v)
+
+
+def _csv(header, rows) -> str:
+    """The one CSV writer: a header line, then one line per row, each LF-ended.
+
+    Floats are written as ``repr(float(v))``, so they read back to the same
+    bits; ints and text with ``str``; None as an empty cell.  Panel labels
+    hold no comma, quote or line break (``load_panel`` rejects them), so
+    only ``_Quoted`` free text needs quoting.
+    """
+    lines = [",".join(map(_cell, row)) for row in (header, *rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _safe_name(s: str) -> str:
@@ -478,29 +500,6 @@ def _crossover_rows(cfg: RunConfig, panel: RatePanel, grid: ScaleGrid
     return rows, failures
 
 
-def _crossover_table(rows: list[dict]) -> str:
-    lines = ["id,breakpoint_scale,slope_left,slope_right,sse_single,"
-             "sse_piecewise,improvement_ratio"]
-    for r in rows:
-        if "error" in r:
-            lines.append(f"{r['series_id']},error,,,,,")
-            continue
-        bp = "" if r["breakpoint_scale"] is None else str(r["breakpoint_scale"])
-        lines.append(
-            f"{r['series_id']},{bp},{_fmt(r['slope_left'])},"
-            f"{_fmt(r['slope_right'])},{_fmt(r['sse_single'])},"
-            f"{_fmt(r['sse_piecewise'])},{_fmt(r['improvement_ratio'])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _failures_table(failures) -> str:
-    lines = ["id,error"]
-    for sid, msg in failures:
-        lines.append(f"{sid},{json.dumps(msg)}")
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -539,12 +538,25 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
         payload["crossover"] = rows
         failures += [(sid, f"crossover: {msg}") for sid, msg in crossover_failures]
         failures.sort(key=lambda f: f[0])
-        files[f"{prefix}crossover.csv"] = _crossover_table(rows)
+        cols = ("slope_left", "slope_right", "sse_single", "sse_piecewise",
+                "improvement_ratio")
+        # an error row has no breakpoint key and leaves the other cells empty
+        files[f"{prefix}crossover.csv"] = _csv(
+            ("id", "breakpoint_scale", *cols),
+            ((r["series_id"], r.get("breakpoint_scale", "error"), *map(r.get, cols))
+             for r in rows))
     payload["failures"] = [{"series_id": i, "error": m} for i, m in failures]
-    files[f"{prefix}hurst_estimates.csv"] = dist.estimates_table()
-    files[f"{prefix}hurst_histogram.csv"] = dist.histogram_table()
+    files[f"{prefix}hurst_estimates.csv"] = _csv(
+        ("id", "hurst", "stderr", "r_squared", "s_lo", "s_hi"),
+        ((e.series_id, e.hurst, e.stderr, e.r_squared, *e.fit_range)
+         for e in dist.estimates))
+    edges = dist.bin_edges
+    files[f"{prefix}hurst_histogram.csv"] = _csv(
+        ("bin_low", "bin_high", "count"),
+        zip(edges[:-1], edges[1:], dist.counts))
     if failures:
-        files[f"{prefix}failures.csv"] = _failures_table(failures)
+        files[f"{prefix}failures.csv"] = _csv(
+            ("id", "error"), ((sid, _Quoted(msg)) for sid, msg in failures))
     files[f"{prefix}hurst.json"] = _json_text(payload)
     return dist, failures
 
@@ -562,11 +574,12 @@ def _dcca_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
                              method=cfg.method, input_kind=cfg.input_kind)
         payload["pairs"].append(curve.to_json_dict())
         name = f"rho_curve_{k:02d}_{_safe_name(a)}__{_safe_name(b)}.csv"
-        files[prefix + name] = curve.to_table()
+        files[prefix + name] = _csv(("s", "rho"), zip(curve.scales, curve.values))
     matrices = _matrices(cfg, panel) if with_matrices else []
     for m in matrices:
         payload["matrices"].append(m.to_json_dict())
-        files[f"{prefix}rho_matrix_s{m.scale}.csv"] = m.to_table()
+        files[f"{prefix}rho_matrix_s{m.scale}.csv"] = _csv(
+            ("id", *m.ids), ((i, *row) for i, row in zip(m.ids, m.rho.tolist())))
     files[f"{prefix}dcca.json"] = _json_text(payload)
     return matrices
 
@@ -610,10 +623,10 @@ def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
             stem = f"{sub_prefix}network_s{m.scale}"
             files[stem + ".graphml"] = to_graphml(net, part)
             files[stem + ".dot"] = to_dot(net, part)
-            files[f"{sub_prefix}partition_s{m.scale}.csv"] = part.to_table()
-        lines = ["s,average_weighted_degree"]
-        lines += [f"{s},{_fmt(d)}" for s, d in degree_rows]
-        files[f"{sub_prefix}degree_vs_scale.csv"] = "\n".join(lines) + "\n"
+            files[f"{sub_prefix}partition_s{m.scale}.csv"] = _csv(
+                ("id", "community"), part.assignment)
+        files[f"{sub_prefix}degree_vs_scale.csv"] = _csv(
+            ("s", "average_weighted_degree"), degree_rows)
     files[f"{prefix}network.json"] = _json_text(payload)
 
 

@@ -134,12 +134,6 @@ class DccaMatrix:
         if np.max(np.abs(self.rho)) > 1.0:
             raise ValueError("entries must lie in [-1, 1]")
 
-    def to_table(self) -> str:
-        lines = ["id," + ",".join(self.ids)]
-        for i, row_id in enumerate(self.ids):
-            lines.append(row_id + "," + ",".join(repr(float(v)) for v in self.rho[i]))
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "ids": list(self.ids),
@@ -189,16 +183,6 @@ class RhoCurve:
         self.values.flags.writeable = False
         if self.scales.size != self.values.size:
             raise ValueError("scales and values must match in length")
-
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(s), float(v)) for s, v in zip(self.scales, self.values)]
-
-    def to_table(self) -> str:
-        lines = ["s,rho"]
-        for s, v in self.points:
-            lines.append(f"{s},{v!r}")
-        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {

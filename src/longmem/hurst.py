@@ -141,7 +141,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray
     """
     n = x.size
     d = np.stack((x, y))
-    mean = d.mean(axis=1)
+    mean = np.add.reduce(d, axis=1) / n
     d -= mean[:, None]
     ssxm, ssxym, _, ssym = ((d @ d.T) * (1.0 / n)).flat
     if ssxm == 0.0 or ssym == 0.0:
@@ -265,23 +265,6 @@ class HurstDistribution:
         i = int(np.argmax(self.counts))
         return (float(self.bin_edges[i]), float(self.bin_edges[i + 1]))
 
-    def estimates_table(self) -> str:
-        lines = ["id,hurst,stderr,r_squared,s_lo,s_hi"]
-        for e in self.estimates:
-            lines.append(
-                f"{e.series_id},{e.hurst!r},{e.stderr!r},{e.r_squared!r},"
-                f"{e.fit_range[0]},{e.fit_range[1]}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def histogram_table(self) -> str:
-        lines = ["bin_low,bin_high,count"]
-        for i, c in enumerate(self.counts):
-            lines.append(
-                f"{float(self.bin_edges[i])!r},{float(self.bin_edges[i + 1])!r},{int(c)}"
-            )
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "estimates": [e.to_json_dict() for e in self.estimates],
@@ -298,14 +281,21 @@ class HurstDistribution:
 
 
 def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over bins of fixed width, edges snapped to multiples of width."""
-    lo = math.floor(values.min() / width) * width
-    n_bins = max(1, math.ceil((values.max() - lo) / width - 1e-9))
+    """Counts over bins of fixed width, edges snapped to multiples of width.
+
+    Each value is counted once, in the bin [e_i, e_i+1) holding it; the
+    last bin is closed.  A rounded edge can land a hair past the smallest
+    or largest value, so the grid then gets one more bin on that side.
+    """
+    v_min, v_max = values.min(), values.max()
+    k = math.floor(v_min / width)
+    lo = k * width if k * width <= v_min else (k - 1) * width
+    n_bins = max(1, math.ceil((v_max - lo) / width - 1e-9))
+    if lo + width * n_bins < v_max:
+        n_bins += 1
     edges = lo + width * np.arange(n_bins + 1)
-    # Snapped edges can land exactly on a value; make the top edge inclusive.
-    counts, _ = np.histogram(values, bins=edges)
-    counts[-1] += int(np.sum(values == edges[-1]))
-    return edges, counts
+    bins = np.minimum(np.searchsorted(edges, values, side="right") - 1, n_bins - 1)
+    return edges, np.bincount(bins, minlength=n_bins)
 
 
 def map_members(fn, panel: RatePanel) -> tuple[list, list[tuple[str, str]]]:

@@ -128,12 +128,6 @@ class CommunityPartition:
             tuple(sorted(by_label[lab])) for lab in sorted(by_label)
         )
 
-    def to_table(self) -> str:
-        lines = ["id,community"]
-        for node, label in self.assignment:
-            lines.append(f"{node},{label}")
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "assignment": [[n, int(c)] for n, c in self.assignment],

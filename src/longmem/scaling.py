@@ -308,11 +308,6 @@ class _Residuals:
         return out
 
 
-def _moving_average(y: np.ndarray, s: int, alignment: str = "centered") -> np.ndarray:
-    """Window-s moving average of y with truncation at the boundaries."""
-    return _Residuals(y, dma(alignment)).trend(s)
-
-
 def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarray:
     """Residual matrix of shape (2*floor(n/s), s) after local detrending.
 

@@ -261,6 +261,9 @@ class Profile:
         object.__setattr__(self, "values", _readonly(self.values))
         if len(self.values) < 2:
             raise ValueError(f"{self.parent_id!r}: profile shorter than 2")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"{self.parent_id!r}: profile is not finite "
+                             "(the increments overflow)")
         tol = _PROFILE_TOL * max(np.sum(np.abs(np.diff(self.values))), 1.0)
         if abs(self.values[-1]) > tol:
             raise ValueError(f"{self.parent_id!r}: profile does not telescope "

@@ -6,6 +6,8 @@ quality of the results is covered elsewhere; here we pin down plumbing:
 flag parsing, file layout, determinism, and error-path exit codes.
 """
 
+import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longmem.cli import ConfigError, main, rerun_from_manifest
+from longmem.cli import ConfigError, _csv, _Quoted, main, rerun_from_manifest
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
 from longmem.synthetic import FgnSpec, generate_fgn
 
@@ -309,6 +311,36 @@ def test_flat_member_is_reported_not_fatal(panel_dir, tmp_path, capsys):
     assert rows[1][0] == "flat"
     est = read_rows(out / "hurst_estimates.csv")
     assert [r[0] for r in est[1:]] == ["a", "b", "c"]
+
+
+def test_failures_csv_reads_back_as_printed(tmp_path, capsys):
+    """Messages with a quote or a non-ASCII letter survive a csv.reader."""
+    good = [generate_fgn(FgnSpec(n=600, hurst=0.5, seed=s)) for s in (1, 2)]
+    flat = [TimeSeries(sid, good[0].dates, np.full(600, 3.0))
+            for sid in ("moody's", "bund_\u00fc", "flat")]
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_to_csv(RatePanel((*good, *flat))))
+    out = tmp_path / "out"
+    assert run(["hurst", "--input", path, "--output-dir", out,
+                "--input-kind", "increments"]) == 0
+    printed = [line.removeprefix("failed: ").split(": ", 1)
+               for line in capsys.readouterr().err.splitlines()
+               if line.startswith("failed: ")]
+    assert [sid for sid, _ in printed] == ["bund_\u00fc", "flat", "moody's"]
+    text = (out / "failures.csv").read_text()
+    assert list(csv.reader(io.StringIO(text))) == [["id", "error"], *printed]
+    # a message without a quote, backslash or non-ASCII letter keeps its bytes
+    assert f"flat,{json.dumps(dict(printed)['flat'])}\n" in text
+
+
+def test_csv_writer_cells():
+    text = _csv(("a", "b", "c", "d"),
+                [(0.1, None, 3, _Quoted('say "hi", ok')),
+                 (np.float64(1e-300), np.int64(2), "x", _Quoted("plain"))])
+    assert text == ('a,b,c,d\n0.1,,3,"say ""hi"", ok"\n'
+                    '1e-300,2,x,"plain"\n')
+    assert list(csv.reader(io.StringIO(text)))[1:] == [
+        ["0.1", "", "3", 'say "hi", ok'], ["1e-300", "2", "x", "plain"]]
 
 
 def test_strict_turns_partial_failure_into_exit_three(panel_dir, tmp_path):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from longmem.cli import main
 from longmem.dcca import (
     DccaMatrix,
     _normalize,
@@ -22,6 +23,7 @@ from longmem.series import (
     Profile,
     RatePanel,
     TimeSeries,
+    panel_to_csv,
     profile_from_values,
     series_profile,
 )
@@ -37,6 +39,16 @@ def fgn_profile(seed, n=2048, hurst=0.7):
 
 
 SMALL_GRID = ScaleGrid((10, 20, 50, 100))
+
+
+def dcca_cli(panel: RatePanel, tmp_path, *flags):
+    """Run ``longmem dcca`` (dfa, increments) on the panel; its output dir."""
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_to_csv(panel))
+    out = tmp_path / "out"
+    assert main(["dcca", "--input", str(path), "--input-kind", "increments",
+                 "--method", "dfa", "--output-dir", str(out), *flags]) == 0
+    return out
 
 
 class TestCrossFluctuation:
@@ -263,17 +275,17 @@ class TestPairwiseMatrix:
                                threads=4)
         assert np.array_equal(one.rho, four.rho)
 
-    def test_table_layout(self):
+    def test_table_layout(self, tmp_path):
         panel = RatePanel(tuple(
             generate_fgn(FgnSpec(n=512, hurst=0.7, seed=s))
             for s in range(3)))
         m = pairwise_matrix(panel, 32, dfa(1), input_kind="increments")
-        lines = m.to_table().strip().split("\n")
-        assert lines[0] == "id," + ",".join(m.ids)
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == m.ids[0]
-        assert float(first[1]) == 1.0
+        out = dcca_cli(panel, tmp_path, "--all", "--scale", "32")
+        text = (out / "rho_matrix_s32.csv").read_text()
+        assert text == "".join(
+            ",".join(map(str, row)) + "\n"
+            for row in [("id", *m.ids),
+                        *((i, *r) for i, r in zip(m.ids, m.rho.tolist()))])
         payload = json.loads(json.dumps(m.to_json_dict()))
         assert payload["scale"] == 32
 
@@ -313,14 +325,17 @@ class TestRhoVsScale:
         with pytest.raises(TypeError, match="keyword-only argument: 'method'"):
             rho_vs_scale(a, a, SMALL_GRID)
 
-    def test_table(self):
+    def test_table(self, tmp_path):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
         b = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=1))
         curve = rho_vs_scale(a, b, grid=ScaleGrid((10, 50, 200)),
                              method=dfa(1), input_kind="increments")
-        lines = curve.to_table().strip().split("\n")
-        assert lines[0] == "s,rho"
-        assert len(lines) == 4
+        out = dcca_cli(RatePanel((a, b)), tmp_path, "--pair", f"{a.id},{b.id}",
+                       "--scales", "10,50,200")
+        [path] = out.glob("rho_curve_00_*.csv")
+        assert path.read_text() == "s,rho\n" + "".join(
+            f"{s},{v!r}\n"
+            for s, v in zip(curve.scales.tolist(), curve.values.tolist()))
         json.dumps(curve.to_json_dict())
 
 

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from longmem.cli import main
 
@@ -185,13 +186,30 @@ def _changes(expected: dict, found: dict) -> list[str]:
     return lines
 
 
-def test_golden_outputs(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # relative paths keep the manifests stable
-    found = {}
-    for name, argv in RUNS.items():
-        assert main([*argv, "--output-dir", name]) == 0, name
-        if name == "synth":
-            _levels_csv(tmp_path / "synth" / "panel.csv", tmp_path / "levels.csv")
-        found[name] = _digests(tmp_path / name)
+@pytest.fixture(scope="module")
+def golden_root(tmp_path_factory) -> Path:
+    """A directory holding one output directory per run of RUNS."""
+    root = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)  # relative paths keep the manifests stable
+        for name, argv in RUNS.items():
+            assert main([*argv, "--output-dir", name]) == 0, name
+            if name == "synth":
+                _levels_csv(root / "synth" / "panel.csv", root / "levels.csv")
+    return root
+
+
+def test_golden_outputs(golden_root):
+    found = {name: _digests(golden_root / name) for name in RUNS}
     assert found == EXPECTED, "\n".join(
         ["golden digests differ:", *_changes(EXPECTED, found)])
+
+
+def test_every_table_is_rectangular_csv(golden_root):
+    tables = [golden_root / run / rel for run, files in EXPECTED.items()
+              for rel in files if rel.endswith(".csv")]
+    for path in tables:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert path.read_bytes().endswith(b"\n"), path
+        assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), path

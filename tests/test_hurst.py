@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from longmem.cli import main
 from longmem.errors import AlignmentError, FitError
 from longmem.hurst import (
+    _histogram,
     classify,
     detect_crossover,
     fit_hurst,
@@ -19,7 +23,13 @@ from longmem.scaling import (
     dma,
     fluctuation,
 )
-from longmem.series import RatePanel, TimeSeries, profile_from_values, series_profile
+from longmem.series import (
+    RatePanel,
+    TimeSeries,
+    panel_to_csv,
+    profile_from_values,
+    series_profile,
+)
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
 from conftest import make_series, ramp_panel
@@ -306,6 +316,32 @@ class TestHurstDistribution:
         assert edges[0] <= dist.h_min < edges[0] + 0.05
         assert edges[-2] <= dist.h_max <= edges[-1]
         assert int(dist.counts.sum()) == len(dist.estimates)
+        # a value on the closed top edge counts once
+        assert _histogram(np.array([0.5, 0.6]), 0.02)[1].tolist() == [1, 0, 0, 0, 1]
+        # a value a hair above a snapped top edge gets a bin of its own
+        edges, counts = _histogram(np.array([0.5, 0.6 + 1e-12]), 0.02)
+        assert counts.tolist() == [1, 0, 0, 0, 0, 1]
+        assert edges[-2] <= 0.6 + 1e-12 <= edges[-1]
+        # floor(0.7 / 0.02) * 0.02 rounds above 0.7: the grid starts one lower
+        edges, counts = _histogram(np.array([0.7, 0.8, 0.9]), 0.02)
+        assert edges[0] <= 0.7 < edges[1]
+        assert counts.sum() == 3 and counts[0] == counts[-1] == 1
+
+    @given(values=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=30),
+           width=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3]))
+    def test_histogram_counts_each_value_once(self, values, width):
+        values = np.array(values)
+        edges, counts = _histogram(values, width)
+        assert np.allclose(np.diff(edges), width)
+        assert edges[0] <= values.min() and values.max() <= edges[-1]
+        want = np.zeros(len(counts), dtype=int)
+        for v in values:
+            inside = [i for i in range(len(counts))
+                      if edges[i] <= v < edges[i + 1]
+                      or (i == len(counts) - 1 and v == edges[-1])]
+            assert len(inside) == 1
+            want[inside[0]] += 1
+        assert counts.tolist() == want.tolist()
 
     def test_threads_do_not_change_output(self):
         panel = fgn_panel(0.7, 6)
@@ -315,14 +351,23 @@ class TestHurstDistribution:
         assert [e.hurst for e in one.estimates] == [e.hurst
                                                     for e in two.estimates]
 
-    def test_tables_and_json(self):
-        dist = hurst_distribution(fgn_panel(0.7, 4), dfa(1),
-                                  input_kind="increments")
-        est_lines = dist.estimates_table().strip().split("\n")
-        assert est_lines[0] == "id,hurst,stderr,r_squared,s_lo,s_hi"
-        assert len(est_lines) == 5
-        hist_lines = dist.histogram_table().strip().split("\n")
-        assert hist_lines[0] == "bin_low,bin_high,count"
+    def test_tables_and_json(self, tmp_path):
+        panel = fgn_panel(0.7, 4)
+        dist = hurst_distribution(panel, dfa(1), input_kind="increments")
+        path = tmp_path / "panel.csv"
+        path.write_text(panel_to_csv(panel))
+        out = tmp_path / "out"
+        assert main(["hurst", "--input", str(path), "--input-kind", "increments",
+                     "--method", "dfa", "--output-dir", str(out)]) == 0
+        assert (out / "hurst_estimates.csv").read_text() == (
+            "id,hurst,stderr,r_squared,s_lo,s_hi\n" + "".join(
+                f"{e.series_id},{e.hurst!r},{e.stderr!r},{e.r_squared!r},"
+                f"{e.fit_range[0]},{e.fit_range[1]}\n" for e in dist.estimates))
+        edges = dist.bin_edges.tolist()
+        assert (out / "hurst_histogram.csv").read_text() == (
+            "bin_low,bin_high,count\n" + "".join(
+                f"{lo!r},{hi!r},{c}\n"
+                for lo, hi, c in zip(edges, edges[1:], dist.counts.tolist())))
         payload = json.loads(json.dumps(dist.to_json_dict()))
         assert len(payload["estimates"]) == 4
         assert payload["summary"]["mode_bin"][0] <= payload["summary"]["h_max"]

@@ -338,6 +338,14 @@ class TestIncrementsAndProfile:
         with pytest.raises(ValueError, match="'z9': non-finite increments"):
             profile_from_values([1.0, bad, 2.0, 0.5], "z9")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("xs", [[1e308, 1e308, -1e308],
+                                    [0.5e308] * 8 + [-0.5e308] * 8],
+                             ids=["mean-overflows", "cumsum-overflows"])
+    def test_profile_rejects_overflow(self, xs):
+        with pytest.raises(ValueError, match="'big': profile is not finite"):
+            profile_from_values(xs, "big")
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
     def test_profile_telescopes_to_zero(self, xs):
         prof = profile_from_values(xs, "h")
