@@ -30,9 +30,9 @@ from .dcca import DccaMatrix, pairwise_matrix, rho_vs_scale
 from .errors import LongmemError, SchemaError
 from .hurst import (
     HurstDistribution,
+    _map_fluctuations,
     detect_crossover,
     hurst_distribution,
-    map_members,
 )
 from .network import (
     average_weighted_degree,
@@ -48,7 +48,6 @@ from .scaling import (
     default_grid,
     dfa,
     dma,
-    fluctuation,
 )
 from .series import (
     RatePanel,
@@ -56,7 +55,6 @@ from .series import (
     align,
     load_panel,
     panel_to_csv,
-    series_profile,
 )
 from .synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
@@ -487,13 +485,12 @@ def _analysis_grid(cfg: RunConfig, n_profile: int,
 
 def _crossover_rows(cfg: RunConfig, panel: RatePanel, grid: ScaleGrid
                     ) -> tuple[list[dict], list[tuple[str, str]]]:
-    def search(ts):
-        f = fluctuation(series_profile(ts, input_kind=cfg.input_kind), grid,
-                        cfg.method)
+    def search(f):
         return detect_crossover(f, min_side_points=cfg.min_side_points,
                                 improvement_threshold=cfg.crossover_threshold)
 
-    results, failures = map_members(search, panel)
+    results, failures = _map_fluctuations(search, panel, grid, cfg.method,
+                                          cfg.input_kind)
     rows = [rep.to_json_dict() for _, rep in results]
     rows += [{"series_id": sid, "error": msg} for sid, msg in failures]
     rows.sort(key=lambda r: r["series_id"])

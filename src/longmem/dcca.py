@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
-from .scaling import DetrendMethod, ScaleGrid, _Residuals
+from .scaling import DetrendMethod, ScaleGrid, _Residuals, _row_chunks
 from .series import Profile, RatePanel, TimeSeries, series_profile
 
 __all__ = [
@@ -68,21 +68,28 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     return rho
 
 
+def _engines(profiles, method: DetrendMethod):
+    """Residual engines over row chunks of equal-length profile arrays."""
+    return (_Residuals(chunk, method)
+            for chunk in _row_chunks(profiles, len(profiles[0])))
+
+
 def _rho_matrix(engines, ids, s: int) -> np.ndarray:
     """Coefficient matrix at one scale of equal-length profiles' engines.
 
     Every cross moment is formed here, for one pair and a whole panel
     alike, as a dot product of two rows of flattened residual segments.
-    Each member's residuals are written straight into its row, forward
-    segments then backward ones end-first, one engine at a time; a
-    generator of engines keeps one alive at a time.
+    Each engine writes its chunk's residuals straight into its rows,
+    forward segments then backward ones end-first; a generator of engines
+    keeps one chunk alive at a time.
     """
-    flat = None
-    for i, engine in enumerate(engines):
+    flat, i = None, 0
+    for engine in engines:
         k = engine.n_segments(s)
         if flat is None:
             flat = np.empty((len(ids), 2 * k * s))
-        engine.residuals(s, flat[i].reshape(2 * k, s))
+        engine.residuals(s, flat[i:i + engine.m].reshape(engine.m, 2 * k, s))
+        i += engine.m
     n = flat.shape[1]
     f2 = np.einsum("ij,ij->i", flat, flat) / n
     gram = (flat @ flat.T) / n
@@ -109,8 +116,8 @@ def rho_from_profiles(
             f"lengths ({pa.values.size} vs {pb.values.size}); align first"
         )
     ids = (pa.parent_id, pb.parent_id)
-    engines = (_Residuals(p.values, method) for p in (pa, pb))
-    return float(_rho_matrix(engines, ids, s)[0, 1])
+    return float(_rho_matrix(_engines((pa.values, pb.values), method), ids,
+                             s)[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +170,9 @@ def pairwise_matrix(
     if len(panel.series) < 2:
         raise ValueError("need at least two series for a pairwise matrix")
 
-    engines = (_Residuals(series_profile(ts, input_kind=input_kind).values,
-                          method) for ts in panel.series)
-    rho = _rho_matrix(engines, panel.ids, s)
+    profiles = [series_profile(ts, input_kind=input_kind).values
+                for ts in panel.series]
+    rho = _rho_matrix(_engines(profiles, method), panel.ids, s)
     return DccaMatrix(ids=panel.ids, scale=int(s), method=method, rho=rho)
 
 
@@ -203,7 +210,7 @@ def rho_vs_scale(
 ) -> RhoCurve:
     """Trace the coefficient of one pair across a scale grid.
 
-    Each member's residual engine is built once for the whole grid; every
+    The pair's residual engines are built once for the whole grid; every
     value equals ``rho_from_profiles`` at its scale bit for bit.  The
     series must be long enough for the grid's largest scale (an error
     from the segmentation propagates otherwise).
@@ -212,8 +219,8 @@ def rho_vs_scale(
         raise AlignmentError(
             f"series {a.id!r} and {b.id!r} are not on a common date index"
         )
-    engines = tuple(_Residuals(series_profile(ts, input_kind=input_kind).values,
-                               method) for ts in (a, b))
+    engines = tuple(_engines([series_profile(ts, input_kind=input_kind).values
+                              for ts in (a, b)], method))
     ids = (a.id, b.id)
     values = np.array(
         [_rho_matrix(engines, ids, s)[0, 1] for s in grid.scales]

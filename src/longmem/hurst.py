@@ -23,8 +23,8 @@ from .scaling import (
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
+    _fluctuations,
     default_grid,
-    fluctuation,
 )
 from .series import RatePanel, _profile_length, series_profile
 
@@ -298,19 +298,42 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
     return edges, np.bincount(bins, minlength=n_bins)
 
 
-def map_members(fn, panel: RatePanel) -> tuple[list, list[tuple[str, str]]]:
-    """Apply ``fn`` to every panel member in id order.
+def _map_fluctuations(fn, panel: RatePanel, grid: ScaleGrid,
+                      method: DetrendMethod, input_kind: str
+                      ) -> tuple[list, list[tuple[str, str]]]:
+    """Apply ``fn`` to the F(s) over ``grid`` of every aligned panel member.
 
-    Returns ``(results, failures)``: ``(id, fn(member))`` for each member
-    that succeeded and ``(id, message)`` for each whose call raised a
-    LongmemError or ValueError, both in id order.
+    The members' profiles go through the batched ``_fluctuations`` in id
+    order.  Returns ``(results, failures)``: ``(id, fn(f))`` for each
+    member that succeeded and ``(id, message)`` for each whose profile, F
+    or ``fn`` raised a LongmemError or ValueError, both in id order.  An
+    error of the batched F (a grid scale the profiles are too short for)
+    is every member's failure.
     """
-    results, failures = [], []
-    for ts in sorted(panel.series, key=lambda t: t.id):
+    members = sorted(panel.series, key=lambda t: t.id)
+    outcome, profiles = {}, []
+    for ts in members:
         try:
-            results.append((ts.id, fn(ts)))
+            profiles.append(series_profile(ts, input_kind=input_kind))
         except (LongmemError, ValueError) as exc:
-            failures.append((ts.id, str(exc)))
+            outcome[ts.id] = exc
+    try:
+        curves = _fluctuations(profiles, grid, method) if profiles else []
+    except (LongmemError, ValueError) as exc:
+        curves = []
+        outcome.update((p.parent_id, exc) for p in profiles)
+    for f in curves:
+        try:
+            outcome[f.series_id] = fn(f)
+        except (LongmemError, ValueError) as exc:
+            outcome[f.series_id] = exc
+    results, failures = [], []
+    for ts in members:
+        got = outcome[ts.id]
+        if isinstance(got, Exception):
+            failures.append((ts.id, str(got)))
+        else:
+            results.append((ts.id, got))
     return results, failures
 
 
@@ -328,8 +351,9 @@ def hurst_distribution(
     A member whose fit fails (too short for the grid, constant, zero
     fluctuations) is recorded under ``failures`` instead of aborting the
     rest.  The panel must be aligned so every member sees the same grid.
-    ``threads`` is accepted for compatibility and ignored: members run one
-    after another, which measured faster than a thread pool.
+    F(s) is computed for row chunks of members at once and kept on each
+    profile (see ``scaling``).  ``threads`` is accepted for compatibility
+    and ignored: one thread measured faster than a thread pool.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")
@@ -338,11 +362,8 @@ def hurst_distribution(
     if grid is None:
         grid = default_grid(_profile_length(panel, input_kind))
 
-    def fit(ts):
-        prof = series_profile(ts, input_kind=input_kind)
-        return fit_hurst(fluctuation(prof, grid, method), fit_range)
-
-    results, failures = map_members(fit, panel)
+    results, failures = _map_fluctuations(
+        lambda f: fit_hurst(f, fit_range), panel, grid, method, input_kind)
     estimates = tuple(e for _, e in results)
     if not estimates:
         raise FitError("no panel member produced a usable fit")

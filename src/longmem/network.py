@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -356,9 +355,31 @@ def _fmt_weight(w: float) -> str:
     return repr(float(w))
 
 
+_XML_ESCAPES = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"),
+                ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#9;"))
+
+
+def _xml_attr(s: str) -> str:
+    """Quoted XML attribute value, the same bytes as saxutils.quoteattr.
+
+    ``&``, ``>`` and ``<`` are escaped first, then newline, carriage return
+    and tab as character references.  The value is wrapped in double
+    quotes unless it holds one and no single quote; holding both, its
+    double quotes become ``&quot;``.
+    """
+    for char, ref in _XML_ESCAPES:
+        s = s.replace(char, ref)
+    if '"' not in s:
+        return f'"{s}"'
+    if "'" not in s:
+        return f"'{s}'"
+    return '"' + s.replace('"', "&quot;") + '"'
+
+
 def to_graphml(net: CorrelationNetwork, partition: CommunityPartition) -> str:
     """GraphML text with edge weights and community labels."""
     labels = partition.labels
+    quoted = {node: _xml_attr(node) for node in net.ids}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -367,14 +388,12 @@ def to_graphml(net: CorrelationNetwork, partition: CommunityPartition) -> str:
         '  <graph id="rho-network" edgedefault="undirected">',
     ]
     for node in net.ids:
-        lines.append(f"    <node id={quoteattr(node)}>")
+        lines.append(f"    <node id={quoted[node]}>")
         lines.append(f'      <data key="community">{labels[node]}</data>')
         lines.append("    </node>")
     for a, b, w in net.edges:
-        lines.append(
-            f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
-        )
-        lines.append(f'      <data key="weight">{escape(_fmt_weight(w))}</data>')
+        lines.append(f"    <edge source={quoted[a]} target={quoted[b]}>")
+        lines.append(f'      <data key="weight">{_fmt_weight(w)}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -388,12 +407,11 @@ def _dot_quote(s: str) -> str:
 def to_dot(net: CorrelationNetwork, partition: CommunityPartition) -> str:
     """Graphviz DOT text with edge weights and community labels."""
     labels = partition.labels
+    quoted = {node: _dot_quote(node) for node in net.ids}
     lines = ["graph rho_network {"]
     for node in net.ids:
-        lines.append(f"  {_dot_quote(node)} [community={labels[node]}];")
+        lines.append(f"  {quoted[node]} [community={labels[node]}];")
     for a, b, w in net.edges:
-        lines.append(
-            f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={_fmt_weight(w)}];"
-        )
+        lines.append(f"  {quoted[a]} -- {quoted[b]} [weight={_fmt_weight(w)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

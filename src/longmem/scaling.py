@@ -11,11 +11,21 @@ the root of the mean segment variance, which keeps F(s) ~ s^H
 dimensionally consistent.
 
 One private residual engine, ``_Residuals``, serves ``fluctuation``, the
+batched F of ``hurst_distribution`` and the CLI crossover search, the
 coefficient matrices and pair curves of ``dcca`` and
-``detrended_segments``.  It is built once per profile and call (a pair
-curve builds one per member for its whole grid) and reads the segments as
-views, never as concatenated copies.  The profiles it reads come from
-``series_profile``, which builds each series' profile once per input kind:
+``detrended_segments``.  It takes a row chunk of equal-length profiles,
+one row per member and at most ``max(1, _CHUNK_ELEMS // n)`` rows, so
+each per-scale numpy call covers a chunk's members at once while every
+temporary stays near 320 KB; a profile longer than ``_CHUNK_ELEMS`` is a
+chunk of one row.  The engine is built once per chunk and call (a pair
+curve builds its chunks once for its whole grid) and reads the segments
+as views, never as concatenated copies.  Every cumulative sum and
+reduction runs along a row, and floor snapping and its bound are per
+member, so each member's values are bit for bit those of a one-row
+engine.  Each F(s) is kept on its ``Profile`` under (method, s), so a
+run computes it once whichever call asks first.  The profiles come from
+``series_profile``, which builds each series' profile once per input
+kind:
 
 - DMA (Alessio et al., EPJ B 27, 197, 2002) takes one cumulative sum of
   the profile for all scales.  The moving-average trend is a difference of
@@ -23,11 +33,14 @@ views, never as concatenated copies.  The profiles it reads come from
   boundary points (where the window is truncated) alike.  The residual
   y - trend is formed once per scale over the whole profile, in place,
   and the forward and backward segments are the views
-  ``r[:k*s].reshape(k, s)`` and ``r[n-k*s:].reshape(k, s)[::-1]``.  A
+  ``r[:, :k*s].reshape(m, k, s)`` and
+  ``r[:, n-k*s:].reshape(m, k, s)[:, ::-1]``.  A
   per-segment moving average would be ill-defined near segment edges.
-- DFA projects the (2k, s) segment block onto the polynomial basis in one
-  product and subtracts and squares in place.  The basis and its
-  pseudoinverse are built once per (s, order) and shared read-only.
+- DFA projects each member's (2k, s) segment block onto the polynomial
+  basis in one stacked (m, 2k, s) product and subtracts and squares in
+  place.  The block is never flattened to (m * 2k, s): a product's bits
+  depend on its operand shape.  The basis and its pseudoinverse are built
+  once per (s, order) and shared read-only.
 - Segments at the rounding floor snap to zero for both methods.  Only the
   segments whose mean square could be that small are checked exactly, so
   the common case costs one comparison per segment.
@@ -63,6 +76,10 @@ _DEFAULT_SCALE_CAP = 250  # one trading year
 # Relative level below which a detrended segment is indistinguishable from
 # an exact polynomial fit (a few dozen ulps of the segment magnitude).
 _RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
+
+# Elements per row chunk of the residual engine: each per-scale temporary
+# of a chunk is about 320 KB, and a longer profile is a chunk of one row.
+_CHUNK_ELEMS = 40_000
 
 
 @dataclass(frozen=True)
@@ -175,31 +192,42 @@ def _segment_starts(n: int, s: int) -> np.ndarray:
     return np.concatenate((i * s, n - (i + 1) * s))
 
 
-class _Residuals:
-    """The residual engine: detrended segments of one profile, scale by scale.
+def _row_chunks(items, n: int) -> list:
+    """``items`` cut into consecutive row chunks for profiles of length n."""
+    rows = max(1, _CHUNK_ELEMS // n)
+    return [items[i:i + rows] for i in range(0, len(items), rows)]
 
-    Built once per profile and call; it holds what every scale shares: the
-    profile, its cumulative sum (dma) and the bound on a segment's mean
-    square below which the segment may sit at the rounding floor.  Each
-    scale reads the segments as views of the profile or of one residual
-    vector; only dfa copies them, into the (2k, s) operand of its one
-    projection product.
+
+class _Residuals:
+    """The residual engine: detrended segments of a block of profiles.
+
+    ``rows`` are m equal-length profiles, one row each (a row chunk of
+    ``_row_chunks``).  Built once per chunk and call; it holds what every
+    scale shares: the (m, n) profile block, its row-wise cumulative sum
+    (dma) and, per row, the bound on a segment's mean square below which
+    the segment may sit at the rounding floor.  Each scale reads the
+    segments as views of the block or of one residual block; only dfa
+    copies them, into the (m, 2k, s) operand of its projection product.
+    Every reduction runs along a row, so each member's values are bit for
+    bit those of a one-row engine.
     """
 
-    def __init__(self, y, method: DetrendMethod):
-        self.y = y = np.asarray(y, dtype=float)
-        self.n = len(y)
+    def __init__(self, rows, method: DetrendMethod):
+        # one row is a view of the profile; more are stacked into a copy
+        self.y = y = (np.asarray(rows[0], dtype=float)[None] if len(rows) == 1
+                      else np.array(rows, dtype=float))
+        self.m, self.n = y.shape
         self.method = method
         if method.kind == "dma":
-            self._cs = np.empty(self.n + 1)
-            self._cs[0] = 0.0
-            np.cumsum(y, out=self._cs[1:])
+            self._cs = np.empty((self.m, self.n + 1))
+            self._cs[:, 0] = 0.0
+            np.cumsum(y, axis=1, out=self._cs[:, 1:])
         # A segment snaps only if max|r| <= floor <= top, so its mean square
         # is at most top**2; the 2x slack covers a rounded mean of squares
         # landing a few ulps above its largest term.  fmax skips NaN, which
         # never snaps, so the bound still covers every finite segment.
-        top = _RESIDUAL_FLOOR * max(1.0, float(np.fmax.reduce(np.abs(y),
-                                                              initial=0.0)))
+        top = _RESIDUAL_FLOOR * np.maximum(
+            1.0, np.fmax.reduce(np.abs(y), axis=1, initial=0.0))
         self._ms_bound = 2.0 * top * top
 
     def n_segments(self, s: int) -> int:
@@ -213,7 +241,7 @@ class _Residuals:
         return n // s
 
     def trend(self, s: int) -> np.ndarray:
-        """Moving-average trend of the whole profile (dma).
+        """Moving-average trend of every profile row (dma), shape (m, n).
 
         Point i averages the window [i - a, i - a + s), a = (s-1)//2 when
         centered and s - 1 (the s most recent points) when backward,
@@ -224,67 +252,82 @@ class _Residuals:
         """
         n, cs = self.n, self._cs
         a = (s - 1) // 2 if self.method.alignment == "centered" else s - 1
-        out = np.empty(n)
-        inner = out[a:n - s + a + 1]
-        np.subtract(cs[s:], cs[:n - s + 1], out=inner)
+        out = np.empty((self.m, n))
+        inner = out[:, a:n - s + a + 1]
+        np.subtract(cs[:, s:], cs[:, :n - s + 1], out=inner)
         inner /= s
-        np.divide(cs[s - a:s], np.arange(s - a, s), out=out[:a])
-        np.divide(cs[n] - cs[n - s + 1:n - a], np.arange(s - 1, a, -1),
-                  out=out[n - s + a + 1:])
+        np.divide(cs[:, s - a:s], np.arange(s - a, s), out=out[:, :a])
+        np.divide(cs[:, n, None] - cs[:, n - s + 1:n - a],
+                  np.arange(s - 1, a, -1), out=out[:, n - s + a + 1:])
         return out
 
     def _dma(self, s: int) -> np.ndarray:
-        """Residual y - trend over the whole profile, formed in place."""
+        """Residual y - trend over every whole profile, formed in place."""
         r = self.trend(s)
         return np.subtract(self.y, r, out=r)
 
-    def _dfa(self, s: int, k: int):
-        """The (2k, s) segments and their polynomial trend.
+    def _tiles(self, r: np.ndarray, s: int, k: int):
+        """Forward and backward (m, k, s) segment views of an (m, n) block.
 
-        Both products keep the one (2k, s) operand: a product's bits depend
-        on its operand shape.
+        The backward tiles are listed from the profile's start; reverse
+        their middle axis for the end-first order.
         """
-        seg = np.concatenate((self.y[:k * s].reshape(k, s),
-                              self.y[self.n - k * s:].reshape(k, s)[::-1]))
+        return (r[:, :k * s].reshape(self.m, k, s),
+                r[:, self.n - k * s:].reshape(self.m, k, s))
+
+    def _dfa(self, s: int, k: int):
+        """The (m, 2k, s) segments and their polynomial trend.
+
+        Both products are stacked ones, a (2k, s) product per member: a
+        product's bits depend on its operand shape, so the block is never
+        flattened to (m * 2k, s).
+        """
+        fwd, bwd = self._tiles(self.y, s, k)
+        seg = np.concatenate((fwd, bwd[:, ::-1]), axis=1)
         basis, pinv = _poly_basis(s, self.method.order)
         return seg, (seg @ pinv.T) @ basis.T
 
-    def _snapped(self, s: int, ms: np.ndarray, trend) -> np.ndarray:
-        """Segments whose residual is at the rounding floor.
+    def _snapped(self, s: int, ms: np.ndarray, trend):
+        """(row, segment) indices of residuals at the rounding floor.
 
         A residual no larger than the floor, a few dozen ulps of its segment
         magnitude, is numerically zero.  Snapping it keeps perfectly
         detrended segments (constant or polynomial profiles) at F = 0, so
         they are excluded from log fits instead of being fitted on
         cancellation noise.  Only segments whose mean square ``ms`` is
-        within the bound are checked exactly, on residuals re-formed from
-        the profile and its trend (``trend`` for dfa; dma forms its trend
-        again), so the common case costs one comparison per segment.
+        within their row's bound are checked exactly, on residuals
+        re-formed from the profile and its trend (``trend`` for dfa; dma
+        forms its trend again), so the common case costs one comparison per
+        segment.
         """
-        rows = np.flatnonzero(ms <= self._ms_bound)
+        rows, segs = np.nonzero(ms <= self._ms_bound[:, None])
         if rows.size == 0:
-            return rows
-        pos = _segment_starts(self.n, s)[rows, None] + np.arange(s)
-        seg = self.y[pos]
-        trend = trend[rows] if self.method.kind == "dfa" else self.trend(s)[pos]
+            return rows, segs
+        pos = _segment_starts(self.n, s)[segs, None] + np.arange(s)
+        seg = self.y[rows[:, None], pos]
+        if self.method.kind == "dfa":
+            trend = trend[rows, segs]
+        else:
+            trend = self.trend(s)[rows[:, None], pos]
         floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(seg).max(axis=1))
-        return rows[np.abs(seg - trend).max(axis=1) <= floor]
+        keep = np.abs(seg - trend).max(axis=1) <= floor
+        return rows[keep], segs[keep]
 
     def mean_squares(self, s: int) -> np.ndarray:
-        """Per-segment mean squared residual at scale s, in segment order."""
+        """Per-segment mean squared residual at scale s, shape (m, 2k)."""
         k = self.n_segments(s)
         if self.method.kind == "dma":
             r2 = self._dma(s)
             np.multiply(r2, r2, out=r2)
-            ms = np.concatenate((
-                np.add.reduce(r2[:k * s].reshape(k, s), axis=1),
-                np.add.reduce(r2[self.n - k * s:].reshape(k, s), axis=1)[::-1]))
+            fwd, bwd = self._tiles(r2, s, k)
+            ms = np.concatenate((np.add.reduce(fwd, axis=2),
+                                 np.add.reduce(bwd, axis=2)[:, ::-1]), axis=1)
             trend = None
         else:
             r2, trend = self._dfa(s, k)
             np.subtract(r2, trend, out=r2)
             np.multiply(r2, r2, out=r2)
-            ms = np.add.reduce(r2, axis=1)
+            ms = np.add.reduce(r2, axis=2)
         # np.mean's own steps (the sum, then a true divide by the count)
         # without its wrapper, so the bits are the same.
         ms /= s
@@ -292,19 +335,21 @@ class _Residuals:
         return ms
 
     def residuals(self, s: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Residual segments at scale s, written into ``out`` (2k, s)."""
+        """Residual segments at scale s, written into ``out`` (m, 2k, s)."""
         k = self.n_segments(s)
         if out is None:
-            out = np.empty((2 * k, s))
+            out = np.empty((self.m, 2 * k, s))
         if self.method.kind == "dma":
-            r = self._dma(s)
-            out[:k] = r[:k * s].reshape(k, s)
-            out[k:] = r[self.n - k * s:].reshape(k, s)[::-1]
+            fwd, bwd = self._tiles(self._dma(s), s, k)
+            out[:, :k] = fwd
+            out[:, k:] = bwd[:, ::-1]
             trend = None
         else:
             seg, trend = self._dfa(s, k)
             np.subtract(seg, trend, out=out)
-        out[self._snapped(s, np.einsum("ij,ij->i", out, out) / s, trend)] = 0.0
+        flat = out.reshape(-1, s)
+        ms = (np.einsum("ij,ij->i", flat, flat) / s).reshape(self.m, 2 * k)
+        out[self._snapped(s, ms, trend)] = 0.0
         return out
 
 
@@ -316,7 +361,7 @@ def detrended_segments(y: np.ndarray, s: int, method: DetrendMethod) -> np.ndarr
     when s divides n.  The rows are the ones ``fluctuation`` and the
     coefficient matrices reduce, materialized in one array.
     """
-    return _Residuals(y, method).residuals(s)
+    return _Residuals((y,), method).residuals(s)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,14 +386,34 @@ class FluctuationFunction:
             raise ValueError("auto-fluctuation values must be >= 0")
 
 
+def _fluctuations(profiles, grid: ScaleGrid,
+                  method: DetrendMethod) -> list[FluctuationFunction]:
+    """F(s) over ``grid`` of equal-length profiles, each value computed once.
+
+    Every F(s) is kept on its profile under (method, s), so a later call
+    on that profile reads it instead of computing it again.  The profiles
+    are fed to the engine in row chunks; a chunk computes each grid scale
+    that any of its members lacks, in grid order, so a scale the profiles
+    are too short for raises the ScaleError a one-profile call raises.
+    """
+    for chunk in _row_chunks(profiles, len(profiles[0])):
+        memos = [p._fluct.setdefault(method, {}) for p in chunk]
+        todo = [s for s in grid if any(s not in memo for memo in memos)]
+        if not todo:
+            continue
+        engine = _Residuals([p.values for p in chunk], method)
+        for s in todo:
+            ms = engine.mean_squares(s)
+            values = np.sqrt(np.add.reduce(ms, axis=1) / ms.shape[1])
+            for memo, v in zip(memos, values.tolist()):
+                memo[s] = v
+    scales = np.array(list(grid))
+    return [FluctuationFunction(p.parent_id, method, scales,
+                                [p._fluct[method][s] for s in grid])
+            for p in profiles]
+
+
 def fluctuation(profile: Profile, grid: ScaleGrid,
                 method: DetrendMethod) -> FluctuationFunction:
     """Fluctuation function F(s) of a profile over a scale grid."""
-    engine = _Residuals(profile.values, method)
-    values = np.empty(len(grid))
-    for i, s in enumerate(grid):
-        ms = engine.mean_squares(s)
-        values[i] = np.add.reduce(ms) / ms.size
-    np.sqrt(values, out=values)
-    return FluctuationFunction(profile.parent_id, method,
-                               np.array(list(grid)), values)
+    return _fluctuations((profile,), grid, method)[0]

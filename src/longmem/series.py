@@ -19,7 +19,7 @@ import datetime as dt
 import io
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,10 +252,15 @@ class RatePanel:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Cumulative sum of mean-centered increments; telescopes to 0."""
+    """Cumulative sum of mean-centered increments; telescopes to 0.
+
+    ``_fluct`` keeps every F(s) computed on the profile, as
+    ``{method: {s: F}}``, so a run computes each value once.
+    """
 
     parent_id: str
     values: np.ndarray
+    _fluct: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -476,11 +481,16 @@ def profile_from_values(values, parent_id: str) -> Profile:
                          f"length >= 2")
     if not np.isfinite(x).all():
         raise ValueError(f"{parent_id!r}: non-finite increments")
-    centered = x - x.mean()
-    # Second pass removes the rounding residual of the first; without it a
-    # long constant series at large magnitude fails the telescoping check.
-    centered -= centered.mean()
-    return Profile(parent_id, np.cumsum(centered))
+    # Increments whose sum overflows give a non-finite profile, which
+    # Profile rejects; numpy's own overflow warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        # Second pass removes the rounding residual of the first; without it
+        # a long constant series at large magnitude fails the telescoping
+        # check.
+        centered -= centered.mean()
+        values = np.cumsum(centered)
+    return Profile(parent_id, values)
 
 
 def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
@@ -496,7 +506,9 @@ def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
     if prof is not None:
         return prof
     if input_kind == "levels":
-        prof = profile_from_values(np.abs(np.diff(series.values)), series.id)
+        with np.errstate(over="ignore"):  # profile_from_values rejects inf
+            changes = np.abs(np.diff(series.values))
+        prof = profile_from_values(changes, series.id)
     elif input_kind == "increments":
         prof = profile_from_values(series.values, series.id)
     else:

@@ -110,15 +110,18 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _fgn_values(n: int, hurst: float, sigma: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Exact fGn of scale sigma via circulant embedding."""
+def _embedding(n: int, hurst: float) -> np.ndarray:
+    """Embedding eigenvalues for n draws, checked and clamped at zero."""
     eigvals = _embedding_eigenvalues(n, hurst)
     if eigvals.min() < -_EIGEN_TOL * eigvals.max():
         raise ValueError(f"circulant embedding for n={n}, hurst={hurst} is "
                          "not nonnegative definite")
-    eigvals = np.maximum(eigvals, 0.0)
+    return np.maximum(eigvals, 0.0)
 
+
+def _fgn_values(n: int, eigvals: np.ndarray, sigma: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Exact fGn of scale sigma via the circulant embedding ``eigvals``."""
     m = eigvals.size // 2
     two_m = 2 * m
     z = rng.standard_normal(two_m)
@@ -138,7 +141,8 @@ def generate_fgn(spec: FgnSpec) -> TimeSeries:
     noise itself (increments), not integrated levels.
     """
     rng = np.random.default_rng(spec.seed)
-    values = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
+    values = _fgn_values(spec.n, _embedding(spec.n, spec.hurst), spec.sigma,
+                         rng)
     return TimeSeries(f"fgn-h{spec.hurst:g}-seed{spec.seed}",
                       _trading_days(spec.n), values)
 
@@ -148,15 +152,17 @@ def generate_blocks(spec: BlockSpec) -> RatePanel:
 
     Member values are common_weight * block_factor +
     (1 - common_weight) * own_noise, every component drawn at the same
-    Hurst exponent.  Ids follow the "b<block>:m<member>" pattern.
+    Hurst exponent, so the embedding eigenvalues are built once per call.
+    Ids follow the "b<block>:m<member>" pattern.
     """
     rng = np.random.default_rng(spec.seed)
+    eigvals = _embedding(spec.n, spec.hurst)
     ids = []
     matrix = np.empty((spec.n_blocks * spec.block_size, spec.n))
     for b in range(1, spec.n_blocks + 1):
-        common = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
+        common = _fgn_values(spec.n, eigvals, spec.sigma, rng)
         for m in range(1, spec.block_size + 1):
-            own = _fgn_values(spec.n, spec.hurst, spec.sigma, rng)
+            own = _fgn_values(spec.n, eigvals, spec.sigma, rng)
             matrix[len(ids)] = (spec.common_weight * common
                                 + (1.0 - spec.common_weight) * own)
             ids.append(f"b{b}:m{m}")

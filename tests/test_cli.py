@@ -675,3 +675,19 @@ def test_rerun_smoke_for_synth(tmp_path):
 def test_config_error_type_is_exposed():
     with pytest.raises(ConfigError):
         raise ConfigError("x")
+
+
+def test_cli_import_leaves_out_network_and_mail_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client and email
+    import os
+    import subprocess
+    import sys
+
+    heavy = ("xml.sax", "urllib.request", "http.client", "email")
+    code = ("import sys, longmem.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == ""

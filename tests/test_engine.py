@@ -7,23 +7,42 @@ to the rounding floor too, and tie both to the loop oracle in
 ``reference.py`` within its usual tolerances.
 """
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longmem.dcca import _normalize, pairwise_matrix
-from longmem.errors import DegenerateSeriesError
-from longmem.hurst import hurst_distribution
+from longmem import scaling
+from longmem.cli import main
+from longmem.dcca import _normalize, pairwise_matrix, rho_vs_scale
+from longmem.errors import DegenerateSeriesError, FitError, LongmemError
+from longmem.hurst import (
+    _map_fluctuations,
+    detect_crossover,
+    fit_hurst,
+    hurst_distribution,
+)
 from longmem.scaling import (
+    _CHUNK_ELEMS,
     _RESIDUAL_FLOOR,
     ScaleGrid,
+    _fluctuations,
     _Residuals,
+    default_grid,
     detrended_segments,
     dfa,
     dma,
     fluctuation,
 )
-from longmem.series import Profile, RatePanel, series_profile
+from longmem.series import (
+    Profile,
+    RatePanel,
+    panel_to_csv,
+    profile_from_values,
+    series_profile,
+)
 from longmem.synthetic import BlockSpec, generate_blocks
 
 import reference
@@ -174,7 +193,7 @@ class TestFloorCandidates:
         floor = _RESIDUAL_FLOOR * top_value
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(1, s))
         r = floor * signs
-        bound = _Residuals(np.array([top_value, 0.0]), dma())._ms_bound
+        bound = _Residuals((np.array([top_value, 0.0]),), dma())._ms_bound[0]
         assert np.mean(r * r, axis=1)[0] <= bound
         assert np.einsum("ij,ij->i", r, r)[0] / s <= bound
 
@@ -208,3 +227,234 @@ class TestWarmCalls:
                 cold = pairwise_matrix(panel, s, method, input_kind="increments")
                 warm = pairwise_matrix(panel, s, method, input_kind="increments")
                 assert np.array_equal(warm.rho, cold.rho)
+
+
+# Row chunks of the engine at a small profile length: a panel of CHUNK
+# members fills one chunk exactly.
+N_SMALL = 2000
+CHUNK = _CHUNK_ELEMS // N_SMALL
+LAYOUTS = [1, CHUNK - 1, CHUNK, CHUNK + 1]
+
+
+def small_grid(method) -> ScaleGrid:
+    return ScaleGrid((method.min_scale, 16, 100, N_SMALL // 2), s_min=2)
+
+
+def chunk_profiles(count: int, seed: int) -> list[Profile]:
+    """``count`` walks, one of them (the probe) pure cancellation noise.
+
+    The probe is the profile of the constant absolute changes of a levels
+    ramp: every segment sits at the rounding floor, so its F is 0, and it
+    shares a chunk with ordinary members.  Another member has a constant
+    run of increments, so some of its segments snap and others do not.
+    """
+    rng = np.random.default_rng(seed)
+    profiles = [profile_from_values(rng.standard_normal(N_SMALL), f"w{i:02d}")
+                for i in range(count)]
+    probe = series_profile(make_series(1.0 + 0.01 * np.arange(N_SMALL + 1),
+                                       "probe"))
+    profiles[count // 2] = probe
+    if count > 2:
+        x = rng.standard_normal(N_SMALL)
+        x[300:900] = 0.75
+        profiles[-1] = profile_from_values(x, "run")
+    return profiles
+
+
+def fresh(p: Profile) -> Profile:
+    """The same values on a profile with nothing computed yet."""
+    return Profile(p.parent_id, p.values)
+
+
+def chunk_panel(count: int, seed: int) -> RatePanel:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, N_SMALL))
+    if count > 2:
+        x[count // 2, 200:1100] = 0.75
+    return RatePanel(tuple(make_series(row, f"m{i:02d}")
+                           for i, row in enumerate(x)))
+
+
+class TestRowChunks:
+    """A row-chunked engine gives every member its one-row values, bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.label)
+    def test_block_rows_equal_one_row_engines(self, method):
+        profiles = chunk_profiles(CHUNK, 5)
+        block = _Residuals([p.values for p in profiles], method)
+        for s in small_grid(method):
+            ms, resid = block.mean_squares(s), block.residuals(s)
+            for i, p in enumerate(profiles):
+                one = _Residuals((p.values,), method)
+                assert np.array_equal(ms[i], one.mean_squares(s)[0])
+                assert np.array_equal(resid[i], one.residuals(s)[0])
+                assert np.array_equal(resid[i],
+                                      detrended_segments(p.values, s, method))
+
+    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("count", LAYOUTS)
+    def test_fluctuations_equal_per_member(self, method, count):
+        profiles = chunk_profiles(count, count)
+        grid = small_grid(method)
+        got = _fluctuations(profiles, grid, method)
+        assert [f.series_id for f in got] == [p.parent_id for p in profiles]
+        for p, f in zip(profiles, got):
+            want = fluctuation(fresh(p), grid, method)
+            assert np.array_equal(f.values, want.values)
+            assert np.array_equal(f.scales, want.scales)
+        probe = got[count // 2]
+        assert probe.series_id == "probe" and np.all(probe.values == 0.0)
+        assert count == 1 or np.all(got[0].values > 0.0)
+
+    @pytest.mark.parametrize("method", [dfa(1), dma(), dma("backward")],
+                             ids=lambda m: m.label)
+    def test_fluctuations_match_loop_oracle(self, method):
+        profiles = chunk_profiles(CHUNK + 1, 9)
+        grid = ScaleGrid((16, 100), s_min=2)
+        got = _fluctuations(profiles, grid, method)
+        for i in (0, CHUNK // 2, CHUNK):
+            want = [reference.naive_fluctuation(profiles[i].values, s, method)
+                    for s in grid]
+            assert np.allclose(got[i].values, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.label)
+    @pytest.mark.parametrize("count", [n for n in LAYOUTS if n > 1])
+    def test_matrix_equals_gram_of_stacked_rows(self, method, count):
+        panel = chunk_panel(count, count)
+        profiles = [series_profile(ts, "increments").values
+                    for ts in panel.series]
+        for s in (method.min_scale, 16, 100):
+            got = pairwise_matrix(panel, s, method, input_kind="increments")
+            assert np.array_equal(got.rho,
+                                  stacked_rho(profiles, panel.ids, s, method))
+
+    def test_matrix_matches_loop_oracle(self):
+        panel = chunk_panel(CHUNK + 1, 3)
+        profiles = [series_profile(ts, "increments").values
+                    for ts in panel.series]
+        got = pairwise_matrix(panel, 100, dma(), input_kind="increments").rho
+        for i, j in ((0, 1), (0, CHUNK), (CHUNK - 1, CHUNK)):
+            want = reference.naive_rho(profiles[i], profiles[j], 100, dma())
+            assert np.isclose(got[i, j], want, rtol=1e-10, atol=1e-12)
+
+    def test_matrix_names_a_degenerate_member_in_a_later_chunk(self):
+        members = list(chunk_panel(CHUNK + 1, 4).series)
+        members[-1] = make_series(np.full(N_SMALL, 0.75), members[-1].id)
+        with pytest.raises(DegenerateSeriesError) as info:
+            pairwise_matrix(RatePanel(tuple(members)), 100, dfa(1),
+                            input_kind="increments")
+        assert tuple(info.value.ids) == (members[-1].id,)
+
+
+def failing_panel() -> RatePanel:
+    """Levels panel: ordinary walks, a ramp (F = 0) and an overflowing member."""
+    rng = np.random.default_rng(12)
+    n = 800
+    columns = {f"w{i}": 5.0 + 0.1 * rng.standard_normal(n).cumsum()
+               for i in range(4)}
+    columns["lin"] = 1.0 + 0.01 * np.arange(n)
+    columns["big"] = np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+    return RatePanel(tuple(make_series(v, k) for k, v in columns.items()))
+
+
+def per_member(fn, panel, grid, method):
+    """(results, failures) the old member-at-a-time loop gives."""
+    results, failures = [], []
+    for ts in sorted(panel.series, key=lambda t: t.id):
+        try:
+            results.append((ts.id, fn(fluctuation(series_profile(ts), grid,
+                                                  method))))
+        except (LongmemError, ValueError) as exc:
+            failures.append((ts.id, str(exc)))
+    return results, failures
+
+
+class TestFailureLists:
+    """Batched F keeps each member's failure, message and order."""
+
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=lambda m: m.label)
+    def test_one_failing_member_among_others(self, method):
+        grid = default_grid(799)
+        dist = hurst_distribution(failing_panel(), method, grid=grid)
+        _, want = per_member(fit_hurst, failing_panel(), grid, method)
+        assert [sid for sid, _ in want] == ["big", "lin"]
+        assert list(dist.failures) == want
+        assert [e.series_id for e in dist.estimates] == ["w0", "w1", "w2", "w3"]
+
+    def test_scale_above_half_fails_every_member(self):
+        grid = ScaleGrid((10, 100, 400, 500), s_min=2)
+        got = _map_fluctuations(detect_crossover, failing_panel(), grid, dma(),
+                                "levels")
+        want = per_member(detect_crossover, failing_panel(), grid, dma())
+        assert got == ([], want[1])
+        messages = dict(want[1])
+        assert messages["w0"] == "scale 400 exceeds half the profile length 799"
+        assert "non-finite" in messages["big"]
+        with pytest.raises(FitError, match="no panel member"):
+            hurst_distribution(failing_panel(), dma(), grid=grid)
+
+
+@pytest.fixture
+def f_evaluations(monkeypatch):
+    """Counter of F evaluations per (method label, s), one per member row."""
+    counts = Counter()
+    original = scaling._Residuals.mean_squares
+
+    def counting(self, s):
+        counts[self.method.label, s] += self.m
+        return original(self, s)
+
+    monkeypatch.setattr(scaling._Residuals, "mean_squares", counting)
+    return counts
+
+
+class TestFOncePerScale:
+    """F is evaluated once per (profile, method, s) in a run."""
+
+    def test_report_evaluates_the_union_grid_once(self, tmp_path, f_evaluations):
+        rng = np.random.default_rng(6)
+        levels = 5.0 + 0.1 * rng.standard_normal((3, 5000)).cumsum(axis=1)
+        panel = RatePanel(tuple(make_series(row, f"r{i}")
+                                for i, row in enumerate(levels)))
+        (tmp_path / "levels.csv").write_text(panel_to_csv(panel))
+        assert main(["report", "--input", str(tmp_path / "levels.csv"),
+                     "--output-dir", str(tmp_path / "out"), "--scale", "50",
+                     "--threshold", "0.5"]) == 0
+        fit = default_grid(4999)
+        cross = default_grid(4999, s_max=500, num=25)
+        union = set(fit) | set(cross)
+        assert len(union) == 41
+        # the matrix at s=50 forms residuals, not F
+        assert f_evaluations == {("dma-centered", s): 3 for s in union}
+
+    def test_kernel_calls_evaluate_the_union_grid_once(self, f_evaluations):
+        panel = generate_blocks(BlockSpec(n_blocks=2, block_size=2,
+                                          common_weight=0.6, hurst=0.75,
+                                          n=2048, seed=1))
+        n = len(panel.days)
+        fit = default_grid(n, s_min=10, num=20)
+        cross = default_grid(n, s_min=10, s_max=min(500, n // 2), num=25)
+        methods = (dma(), dfa(2))
+        for method in methods:
+            hurst_distribution(panel, method, grid=fit, input_kind="increments")
+            for ts in panel.series:
+                detect_crossover(fluctuation(series_profile(ts, "increments"),
+                                             cross, method))
+        union = set(fit) | set(cross)
+        assert len(union) == 41
+        assert f_evaluations == {(m.label, s): 4 for m in methods for s in union}
+
+
+class TestPairCurveChunks:
+    def test_curve_equals_per_scale_matrices(self):
+        panel = chunk_panel(2, 7)
+        a, b = panel.series
+        grid = ScaleGrid((5, 16, 100, 1000), s_min=2)
+        for method in (dma(), dfa(3)):
+            curve = rho_vs_scale(a, b, grid, method=method,
+                                 input_kind="increments")
+            profiles = [series_profile(ts, "increments").values
+                        for ts in (a, b)]
+            want = [stacked_rho(profiles, panel.ids, s, method)[0, 1]
+                    for s in grid]
+            assert np.array_equal(curve.values, want)

@@ -11,6 +11,7 @@ from longmem.errors import LongmemError
 from longmem.network import (
     CommunityPartition,
     CorrelationNetwork,
+    _xml_attr,
     average_weighted_degree,
     build_network,
     detect_communities,
@@ -297,6 +298,25 @@ class TestExports:
     def test_dot_quotes_ids(self):
         net = CorrelationNetwork(('we"ird', "ok"), (), 50, 0.8)
         assert '"we\\"ird" [community=1];' in to_dot(net, detect_communities(net))
+
+    @pytest.mark.parametrize("text", [
+        "plain", "a&b", "<tag>", "it's", 'say "hi"', """both ' and \"""",
+        "tab\there", "two\nlines", "cr\rlf", "&<>'\"\t\n\r", "&amp;", ""])
+    def test_xml_attr_matches_saxutils(self, text):
+        from xml.sax.saxutils import quoteattr
+
+        assert _xml_attr(text) == quoteattr(text)
+
+    def test_graphml_round_trips_awkward_ids(self):
+        ids = ("a&b<c>", "q'\"", "t\tn\nr\r")
+        net = CorrelationNetwork(ids, ((ids[0], ids[1], 0.9),
+                                       (ids[1], ids[2], -0.7)), 50, 0.5)
+        root = ET.fromstring(to_graphml(net, detect_communities(net)))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        assert [n.get("id") for n in root.findall(f"{ns}graph/{ns}node")] == list(ids)
+        assert [(e.get("source"), e.get("target"))
+                for e in root.findall(f"{ns}graph/{ns}edge")] == [
+                    (ids[0], ids[1]), (ids[1], ids[2])]
 
 
 class TestDatesHelper:

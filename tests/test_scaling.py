@@ -112,7 +112,7 @@ class TestScaleGrid:
 
 def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:
     """Rows detrended_segments must give under dma() for these index ranges."""
-    resid = y - _Residuals(y, dma()).trend(s)
+    resid = y - _Residuals((y,), dma()).trend(s)[0]
     return np.array([resid[lo:hi] for lo, hi in ranges])
 
 
@@ -151,22 +151,22 @@ class TestSegmentBounds:
 class TestMovingAverage:
     def test_backward_pairs(self):
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert list(_Residuals(y, dma("backward")).trend(2)) == [0.0, 0.5, 1.5, 2.5]
+        assert list(_Residuals((y,), dma("backward")).trend(2)[0]) == [0.0, 0.5, 1.5, 2.5]
 
     def test_centered_window_three(self):
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert list(_Residuals(y, dma("centered")).trend(3)) == [0.5, 1.0, 2.0, 2.5]
+        assert list(_Residuals((y,), dma("centered")).trend(3)[0]) == [0.5, 1.0, 2.0, 2.5]
 
     def test_unknown_alignment(self):
         with pytest.raises(ValueError, match="alignment"):
-            _Residuals(np.zeros(4), dma("forward"))
+            _Residuals((np.zeros(4),), dma("forward"))
 
     @given(values=st.lists(st.floats(-100, 100), min_size=8, max_size=40),
            s=st.integers(2, 7),
            alignment=st.sampled_from(["centered", "backward"]))
     def test_matches_naive_windows(self, values, s, alignment):
         y = np.array(values)
-        got = _Residuals(y, dma(alignment)).trend(s)
+        got = _Residuals((y,), dma(alignment)).trend(s)[0]
         want = reference.naive_ma_trend(y, s, alignment)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
 

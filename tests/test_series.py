@@ -338,13 +338,18 @@ class TestIncrementsAndProfile:
         with pytest.raises(ValueError, match="'z9': non-finite increments"):
             profile_from_values([1.0, bad, 2.0, 0.5], "z9")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the ValueError alone, no numpy noise
     @pytest.mark.parametrize("xs", [[1e308, 1e308, -1e308],
                                     [0.5e308] * 8 + [-0.5e308] * 8],
                              ids=["mean-overflows", "cumsum-overflows"])
     def test_profile_rejects_overflow(self, xs):
         with pytest.raises(ValueError, match="'big': profile is not finite"):
             profile_from_values(xs, "big")
+
+    @pytest.mark.filterwarnings("error")
+    def test_levels_changes_overflow_without_warnings(self):
+        with pytest.raises(ValueError, match="'big': non-finite increments"):
+            series_profile(make_series([1e308, -1e308, 1e308], "big"))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
     def test_profile_telescopes_to_zero(self, xs):

@@ -195,3 +195,15 @@ class TestGenerateBlocks:
             m = pairwise_matrix(panel, 100, dfa(1), input_kind="increments")
             rho_by_weight[w] = m.rho[m.ids.index("b1:m1"), m.ids.index("b1:m2")]
         assert rho_by_weight[0.0] < rho_by_weight[0.5] < rho_by_weight[0.9]
+
+    def test_embedding_built_once_per_call(self, monkeypatch):
+        calls = []
+        original = synthetic._embedding_eigenvalues
+
+        def counting(n, hurst):
+            calls.append((n, hurst))
+            return original(n, hurst)
+
+        monkeypatch.setattr(synthetic, "_embedding_eigenvalues", counting)
+        generate_blocks(self.SPEC)
+        assert calls == [(self.SPEC.n, self.SPEC.hurst)]
