@@ -30,6 +30,7 @@ from .dcca import DccaMatrix, pairwise_matrix, rho_vs_scale
 from .errors import LongmemError, SchemaError
 from .hurst import (
     HurstDistribution,
+    _failures,
     _map_fluctuations,
     detect_crossover,
     hurst_distribution,
@@ -483,20 +484,6 @@ def _analysis_grid(cfg: RunConfig, n_profile: int,
     return default_grid(n_profile, s_min=cfg.s_min, s_max=s_max, num=num)
 
 
-def _crossover_rows(cfg: RunConfig, panel: RatePanel, grid: ScaleGrid
-                    ) -> tuple[list[dict], list[tuple[str, str]]]:
-    def search(f):
-        return detect_crossover(f, min_side_points=cfg.min_side_points,
-                                improvement_threshold=cfg.crossover_threshold)
-
-    results, failures = _map_fluctuations(search, panel, grid, cfg.method,
-                                          cfg.input_kind)
-    rows = [rep.to_json_dict() for _, rep in results]
-    rows += [{"series_id": sid, "error": msg} for sid, msg in failures]
-    rows.sort(key=lambda r: r["series_id"])
-    return rows, failures
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -519,7 +506,7 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
     """Exponents, histogram and (with cfg.crossover) breakpoint rows.
 
     Returns the distribution and every per-series failure, fit and
-    crossover alike, in id order.
+    crossover alike, in id order: the rows of ``failures.csv``.
     """
     n_prof = _profile_length(panel, cfg.input_kind)
     dist = hurst_distribution(
@@ -530,11 +517,19 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
     payload = dist.to_json_dict()
     failures = list(dist.failures)
     if cfg.crossover:
-        rows, crossover_failures = _crossover_rows(
-            cfg, panel, _analysis_grid(cfg, n_prof, crossover=True))
-        payload["crossover"] = rows
-        failures += [(sid, f"crossover: {msg}") for sid, msg in crossover_failures]
-        failures.sort(key=lambda f: f[0])
+        search = functools.partial(
+            detect_crossover, min_side_points=cfg.min_side_points,
+            improvement_threshold=cfg.crossover_threshold)
+        outcomes = _map_fluctuations(
+            search, panel, _analysis_grid(cfg, n_prof, crossover=True),
+            cfg.method, cfg.input_kind)
+        payload["crossover"] = rows = [
+            {"series_id": sid, "error": str(got)}
+            if isinstance(got, Exception) else got.to_json_dict()
+            for sid, got in outcomes]
+        # a member failing both keeps its fit failure first
+        failures = sorted(failures + _failures(outcomes, "crossover: "),
+                          key=lambda f: f[0])
         cols = ("slope_left", "slope_right", "sse_single", "sse_piecewise",
                 "improvement_ratio")
         # an error row has no breakpoint key and leaves the other cells empty
@@ -630,7 +625,7 @@ def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
 def _run_hurst(cfg: RunConfig, files: dict[str, str]) -> int:
     dist, failures = _hurst_outputs(cfg, _load_aligned(cfg), "", files)
     lo, hi = dist.mode_bin
-    print(f"estimated {len(dist.estimates)} series, {len(dist.failures)} failed; "
+    print(f"estimated {len(dist.estimates)} series, {len(failures)} failed; "
           f"mode bin [{lo:.2f}, {hi:.2f})")
     return _failure_code(cfg, failures)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
-from .scaling import DetrendMethod, ScaleGrid, _Residuals, _row_chunks
+from .scaling import DetrendMethod, ScaleGrid, _engines
 from .series import Profile, RatePanel, TimeSeries, series_profile
 
 __all__ = [
@@ -66,12 +66,6 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
             )
         rho[over] = np.sign(rho[over])
     return rho
-
-
-def _engines(profiles, method: DetrendMethod):
-    """Residual engines over row chunks of equal-length profile arrays."""
-    return (_Residuals(chunk, method)
-            for chunk in _row_chunks(profiles, len(profiles[0])))
 
 
 def _rho_matrix(engines, ids, s: int) -> np.ndarray:

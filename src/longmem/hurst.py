@@ -13,7 +13,7 @@ enough of the squared error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,17 +70,8 @@ class HurstEstimate:
         return classify(self.hurst)
 
     def to_json_dict(self) -> dict:
-        return {
-            "series_id": self.series_id,
-            "hurst": self.hurst,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "stderr": self.stderr,
-            "fit_range": list(self.fit_range),
-            "n_points": self.n_points,
-            "n_excluded": self.n_excluded,
-            "regime": self.classify(),
-        }
+        return {**asdict(self), "fit_range": list(self.fit_range),
+                "regime": self.classify()}
 
 
 def fit_hurst(
@@ -169,15 +160,7 @@ class CrossoverReport:
     improvement_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "series_id": self.series_id,
-            "breakpoint_scale": self.breakpoint_scale,
-            "slope_left": self.slope_left,
-            "slope_right": self.slope_right,
-            "sse_single": self.sse_single,
-            "sse_piecewise": self.sse_piecewise,
-            "improvement_ratio": self.improvement_ratio,
-        }
+        return asdict(self)
 
 
 def detect_crossover(
@@ -300,15 +283,15 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
 
 def _map_fluctuations(fn, panel: RatePanel, grid: ScaleGrid,
                       method: DetrendMethod, input_kind: str
-                      ) -> tuple[list, list[tuple[str, str]]]:
+                      ) -> list[tuple[str, object]]:
     """Apply ``fn`` to the F(s) over ``grid`` of every aligned panel member.
 
-    The members' profiles go through the batched ``_fluctuations`` in id
-    order.  Returns ``(results, failures)``: ``(id, fn(f))`` for each
-    member that succeeded and ``(id, message)`` for each whose profile, F
-    or ``fn`` raised a LongmemError or ValueError, both in id order.  An
-    error of the batched F (a grid scale the profiles are too short for)
-    is every member's failure.
+    The one place per-member work runs and its failures are caught.  The
+    members' profiles go through the batched ``_fluctuations`` in id
+    order.  Returns one ``(id, outcome)`` pair per member, in id order:
+    the outcome is ``fn(f)``, or the LongmemError or ValueError that the
+    member's profile, F or ``fn`` raised.  An error of the batched F (a
+    grid scale the profiles are too short for) is every member's outcome.
     """
     members = sorted(panel.series, key=lambda t: t.id)
     outcome, profiles = {}, []
@@ -327,14 +310,13 @@ def _map_fluctuations(fn, panel: RatePanel, grid: ScaleGrid,
             outcome[f.series_id] = fn(f)
         except (LongmemError, ValueError) as exc:
             outcome[f.series_id] = exc
-    results, failures = [], []
-    for ts in members:
-        got = outcome[ts.id]
-        if isinstance(got, Exception):
-            failures.append((ts.id, str(got)))
-        else:
-            results.append((ts.id, got))
-    return results, failures
+    return [(ts.id, outcome[ts.id]) for ts in members]
+
+
+def _failures(outcomes, prefix: str = "") -> list[tuple[str, str]]:
+    """``(id, prefix + message)`` of every failed outcome, in list order."""
+    return [(sid, prefix + str(got)) for sid, got in outcomes
+            if isinstance(got, Exception)]
 
 
 def hurst_distribution(
@@ -350,10 +332,12 @@ def hurst_distribution(
 
     A member whose fit fails (too short for the grid, constant, zero
     fluctuations) is recorded under ``failures`` instead of aborting the
-    rest.  The panel must be aligned so every member sees the same grid.
-    F(s) is computed for row chunks of members at once and kept on each
-    profile (see ``scaling``).  ``threads`` is accepted for compatibility
-    and ignored: one thread measured faster than a thread pool.
+    rest; if all fail, the FitError counts and names them and gives their
+    first distinct reasons.  The panel must be aligned so every member sees
+    the same grid.  F(s) is computed for row chunks of members at once and
+    kept on each profile (see ``scaling``).  ``threads`` is accepted for
+    compatibility and ignored: one thread measured faster than a thread
+    pool.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")
@@ -362,11 +346,18 @@ def hurst_distribution(
     if grid is None:
         grid = default_grid(_profile_length(panel, input_kind))
 
-    results, failures = _map_fluctuations(
+    outcomes = _map_fluctuations(
         lambda f: fit_hurst(f, fit_range), panel, grid, method, input_kind)
-    estimates = tuple(e for _, e in results)
-    if not estimates:
-        raise FitError("no panel member produced a usable fit")
+    failures = _failures(outcomes)
+    if len(failures) == len(outcomes):
+        ids = [sid for sid, _ in failures]
+        more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
+        reasons = list(dict.fromkeys(msg for _, msg in failures))[:3]
+        raise FitError(f"no panel member produced a usable fit: {len(ids)} "
+                       f"failed ({', '.join(ids[:5])}{more}); "
+                       + "; ".join(reasons))
+    estimates = tuple(got for _, got in outcomes
+                      if not isinstance(got, Exception))
     h = np.array([e.hurst for e in estimates])
     edges, counts = _histogram(h, bin_width)
     return HurstDistribution(

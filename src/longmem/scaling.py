@@ -17,15 +17,16 @@ coefficient matrices and pair curves of ``dcca`` and
 one row per member and at most ``max(1, _CHUNK_ELEMS // n)`` rows, so
 each per-scale numpy call covers a chunk's members at once while every
 temporary stays near 320 KB; a profile longer than ``_CHUNK_ELEMS`` is a
-chunk of one row.  The engine is built once per chunk and call (a pair
-curve builds its chunks once for its whole grid) and reads the segments
-as views, never as concatenated copies.  Every cumulative sum and
-reduction runs along a row, and floor snapping and its bound are per
-member, so each member's values are bit for bit those of a one-row
-engine.  Each F(s) is kept on its ``Profile`` under (method, s), so a
-run computes it once whichever call asks first.  The profiles come from
-``series_profile``, which builds each series' profile once per input
-kind:
+chunk of one row.  Only this module knows that policy: ``_fluctuations``
+cuts its own chunks, and ``dcca`` takes its engines from ``_engines``.
+The engine is built once per chunk and call (a pair curve builds its
+chunks once for its whole grid) and reads the segments as views, never
+as concatenated copies.  Every cumulative sum and reduction runs along a
+row, and floor snapping and its bound are per member, so each member's
+values are bit for bit those of a one-row engine.  Each F(s) is kept on
+its ``Profile`` under (method, s), so a run computes it once whichever
+call asks first.  The profiles come from ``series_profile``, which builds
+each series' profile once per input kind:
 
 - DMA (Alessio et al., EPJ B 27, 197, 2002) takes one cumulative sum of
   the profile for all scales.  The moving-average trend is a difference of
@@ -198,18 +199,25 @@ def _row_chunks(items, n: int) -> list:
     return [items[i:i + rows] for i in range(0, len(items), rows)]
 
 
+def _engines(profiles, method: DetrendMethod):
+    """Residual engines, built lazily, over row chunks of profile arrays."""
+    return (_Residuals(chunk, method)
+            for chunk in _row_chunks(profiles, len(profiles[0])))
+
+
 class _Residuals:
     """The residual engine: detrended segments of a block of profiles.
 
-    ``rows`` are m equal-length profiles, one row each (a row chunk of
-    ``_row_chunks``).  Built once per chunk and call; it holds what every
-    scale shares: the (m, n) profile block, its row-wise cumulative sum
-    (dma) and, per row, the bound on a segment's mean square below which
-    the segment may sit at the rounding floor.  Each scale reads the
-    segments as views of the block or of one residual block; only dfa
-    copies them, into the (m, 2k, s) operand of its projection product.
-    Every reduction runs along a row, so each member's values are bit for
-    bit those of a one-row engine.
+    ``rows`` are m equal-length profiles, one row each: a row chunk that
+    ``_row_chunks`` cuts for ``_fluctuations`` or ``_engines``.  Built once
+    per chunk and call; it holds what every scale shares: the (m, n)
+    profile block, its row-wise cumulative sum (dma) and, per row, the
+    bound on a segment's mean square below which the segment may sit at
+    the rounding floor.  Each scale reads the segments as views of the
+    block or of one residual block; only dfa copies them, into the
+    (m, 2k, s) operand of its projection product.  Every reduction runs
+    along a row, so each member's values are bit for bit those of a
+    one-row engine.
     """
 
     def __init__(self, rows, method: DetrendMethod):

@@ -379,7 +379,20 @@ def test_strict_counts_crossover_failures(short_grid_panel, tmp_path, capsys):
     assert all(r[1].startswith('"crossover: ') for r in failures)
     payload = json.loads((out / "hurst.json").read_text())
     assert [f["series_id"] for f in payload["failures"]] == ids
-    assert capsys.readouterr().err.count("failed: ") == 4
+    printed = capsys.readouterr()
+    assert "estimated 4 series, 4 failed;" in printed.out
+    assert printed.err.count("failed: ") == 4
+
+
+def test_all_members_failing_names_them_and_the_reason(short_grid_panel, tmp_path,
+                                                       capsys):
+    code = run(["hurst", "--input", short_grid_panel, "--output-dir",
+                tmp_path / "out", "--input-kind", "increments",
+                "--scales", "10,20,400"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "4 failed (b1:m1, b1:m2, b2:m1, b2:m2)" in err
+    assert err.count("scale 400 exceeds half the profile length 600") == 1
 
 
 def test_report_strict_counts_crossover_failures(short_grid_panel, tmp_path):

@@ -358,15 +358,21 @@ def failing_panel() -> RatePanel:
 
 
 def per_member(fn, panel, grid, method):
-    """(results, failures) the old member-at-a-time loop gives."""
-    results, failures = [], []
+    """(id, result or exception) of a member-at-a-time loop, in id order."""
+    outcomes = []
     for ts in sorted(panel.series, key=lambda t: t.id):
         try:
-            results.append((ts.id, fn(fluctuation(series_profile(ts), grid,
-                                                  method))))
+            outcomes.append((ts.id, fn(fluctuation(series_profile(ts), grid,
+                                                   method))))
         except (LongmemError, ValueError) as exc:
-            failures.append((ts.id, str(exc)))
-    return results, failures
+            outcomes.append((ts.id, exc))
+    return outcomes
+
+
+def failures(outcomes):
+    """(id, message) of every outcome that is an exception, in list order."""
+    return [(sid, str(got)) for sid, got in outcomes
+            if isinstance(got, Exception)]
 
 
 class TestFailureLists:
@@ -376,7 +382,7 @@ class TestFailureLists:
     def test_one_failing_member_among_others(self, method):
         grid = default_grid(799)
         dist = hurst_distribution(failing_panel(), method, grid=grid)
-        _, want = per_member(fit_hurst, failing_panel(), grid, method)
+        want = failures(per_member(fit_hurst, failing_panel(), grid, method))
         assert [sid for sid, _ in want] == ["big", "lin"]
         assert list(dist.failures) == want
         assert [e.series_id for e in dist.estimates] == ["w0", "w1", "w2", "w3"]
@@ -385,11 +391,13 @@ class TestFailureLists:
         grid = ScaleGrid((10, 100, 400, 500), s_min=2)
         got = _map_fluctuations(detect_crossover, failing_panel(), grid, dma(),
                                 "levels")
-        want = per_member(detect_crossover, failing_panel(), grid, dma())
-        assert got == ([], want[1])
-        messages = dict(want[1])
-        assert messages["w0"] == "scale 400 exceeds half the profile length 799"
-        assert "non-finite" in messages["big"]
+        want = failures(per_member(detect_crossover, failing_panel(), grid,
+                                   dma()))
+        assert failures(got) == want and len(got) == len(want)
+        assert [sid for sid, _ in want] == ["big", "lin", "w0", "w1", "w2", "w3"]
+        reasons = dict(want)
+        assert reasons["w0"] == "scale 400 exceeds half the profile length 799"
+        assert "non-finite" in reasons["big"]
         with pytest.raises(FitError, match="no panel member"):
             hurst_distribution(failing_panel(), dma(), grid=grid)
 
@@ -443,6 +451,23 @@ class TestFOncePerScale:
         union = set(fit) | set(cross)
         assert len(union) == 41
         assert f_evaluations == {(m.label, s): 4 for m in methods for s in union}
+
+    def test_chunk_with_every_scale_builds_no_engine(self, monkeypatch):
+        profiles = chunk_profiles(CHUNK + 1, 2)
+        grid = small_grid(dma())
+        _fluctuations(profiles, grid, dma())
+        built = []
+        original = scaling._Residuals.__init__
+
+        def counting(self, rows, method):
+            built.append(len(rows))
+            original(self, rows, method)
+
+        monkeypatch.setattr(scaling._Residuals, "__init__", counting)
+        _fluctuations(profiles, ScaleGrid(grid.scales[1:], s_min=2), dma())
+        assert built == []
+        _fluctuations(profiles, ScaleGrid(sorted({*grid, 500}), s_min=2), dma())
+        assert built == [CHUNK, 1]
 
 
 class TestPairCurveChunks:

@@ -299,10 +299,16 @@ class TestHurstDistribution:
 
     def test_all_members_failing(self):
         dates = trading_dates(400)
-        flat1 = TimeSeries("f1", dates, np.full(400, 1.0))
-        flat2 = TimeSeries("f2", dates, np.full(400, 2.0))
-        with pytest.raises(FitError, match="no panel member"):
-            hurst_distribution(RatePanel((flat1, flat2)), dfa(1))
+        flats = RatePanel(tuple(TimeSeries(f"f{i}", dates, np.full(400, i + 1.0))
+                                for i in range(7)))
+        with pytest.raises(FitError, match="no panel member") as info:
+            hurst_distribution(flats, dfa(1))
+        # the first five ids, then the rest counted; three distinct reasons
+        message = str(info.value)
+        assert "7 failed (f0, f1, f2, f3, f4 and 2 more)" in message
+        assert "'f0': 0 usable scales" in message
+        assert "'f2': 0 usable scales" in message
+        assert message.count("usable scales") == 3
 
     def test_bad_bin_width(self):
         with pytest.raises(ValueError, match="bin_width"):
