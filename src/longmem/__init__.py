@@ -27,7 +27,6 @@ from .hurst import (
     CrossoverReport,
     HurstDistribution,
     HurstEstimate,
-    classify,
     detect_crossover,
     fit_hurst,
     hurst_distribution,
@@ -83,7 +82,7 @@ __all__ = [
     "dfa", "dma", "default_grid", "detrended_segments", "fluctuation",
     # hurst
     "HurstEstimate", "CrossoverReport", "HurstDistribution",
-    "classify", "fit_hurst", "detect_crossover", "hurst_distribution",
+    "fit_hurst", "detect_crossover", "hurst_distribution",
     # dcca
     "DccaMatrix", "RhoCurve",
     "rho_from_profiles", "pairwise_matrix", "rho_vs_scale",

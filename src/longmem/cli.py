@@ -208,10 +208,10 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
 def _add_method(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=("dma", "dfa"),
                    help="detrending method (default dma)")
-    p.add_argument("--dfa-order", type=int, default=1,
+    p.add_argument("--dfa-order", type=int,
                    help="polynomial order for dfa (default 1)")
     p.add_argument("--dma-alignment", choices=("centered", "backward"),
-                   default="centered", help="moving-average window placement")
+                   help="moving-average window placement")
     p.add_argument("--align", choices=("intersect", "forward_fill"),
                    dest="align_policy",
                    help=f"panel alignment policy (default {_DEFAULT['align_policy']})")
@@ -354,10 +354,15 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _resolve_method(ns) -> DetrendMethod:
+    kind = getattr(ns, "method", "dma")
+    if kind == "dma" and hasattr(ns, "dfa_order"):
+        raise ConfigError("--dfa-order only applies to --method dfa")
+    if kind == "dfa" and hasattr(ns, "dma_alignment"):
+        raise ConfigError("--dma-alignment only applies to --method dma")
     try:
-        if getattr(ns, "method", "dma") == "dfa":
-            return dfa(ns.dfa_order)
-        return dma(ns.dma_alignment)
+        if kind == "dfa":
+            return dfa(getattr(ns, "dfa_order", 1))
+        return dma(getattr(ns, "dma_alignment", "centered"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -476,7 +481,7 @@ def _analysis_grid(cfg: RunConfig, n_profile: int,
     the profile) unless --smax is given, with at least 25 scales.
     """
     if cfg.scales:
-        return ScaleGrid(cfg.scales, s_min=2)
+        return ScaleGrid(cfg.scales)
     s_max, num = cfg.s_max, cfg.num_scales
     if crossover:
         s_max = s_max if s_max is not None else min(500, n_profile // 2)

@@ -27,8 +27,6 @@ class DegenerateSeriesError(LongmemError):
     The offending series ids are available as ``.ids``.
     """
 
-    def __init__(self, ids, message=None):
+    def __init__(self, ids, message):
         self.ids = tuple(ids)
-        if message is None:
-            message = "degenerate series: " + ", ".join(self.ids)
         super().__init__(message)

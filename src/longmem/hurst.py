@@ -32,7 +32,6 @@ __all__ = [
     "HurstEstimate",
     "CrossoverReport",
     "HurstDistribution",
-    "classify",
     "fit_hurst",
     "detect_crossover",
     "hurst_distribution",
@@ -44,13 +43,6 @@ _SSE_TIE_REL = 1e-9
 # Below this the single line already fits to rounding noise and the
 # two-line improvement ratio is meaningless.
 _SSE_FLOOR = 1e-20
-
-
-def classify(hurst: float) -> str:
-    """Bucket an exponent: 0.5 means increments look uncorrelated."""
-    if hurst == 0.5:
-        return "uncorrelated"
-    return "persistent" if hurst > 0.5 else "antipersistent"
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,10 @@ class HurstEstimate:
     n_excluded: int  # in-range scales dropped because F was zero
 
     def classify(self) -> str:
-        return classify(self.hurst)
+        """Bucket the exponent: 0.5 means increments look uncorrelated."""
+        if self.hurst == 0.5:
+            return "uncorrelated"
+        return "persistent" if self.hurst > 0.5 else "antipersistent"
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "fit_range": list(self.fit_range),

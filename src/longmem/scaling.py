@@ -20,13 +20,12 @@ temporary stays near 320 KB; a profile longer than ``_CHUNK_ELEMS`` is a
 chunk of one row.  Only this module knows that policy: ``_fluctuations``
 cuts its own chunks, and ``dcca`` takes its engines from ``_engines``.
 The engine is built once per chunk and call (a pair curve builds its
-chunks once for its whole grid) and reads the segments as views, never
-as concatenated copies.  Every cumulative sum and reduction runs along a
-row, and floor snapping and its bound are per member, so each member's
-values are bit for bit those of a one-row engine.  Each F(s) is kept on
-its ``Profile`` under (method, s), so a run computes it once whichever
-call asks first.  The profiles come from ``series_profile``, which builds
-each series' profile once per input kind:
+chunks once for its whole grid).  Every cumulative sum and reduction runs
+along a row, and floor snapping and its bound are per member, so each
+member's values are bit for bit those of a one-row engine.  Each F(s) is
+kept on its ``Profile`` under (method, s), so a run computes it once
+whichever call asks first.  The profiles come from ``series_profile``,
+which builds each series' profile once per input kind:
 
 - DMA (Alessio et al., EPJ B 27, 197, 2002) takes one cumulative sum of
   the profile for all scales.  The moving-average trend is a difference of
@@ -37,11 +36,14 @@ each series' profile once per input kind:
   ``r[:, :k*s].reshape(m, k, s)`` and
   ``r[:, n-k*s:].reshape(m, k, s)[:, ::-1]``.  A
   per-segment moving average would be ill-defined near segment edges.
-- DFA projects each member's (2k, s) segment block onto the polynomial
-  basis in one stacked (m, 2k, s) product and subtracts and squares in
-  place.  The block is never flattened to (m * 2k, s): a product's bits
-  depend on its operand shape.  The basis and its pseudoinverse are built
-  once per (s, order) and shared read-only.
+- DFA concatenates each member's segments into one (m, 2k, s) block,
+  projects it onto the polynomial basis in one stacked product and
+  subtracts and squares in place.  The block is never flattened to
+  (m * 2k, s): a product's bits depend on its operand shape.  The basis
+  and its pseudoinverse are built once per (s, order) and shared
+  read-only.
+- The coefficient matrices and ``detrended_segments`` copy the residual
+  segments into one (m, 2k, s) buffer.
 - Segments at the rounding floor snap to zero for both methods.  Only the
   segments whose mean square could be that small are checked exactly, so
   the common case costs one comparison per segment.
@@ -131,20 +133,17 @@ def dma(alignment: str = "centered") -> DetrendMethod:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Strictly increasing window sizes, counted in observations."""
+    """Strictly increasing window sizes (each >= 2), counted in observations."""
 
     scales: tuple[int, ...]
-    s_min: int = 10
 
     def __post_init__(self):
         scales = tuple(int(s) for s in self.scales)
         object.__setattr__(self, "scales", scales)
         if not scales:
             raise ScaleError("empty scale grid")
-        if self.s_min < 2:
-            raise ScaleError(f"s_min must be >= 2, got {self.s_min}")
-        if scales[0] < self.s_min:
-            raise ScaleError(f"scale {scales[0]} below s_min={self.s_min}")
+        if scales[0] < 2:
+            raise ScaleError(f"scale {scales[0]} below 2")
         for a, b in zip(scales, scales[1:]):
             if b <= a:
                 raise ScaleError(f"scales not strictly increasing at {a}, {b}")
@@ -164,6 +163,8 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
     rounding are removed.  Pass an explicit ``s_max`` (e.g. beyond 250) for
     crossover studies.
     """
+    if s_min < 2:
+        raise ScaleError(f"s_min must be >= 2, got {s_min}")
     if s_max is None:
         s_max = min(_DEFAULT_SCALE_CAP, n // 4)
     if s_max < s_min:
@@ -171,7 +172,7 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
                          f"[{s_min}, {s_max}]")
     raw = np.logspace(np.log10(s_min), np.log10(s_max), num)
     scales = np.unique(np.rint(raw).astype(int))
-    return ScaleGrid(tuple(int(s) for s in scales), s_min=s_min)
+    return ScaleGrid(tuple(int(s) for s in scales))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -214,16 +215,14 @@ class _Residuals:
     profile block, its row-wise cumulative sum (dma) and, per row, the
     bound on a segment's mean square below which the segment may sit at
     the rounding floor.  Each scale reads the segments as views of the
-    block or of one residual block; only dfa copies them, into the
-    (m, 2k, s) operand of its projection product.  Every reduction runs
-    along a row, so each member's values are bit for bit those of a
-    one-row engine.
+    block or of one residual block; dfa copies them into the (m, 2k, s)
+    operand of its projection product, and ``residuals`` into its
+    caller's buffer.  Every reduction runs along a row, so each member's
+    values are bit for bit those of a one-row engine.
     """
 
     def __init__(self, rows, method: DetrendMethod):
-        # one row is a view of the profile; more are stacked into a copy
-        self.y = y = (np.asarray(rows[0], dtype=float)[None] if len(rows) == 1
-                      else np.array(rows, dtype=float))
+        self.y = y = np.array(rows, dtype=float)
         self.m, self.n = y.shape
         self.method = method
         if method.kind == "dma":

@@ -402,14 +402,8 @@ def panel_to_csv(panel: RatePanel) -> str:
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["date", *panel.ids])
-    gappy = np.isnan(panel.matrix).any(axis=0).tolist()
-    for day, column, gap in zip(panel.days.astype(str).tolist(),
-                                panel.matrix.T, gappy):
-        row = column.tolist()
-        if gap:
-            cells = ["" if v != v else repr(v) for v in row]
-        else:
-            cells = map(repr, row)
+    for day, column in zip(panel.days.astype(str).tolist(), panel.matrix.T):
+        cells = ["" if v != v else repr(v) for v in column.tolist()]
         buf.write(day + "," + ",".join(cells) + "\n")
     return buf.getvalue()
 

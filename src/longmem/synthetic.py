@@ -91,14 +91,13 @@ class BlockSpec:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
-def _trading_days(n: int, start: dt.date = dt.date(2000, 1, 3)) -> np.ndarray:
-    return np.busday_offset(np.datetime64(start, "D"), np.arange(n),
-                            roll="forward")
+def _trading_days(n: int) -> np.ndarray:
+    return np.busday_offset(np.datetime64("2000-01-03"), np.arange(n))
 
 
-def trading_dates(n: int, start: dt.date = dt.date(2000, 1, 3)) -> tuple[dt.date, ...]:
-    """n consecutive weekdays starting at (or after) ``start``."""
-    return tuple(_trading_days(n, start).tolist())
+def trading_dates(n: int) -> tuple[dt.date, ...]:
+    """n consecutive weekdays starting on Monday 2000-01-03."""
+    return tuple(_trading_days(n).tolist())
 
 
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))  # for `reference`
 
 from longmem.series import RatePanel, TimeSeries
-from longmem.synthetic import trading_dates
 
 settings.register_profile("suite", max_examples=50, derandomize=True,
                           deadline=None)
@@ -17,8 +16,10 @@ settings.load_profile("suite")
 
 
 def make_series(values, series_id="x", start=dt.date(2000, 1, 3)) -> TimeSeries:
+    """Series on consecutive weekdays from the weekday ``start``."""
     values = np.asarray(values, dtype=float)
-    return TimeSeries(series_id, trading_dates(len(values), start=start), values)
+    dates = np.busday_offset(np.datetime64(start, "D"), np.arange(len(values)))
+    return TimeSeries(series_id, tuple(dates.tolist()), values)
 
 
 def make_panel(columns: dict) -> RatePanel:

@@ -84,7 +84,7 @@ def test_criterion_2_rho_bounds_and_identities():
         b = generate_fgn(FgnSpec(n=n, hurst=float(hb), seed=int(rng.integers(2 ** 31))))
         s = int(rng.integers(5, n // 2 + 1))
         method = methods[k % 2]
-        grid = ScaleGrid((s,), s_min=2)
+        grid = ScaleGrid((s,))
 
         def rho(x, y):
             return rho_vs_scale(x, y, grid, method=method,
@@ -114,7 +114,7 @@ def test_criterion_3_brute_force_equivalence():
             pb = profile_from_values(rng.normal(size=n), "b")
             for s in (5, 10):
                 for p in (pa, pb):
-                    f = fluctuation(p, ScaleGrid((s,), s_min=2), method).values[0]
+                    f = fluctuation(p, ScaleGrid((s,)), method).values[0]
                     ref = naive_fluctuation(p.values, s, method)
                     worst = max(worst, abs(f - ref) / abs(ref))
                 r = rho_from_profiles(pa, pb, s, method)

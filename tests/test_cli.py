@@ -193,6 +193,36 @@ def test_max_gap_needs_forward_fill(panel_dir, tmp_path, capsys, align):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--dfa-order", "3"], "--dfa-order only applies to --method dfa"),
+    (["--method", "dma", "--dfa-order", "3"],
+     "--dfa-order only applies to --method dfa"),
+    (["--method", "dfa", "--dma-alignment", "backward"],
+     "--dma-alignment only applies to --method dma"),
+], ids=["default-method", "dma", "dfa"])
+def test_flag_of_the_other_method_exits_one(panel_dir, tmp_path, capsys,
+                                            flags, message):
+    code = run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
+                tmp_path / "out", *flags])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, method", [
+    ([], {"kind": "dma", "alignment": "centered"}),
+    (["--dma-alignment", "backward"], {"kind": "dma", "alignment": "backward"}),
+    (["--method", "dfa"], {"kind": "dfa", "order": 1}),
+    (["--method", "dfa", "--dfa-order", "2"], {"kind": "dfa", "order": 2}),
+], ids=["defaults", "dma-backward", "dfa", "dfa2"])
+def test_method_flags_reach_the_manifest(panel_dir, tmp_path, flags, method):
+    out = tmp_path / "out"
+    assert run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir", out,
+                "--format", "json", *flags]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["method"] == method
+
+
 @pytest.mark.parametrize("flag", ["--scales", "--scale"])
 @pytest.mark.parametrize("text", ["", ","], ids=["blank", "comma"])
 def test_empty_scale_list_exits_one(panel_dir, tmp_path, capsys, flag, text):

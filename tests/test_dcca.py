@@ -309,7 +309,7 @@ class TestRhoVsScale:
         values = np.abs(np.random.default_rng(4).standard_normal(2048)) + 1.0
         a = make_series(values, "a")
         b = TimeSeries("b", a.dates, values)
-        curve = rho_vs_scale(a, b, ScaleGrid((5, 20, 100, 500), s_min=5),
+        curve = rho_vs_scale(a, b, ScaleGrid((5, 20, 100, 500)),
                              method=dfa(1))
         assert np.allclose(curve.values, 1.0, atol=1e-12)
 
@@ -317,7 +317,7 @@ class TestRhoVsScale:
         a = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=0))
         b = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=1))
         with pytest.raises(ScaleError, match="half"):
-            rho_vs_scale(a, b, ScaleGrid((5, 500), s_min=5), method=dfa(1),
+            rho_vs_scale(a, b, ScaleGrid((5, 500)), method=dfa(1),
                          input_kind="increments")
 
     def test_method_required(self):

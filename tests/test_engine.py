@@ -119,7 +119,7 @@ class TestFluctuationBits:
     @given(case=profile_cases())
     def test_equals_mean_of_materialized_rows(self, case):
         method, y, scales = case
-        f = fluctuation(Profile("p", y), ScaleGrid(scales, s_min=2), method)
+        f = fluctuation(Profile("p", y), ScaleGrid(scales), method)
         for s, got in zip(scales, f.values):
             r = detrended_segments(y, s, method)
             assert got == np.sqrt(np.mean(np.mean(r * r, axis=1)))
@@ -127,7 +127,7 @@ class TestFluctuationBits:
     @given(case=profile_cases())
     def test_matches_loop_oracle(self, case):
         method, y, scales = case
-        f = fluctuation(Profile("p", y), ScaleGrid(scales, s_min=2), method)
+        f = fluctuation(Profile("p", y), ScaleGrid(scales), method)
         want = [reference.naive_fluctuation(y, s, method) for s in scales]
         assert np.allclose(f.values, want, rtol=1e-10, atol=1e-10)
 
@@ -237,7 +237,7 @@ LAYOUTS = [1, CHUNK - 1, CHUNK, CHUNK + 1]
 
 
 def small_grid(method) -> ScaleGrid:
-    return ScaleGrid((method.min_scale, 16, 100, N_SMALL // 2), s_min=2)
+    return ScaleGrid((method.min_scale, 16, 100, N_SMALL // 2))
 
 
 def chunk_profiles(count: int, seed: int) -> list[Profile]:
@@ -310,7 +310,7 @@ class TestRowChunks:
                              ids=lambda m: m.label)
     def test_fluctuations_match_loop_oracle(self, method):
         profiles = chunk_profiles(CHUNK + 1, 9)
-        grid = ScaleGrid((16, 100), s_min=2)
+        grid = ScaleGrid((16, 100))
         got = _fluctuations(profiles, grid, method)
         for i in (0, CHUNK // 2, CHUNK):
             want = [reference.naive_fluctuation(profiles[i].values, s, method)
@@ -388,7 +388,7 @@ class TestFailureLists:
         assert [e.series_id for e in dist.estimates] == ["w0", "w1", "w2", "w3"]
 
     def test_scale_above_half_fails_every_member(self):
-        grid = ScaleGrid((10, 100, 400, 500), s_min=2)
+        grid = ScaleGrid((10, 100, 400, 500))
         got = _map_fluctuations(detect_crossover, failing_panel(), grid, dma(),
                                 "levels")
         want = failures(per_member(detect_crossover, failing_panel(), grid,
@@ -464,9 +464,9 @@ class TestFOncePerScale:
             original(self, rows, method)
 
         monkeypatch.setattr(scaling._Residuals, "__init__", counting)
-        _fluctuations(profiles, ScaleGrid(grid.scales[1:], s_min=2), dma())
+        _fluctuations(profiles, ScaleGrid(grid.scales[1:]), dma())
         assert built == []
-        _fluctuations(profiles, ScaleGrid(sorted({*grid, 500}), s_min=2), dma())
+        _fluctuations(profiles, ScaleGrid(sorted({*grid, 500})), dma())
         assert built == [CHUNK, 1]
 
 
@@ -474,7 +474,7 @@ class TestPairCurveChunks:
     def test_curve_equals_per_scale_matrices(self):
         panel = chunk_panel(2, 7)
         a, b = panel.series
-        grid = ScaleGrid((5, 16, 100, 1000), s_min=2)
+        grid = ScaleGrid((5, 16, 100, 1000))
         for method in (dma(), dfa(3)):
             curve = rho_vs_scale(a, b, grid, method=method,
                                  input_kind="increments")

