@@ -17,11 +17,13 @@ import argparse
 import datetime as dt
 import functools
 import json
+import math
 import os
 import platform
 import re
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -146,6 +148,17 @@ def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     return tuple(sorted(set(values)))
 
 
+def _parse_float(text: str) -> float:
+    """A finite number; argparse names the flag in the error."""
+    try:
+        value = float(text)
+    except ValueError:  # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_pair(text: str) -> tuple[str, str]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2 or not all(parts):
@@ -242,9 +255,9 @@ def _add_fit(p: argparse.ArgumentParser):
     p.add_argument("--fit-max", type=int,
                    help="largest scale used in the exponent fit "
                         f"(default {_DEFAULT['fit_max']})")
-    p.add_argument("--bin-width", type=float,
+    p.add_argument("--bin-width", type=_parse_float,
                    help=f"histogram bin width (default {_DEFAULT['bin_width']})")
-    p.add_argument("--crossover-threshold", type=float,
+    p.add_argument("--crossover-threshold", type=_parse_float,
                    help="SSE improvement ratio required "
                         f"(default {_DEFAULT['crossover_threshold']})")
     p.add_argument("--min-side-points", type=int,
@@ -267,10 +280,10 @@ def _add_scale(p: argparse.ArgumentParser):
 
 def _add_network(p: argparse.ArgumentParser):
     _add_scale(p)
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=_parse_float,
                    help="minimum |coefficient| for an edge "
                         f"(default {_DEFAULT['threshold']})")
-    p.add_argument("--resolution", type=float,
+    p.add_argument("--resolution", type=_parse_float,
                    help=f"modularity resolution (default {_DEFAULT['resolution']})")
     p.add_argument("--period", action="append", type=_parse_period,
                    dest="periods", metavar="FROM:TO",
@@ -319,13 +332,13 @@ def build_parser() -> _Parser:
     kind.add_argument("--blocks", type=_parse_blocks, metavar="BxM",
                       help="B blocks of M members sharing a common component")
     p.set_defaults(synth_kind="blocks")
-    p.add_argument("--hurst", type=float, required=True, dest="hurst_value",
+    p.add_argument("--hurst", type=_parse_float, required=True, dest="hurst_value",
                    help="target exponent in (0, 1)")
     p.add_argument("--n", type=int, required=True, dest="n_obs",
                    help="observations per series")
-    p.add_argument("--weight", type=float,
+    p.add_argument("--weight", type=_parse_float,
                    help="common-component weight in [0, 1] (blocks only)")
-    p.add_argument("--sigma", type=float,
+    p.add_argument("--sigma", type=_parse_float,
                    help=f"noise standard deviation (default {_DEFAULT['sigma']})")
 
     p = command("report", "full pipeline: exponents, crossover, "
@@ -489,8 +502,56 @@ def _analysis_grid(cfg: RunConfig, n_profile: int,
     return default_grid(n_profile, s_min=cfg.s_min, s_max=s_max, num=num)
 
 
+class _JsonNumbers(list):
+    """JSON number texts, which ``_json_text`` writes as they are."""
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON writer: ``json.dumps(obj, indent=2, sort_keys=True)``
+    and a final newline.
+
+    A ``_JsonNumbers`` list is written from its texts, so numbers already
+    formatted for a CSV table are not formatted again.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, nl: str) -> str:
+    """JSON text of ``obj`` nested at the line break and indent ``nl``.
+
+    Follows json's encoder case by case; a dict with a key that is not a
+    string, or an object of any other type, is left to ``json.dumps``.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if not isinstance(obj, _JsonNumbers):
+            obj = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(obj) + nl + "]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            _json_str(k) + ": " + _json_value(v, inner)
+            for k, v in sorted(obj.items())) + nl + "}")
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _check_pairs(cfg: RunConfig, panel: RatePanel) -> None:
@@ -574,9 +635,13 @@ def _dcca_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
         files[prefix + name] = _csv(("s", "rho"), zip(curve.scales, curve.values))
     matrices = _matrices(cfg, panel) if with_matrices else []
     for m in matrices:
-        payload["matrices"].append(m.to_json_dict())
+        entry = m.to_json_dict()
+        # every coefficient is finite, so its repr is also its JSON text
+        entry["rho"] = rows = [_JsonNumbers(map(float.__repr__, row))
+                               for row in entry["rho"]]
+        payload["matrices"].append(entry)
         files[f"{prefix}rho_matrix_s{m.scale}.csv"] = _csv(
-            ("id", *m.ids), ((i, *row) for i, row in zip(m.ids, m.rho.tolist())))
+            ("id", *m.ids), ((i, *row) for i, row in zip(m.ids, rows)))
     files[f"{prefix}dcca.json"] = _json_text(payload)
     return matrices
 
@@ -733,7 +798,7 @@ def _write_all(cfg: RunConfig, files: dict[str, str]) -> None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = path + ".tmp"
         try:
-            with open(tmp, "w", newline="") as fh:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(files[rel])
             os.replace(tmp, path)
         finally:  # after a successful replace there is no tmp left
@@ -783,6 +848,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def rerun_from_manifest(manifest_path: str) -> int:
     """Re-execute a recorded run; outputs are byte-identical on the same data."""
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     return main(manifest["argv"])

@@ -140,7 +140,7 @@ class DccaMatrix:
             "ids": list(self.ids),
             "scale": self.scale,
             "method": self.method.to_json_dict(),
-            "rho": [[float(v) for v in row] for row in self.rho],
+            "rho": self.rho.tolist(),
         }
 
 
@@ -189,8 +189,8 @@ class RhoCurve:
         return {
             "pair": list(self.pair),
             "method": self.method.to_json_dict(),
-            "scales": [int(s) for s in self.scales],
-            "values": [float(v) for v in self.values],
+            "scales": self.scales.tolist(),
+            "values": self.values.tolist(),
         }
 
 

@@ -336,8 +336,8 @@ def hurst_distribution(
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")
-    if bin_width <= 0.0:
-        raise ValueError("bin_width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
     if grid is None:
         grid = default_grid(_profile_length(panel, input_kind))
 

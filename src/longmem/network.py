@@ -13,6 +13,7 @@ labels are renumbered by each community's smallest member id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -251,8 +252,8 @@ def detect_communities(
     positive ones has no graph to optimize and is an error; an edgeless
     network degenerates to singleton communities at Q = 0.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
     if net.n_nodes == 0:
         raise LongmemError("cannot partition an empty network")
     index = {node: i for i, node in enumerate(net.ids)}

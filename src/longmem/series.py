@@ -1,11 +1,12 @@
 """Rate-panel data model: ingestion, alignment, increments and profiles.
 
-Panel files are comma-separated text tables.  The first column holds ISO
-``YYYY-MM-DD`` dates under any header name; every remaining column is one
-series, its header being the series id.  Cells are decimal-point numerics;
-an empty cell marks a missing observation.  Dates are calendar labels only:
-all scale arithmetic elsewhere in the package counts observations
-(trading days).
+Panel files are UTF-8, comma-separated text tables whose lines end in
+``\\r\\n``, ``\\n`` or ``\\r``; a cell may be double-quoted by the rules of
+the ``csv`` module.  The first column holds ISO ``YYYY-MM-DD`` dates under
+any header name; every remaining column is one series, its header being
+the series id.  Cells are decimal-point numerics; an empty cell marks a
+missing observation.  Dates are calendar labels only: all scale
+arithmetic elsewhere in the package counts observations (trading days).
 
 In memory a panel is one sorted ``datetime64[D]`` date index plus an
 ``(n_series, n_dates)`` float matrix holding NaN for missing cells; a
@@ -297,14 +298,53 @@ def _parse_cells(path, labels, lineno: int,
     return values, blank
 
 
-def _read_body(path, reader, labels) -> tuple[list[dt.date], np.ndarray, np.ndarray]:
+def _records(text: str):
+    """The cell lists of each record of ``text``, as ``csv.reader`` gives them.
+
+    Text holding no quote or NUL has no quoted cells, so its records are
+    its lines, split at ``\\r\\n``, ``\\r`` or ``\\n``, and their cells the
+    comma-separated parts; such text is split with ``str.split``.  Other
+    text goes through ``csv.reader``, and so does text with a line long
+    enough to hold a cell past the reader's field limit, which it rejects.
+    """
+    if '"' in text or "\0" in text:
+        return csv.reader(io.StringIO(text, newline=""))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # a final line end starts no record
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return csv.reader(lines)
+    return (line.split(",") if line else [] for line in lines)
+
+
+def _read_body(path, records, labels) -> tuple[list[dt.date], np.ndarray, np.ndarray]:
     """Dates, (n_rows, n_labels) values and blank mask, in file order."""
     width = len(labels)
     dates: list[dt.date] = []
     values = array("d")
     blank = bytearray()
     n_bad_dates = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
+        cells = row[1:]
+        if len(cells) == width:
+            try:  # fast path: a full row, a clean date, clean or empty cells
+                d = dt.date.fromisoformat(row[0].strip())
+                row_values = list(map(float, filter(None, cells)))
+            except ValueError:
+                pass
+            else:
+                row_blank = bytearray(width)
+                j = -1
+                for _ in range(width - len(row_values)):  # each empty cell
+                    j = cells.index("", j + 1)
+                    row_values.insert(j, np.nan)
+                    row_blank[j] = 1
+                dates.append(d)
+                values.fromlist(row_values)
+                blank += row_blank
+                continue
         if not row or all(not c.strip() for c in row):
             continue
         try:
@@ -312,18 +352,13 @@ def _read_body(path, reader, labels) -> tuple[list[dt.date], np.ndarray, np.ndar
         except ValueError:
             n_bad_dates += 1
             continue
-        cells = row[1:]
         if len(cells) > width:
             raise SchemaError(f"{path}:{lineno}: {len(cells)} value cells "
                               f"but the header names {width} columns")
         cells += [""] * (width - len(cells))
-        try:  # fast path: no whitespace-only or bad cells in the row
-            row_values = [float(c) if c else np.nan for c in cells]
-            row_blank = [not c for c in cells]
-        except ValueError:
-            row_values, row_blank = _parse_cells(path, labels, lineno, cells)
+        row_values, row_blank = _parse_cells(path, labels, lineno, cells)
         dates.append(d)
-        values.extend(row_values)
+        values.fromlist(row_values)
         blank.extend(row_blank)
     if n_bad_dates:
         warnings.warn(f"{path}: dropped {n_bad_dates} rows with unparseable dates",
@@ -348,9 +383,9 @@ def load_panel(path) -> RatePanel:
     fewer than two observations.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = _records(fh.read())
+            header = next(records, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
             header = [h.strip() for h in header]
@@ -367,7 +402,7 @@ def load_panel(path) -> RatePanel:
             if bad is not None:
                 raise SchemaError(f"{path}: column label {bad!r} contains a "
                                   "comma, quote or line break")
-            dates, values, blank = _read_body(path, reader, labels)
+            dates, values, blank = _read_body(path, records, labels)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:

@@ -9,13 +9,26 @@ flag parsing, file layout, determinism, and error-path exit codes.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from longmem.cli import ConfigError, _csv, _Quoted, main, rerun_from_manifest
+from longmem.cli import (
+    ConfigError,
+    _csv,
+    _json_text,
+    _JsonNumbers,
+    _Quoted,
+    main,
+    rerun_from_manifest,
+)
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
 from longmem.synthetic import FgnSpec, generate_fgn
 
@@ -180,6 +193,40 @@ def test_weight_rejected_for_fgn(tmp_path, capsys):
                 "--weight", "0.9", "--output-dir", tmp_path / "out"])
     assert code == 1
     assert "--weight" in capsys.readouterr().err
+
+
+FLOAT_FLAGS = [("hurst", "--bin-width"), ("hurst", "--crossover-threshold"),
+               ("network", "--threshold"), ("network", "--resolution"),
+               ("synth", "--hurst"), ("synth", "--weight"), ("synth", "--sigma")]
+
+
+def float_flag_argv(panel_dir, out, command, flag, text):
+    if command == "synth":
+        base = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
+                "--n", "64"]
+    else:
+        base = [command, "--input", panel_dir / "abc.csv", "--input-kind",
+                "increments"]
+    return [*base, "--output-dir", out, f"{flag}={text}"]
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_exits_one(panel_dir, tmp_path, capsys, command,
+                                         flag, text):
+    out = tmp_path / "out"
+    assert run(float_flag_argv(panel_dir, out, command, flag, text)) == 1
+    assert (f"error: argument {flag}: not a finite number: '{text}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_non_numeric_float_flag_exits_one(panel_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(float_flag_argv(panel_dir, out, "network", "--resolution",
+                               "high")) == 1
+    assert ("error: argument --resolution: invalid float value: 'high'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("align", [[], ["--align", "intersect"]],
@@ -734,3 +781,137 @@ def test_cli_import_leaves_out_network_and_mail_modules():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == ""
+
+
+# ---------------------------------------------------------------------------
+# text encoding: every file is read and written as UTF-8, whatever the locale
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(args, cwd, **env) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports this tree."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env),
+                          timeout=300)
+
+
+def test_utf8_panel_under_ascii_locale(panel_dir, tmp_path):
+    header, body = (panel_dir / "abc.csv").read_text().split("\n", 1)
+    assert header == "date,a,b,c"
+    locales = {"ascii": dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+               "utf8": dict(PYTHONUTF8="1")}
+    trees = {}
+    for name, env in locales.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        (cwd / "panel.csv").write_bytes(
+            ("date,Zürich,Genève,Åre\n" + body).encode("utf-8"))
+        proc = run_process(["-m", "longmem", "report", "--input", "panel.csv",
+                            "--output-dir", "out", "--input-kind", "increments",
+                            "--scale", "10,20", "--threshold", "0.5"], cwd, **env)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        trees[name] = tree_bytes(cwd / "out")
+    assert trees["ascii"] == trees["utf8"]
+    assert "Genève".encode() in trees["ascii"]["network/network_s10.graphml"]
+
+
+ENCODING_RUNS = {
+    "hurst": ["hurst", "--crossover"],
+    "dcca": ["dcca", "--all", "--scale", "10,20"],
+    "network": ["network", "--scale", "10,20", "--threshold", "0.5"],
+    "report": ["report", "--scale", "10,20", "--threshold", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", [*ENCODING_RUNS, "synth", "rerun"])
+def test_no_file_uses_the_locale_encoding(panel_dir, tmp_path, command):
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    if command == "synth":
+        args = ["-m", "longmem", "synth", "--fgn", "--hurst", "0.6", "--n", "128"]
+    elif command == "rerun":
+        assert run(["network", "--input", panel_dir / "abc.csv", "--output-dir",
+                    tmp_path / "out", "--input-kind", "increments",
+                    "--scale", "10"]) == 0
+        args = ["-c", "import sys; from longmem.cli import rerun_from_manifest; "
+                      "sys.exit(rerun_from_manifest('out/run_manifest.json'))"]
+    else:
+        args = ["-m", "longmem", *ENCODING_RUNS[command], "--input",
+                panel_dir / "abc.csv", "--input-kind", "increments"]
+    if command != "rerun":
+        args += ["--output-dir", "out"]
+    proc = run_process([*strict, *map(str, args)], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert (tmp_path / "out" / "run_manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def plain(obj):
+    """``obj`` with each pre-formatted number list read back as floats."""
+    if isinstance(obj, _JsonNumbers):
+        return [float(t) for t in obj]
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+def test_json_writer_matches_json_dumps_on_run_payloads(panel_dir, tmp_path,
+                                                        monkeypatch):
+    import longmem.cli
+
+    payloads = []
+
+    def keep(obj):
+        payloads.append(obj)
+        return _json_text(obj)
+
+    monkeypatch.setattr(longmem.cli, "_json_text", keep)
+    flags = ["--input", panel_dir / "abc.csv", "--input-kind", "increments"]
+    runs = [["report", *flags, "--pair", "a,b", "--scale", "10,20",
+             "--threshold", "0.5"],
+            ["network", *flags, "--scale", "10", "--threshold", "0.5",
+             "--period", "2000-01-03:2000-12-29",
+             "--period", "2001-01-01:2001-12-31"],
+            ["hurst", *flags, "--crossover"]]
+    for k, argv in enumerate(runs):
+        assert run([*argv, "--output-dir", tmp_path / str(k)]) == 0
+    # report: hurst, dcca, network, manifest; network and hurst: 2 each
+    assert len(payloads) == 8
+    assert any(isinstance(row, _JsonNumbers)
+               for p in payloads if isinstance(p, dict) and "matrices" in p
+               for m in p["matrices"] for row in m["rho"])
+    for p in payloads:
+        assert _json_text(p) == json.dumps(plain(p), indent=2,
+                                           sort_keys=True) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=25)
+
+
+@given(JSON_VALUES)
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+          "zero": -0.0, "empty": [[], {}, ()], "text": "Zürich \u2028 \"q\"\n",
+          "flags": [True, False, None], "np": np.float64(0.1),
+          "rows": [[0.1, 1e-300], [2.5e+22, -1.0]]})
+@example({"keys": {2: [1.5, {"b": 2}], 1: None}})
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         max_size=4), max_size=4))
+def test_pre_formatted_numbers_match_json_dumps(rows):
+    numbers = [_JsonNumbers(map(float.__repr__, row)) for row in rows]
+    assert (_json_text({"rho": numbers, "n": len(rows)})
+            == json.dumps({"rho": rows, "n": len(rows)}, indent=2,
+                          sort_keys=True) + "\n")

@@ -317,6 +317,11 @@ class TestHurstDistribution:
         with pytest.raises(ValueError, match="bin_width"):
             hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=0.0)
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_non_finite_bin_width(self, width):
+        with pytest.raises(ValueError, match="bin_width must be positive and finite"):
+            hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=width)
+
     def test_histogram_edges(self):
         dist = hurst_distribution(fgn_panel(0.65, 10), dfa(1),
                                   input_kind="increments", bin_width=0.05)

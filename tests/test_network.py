@@ -188,6 +188,11 @@ class TestDetectCommunities:
         with pytest.raises(ValueError, match="resolution"):
             detect_communities(clique_pair_network(), resolution=0.0)
 
+    @pytest.mark.parametrize("resolution", [np.nan, np.inf])
+    def test_non_finite_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            detect_communities(clique_pair_network(), resolution=resolution)
+
     def test_q_capped_validation(self):
         with pytest.raises(ValueError, match="modularity"):
             CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0)

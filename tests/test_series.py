@@ -1,5 +1,8 @@
 import datetime as dt
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +188,102 @@ class TestLoadPanel:
         for a, b in zip(panel.series, back.series):
             assert a.dates == b.dates
             assert np.array_equal(a.values, b.values)
+
+
+def read_outcome(path):
+    """What load_panel makes of a file: the panel's ids, days and matrix
+    bits, or the exception; plus the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            panel = load_panel(path)
+            got = (panel.ids, panel.days.tobytes(), panel.matrix.tobytes())
+        except Exception as exc:
+            got = (type(exc).__name__, str(exc))
+    return got, [str(w.message) for w in caught]
+
+
+DATES = [f"2020-01-{d:02d}" for d in range(1, 11)]
+CELLS = st.one_of(st.sampled_from(["", " ", " 2.5 "]),
+                  st.floats(allow_nan=False, allow_infinity=False).map(repr))
+BAD_CELLS = st.sampled_from(["nan", "inf", "x", "1\x0b", "2\x0c", "\x85",
+                             "3\u2028", "1e3", "-0"])
+BAD_DATES = st.sampled_from(["", " ", "2020-13-01", "x", " 2020-01-02 ",
+                             "2020-01-01"])
+
+
+@st.composite
+def panel_texts(draw):
+    """Unquoted panel text on unordered dates with blank and padded cells
+    and mixed line ends; about one row in four is a blank line, has a bad
+    or repeated date, is short or long, or holds an odd cell."""
+    width = draw(st.integers(1, 3))
+    lines = ["date," + ",".join("abc"[:width])]
+    for date in draw(st.permutations(DATES))[:draw(st.integers(0, len(DATES)))]:
+        rare = draw(st.integers(0, 19))
+        if rare == 0:
+            lines.append(draw(st.sampled_from(["", " ", ", ,"])))
+            continue
+        if rare == 1:
+            date = draw(BAD_DATES)
+        n = {2: width - 1, 3: width + 1}.get(rare, width)
+        cells = draw(st.lists(BAD_CELLS if rare == 4 else CELLS,
+                              min_size=n, max_size=n))
+        lines.append(",".join([date, *cells]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReaderPaths:
+    """Unquoted text is split with ``str.split``; quoted text goes through
+    ``csv.reader``.  Both must read a file the same way."""
+
+    @given(panel_texts())
+    def test_split_and_csv_reader_agree(self, text):
+        assert '"' not in text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_bytes(text.encode())
+            plain = read_outcome(path)
+            # a quoted header cell sends the whole file through csv.reader
+            path.write_bytes(('"date"' + text[len("date"):]).encode())
+            assert read_outcome(path) == plain
+
+    @pytest.mark.parametrize("text", ["\n2020-01-01,1\n", '\n"2020-01-01",1\n'])
+    def test_empty_first_line_is_an_empty_header(self, tmp_path, text):
+        p = tmp_path / "h.csv"
+        p.write_text(text)
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == f"{p}: no value columns (header: [])"
+
+    @pytest.mark.parametrize("header", ["date", '"date"'])
+    def test_overlong_cell_keeps_the_csv_error(self, tmp_path, header):
+        p = tmp_path / "long.csv"
+        p.write_text(f"{header},a\n2020-01-01,{'1' * 200_000}\n2020-01-02,2\n")
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == f"{p}: field larger than field limit (131072)"
+
+    def test_line_ends(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"date,a\r\n2020-01-01,1\r2020-01-02,2\n\r\n2020-01-03,3")
+        panel = load_panel(p)
+        assert list(panel.member("a").values) == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_other_line_breaks_stay_in_their_cell(self, tmp_path, char):
+        # str.splitlines would break the line here and shift the numbering
+        p = tmp_path / "b.csv"
+        p.write_text(f"date,a\n2020-01-01,1\n2020-01-02,2{char}5\n",
+                     encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == (f"{p}:3: column 'a': non-numeric cell "
+                                   f"{'2' + char + '5'!r}")
 
 
 class TestAlign:
