@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AlignmentError, DegenerateSeriesError, LongmemError
 from .scaling import DetrendMethod, ScaleGrid, _engines
-from .series import Profile, RatePanel, TimeSeries, series_profile
+from .series import Profile, RatePanel, TimeSeries, _frozen, series_profile
 
 __all__ = [
     "DccaMatrix",
@@ -124,7 +124,7 @@ class DccaMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        self.rho.flags.writeable = False
+        _frozen(self.rho)
         n = len(self.ids)
         if self.rho.shape != (n, n):
             raise ValueError("rho must be square over ids")
@@ -180,8 +180,8 @@ class RhoCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        self.scales.flags.writeable = False
-        self.values.flags.writeable = False
+        _frozen(self.scales)
+        _frozen(self.values)
         if self.scales.size != self.values.size:
             raise ValueError("scales and values must match in length")
 

@@ -1,5 +1,14 @@
 """Exception hierarchy for the longmem package."""
 
+__all__ = [
+    "LongmemError",
+    "SchemaError",
+    "AlignmentError",
+    "ScaleError",
+    "FitError",
+    "DegenerateSeriesError",
+]
+
 
 class LongmemError(Exception):
     """Base class for all longmem-specific errors."""

@@ -26,7 +26,7 @@ from .scaling import (
     _fluctuations,
     default_grid,
 )
-from .series import RatePanel, _profile_length, series_profile
+from .series import RatePanel, _frozen, _profile_length, series_profile
 
 __all__ = [
     "HurstEstimate",
@@ -229,6 +229,11 @@ class HurstDistribution:
     bin_width: float
     bin_edges: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("bin_edges", "counts"):
+            object.__setattr__(self, name,
+                               _frozen(np.asarray(getattr(self, name))))
 
     @property
     def h_min(self) -> float:

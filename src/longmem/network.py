@@ -84,9 +84,7 @@ class CorrelationNetwork:
 
 
 def build_network(m: DccaMatrix, threshold: float = 0.8) -> CorrelationNetwork:
-    """Keep the pairs whose coefficient magnitude reaches the threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    """Keep the pairs whose |rho| reaches the threshold, which is in (0, 1]."""
     rows, cols = np.triu_indices(len(m.ids), k=1)
     weights = m.rho[rows, cols]
     keep = np.abs(weights) >= threshold

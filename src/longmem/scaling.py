@@ -381,10 +381,8 @@ class FluctuationFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=int)
-        values = np.asarray(self.values, dtype=float)
-        scales.setflags(write=False)
-        values.setflags(write=False)
+        scales = _frozen(np.asarray(self.scales, dtype=int))
+        values = _frozen(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "values", values)
         if len(scales) != len(values):

@@ -327,36 +327,28 @@ def _read_body(path, records, labels) -> tuple[list[dt.date], np.ndarray, np.nda
     blank = bytearray()
     n_bad_dates = 0
     for lineno, row in enumerate(records, start=2):
-        cells = row[1:]
-        if len(cells) == width:
-            try:  # fast path: a full row, a clean date, clean or empty cells
-                d = dt.date.fromisoformat(row[0].strip())
-                row_values = list(map(float, filter(None, cells)))
-            except ValueError:
-                pass
-            else:
-                row_blank = bytearray(width)
-                j = -1
-                for _ in range(width - len(row_values)):  # each empty cell
-                    j = cells.index("", j + 1)
-                    row_values.insert(j, np.nan)
-                    row_blank[j] = 1
-                dates.append(d)
-                values.fromlist(row_values)
-                blank += row_blank
-                continue
-        if not row or all(not c.strip() for c in row):
-            continue
         try:
             d = dt.date.fromisoformat(row[0].strip())
-        except ValueError:
-            n_bad_dates += 1
+        except (IndexError, ValueError):
+            if any(c.strip() for c in row):  # a blank row is no bad date
+                n_bad_dates += 1
             continue
+        cells = row[1:]
         if len(cells) > width:
             raise SchemaError(f"{path}:{lineno}: {len(cells)} value cells "
                               f"but the header names {width} columns")
         cells += [""] * (width - len(cells))
-        row_values, row_blank = _parse_cells(path, labels, lineno, cells)
+        try:  # a whitespace-only or non-numeric cell goes to _parse_cells
+            row_values = list(map(float, filter(None, cells)))
+        except ValueError:
+            row_values, row_blank = _parse_cells(path, labels, lineno, cells)
+        else:
+            row_blank = bytearray(width)
+            j = -1
+            for _ in range(width - len(row_values)):  # each empty cell
+                j = cells.index("", j + 1)
+                row_values.insert(j, np.nan)
+                row_blank[j] = 1
         dates.append(d)
         values.fromlist(row_values)
         blank.extend(row_blank)

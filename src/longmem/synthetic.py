@@ -17,6 +17,7 @@ increments.  Feed them to the estimators with ``input_kind="increments"``.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ def _autocovariance(k, hurst: float, sigma: float = 1.0):
                                + np.abs(k - 1) ** two_h)
 
 
+def _check_fgn(spec) -> None:
+    """Check the ``hurst``, ``n`` and ``sigma`` every fGn draw needs."""
+    if not 0.0 < spec.hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {spec.hurst}")
+    if spec.n < 16:
+        raise ValueError(f"n must be >= 16, got {spec.n}")
+    if not 0.0 < spec.sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {spec.sigma}")
+
+
 @dataclass(frozen=True)
 class FgnSpec:
     """Target length, Hurst exponent, RNG seed and scale of an fGn draw."""
@@ -55,12 +66,7 @@ class FgnSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.n < 16:
-            raise ValueError(f"n must be >= 16, got {self.n}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _check_fgn(self)
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,7 @@ class BlockSpec:
         if not 0.0 <= self.common_weight <= 1.0:
             raise ValueError(f"common_weight must lie in [0, 1], got "
                              f"{self.common_weight}")
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.n < 16:
-            raise ValueError(f"n must be >= 16, got {self.n}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _check_fgn(self)
 
 
 def _trading_days(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from longmem.cli import main
+from longmem.dcca import pairwise_matrix, rho_vs_scale
 from longmem.errors import AlignmentError, FitError
 from longmem.hurst import (
     HurstEstimate,
@@ -385,6 +386,28 @@ class TestHurstDistribution:
         payload = json.loads(json.dumps(dist.to_json_dict()))
         assert len(payload["estimates"]) == 4
         assert payload["summary"]["mode_bin"][0] <= payload["summary"]["h_max"]
+
+
+GRID = ScaleGrid((10, 20, 40))
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda p: hurst_distribution(p, dfa(1), input_kind="increments"),
+     ("bin_edges", "counts")),
+    (lambda p: fluctuation(series_profile(p.series[0], "increments"), GRID,
+                           dfa(1)),
+     ("scales", "values")),
+    (lambda p: pairwise_matrix(p, 20, dfa(1), input_kind="increments"),
+     ("rho",)),
+    (lambda p: rho_vs_scale(*p.series[:2], GRID, method=dfa(1),
+                            input_kind="increments"),
+     ("scales", "values")),
+], ids=["HurstDistribution", "FluctuationFunction", "DccaMatrix", "RhoCurve"])
+def test_result_arrays_are_read_only(build, names):
+    result = build(fgn_panel(0.6, 3, n=512))
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(result, name)[0] += 7
 
 
 class TestEstimatorConsistency:

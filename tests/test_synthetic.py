@@ -53,6 +53,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sigma"):
             FgnSpec(n=64, hurst=0.5, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda sigma: FgnSpec(n=64, hurst=0.6, sigma=sigma),
+        lambda sigma: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=sigma),
+    ], ids=["fgn", "blocks"])
+    def test_non_finite_sigma(self, make, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            make(sigma)
+
     def test_block_bounds(self):
         ok = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5,
                   n=64)
