@@ -199,7 +199,7 @@ def detect_crossover(
         sr, *_, sse_r = _fit_line(log_s[k + 1 :], log_f[k + 1 :])
         sse = sse_l + sse_r
         tie = max(_SSE_FLOOR, _SSE_TIE_REL * max(sse, best[0]))
-        if sse < best[0] - tie or abs(sse - best[0]) <= tie:
+        if sse <= best[0] + tie:
             best = (sse, sl, sr)
             best_k = k
 
@@ -220,7 +220,7 @@ def detect_crossover(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HurstDistribution:
     """Per-series exponents for a panel plus their histogram."""
 

@@ -163,18 +163,17 @@ def _modularity(
 
 
 def _louvain_level(
-    n_nodes: int,
     neighbors: list[dict[int, float]],
     loops: list[float],
     resolution: float,
     order: np.ndarray,
 ) -> list[int] | None:
     """One local-move phase; returns the assignment or None if nothing moved."""
-    strength = [2.0 * loops[u] + sum(neighbors[u].values()) for u in range(n_nodes)]
+    strength = [2.0 * lp + sum(nb.values()) for lp, nb in zip(loops, neighbors)]
     two_m = sum(strength)
     if two_m == 0.0:
         return None  # edgeless graph: nothing to move
-    comm = list(range(n_nodes))
+    comm = list(range(len(loops)))
     tot = strength.copy()
     moved_any = False
     improved = True
@@ -210,33 +209,27 @@ def _louvain_level(
 
 
 def _aggregate(
-    n_nodes: int,
     neighbors: list[dict[int, float]],
     loops: list[float],
     comm: list[int],
-) -> tuple[int, list[dict[int, float]], list[float], list[list[int]]]:
-    """Collapse communities into nodes; keeps internal weight as self-loops."""
-    labels = sorted(set(comm))
-    relabel = {c: i for i, c in enumerate(labels)}
-    k = len(labels)
+) -> tuple[list[dict[int, float]], list[float]]:
+    """Collapse communities 0..k-1 into nodes; internal weight as self-loops."""
+    k = max(comm) + 1
     new_neighbors: list[dict[int, float]] = [dict() for _ in range(k)]
     new_loops = [0.0] * k
-    groups: list[list[int]] = [[] for _ in range(k)]
-    for u in range(n_nodes):
-        groups[relabel[comm[u]]].append(u)
-        new_loops[relabel[comm[u]]] += loops[u]
-    for u in range(n_nodes):
-        cu = relabel[comm[u]]
+    for u, c in enumerate(comm):
+        new_loops[c] += loops[u]
+    for u, cu in enumerate(comm):
         for v, w in neighbors[u].items():
             if v < u:
                 continue
-            cv = relabel[comm[v]]
+            cv = comm[v]
             if cu == cv:
                 new_loops[cu] += w
             else:
                 new_neighbors[cu][cv] = new_neighbors[cu].get(cv, 0.0) + w
                 new_neighbors[cv][cu] = new_neighbors[cv].get(cu, 0.0) + w
-    return k, new_neighbors, new_loops, groups
+    return new_neighbors, new_loops
 
 
 def detect_communities(
@@ -266,8 +259,6 @@ def detect_communities(
         )
 
     n = net.n_nodes
-    # membership[u] = original node indices merged into current node u
-    membership: list[list[int]] = [[u] for u in range(n)]
     neighbors: list[dict[int, float]] = [dict() for _ in range(n)]
     loops = [0.0] * n
     for u, v, w in positive:
@@ -275,39 +266,23 @@ def detect_communities(
         neighbors[v][u] = neighbors[v].get(u, 0.0) + w
 
     rng = np.random.default_rng(seed)
-    n_cur = n
-    while True:
-        order = rng.permutation(n_cur)
-        comm = _louvain_level(n_cur, neighbors, loops, resolution, order)
+    # assign[i] = node of the current level that original node i belongs to
+    assign = list(range(n))
+    while len(loops) > 1:
+        order = rng.permutation(len(loops))
+        comm = _louvain_level(neighbors, loops, resolution, order)
         if comm is None:
             break
-        n_cur, neighbors, loops, groups = _aggregate(n_cur, neighbors, loops, comm)
-        membership = [
-            [orig for merged in grp for orig in membership[merged]]
-            for grp in groups
-        ]
-        if n_cur == 1:
-            break
-
-    assign = [0] * n
-    for label, members in enumerate(membership):
-        for orig in members:
-            assign[orig] = label
+        rank = {c: i for i, c in enumerate(sorted(set(comm)))}
+        comm = [rank[c] for c in comm]
+        assign = [comm[a] for a in assign]
+        neighbors, loops = _aggregate(neighbors, loops, comm)
 
     q = _modularity(n, positive, assign, resolution)
-    q_single = _modularity(n, positive, [0] * n, resolution)
-    if q < q_single:
-        assign = [0] * n
-        q = q_single
-
     # canonical labels: communities numbered by their smallest member id
-    reps: dict[int, str] = {}
-    for i, node in enumerate(net.ids):
-        c = assign[i]
-        if c not in reps or node < reps[c]:
-            reps[c] = node
-    ordered = sorted(reps, key=lambda c: reps[c])
-    relabel = {c: i for i, c in enumerate(ordered)}
+    relabel: dict[int, int] = {}
+    for i in sorted(range(n), key=net.ids.__getitem__):
+        relabel.setdefault(assign[i], len(relabel))
     assignment = tuple(
         (node, relabel[assign[i]]) for i, node in enumerate(net.ids)
     )

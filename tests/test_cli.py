@@ -51,7 +51,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory) -> Path:
-    """Two panel files: three co-moving members, plus a flat-column copy.
+    """Three panel files: three co-moving members, a flat-column copy,
+    and member ``a`` alone.
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -68,6 +69,7 @@ def panel_dir(tmp_path_factory) -> Path:
     flat = TimeSeries("flat", members[0].dates, np.full(600, 3.0))
     with_flat = RatePanel(tuple(members) + (flat,))
     (root / "with_flat.csv").write_text(panel_to_csv(with_flat))
+    (root / "one.csv").write_text(panel_to_csv(RatePanel(tuple(members[:1]))))
     return root
 
 
@@ -293,6 +295,75 @@ def test_unknown_pair_id_exits_one_without_outputs(panel_dir, tmp_path, capsys):
                 "--output-dir", out, "--pair", "a,zzz"])
     assert code == 1
     assert "zzz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+HURST = ["hurst", "--input", "abc.csv"]
+NETWORK = ["network", "--input", "abc.csv"]
+SYNTH = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
+         "--n", "64"]
+
+
+# Leading NAME=value items are environment settings, as on a shell line;
+# input file names are those of the panel_dir fixture, and a repeated flag
+# overrides the earlier value.
+INPUT_RULES = [
+    ([*HURST, "--scales", "10,x"],
+     "--scales: expected comma-separated integers, got '10,x'"),
+    ([*NETWORK, "--scale", "x"],
+     "--scale: expected comma-separated integers, got 'x'"),
+    (["dcca", "--input", "abc.csv", "--pair", "a"],
+     "--pair expects 'id_a,id_b', got 'a'"),
+    ([*NETWORK, "--period", "2020-01-01"],
+     "--period expects 'YYYY-MM-DD:YYYY-MM-DD', got '2020-01-01'"),
+    ([*NETWORK, "--period", "2020-13-01:2020-12-31"],
+     "--period '2020-13-01:2020-12-31': "),
+    ([*NETWORK, "--period", "2021-01-01:2020-01-01"],
+     "--period '2021-01-01:2020-01-01': start after end"),
+    ([*SYNTH, "--blocks", "3"], "--blocks expects 'BxM' (e.g. 3x5), got '3'"),
+    ([*HURST, "--format", ","], "--format: empty list"),
+    (["LONGMEM_THREADS=x", *HURST], "LONGMEM_THREADS: not an integer: 'x'"),
+    ([*HURST, "--threads", "0"], "--threads must be >= 1, got 0"),
+    ([*HURST, "--method", "dfa", "--dfa-order", "0"],
+     "dfa order must be >= 1, got 0"),
+    ([*HURST, "--align", "forward_fill"],
+     "--align forward_fill requires --max-gap >= 1"),
+    ([*HURST, "--smin", "1"], "--smin must be >= 2, got 1"),
+    ([*HURST, "--smin", "20", "--smax", "10"], "--smax 10 below --smin 20"),
+    ([*HURST, "--num-scales", "2"], "--num-scales must be >= 3, got 2"),
+    ([*HURST, "--scales", "1,5"], "--scales: scale 1 < 2"),
+    ([*HURST, "--fit-min", "100", "--fit-max", "50"],
+     "--fit-min 100 above --fit-max 50"),
+    ([*HURST, "--bin-width", "0"], "--bin-width must be positive, got 0.0"),
+    ([*HURST, "--crossover-threshold", "1.5"],
+     "--crossover-threshold must be in (0, 1), got 1.5"),
+    ([*HURST, "--min-side-points", "1"],
+     "--min-side-points must be >= 2, got 1"),
+    ([*NETWORK, "--scale", "1"], "--scale: scale 1 < 2"),
+    ([*NETWORK, "--resolution", "0"], "--resolution must be positive, got 0.0"),
+    ([*SYNTH, "--n", "8"], "--n must be >= 16, got 8"),
+    ([*SYNTH, "--sigma", "0"], "--sigma must be positive, got 0.0"),
+    ([*SYNTH, "--weight", "1.5"], "--weight must be in [0, 1], got 1.5"),
+    ([*SYNTH, "--blocks", "1x5"], "--blocks needs at least 2x2, got 1x5"),
+    (["dcca", "--input", "one.csv", "--all"],
+     "--all needs a panel with at least 2 series"),
+    (["network", "--input", "one.csv"],
+     "network needs a panel with at least 2 series"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_RULES,
+                         ids=[message for _, message in INPUT_RULES])
+def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
+                                              monkeypatch, argv, message):
+    while "=" in argv[0]:
+        name, value = argv[0].split("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    argv = [panel_dir / a if a.endswith(".csv") else a for a in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--output-dir", out]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -524,9 +595,14 @@ def test_single_format_writes_that_kind_of_the_full_run(panel_dir, tmp_path):
     flags = ["report", "--input", panel_dir / "abc.csv", "--input-kind",
              "increments", "--pair", "a,b", "--scale", "10,20",
              "--threshold", "0.5"]
-    assert run([*flags, "--output-dir", tmp_path / "all"]) == 0
-    full = tree_bytes(tmp_path / "all")
+    assert run([*flags, "--output-dir", tmp_path / "default"]) == 0
+    full = tree_bytes(tmp_path / "default")
     full.pop("run_manifest.json")
+    assert run([*flags, "--output-dir", tmp_path / "all", "--format", "all"]) == 0
+    got = tree_bytes(tmp_path / "all")
+    manifest = json.loads(got.pop("run_manifest.json"))
+    assert manifest["config"]["formats"] == ["table", "json", "graphml", "dot"]
+    assert got == full
     for kind in ("table", "json", "graphml", "dot"):
         out = tmp_path / kind
         assert run([*flags, "--output-dir", out, "--format", kind]) == 0
@@ -702,6 +778,10 @@ def test_report_writes_grouped_layout(panel_dir, tmp_path):
             "dcca/rho_matrix_s20.csv", "dcca/dcca.json",
             "network/partition_s10.csv", "network/degree_vs_scale.csv",
             "network/network.json", "run_manifest.json"} <= names
+    # the 5..500 pair-curve span, capped at half the 600-point profile
+    # (dcca exits 2 on the same pair instead)
+    rows = read_rows(out / "dcca/rho_curve_00_a__b.csv")
+    assert (rows[1][0], rows[-1][0]) == ("5", "300")
 
 
 def test_report_without_pairs_needs_no_curve_grid(tmp_path, capsys):

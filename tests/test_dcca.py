@@ -7,6 +7,7 @@ import pytest
 from longmem.cli import main
 from longmem.dcca import (
     DccaMatrix,
+    RhoCurve,
     _normalize,
     pairwise_matrix,
     rho_from_profiles,
@@ -319,6 +320,11 @@ class TestRhoVsScale:
         with pytest.raises(ScaleError, match="half"):
             rho_vs_scale(a, b, ScaleGrid((5, 500)), method=dfa(1),
                          input_kind="increments")
+
+    def test_curve_length_mismatch(self):
+        with pytest.raises(ValueError,
+                           match="^scales and values must match in length$"):
+            RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5]))
 
     def test_method_required(self):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))

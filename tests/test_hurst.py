@@ -358,6 +358,13 @@ class TestHurstDistribution:
             want[inside[0]] += 1
         assert counts.tolist() == want.tolist()
 
+    def test_compares_and_hashes_by_identity(self):
+        panel = fgn_panel(0.7, 3, n=512)
+        one = hurst_distribution(panel, dfa(1), input_kind="increments")
+        two = hurst_distribution(panel, dfa(1), input_kind="increments")
+        assert one == one and one != two
+        assert len({one, two, one}) == 2
+
     def test_threads_do_not_change_output(self):
         panel = fgn_panel(0.7, 6)
         one = hurst_distribution(panel, dfa(1), input_kind="increments")

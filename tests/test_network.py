@@ -197,6 +197,18 @@ class TestDetectCommunities:
         with pytest.raises(ValueError, match="modularity"):
             CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0)
 
+    def test_q_at_least_one_community_value(self):
+        # one community holding every node scores 1 - resolution
+        rng = np.random.default_rng(15)
+        for seed in range(300):
+            net = build_network(random_matrix(seed, n=int(rng.integers(2, 25))),
+                                threshold=float(rng.uniform(0.3, 0.95)))
+            if not any(w > 0 for _, _, w in net.edges):
+                continue
+            resolution = float(rng.uniform(0.01, 5.0))
+            part = detect_communities(net, resolution=resolution, seed=seed)
+            assert part.modularity_q >= 1.0 - resolution - 1e-12
+
     def test_table(self):
         # the partition_s<scale>.csv layout the CLI writes
         part = detect_communities(clique_pair_network())
@@ -260,6 +272,17 @@ class TestSplitPeriods:
         panel = self.make_panel()
         with pytest.raises(LongmemError):
             split_periods(panel, [(dt.date(1990, 1, 1), dt.date(1990, 6, 1))])
+
+    def test_window_with_one_shared_date(self):
+        days = np.array(["2020-01-01", "2020-01-02", "2020-01-03",
+                         "2020-01-04", "2020-01-05"], dtype="datetime64[D]")
+        panel = RatePanel.from_matrix(
+            ["a", "b"], days, [[1.0, 2.0, 3.0, np.nan, np.nan],
+                               [np.nan, np.nan, 3.0, 4.0, 5.0]])
+        with pytest.raises(LongmemError) as info:
+            split_periods(panel, [(dt.date(2020, 1, 1), dt.date(2020, 1, 5))])
+        assert str(info.value) == ("window 2020-01-01..2020-01-05 leaves 1 "
+                                   "shared dates, need at least 2")
 
     def test_no_windows(self):
         with pytest.raises(ValueError, match="window"):

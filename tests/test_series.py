@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from longmem.errors import AlignmentError, SchemaError
 from longmem.synthetic import trading_dates
 from longmem.series import (
+    Profile,
     RatePanel,
     TimeSeries,
     align,
@@ -38,6 +39,17 @@ class TestTimeSeries:
         d = dt.date
         with pytest.raises(ValueError, match="not strictly increasing"):
             TimeSeries("x", (d(2020, 1, 2), d(2020, 1, 1)), [1.0, 2.0])
+
+    def test_rejects_2d_values(self):
+        d = dt.date
+        with pytest.raises(ValueError, match=r"^series 'x': values must be 1-D$"):
+            TimeSeries("x", (d(2020, 1, 1), d(2020, 1, 2)), [[1.0, 2.0]])
+
+    def test_rejects_dates_values_length_mismatch(self):
+        d = dt.date
+        with pytest.raises(ValueError,
+                           match=r"^series 'x': 2 dates vs 3 values$"):
+            TimeSeries("x", (d(2020, 1, 1), d(2020, 1, 2)), [1.0, 2.0, 3.0])
 
     def test_values_read_only(self):
         ts = make_series([1.0, 2.0, 3.0])
@@ -91,6 +103,20 @@ class TestLoadPanel:
             load_panel(p)
         assert str(info.value) == (f"{p}: column label {label!r} contains a "
                                    "comma, quote or line break")
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == f"{p}: empty file"
+
+    def test_empty_header_label(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("date,a, \n2020-01-01,1,2\n2020-01-02,3,4\n")
+        with pytest.raises(SchemaError) as info:
+            load_panel(p)
+        assert str(info.value) == f"{p}: empty column label in header"
 
     def test_single_row_column(self, tmp_path):
         p = tmp_path / "one.csv"
@@ -432,6 +458,15 @@ class TestIncrementsAndProfile:
         with pytest.raises(ValueError, match="input_kind"):
             series_profile(make_series([1.0, 2.0]), input_kind="returns")
 
+    def test_profile_rejects_short(self):
+        with pytest.raises(ValueError, match=r"^'p': profile shorter than 2$"):
+            Profile("p", np.array([0.0]))
+
+    def test_profile_must_telescope(self):
+        with pytest.raises(ValueError, match=r"^'p': profile does not telescope "
+                                             r"to 0 \(final value 2\)$"):
+            Profile("p", np.array([1.0, 2.0]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_profile_rejects_non_finite_increments(self, bad):
         with pytest.raises(ValueError, match="'z9': non-finite increments"):
@@ -497,6 +532,9 @@ class TestProfileMemo:
         assert all(p is q for p, q in zip(first, again))
 
 
+TWO_DAYS = ["2020-01-01", "2020-01-02"]
+
+
 class TestRatePanel:
     def test_duplicate_ids_rejected(self):
         a = make_series([1.0, 2.0], "a")
@@ -524,6 +562,19 @@ class TestRatePanel:
         days = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
         with pytest.raises(ValueError, match="'b': length 1"):
             RatePanel.from_matrix(["a", "b"], days, [[1.0, 2.0], [np.nan, 1.0]])
+
+    @pytest.mark.parametrize("ids, dates, matrix, message", [
+        ([], TWO_DAYS, np.empty((0, 2)), r"panel has no series"),
+        (["a", "b"], TWO_DAYS, np.ones((2, 3)),
+         r"matrix shape \(2, 3\) does not match 2 series x 2 dates"),
+        (["a"], ["2020-01-01", "2020-01-03", "2020-01-02"], [[1.0, 2.0, 3.0]],
+         r"panel dates not strictly increasing at 2020-01-03"),
+        (["a"], TWO_DAYS, [[1.0, np.inf]], r"panel has non-finite values"),
+    ], ids=["no-ids", "shape", "unsorted-dates", "infinite-cell"])
+    def test_from_matrix_rejects(self, ids, dates, matrix, message):
+        days = np.array(dates, dtype="datetime64[D]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RatePanel.from_matrix(ids, days, matrix)
 
     def test_date_outside_index_rejected(self):
         a = make_series([1.0, 2.0, 3.0], "a")
