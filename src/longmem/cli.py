@@ -5,7 +5,8 @@ and ``report``.  Every run resolves its flags into a single config,
 validates it before touching the filesystem, computes everything, then
 writes all files in one pass together with ``run_manifest.json``.  The
 manifest stores the exact argv, so feeding it back through
-:func:`rerun_from_manifest` reproduces the outputs byte for byte.
+:func:`rerun_from_manifest` reproduces the outputs byte for byte on the
+same machine, with the same numpy/BLAS build and BLAS thread count.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 partial
 failure under --strict.
@@ -46,6 +47,7 @@ from .network import (
     to_graphml,
 )
 from .scaling import (
+    _DEFAULT_SCALE_CAP,
     DetrendMethod,
     ScaleGrid,
     default_grid,
@@ -100,7 +102,7 @@ class RunConfig:
     num_scales: int = 20
     scales: tuple[int, ...] | None = None
     fit_min: int | None = None
-    fit_max: int | None = 250
+    fit_max: int | None = _DEFAULT_SCALE_CAP
     bin_width: float = 0.02
     crossover: bool = False
     crossover_threshold: float = 0.5
@@ -372,12 +374,12 @@ def _resolve_method(ns) -> DetrendMethod:
         raise ConfigError("--dfa-order only applies to --method dfa")
     if kind == "dfa" and hasattr(ns, "dma_alignment"):
         raise ConfigError("--dma-alignment only applies to --method dma")
-    try:
-        if kind == "dfa":
-            return dfa(getattr(ns, "dfa_order", 1))
+    if kind == "dma":
         return dma(getattr(ns, "dma_alignment", "centered"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    order = getattr(ns, "dfa_order", 1)
+    if order < 1:
+        raise ConfigError(f"--dfa-order must be >= 1, got {order}")
+    return dfa(order)
 
 
 def _check(cfg: RunConfig) -> None:
@@ -847,7 +849,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def rerun_from_manifest(manifest_path: str) -> int:
-    """Re-execute a recorded run; outputs are byte-identical on the same data."""
+    """Re-execute a recorded run.
+
+    The outputs are byte-identical on the same data, machine, numpy/BLAS
+    build and BLAS thread count.
+    """
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     return main(manifest["argv"])

@@ -133,14 +133,6 @@ def test_every_flag_parses_into_a_config_field():
                 assert action.default in (argparse.SUPPRESS, own), where
 
 
-def test_missing_input_exits_one(tmp_path, capsys):
-    code = run(["hurst", "--input", tmp_path / "nope.csv",
-                "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "no such file" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_row_longer_than_header_exits_one(tmp_path, capsys):
     bad = tmp_path / "ragged.csv"
     bad.write_text("date,a,b\n2020-01-01,1,2,99\n2020-01-02,3,4\n"
@@ -161,101 +153,107 @@ def test_label_with_comma_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_format_rejected(panel_dir, tmp_path, capsys):
-    code = run(["hurst", "--input", panel_dir / "abc.csv",
-                "--output-dir", tmp_path / "out", "--format", "csv"])
-    assert code == 1
-    assert "unknown format" in capsys.readouterr().err
+HURST = ["hurst", "--input", "abc.csv"]
+NETWORK = ["network", "--input", "abc.csv"]
+SYNTH = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
+         "--n", "64"]
+FLOAT_FLAGS = [(HURST, "--bin-width"), (HURST, "--crossover-threshold"),
+               (NETWORK, "--threshold"), (NETWORK, "--resolution"),
+               (SYNTH, "--hurst"), (SYNTH, "--weight"), (SYNTH, "--sigma")]
 
 
-def test_threshold_out_of_range_exits_one(panel_dir, tmp_path, capsys):
-    code = run(["network", "--input", panel_dir / "abc.csv",
-                "--output-dir", tmp_path / "out", "--threshold", "1.01"])
-    assert code == 1
-    assert "threshold" in capsys.readouterr().err
-
-
-def test_synth_hurst_out_of_range_exits_one(tmp_path, capsys):
-    code = run(["synth", "--fgn", "--hurst", "1.2", "--n", "128",
-                "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "--hurst" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_blocks_require_weight(tmp_path, capsys):
-    code = run(["synth", "--blocks", "3x5", "--hurst", "0.8", "--n", "128",
-                "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "--weight" in capsys.readouterr().err
-
-
-def test_weight_rejected_for_fgn(tmp_path, capsys):
-    code = run(["synth", "--fgn", "--hurst", "0.5", "--n", "128",
-                "--weight", "0.9", "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "--weight" in capsys.readouterr().err
-
-
-FLOAT_FLAGS = [("hurst", "--bin-width"), ("hurst", "--crossover-threshold"),
-               ("network", "--threshold"), ("network", "--resolution"),
-               ("synth", "--hurst"), ("synth", "--weight"), ("synth", "--sigma")]
-
-
-def float_flag_argv(panel_dir, out, command, flag, text):
-    if command == "synth":
-        base = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
-                "--n", "64"]
-    else:
-        base = [command, "--input", panel_dir / "abc.csv", "--input-kind",
-                "increments"]
-    return [*base, "--output-dir", out, f"{flag}={text}"]
-
-
-@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-def test_non_finite_float_flag_exits_one(panel_dir, tmp_path, capsys, command,
-                                         flag, text):
-    out = tmp_path / "out"
-    assert run(float_flag_argv(panel_dir, out, command, flag, text)) == 1
-    assert (f"error: argument {flag}: not a finite number: '{text}'"
-            in capsys.readouterr().err)
-    assert not out.exists()
-
-
-def test_non_numeric_float_flag_exits_one(panel_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(float_flag_argv(panel_dir, out, "network", "--resolution",
-                               "high")) == 1
-    assert ("error: argument --resolution: invalid float value: 'high'"
-            in capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("align", [[], ["--align", "intersect"]],
-                         ids=["default-align", "intersect"])
-def test_max_gap_needs_forward_fill(panel_dir, tmp_path, capsys, align):
-    code = run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
-                tmp_path / "out", "--max-gap", "3", *align])
-    assert code == 1
-    assert ("error: --max-gap only applies to --align forward_fill"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--dfa-order", "3"], "--dfa-order only applies to --method dfa"),
-    (["--method", "dma", "--dfa-order", "3"],
+# Leading NAME=value items are environment settings, as on a shell line;
+# input files are read from the panel_dir fixture, and a repeated flag
+# overrides the earlier value.
+INPUT_RULES = [
+    (["hurst", "--input", "nope.csv"], "--input: no such file: nope.csv"),
+    ([*HURST, "--scales", "10,x"],
+     "--scales: expected comma-separated integers, got '10,x'"),
+    ([*NETWORK, "--scale", "x"],
+     "--scale: expected comma-separated integers, got 'x'"),
+    *[(["report", "--input", "abc.csv", flag, text], f"{flag}: empty list")
+      for text in ("", ",") for flag in ("--scales", "--scale")],
+    (["dcca", "--input", "abc.csv", "--pair", "a"],
+     "--pair expects 'id_a,id_b', got 'a'"),
+    (["dcca", "--input", "abc.csv"], "dcca needs --pair and/or --all"),
+    (["dcca", "--input", "abc.csv", "--pair", "a,zzz"],
+     "unknown series id(s) in --pair: zzz"),
+    ([*NETWORK, "--period", "2020-01-01"],
+     "--period expects 'YYYY-MM-DD:YYYY-MM-DD', got '2020-01-01'"),
+    ([*NETWORK, "--period", "2020-13-01:2020-12-31"],
+     "--period '2020-13-01:2020-12-31': month must be in 1..12"),
+    ([*NETWORK, "--period", "2021-01-01:2020-01-01"],
+     "--period '2021-01-01:2020-01-01': start after end"),
+    ([*SYNTH, "--blocks", "3"], "--blocks expects 'BxM' (e.g. 3x5), got '3'"),
+    ([*HURST, "--format", ","], "--format: empty list"),
+    ([*HURST, "--format", "csv"], "--format: unknown format(s) csv; "
+     "choose from table, json, graphml, dot or 'all'"),
+    *[([*base, f"{flag}={text}"],
+       f"argument {flag}: not a finite number: '{text}'")
+      for base, flag in FLOAT_FLAGS for text in ("nan", "inf", "-inf")],
+    ([*NETWORK, "--resolution=high"],
+     "argument --resolution: invalid float value: 'high'"),
+    (["LONGMEM_THREADS=x", *HURST], "LONGMEM_THREADS: not an integer: 'x'"),
+    ([*HURST, "--threads", "0"], "--threads must be >= 1, got 0"),
+    ([*HURST, "--method", "dfa", "--dfa-order", "0"],
+     "--dfa-order must be >= 1, got 0"),
+    ([*HURST, "--dfa-order", "3"], "--dfa-order only applies to --method dfa"),
+    ([*HURST, "--method", "dma", "--dfa-order", "3"],
      "--dfa-order only applies to --method dfa"),
-    (["--method", "dfa", "--dma-alignment", "backward"],
+    ([*HURST, "--method", "dfa", "--dma-alignment", "backward"],
      "--dma-alignment only applies to --method dma"),
-], ids=["default-method", "dma", "dfa"])
-def test_flag_of_the_other_method_exits_one(panel_dir, tmp_path, capsys,
-                                            flags, message):
-    code = run(["hurst", "--input", panel_dir / "abc.csv", "--output-dir",
-                tmp_path / "out", *flags])
-    assert code == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    ([*HURST, "--align", "forward_fill"],
+     "--align forward_fill requires --max-gap >= 1"),
+    ([*HURST, "--max-gap", "3"],
+     "--max-gap only applies to --align forward_fill"),
+    ([*HURST, "--align", "intersect", "--max-gap=3"],
+     "--max-gap only applies to --align forward_fill"),
+    ([*HURST, "--smin", "1"], "--smin must be >= 2, got 1"),
+    ([*HURST, "--smin", "20", "--smax", "10"], "--smax 10 below --smin 20"),
+    ([*HURST, "--num-scales", "2"], "--num-scales must be >= 3, got 2"),
+    ([*HURST, "--scales", "1,5"], "--scales: scale 1 < 2"),
+    ([*HURST, "--fit-min", "100", "--fit-max", "50"],
+     "--fit-min 100 above --fit-max 50"),
+    ([*HURST, "--bin-width", "0"], "--bin-width must be positive, got 0.0"),
+    ([*HURST, "--crossover-threshold", "1.5"],
+     "--crossover-threshold must be in (0, 1), got 1.5"),
+    ([*HURST, "--min-side-points", "1"],
+     "--min-side-points must be >= 2, got 1"),
+    ([*NETWORK, "--scale", "1"], "--scale: scale 1 < 2"),
+    ([*NETWORK, "--threshold", "1.01"], "--threshold must be in (0, 1], got 1.01"),
+    ([*NETWORK, "--resolution", "0"], "--resolution must be positive, got 0.0"),
+    ([*SYNTH, "--n", "8"], "--n must be >= 16, got 8"),
+    ([*SYNTH, "--sigma", "0"], "--sigma must be positive, got 0.0"),
+    ([*SYNTH, "--weight", "1.5"], "--weight must be in [0, 1], got 1.5"),
+    ([*SYNTH, "--blocks", "1x5"], "--blocks needs at least 2x2, got 1x5"),
+    (["synth", "--blocks", "3x5", "--hurst", "0.8", "--n", "128"],
+     "--blocks requires --weight"),
+    (["synth", "--fgn", "--hurst", "0.5", "--n", "128", "--weight", "0.9"],
+     "--weight only applies to --blocks"),
+    (["synth", "--fgn", "--hurst", "1.2", "--n", "128"],
+     "--hurst must be in (0, 1), got 1.2"),
+    (["dcca", "--input", "one.csv", "--all"],
+     "--all needs a panel with at least 2 series"),
+    (["network", "--input", "one.csv"],
+     "network needs a panel with at least 2 series"),
+]
+
+
+# a row is named by its message, or by a last argument FLAG=VALUE where
+# rows share the start of a message
+@pytest.mark.parametrize("argv, message", INPUT_RULES, ids=[
+    argv[-1] if "=" in argv[-1] else message for argv, message in INPUT_RULES])
+def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
+                                              monkeypatch, argv, message):
+    while "=" in argv[0]:
+        name, value = argv[0].split("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    monkeypatch.chdir(panel_dir)
+    out = tmp_path / "out"
+    assert run([*argv, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, method", [
@@ -270,101 +268,6 @@ def test_method_flags_reach_the_manifest(panel_dir, tmp_path, flags, method):
                 "--format", "json", *flags]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["method"] == method
-
-
-@pytest.mark.parametrize("flag", ["--scales", "--scale"])
-@pytest.mark.parametrize("text", ["", ","], ids=["blank", "comma"])
-def test_empty_scale_list_exits_one(panel_dir, tmp_path, capsys, flag, text):
-    code = run(["report", "--input", panel_dir / "abc.csv", "--output-dir",
-                tmp_path / "out", flag, text])
-    assert code == 1
-    assert f"error: {flag}: empty list" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_dcca_needs_pair_or_all(panel_dir, tmp_path, capsys):
-    code = run(["dcca", "--input", panel_dir / "abc.csv",
-                "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "--pair" in capsys.readouterr().err
-
-
-def test_unknown_pair_id_exits_one_without_outputs(panel_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = run(["dcca", "--input", panel_dir / "abc.csv",
-                "--output-dir", out, "--pair", "a,zzz"])
-    assert code == 1
-    assert "zzz" in capsys.readouterr().err
-    assert not out.exists()
-
-
-HURST = ["hurst", "--input", "abc.csv"]
-NETWORK = ["network", "--input", "abc.csv"]
-SYNTH = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
-         "--n", "64"]
-
-
-# Leading NAME=value items are environment settings, as on a shell line;
-# input file names are those of the panel_dir fixture, and a repeated flag
-# overrides the earlier value.
-INPUT_RULES = [
-    ([*HURST, "--scales", "10,x"],
-     "--scales: expected comma-separated integers, got '10,x'"),
-    ([*NETWORK, "--scale", "x"],
-     "--scale: expected comma-separated integers, got 'x'"),
-    (["dcca", "--input", "abc.csv", "--pair", "a"],
-     "--pair expects 'id_a,id_b', got 'a'"),
-    ([*NETWORK, "--period", "2020-01-01"],
-     "--period expects 'YYYY-MM-DD:YYYY-MM-DD', got '2020-01-01'"),
-    ([*NETWORK, "--period", "2020-13-01:2020-12-31"],
-     "--period '2020-13-01:2020-12-31': "),
-    ([*NETWORK, "--period", "2021-01-01:2020-01-01"],
-     "--period '2021-01-01:2020-01-01': start after end"),
-    ([*SYNTH, "--blocks", "3"], "--blocks expects 'BxM' (e.g. 3x5), got '3'"),
-    ([*HURST, "--format", ","], "--format: empty list"),
-    (["LONGMEM_THREADS=x", *HURST], "LONGMEM_THREADS: not an integer: 'x'"),
-    ([*HURST, "--threads", "0"], "--threads must be >= 1, got 0"),
-    ([*HURST, "--method", "dfa", "--dfa-order", "0"],
-     "dfa order must be >= 1, got 0"),
-    ([*HURST, "--align", "forward_fill"],
-     "--align forward_fill requires --max-gap >= 1"),
-    ([*HURST, "--smin", "1"], "--smin must be >= 2, got 1"),
-    ([*HURST, "--smin", "20", "--smax", "10"], "--smax 10 below --smin 20"),
-    ([*HURST, "--num-scales", "2"], "--num-scales must be >= 3, got 2"),
-    ([*HURST, "--scales", "1,5"], "--scales: scale 1 < 2"),
-    ([*HURST, "--fit-min", "100", "--fit-max", "50"],
-     "--fit-min 100 above --fit-max 50"),
-    ([*HURST, "--bin-width", "0"], "--bin-width must be positive, got 0.0"),
-    ([*HURST, "--crossover-threshold", "1.5"],
-     "--crossover-threshold must be in (0, 1), got 1.5"),
-    ([*HURST, "--min-side-points", "1"],
-     "--min-side-points must be >= 2, got 1"),
-    ([*NETWORK, "--scale", "1"], "--scale: scale 1 < 2"),
-    ([*NETWORK, "--resolution", "0"], "--resolution must be positive, got 0.0"),
-    ([*SYNTH, "--n", "8"], "--n must be >= 16, got 8"),
-    ([*SYNTH, "--sigma", "0"], "--sigma must be positive, got 0.0"),
-    ([*SYNTH, "--weight", "1.5"], "--weight must be in [0, 1], got 1.5"),
-    ([*SYNTH, "--blocks", "1x5"], "--blocks needs at least 2x2, got 1x5"),
-    (["dcca", "--input", "one.csv", "--all"],
-     "--all needs a panel with at least 2 series"),
-    (["network", "--input", "one.csv"],
-     "network needs a panel with at least 2 series"),
-]
-
-
-@pytest.mark.parametrize("argv, message", INPUT_RULES,
-                         ids=[message for _, message in INPUT_RULES])
-def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
-                                              monkeypatch, argv, message):
-    while "=" in argv[0]:
-        name, value = argv[0].split("=")
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
-    argv = [panel_dir / a if a.endswith(".csv") else a for a in argv]
-    out = tmp_path / "out"
-    assert run([*argv, "--output-dir", out]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -847,25 +750,6 @@ def test_config_error_type_is_exposed():
         raise ConfigError("x")
 
 
-def test_cli_import_leaves_out_network_and_mail_modules():
-    # xml.sax.saxutils alone pulls in urllib.request, http.client and email
-    import os
-    import subprocess
-    import sys
-
-    heavy = ("xml.sax", "urllib.request", "http.client", "email")
-    code = ("import sys, longmem.cli; "
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == ""
-
-
-# ---------------------------------------------------------------------------
-# text encoding: every file is read and written as UTF-8, whatever the locale
-
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -874,6 +758,25 @@ def run_process(args, cwd, **env) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
                           env=dict(os.environ, PYTHONPATH=SRC, **env),
                           timeout=300)
+
+
+def test_cli_import_leaves_out_network_and_mail_modules(tmp_path):
+    # xml.sax.saxutils alone pulls in urllib.request, http.client and email.
+    # Every top-level module the import adds is stdlib, numpy or longmem;
+    # those site loaded before it (a .pth file's, say) are not counted.
+    heavy = ("xml.sax", "urllib.request", "http.client", "email")
+    code = ("import sys; top = lambda: {m.split('.')[0] for m in sys.modules}; "
+            "before = top(); import longmem.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules)); "
+            "print(sorted(top() - before - set(sys.stdlib_module_names)"
+            " - {'numpy', 'longmem'}))")
+    proc = run_process(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout.decode().splitlines() == ["[]", "[]"]
+
+
+# ---------------------------------------------------------------------------
+# text encoding: every file is read and written as UTF-8, whatever the locale
 
 
 def test_utf8_panel_under_ascii_locale(panel_dir, tmp_path):

@@ -132,14 +132,6 @@ class TestSegmentBounds:
         assert got.shape == (6, 3)
         assert np.array_equal(got[3:], got[2::-1])
 
-    def test_scale_exceeds_length(self):
-        with pytest.raises(ScaleError, match="exceeds"):
-            detrended_segments(np.zeros(5), 6, dma())
-
-    def test_scale_below_two(self):
-        with pytest.raises(ScaleError, match="method minimum 2"):
-            detrended_segments(np.zeros(10), 1, dma())
-
     @given(n=st.integers(4, 400), s=st.integers(2, 200))
     def test_tiling_properties(self, n, s):
         assume(s <= n // 2)
@@ -183,20 +175,6 @@ class TestLocalTrend:
         assert resid.tolist() == [[0.0, 0.5], [0.5, 0.5], [0.5, 0.5],
                                   [0.0, 0.5]]
 
-    def test_dfa_reproduces_linear_profile(self):
-        prof = Profile("lin", np.linspace(-5.0, 0.0, 20))
-        assert np.all(detrended_segments(prof.values, 8, dfa(1)) == 0.0)
-
-    def test_dma_constant_profile(self):
-        assert np.all(detrended_segments(np.full(12, 3.0), 5, dma()) == 0.0)
-
-    def test_dfa_segment_too_short(self):
-        y = np.random.default_rng(5).standard_normal(40).cumsum()
-        for order in (1, 2, 3):
-            with pytest.raises(ScaleError, match="method minimum"):
-                detrended_segments(y, order + 1, dfa(order))
-            assert detrended_segments(y, order + 2, dfa(order)).shape[1] == order + 2
-
 
 class TestPolyBasis:
     """The DFA basis and pseudoinverse, built once per (s, order)."""
@@ -218,33 +196,52 @@ class TestPolyBasis:
         assert again[0] is basis and again[1] is pinv
 
 
+# (n, s, method, error); a usable scale gives 2 * (n // s) rows of s points
+SEGMENT_SCALES = [
+    (5, 6, dma(), "scale 6 exceeds half the profile length 5"),
+    (40, 21, dfa(1), "scale 21 exceeds half the profile length 40"),
+    (10, 1, dma(), "scale 1 below method minimum 2 (dma-centered)"),
+    (40, 2, dfa(1), "scale 2 below method minimum 3 (dfa1)"),
+    (40, 3, dfa(2), "scale 3 below method minimum 4 (dfa2)"),
+    (40, 4, dfa(3), "scale 4 below method minimum 5 (dfa3)"),
+    (40, 3, dfa(1), None),
+    (40, 4, dfa(2), None),
+    (40, 5, dfa(3), None),
+]
+
+T = np.linspace(-1.0, 1.0, 60)
+# (y, s, method, all_zero): a trend the method fits exactly leaves exact zeros
+EXACT_POLYNOMIALS = [
+    (np.linspace(-5.0, 0.0, 20), 8, dfa(1), True),
+    (np.full(12, 3.0), 5, dma(), True),
+    (np.linspace(0.0, 10.0, 50), 10, dfa(1), True),
+    (np.linspace(0.0, 10.0, 50), 10, dfa(2), True),
+    (3.0 * T * T, 10, dfa(2), True),
+    (3.0 * T * T, 10, dfa(1), False),
+]
+
+
 class TestDetrendedSegments:
     def test_shapes(self):
         y = np.random.default_rng(0).standard_normal(100).cumsum()
         assert detrended_segments(y, 10, dfa(1)).shape == (20, 10)
         assert detrended_segments(y, 7, dma()).shape == (28, 7)
 
-    def test_scale_above_half_length(self):
-        y = np.zeros(40)
-        with pytest.raises(ScaleError, match="half"):
-            detrended_segments(y, 21, dfa(1))
+    @pytest.mark.parametrize("n, s, method, error", SEGMENT_SCALES,
+                             ids=lambda v: getattr(v, "label", None))
+    def test_scale_bounds(self, n, s, method, error):
+        y = np.random.default_rng(5).standard_normal(n).cumsum()
+        if error is None:
+            assert detrended_segments(y, s, method).shape == (2 * (n // s), s)
+            return
+        with pytest.raises(ScaleError) as exc:
+            detrended_segments(y, s, method)
+        assert str(exc.value) == error
 
-    def test_scale_below_method_minimum(self):
-        y = np.zeros(40)
-        with pytest.raises(ScaleError, match="method minimum"):
-            detrended_segments(y, 3, dfa(2))
-
-    def test_linear_input_gives_exact_zero(self):
-        y = np.linspace(0.0, 10.0, 50)
-        for order in (1, 2):
-            resid = detrended_segments(y, 10, dfa(order))
-            assert np.all(resid == 0.0)
-
-    def test_quadratic_input(self):
-        t = np.linspace(-1.0, 1.0, 60)
-        y = 3.0 * t * t
-        assert np.all(detrended_segments(y, 10, dfa(2)) == 0.0)
-        assert np.any(detrended_segments(y, 10, dfa(1)) != 0.0)
+    @pytest.mark.parametrize("y, s, method, all_zero", EXACT_POLYNOMIALS,
+                             ids=lambda v: getattr(v, "label", None))
+    def test_exact_polynomial(self, y, s, method, all_zero):
+        assert np.all(detrended_segments(y, s, method) == 0.0) == all_zero
 
     def test_polynomial_invariance(self):
         rng = np.random.default_rng(7)
