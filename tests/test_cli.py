@@ -239,10 +239,19 @@ INPUT_RULES = [
 ]
 
 
+# two rows keep the names they had while their messages read differently
+RULE_NAMES = {
+    "--period '2020-13-01:2020-12-31': month must be in 1..12":
+        "--period '2020-13-01:2020-12-31': ",
+    "--dfa-order must be >= 1, got 0": "dfa order must be >= 1, got 0",
+}
+
+
 # a row is named by its message, or by a last argument FLAG=VALUE where
 # rows share the start of a message
 @pytest.mark.parametrize("argv, message", INPUT_RULES, ids=[
-    argv[-1] if "=" in argv[-1] else message for argv, message in INPUT_RULES])
+    argv[-1] if "=" in argv[-1] else RULE_NAMES.get(message, message)
+    for argv, message in INPUT_RULES])
 def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
                                               monkeypatch, argv, message):
     while "=" in argv[0]:

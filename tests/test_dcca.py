@@ -32,6 +32,7 @@ from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
 import reference
 from conftest import make_panel, make_series, ramp_panel
+from test_engine import chunk_panel, stacked_rho
 
 
 def fgn_profile(seed, n=2048, hurst=0.7):
@@ -172,6 +173,28 @@ class TestRho:
         b = make_series(np.arange(100.0), "b", start=dt.date(2001, 1, 1))
         with pytest.raises(AlignmentError, match="common date index"):
             rho_vs_scale(a, b, ScaleGrid((10,)), method=dfa(1))
+
+
+class TestCurveEngines:
+    """Each point of a pair curve is that pair's coefficient at its scale."""
+
+    @pytest.mark.parametrize("method", [dma(), dfa(2), dfa(3)],
+                             ids=lambda m: m.label)
+    def test_curve_equals_per_scale_pairs_bitwise(self, method):
+        fgn = RatePanel(tuple(generate_fgn(FgnSpec(n=3000, hurst=0.7, seed=s))
+                              for s in (6, 7)))
+        for panel, grid in [
+                (chunk_panel(2, 7), ScaleGrid((5, 16, 100, 1000))),
+                (fgn, default_grid(3000, s_min=5, s_max=500, num=40))]:
+            a, b = panel.series
+            curve = rho_vs_scale(a, b, grid, method=method,
+                                 input_kind="increments")
+            pa, pb = (series_profile(ts, "increments") for ts in (a, b))
+            assert curve.values.tolist() == [
+                rho_from_profiles(pa, pb, s, method) for s in grid]
+            assert curve.values.tolist() == [
+                stacked_rho([pa.values, pb.values], panel.ids, s, method)[0, 1]
+                for s in grid]
 
 
 class TestPairwiseMatrix:

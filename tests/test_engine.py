@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 
 from longmem import scaling
 from longmem.cli import main
-from longmem.dcca import (
-    _normalize,
-    pairwise_matrix,
-    rho_from_profiles,
-    rho_vs_scale,
-)
+from longmem.dcca import _normalize, pairwise_matrix
 from longmem.errors import DegenerateSeriesError, FitError, LongmemError
 from longmem.hurst import (
     _map_fluctuations,
@@ -48,7 +43,7 @@ from longmem.series import (
     profile_from_values,
     series_profile,
 )
-from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
+from longmem.synthetic import BlockSpec, generate_blocks
 
 import reference
 from conftest import make_series
@@ -473,25 +468,3 @@ class TestFOncePerScale:
         assert built == []
         _fluctuations(profiles, ScaleGrid(sorted({*grid, 500})), dma())
         assert built == [CHUNK, 1]
-
-
-class TestPairCurve:
-    """Each point of a pair curve is that pair's coefficient at its scale."""
-
-    @pytest.mark.parametrize("method", [dma(), dfa(2), dfa(3)],
-                             ids=lambda m: m.label)
-    def test_curve_equals_per_scale_pairs_bitwise(self, method):
-        fgn = RatePanel(tuple(generate_fgn(FgnSpec(n=3000, hurst=0.7, seed=s))
-                              for s in (6, 7)))
-        for panel, grid in [
-                (chunk_panel(2, 7), ScaleGrid((5, 16, 100, 1000))),
-                (fgn, default_grid(3000, s_min=5, s_max=500, num=40))]:
-            a, b = panel.series
-            curve = rho_vs_scale(a, b, grid, method=method,
-                                 input_kind="increments")
-            pa, pb = (series_profile(ts, "increments") for ts in (a, b))
-            assert curve.values.tolist() == [
-                rho_from_profiles(pa, pb, s, method) for s in grid]
-            assert curve.values.tolist() == [
-                stacked_rho([pa.values, pb.values], panel.ids, s, method)[0, 1]
-                for s in grid]
