@@ -56,6 +56,8 @@ from .scaling import (
 )
 from .series import (
     RatePanel,
+    _ascii_number,
+    _iso_date,
     _profile_length,
     align,
     load_panel,
@@ -142,7 +144,7 @@ _DEFAULT = {f.name: f.default for f in fields(RunConfig)}
 
 def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
+        values = tuple(_ascii_number(p, int) for p in text.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}")
     if not values:
@@ -150,10 +152,18 @@ def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
     return tuple(sorted(set(values)))
 
 
-def _parse_float(text: str) -> float:
-    """A finite number; argparse names the flag in the error."""
+def _parse_int(text: str) -> int:
+    """An ASCII integer; argparse names the flag in the error."""
     try:
-        value = float(text)
+        return _ascii_number(text, int)
+    except ValueError:  # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _parse_float(text: str) -> float:
+    """A finite ASCII number; argparse names the flag in the error."""
+    try:
+        value = _ascii_number(text)
     except ValueError:  # the message argparse gives for type=float
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
@@ -173,8 +183,8 @@ def _parse_period(text: str) -> tuple[dt.date, dt.date]:
     if len(parts) != 2:
         raise ConfigError(f"--period expects 'YYYY-MM-DD:YYYY-MM-DD', got {text!r}")
     try:
-        d_from = dt.date.fromisoformat(parts[0])
-        d_to = dt.date.fromisoformat(parts[1])
+        d_from = _iso_date(parts[0])
+        d_to = _iso_date(parts[1])
     except ValueError as exc:
         raise ConfigError(f"--period {text!r}: {exc}")
     if d_from > d_to:
@@ -198,7 +208,7 @@ def _parse_formats(text: str) -> tuple[str, ...]:
 
 
 def _parse_blocks(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)x(\d+)", text.strip())
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)", text.strip())
     if not m:
         raise ConfigError(f"--blocks expects 'BxM' (e.g. 3x5), got {text!r}")
     return (int(m.group(1)), int(m.group(2)))
@@ -208,9 +218,9 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
     if with_input:
         p.add_argument("--input", required=True, help="panel file (see docs for schema)")
     p.add_argument("--output-dir", required=True, help="directory for all outputs")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_parse_int,
                    help=f"RNG seed (default {_DEFAULT['seed']})")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=_parse_int,
                    help="recorded in the manifest, no effect on the run "
                         "(default: LONGMEM_THREADS or 1)")
     p.add_argument("--format", type=_parse_formats, dest="formats",
@@ -223,14 +233,14 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
 def _add_method(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=("dma", "dfa"),
                    help="detrending method (default dma)")
-    p.add_argument("--dfa-order", type=int,
+    p.add_argument("--dfa-order", type=_parse_int,
                    help="polynomial order for dfa (default 1)")
     p.add_argument("--dma-alignment", choices=("centered", "backward"),
                    help="moving-average window placement")
     p.add_argument("--align", choices=("intersect", "forward_fill"),
                    dest="align_policy",
                    help=f"panel alignment policy (default {_DEFAULT['align_policy']})")
-    p.add_argument("--max-gap", type=int,
+    p.add_argument("--max-gap", type=_parse_int,
                    help="largest missing run forward_fill may bridge")
     p.add_argument("--input-kind", choices=("levels", "increments"),
                    help="treat columns as rate levels (default) or as "
@@ -241,20 +251,20 @@ def _add_grid(p: argparse.ArgumentParser, **overrides):
     """Grid flags; ``overrides`` replace RunConfig's defaults for this command."""
     p.set_defaults(**overrides)
     d = {**_DEFAULT, **overrides}
-    p.add_argument("--smin", type=int, dest="s_min", metavar="SMIN",
+    p.add_argument("--smin", type=_parse_int, dest="s_min", metavar="SMIN",
                    help=f"smallest grid scale (default {d['s_min']})")
-    p.add_argument("--smax", type=int, dest="s_max", metavar="SMAX",
+    p.add_argument("--smax", type=_parse_int, dest="s_max", metavar="SMAX",
                    help=f"largest grid scale (default: {d['s_max'] or 'min(250, N/4)'})")
-    p.add_argument("--num-scales", type=int,
+    p.add_argument("--num-scales", type=_parse_int,
                    help=f"number of log-spaced scales (default {d['num_scales']})")
     p.add_argument("--scales", type=functools.partial(_parse_int_list, "--scales"),
                    help="explicit comma list of scales, overrides the grid flags")
 
 
 def _add_fit(p: argparse.ArgumentParser):
-    p.add_argument("--fit-min", type=int,
+    p.add_argument("--fit-min", type=_parse_int,
                    help="smallest scale used in the exponent fit")
-    p.add_argument("--fit-max", type=int,
+    p.add_argument("--fit-max", type=_parse_int,
                    help="largest scale used in the exponent fit "
                         f"(default {_DEFAULT['fit_max']})")
     p.add_argument("--bin-width", type=_parse_float,
@@ -262,7 +272,7 @@ def _add_fit(p: argparse.ArgumentParser):
     p.add_argument("--crossover-threshold", type=_parse_float,
                    help="SSE improvement ratio required "
                         f"(default {_DEFAULT['crossover_threshold']})")
-    p.add_argument("--min-side-points", type=int,
+    p.add_argument("--min-side-points", type=_parse_int,
                    help="fit points required each side of a breakpoint")
 
 
@@ -336,7 +346,7 @@ def build_parser() -> _Parser:
     p.set_defaults(synth_kind="blocks")
     p.add_argument("--hurst", type=_parse_float, required=True, dest="hurst_value",
                    help="target exponent in (0, 1)")
-    p.add_argument("--n", type=int, required=True, dest="n_obs",
+    p.add_argument("--n", type=_parse_int, required=True, dest="n_obs",
                    help="observations per series")
     p.add_argument("--weight", type=_parse_float,
                    help="common-component weight in [0, 1] (blocks only)")
@@ -360,7 +370,7 @@ def _resolve_threads(value: int | None) -> int:
     if value is None:
         raw = os.environ.get("LONGMEM_THREADS", "1")
         try:
-            value = int(raw)
+            value = _ascii_number(raw, int)
         except ValueError:
             raise ConfigError(f"LONGMEM_THREADS: not an integer: {raw!r}")
     if value < 1:

@@ -4,9 +4,10 @@ Panel files are UTF-8, comma-separated text tables whose lines end in
 ``\\r\\n``, ``\\n`` or ``\\r``; a cell may be double-quoted by the rules of
 the ``csv`` module.  The first column holds ISO ``YYYY-MM-DD`` dates under
 any header name; every remaining column is one series, its header being
-the series id.  Cells are decimal-point numerics; an empty cell marks a
-missing observation.  Dates are calendar labels only: all scale
-arithmetic elsewhere in the package counts observations (trading days).
+the series id.  Cells are decimal-point numerics in ASCII, without
+``_``; an empty cell marks a missing observation.  Dates are calendar
+labels only: all scale arithmetic elsewhere in the package counts
+observations (trading days).
 
 In memory a panel is one sorted ``datetime64[D]`` date index plus an
 ``(n_series, n_dates)`` float matrix holding NaN for missing cells; a
@@ -279,19 +280,45 @@ class Profile:
         return len(self.values)
 
 
+def _ascii_number(text: str, parse=float):
+    """``parse(text)`` for ASCII text without ``_``; ValueError otherwise.
+
+    ``float()`` and ``int()`` also read other digits (``'\u0663'`` is 3)
+    and digit separators (``'1_0'`` is 10).
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return parse(text)
+
+
+def _iso_date(text: str) -> dt.date:
+    """The date of ASCII ``YYYY-MM-DD`` text.
+
+    Any other form raises the ValueError of Python 3.10's
+    ``date.fromisoformat``; later versions also read ``YYYYMMDD`` and
+    ISO week dates.
+    """
+    if (len(text) != 10 or not text.isascii()
+            or text[4] != "-" or text[7] != "-"):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_cells(path, labels, lineno: int,
                  cells: list[str]) -> tuple[list[float], list[bool]]:
     """Values and blank flags of one row's cells, NaN where blank.
 
-    Cells go through ``float()``, stripped of surrounding whitespace; a
-    cell that does not parse raises naming its line and column.
+    ASCII cells are stripped of surrounding whitespace; cells go through
+    ``_ascii_number``, and one that does not parse raises naming its line
+    and column.
     """
     values, blank = [], []
     for label, raw in zip(labels, cells):
-        raw = raw.strip()
+        if raw.isascii():  # str.strip would also drop U+2028, U+00A0, ...
+            raw = raw.strip()
         blank.append(not raw)
         try:
-            values.append(float(raw) if raw else np.nan)
+            values.append(_ascii_number(raw) if raw else np.nan)
         except ValueError:
             raise SchemaError(f"{path}:{lineno}: column {label!r}: "
                               f"non-numeric cell {raw!r}") from None
@@ -319,8 +346,27 @@ def _records(text: str):
     return (line.split(",") if line else [] for line in lines)
 
 
-def _read_body(path, records, labels) -> tuple[list[dt.date], np.ndarray, np.ndarray]:
-    """Dates, (n_rows, n_labels) values and blank mask, in file order."""
+def _plain_body(text: str) -> bool:
+    """Whether the text after the header line is ASCII without ``_``, so
+    that ``float()`` reads its cells as ``_ascii_number`` does.  Labels may
+    be any text."""
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    cr = text.find("\r", 0, end)
+    if cr >= 0:
+        end = cr
+    return (text.isascii() or text[end:].isascii()) and text.find("_", end) < 0
+
+
+def _read_body(path, records, labels,
+               plain: bool) -> tuple[list[dt.date], np.ndarray, np.ndarray]:
+    """Dates, (n_rows, n_labels) values and blank mask, in file order.
+
+    Cells go through ``float()`` if the body is ``plain``, else through
+    ``_ascii_number``.
+    """
+    number = float if plain else _ascii_number
     width = len(labels)
     dates: list[dt.date] = []
     values = array("d")
@@ -328,7 +374,7 @@ def _read_body(path, records, labels) -> tuple[list[dt.date], np.ndarray, np.nda
     n_bad_dates = 0
     for lineno, row in enumerate(records, start=2):
         try:
-            d = dt.date.fromisoformat(row[0].strip())
+            d = _iso_date(row[0].strip())
         except (IndexError, ValueError):
             if any(c.strip() for c in row):  # a blank row is no bad date
                 n_bad_dates += 1
@@ -339,7 +385,7 @@ def _read_body(path, records, labels) -> tuple[list[dt.date], np.ndarray, np.nda
                               f"but the header names {width} columns")
         cells += [""] * (width - len(cells))
         try:  # a whitespace-only or non-numeric cell goes to _parse_cells
-            row_values = list(map(float, filter(None, cells)))
+            row_values = list(map(number, filter(None, cells)))
         except ValueError:
             row_values, row_blank = _parse_cells(path, labels, lineno, cells)
         else:
@@ -364,9 +410,9 @@ def load_panel(path) -> RatePanel:
 
     Rows may come in any date order; they are sorted on read.  Each column
     becomes one series holding only the dates where it has a value; gaps
-    are resolved later by :func:`align`.  Rows whose date cell does not
-    parse are dropped with a warning; a row with fewer cells than the
-    header is missing the rest.
+    are resolved later by :func:`align`.  Rows whose date cell is not an
+    ASCII ``YYYY-MM-DD`` date are dropped with a warning; a row with fewer
+    cells than the header is missing the rest.
 
     Raises SchemaError for an unreadable file, missing value columns,
     duplicate column labels, a label holding a comma, quote or line break
@@ -376,7 +422,8 @@ def load_panel(path) -> RatePanel:
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            records = _records(fh.read())
+            text = fh.read()
+            records = _records(text)
             header = next(records, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
@@ -394,7 +441,8 @@ def load_panel(path) -> RatePanel:
             if bad is not None:
                 raise SchemaError(f"{path}: column label {bad!r} contains a "
                                   "comma, quote or line break")
-            dates, values, blank = _read_body(path, records, labels)
+            dates, values, blank = _read_body(path, records, labels,
+                                              _plain_body(text))
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:

@@ -39,6 +39,25 @@ def ramp_panel(n: int = 800) -> RatePanel:
                        "c": 3.0 + steps[1]})
 
 
+def rule_test(rows):
+    """One test over rows ``(id, call, exception type, full message)`` with
+    optional marks: ``call()``, run in an empty working directory, raises
+    exactly that type and message.  For a type of None the input is valid,
+    and ``call()`` returns the message."""
+    @pytest.mark.parametrize("call, kind, message", [
+        pytest.param(*row[1:4], id=row[0], marks=row[4:]) for row in rows])
+    def test_rule(tmp_path, monkeypatch, call, kind, message):
+        monkeypatch.chdir(tmp_path)
+        if kind is None:
+            assert call() == message
+            return
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind
+        assert str(info.value) == message
+    return test_rule
+
+
 @pytest.fixture
 def csv_panel(tmp_path):
     """Write a small complete 2-series panel file and return its path."""

@@ -26,8 +26,10 @@ from longmem.cli import (
     _json_text,
     _JsonNumbers,
     _Quoted,
+    build_parser,
     main,
     rerun_from_manifest,
+    resolve_config,
 )
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
 from longmem.synthetic import FgnSpec, generate_fgn
@@ -51,8 +53,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory) -> Path:
-    """Three panel files: three co-moving members, a flat-column copy,
-    and member ``a`` alone.
+    """Panel files: three co-moving members, a flat-column copy, member
+    ``a`` alone, and two malformed files (a long row, a label with a comma).
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -70,6 +72,10 @@ def panel_dir(tmp_path_factory) -> Path:
     with_flat = RatePanel(tuple(members) + (flat,))
     (root / "with_flat.csv").write_text(panel_to_csv(with_flat))
     (root / "one.csv").write_text(panel_to_csv(RatePanel(tuple(members[:1]))))
+    (root / "ragged.csv").write_text("date,a,b\n2020-01-01,1,2,99\n2020-01-02,3,4\n"
+                                     "2020-01-03,5,6\n")
+    (root / "comma.csv").write_text('date,"a,b",c\n2020-01-01,1,2\n2020-01-02,3,4\n'
+                                    "2020-01-03,5,7\n")
     return root
 
 
@@ -93,8 +99,6 @@ SHARED_FLAGS = {
 def test_shared_flags_match_report():
     import argparse
 
-    from longmem.cli import build_parser
-
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
 
@@ -113,7 +117,7 @@ def test_every_flag_parses_into_a_config_field():
     import argparse
     from dataclasses import fields
 
-    from longmem.cli import RunConfig, build_parser
+    from longmem.cli import RunConfig
 
     config_fields = {f.name for f in fields(RunConfig)}
     allowed = config_fields | {"command", "input", "output_dir", "threads",
@@ -133,26 +137,6 @@ def test_every_flag_parses_into_a_config_field():
                 assert action.default in (argparse.SUPPRESS, own), where
 
 
-def test_row_longer_than_header_exits_one(tmp_path, capsys):
-    bad = tmp_path / "ragged.csv"
-    bad.write_text("date,a,b\n2020-01-01,1,2,99\n2020-01-02,3,4\n"
-                   "2020-01-03,5,6\n")
-    code = run(["hurst", "--input", bad, "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "ragged.csv:2: 3 value cells" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_label_with_comma_exits_one(tmp_path, capsys):
-    bad = tmp_path / "comma.csv"
-    bad.write_text('date,"a,b",c\n2020-01-01,1,2\n2020-01-02,3,4\n'
-                   "2020-01-03,5,7\n")
-    code = run(["report", "--input", bad, "--output-dir", tmp_path / "out"])
-    assert code == 1
-    assert "column label 'a,b' contains a comma" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 HURST = ["hurst", "--input", "abc.csv"]
 NETWORK = ["network", "--input", "abc.csv"]
 SYNTH = ["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst", "0.6",
@@ -167,6 +151,10 @@ FLOAT_FLAGS = [(HURST, "--bin-width"), (HURST, "--crossover-threshold"),
 # overrides the earlier value.
 INPUT_RULES = [
     (["hurst", "--input", "nope.csv"], "--input: no such file: nope.csv"),
+    (["hurst", "--input", "ragged.csv"],
+     "ragged.csv:2: 3 value cells but the header names 2 columns"),
+    (["report", "--input", "comma.csv"],
+     "comma.csv: column label 'a,b' contains a comma, quote or line break"),
     ([*HURST, "--scales", "10,x"],
      "--scales: expected comma-separated integers, got '10,x'"),
     ([*NETWORK, "--scale", "x"],
@@ -184,7 +172,11 @@ INPUT_RULES = [
      "--period '2020-13-01:2020-12-31': month must be in 1..12"),
     ([*NETWORK, "--period", "2021-01-01:2020-01-01"],
      "--period '2021-01-01:2020-01-01': start after end"),
+    ([*NETWORK, "--period", "2020-W01-1:2020-12-31"], "--period "
+     "'2020-W01-1:2020-12-31': Invalid isoformat string: '2020-W01-1'"),
     ([*SYNTH, "--blocks", "3"], "--blocks expects 'BxM' (e.g. 3x5), got '3'"),
+    ([*SYNTH, "--blocks", "\u0663x5"],
+     "--blocks expects 'BxM' (e.g. 3x5), got '\u0663x5'"),
     ([*HURST, "--format", ","], "--format: empty list"),
     ([*HURST, "--format", "csv"], "--format: unknown format(s) csv; "
      "choose from table, json, graphml, dot or 'all'"),
@@ -193,7 +185,15 @@ INPUT_RULES = [
       for base, flag in FLOAT_FLAGS for text in ("nan", "inf", "-inf")],
     ([*NETWORK, "--resolution=high"],
      "argument --resolution: invalid float value: 'high'"),
+    # numbers are ASCII decimals: float() and int() read these as 10 and 3
+    ([*HURST, "--scales=1_0"],
+     "--scales: expected comma-separated integers, got '1_0'"),
+    ([*HURST, "--smin", "\u0663"], "argument --smin: invalid int value: '\u0663'"),
+    ([*NETWORK, "--resolution", "1_0"],
+     "argument --resolution: invalid float value: '1_0'"),
     (["LONGMEM_THREADS=x", *HURST], "LONGMEM_THREADS: not an integer: 'x'"),
+    (["LONGMEM_THREADS=\u0663", *HURST],
+     "LONGMEM_THREADS: not an integer: '\u0663'"),
     ([*HURST, "--threads", "0"], "--threads must be >= 1, got 0"),
     ([*HURST, "--method", "dfa", "--dfa-order", "0"],
      "--dfa-order must be >= 1, got 0"),
@@ -411,6 +411,16 @@ def test_strict_turns_partial_failure_into_exit_three(panel_dir, tmp_path):
     # outputs are still written so the failure can be inspected
     assert (out / "failures.csv").exists()
     assert (out / "hurst_estimates.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["hurst", "--crossover"], ["report"]],
+                         ids=lambda c: c[0])
+def test_strict_exits_zero_without_failures(panel_dir, tmp_path, command):
+    out = tmp_path / "out"
+    assert run([*command, "--input", panel_dir / "abc.csv", "--output-dir", out,
+                "--input-kind", "increments", "--strict"]) == 0
+    assert list(out.rglob("crossover.csv"))
+    assert not list(out.rglob("failures.csv"))
 
 
 @pytest.fixture(scope="module")
@@ -755,8 +765,11 @@ def test_rerun_smoke_for_synth(tmp_path):
 
 
 def test_config_error_type_is_exposed():
-    with pytest.raises(ConfigError):
-        raise ConfigError("x")
+    argv = [*SYNTH, "--n", "8", "--output-dir", "out"]
+    with pytest.raises(ConfigError) as info:
+        resolve_config(build_parser().parse_args(argv), argv)
+    assert type(info.value) is ConfigError
+    assert str(info.value) == "--n must be >= 16, got 8"
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import datetime as dt
 import itertools
 import json
 
@@ -30,8 +31,7 @@ from longmem.series import (
 )
 from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
-import reference
-from conftest import make_panel, make_series, ramp_panel
+from conftest import make_panel, make_series, ramp_panel, rule_test
 from test_engine import chunk_panel, stacked_rho
 
 
@@ -61,12 +61,6 @@ class TestCrossFluctuation:
         for s in SMALL_GRID:
             assert (rho_from_profiles(pa, pb, s, dma())
                     == rho_from_profiles(pb, pa, s, dma()))
-
-    def test_length_mismatch(self):
-        pa = fgn_profile(0, n=512)
-        pb = fgn_profile(1, n=1024)
-        with pytest.raises(AlignmentError, match="different"):
-            rho_from_profiles(pa, pb, 10, dfa(1))
 
 
 class TestNormalize:
@@ -166,14 +160,6 @@ class TestRho:
             rho_vs_scale(f1, f2, ScaleGrid((10,)), method=dfa(1))
         assert err.value.ids == ("f1", "f2")
 
-    def test_date_mismatch(self):
-        import datetime as dt
-
-        a = make_series(np.arange(100.0), "a")
-        b = make_series(np.arange(100.0), "b", start=dt.date(2001, 1, 1))
-        with pytest.raises(AlignmentError, match="common date index"):
-            rho_vs_scale(a, b, ScaleGrid((10,)), method=dfa(1))
-
 
 class TestCurveEngines:
     """Each point of a pair curve is that pair's coefficient at its scale."""
@@ -264,19 +250,6 @@ class TestPairwiseMatrix:
             pairwise_matrix(ramp_panel(), 20, method)
         assert err.value.ids == ("lin",)
 
-    def test_unaligned_rejected(self):
-        import datetime as dt
-
-        a = make_series(np.arange(300.0), "a")
-        b = make_series(np.arange(300.0), "b", start=dt.date(2001, 1, 1))
-        with pytest.raises(AlignmentError, match="aligned"):
-            pairwise_matrix(RatePanel((a, b)), 20, dfa(1))
-
-    def test_single_series_rejected(self):
-        panel = make_panel({"only": np.arange(100.0) % 7 + 1.0})
-        with pytest.raises(ValueError, match="at least two"):
-            pairwise_matrix(panel, 10, dfa(1))
-
     def test_threads_identical(self):
         panel = RatePanel(tuple(
             generate_fgn(FgnSpec(n=512, hurst=0.7, seed=s))
@@ -300,20 +273,6 @@ class TestPairwiseMatrix:
         payload = json.loads(json.dumps(m.to_json_dict()))
         assert payload["scale"] == 32
 
-    def test_matrix_validation(self):
-        method = dfa(1)
-        with pytest.raises(ValueError, match="square"):
-            DccaMatrix(("a", "b"), 10, method, np.ones((2, 3)))
-        bad_diag = np.array([[0.5, 0.1], [0.1, 1.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            DccaMatrix(("a", "b"), 10, method, bad_diag)
-        asym = np.array([[1.0, 0.2], [0.3, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            DccaMatrix(("a", "b"), 10, method, asym)
-        too_big = np.array([[1.0, 1.5], [1.5, 1.0]])
-        with pytest.raises(ValueError, match="lie in"):
-            DccaMatrix(("a", "b"), 10, method, too_big)
-
 
 class TestRhoVsScale:
     def test_identical_pair_flat_at_one(self):
@@ -323,23 +282,6 @@ class TestRhoVsScale:
         curve = rho_vs_scale(a, b, ScaleGrid((5, 20, 100, 500)),
                              method=dfa(1))
         assert np.allclose(curve.values, 1.0, atol=1e-12)
-
-    def test_too_short_for_default_grid(self):
-        a = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=0))
-        b = generate_fgn(FgnSpec(n=300, hurst=0.7, seed=1))
-        with pytest.raises(ScaleError, match="half"):
-            rho_vs_scale(a, b, ScaleGrid((5, 500)), method=dfa(1),
-                         input_kind="increments")
-
-    def test_curve_length_mismatch(self):
-        with pytest.raises(ValueError,
-                           match="^scales and values must match in length$"):
-            RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5]))
-
-    def test_method_required(self):
-        a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
-        with pytest.raises(TypeError, match="keyword-only argument: 'method'"):
-            rho_vs_scale(a, a, SMALL_GRID)
 
     def test_table(self, tmp_path):
         a = generate_fgn(FgnSpec(n=2048, hurst=0.7, seed=0))
@@ -355,19 +297,6 @@ class TestRhoVsScale:
         json.dumps(curve.to_json_dict())
 
 
-class TestBruteForce:
-    @pytest.mark.parametrize("method", [dfa(1), dma(), dma("backward")],
-                             ids=lambda m: m.label)
-    @pytest.mark.parametrize("s", [5, 10])
-    def test_rho_matches_naive(self, method, s):
-        rng = np.random.default_rng(12)
-        pa = profile_from_values(rng.standard_normal(59), "a")
-        pb = profile_from_values(rng.standard_normal(59), "b")
-        got = rho_from_profiles(pa, pb, s, method)
-        want = reference.naive_rho(pa.values, pb.values, s, method)
-        assert got == pytest.approx(want, rel=1e-10)
-
-
 class TestSeriesLevelPipeline:
     def test_series_profile_feeds_pipeline(self):
         ts = make_series(np.abs(np.random.default_rng(9)
@@ -376,3 +305,49 @@ class TestSeriesLevelPipeline:
         assert len(prof) == len(ts) - 1
         curve = rho_vs_scale(ts, ts, ScaleGrid((20,)), method=dfa(1))
         assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def pair_off_by_a_year(n):
+    a = make_series(np.arange(float(n)), "a")
+    return a, make_series(np.arange(float(n)), "b", start=dt.date(2001, 1, 1))
+
+
+def dcca_matrix(rho):
+    return lambda: DccaMatrix(("a", "b"), 10, dfa(1), np.array(rho))
+
+
+ONE_SERIES = make_panel({"only": np.arange(100.0) % 7 + 1.0})
+RULES = [
+    ("test_length_mismatch",
+     lambda: rho_from_profiles(fgn_profile(0, n=512), fgn_profile(1, n=1024),
+                               10, dfa(1)),
+     AlignmentError, "profiles 'fgn-h0.7-seed0' and 'fgn-h0.7-seed1' have "
+                     "different lengths (512 vs 1024); align first"),
+    ("test_date_mismatch",
+     lambda: rho_vs_scale(*pair_off_by_a_year(100), ScaleGrid((10,)), method=dfa(1)),
+     AlignmentError, "series 'a' and 'b' are not on a common date index"),
+    ("test_unaligned_rejected",
+     lambda: pairwise_matrix(RatePanel(pair_off_by_a_year(300)), 20, dfa(1)),
+     AlignmentError, "panel must be aligned before pairwise analysis"),
+    ("test_single_series_rejected", lambda: pairwise_matrix(ONE_SERIES, 10, dfa(1)),
+     ValueError, "need at least two series for a pairwise matrix"),
+    ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), ValueError,
+     "rho must be square over ids"),
+    ("test_matrix_validation[diagonal]", dcca_matrix([[0.5, 0.1], [0.1, 1.0]]),
+     ValueError, "diagonal must be exactly 1"),
+    ("test_matrix_validation[symmetric]", dcca_matrix([[1.0, 0.2], [0.3, 1.0]]),
+     ValueError, "matrix must be symmetric"),
+    ("test_matrix_validation[range]", dcca_matrix([[1.0, 1.5], [1.5, 1.0]]),
+     ValueError, "entries must lie in [-1, 1]"),
+    ("test_curve_length_mismatch",
+     lambda: RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5])),
+     ValueError, "scales and values must match in length"),
+    ("test_too_short_for_default_grid", lambda: rho_vs_scale(
+        *(generate_fgn(FgnSpec(n=300, hurst=0.7, seed=k)) for k in (0, 1)),
+        ScaleGrid((5, 500)), method=dfa(1), input_kind="increments"),
+     ScaleError, "scale 500 exceeds half the profile length 300"),
+    ("test_method_required", lambda: rho_vs_scale(*pair_off_by_a_year(100), SMALL_GRID),
+     TypeError, "rho_vs_scale() missing 1 required keyword-only argument: 'method'"),
+]
+
+test_rule = rule_test(RULES)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from longmem import scaling
 from longmem.cli import main
-from longmem.dcca import _normalize, pairwise_matrix
+from longmem.dcca import _normalize, pairwise_matrix, rho_from_profiles
 from longmem.errors import DegenerateSeriesError, FitError, LongmemError
 from longmem.hurst import (
     _map_fluctuations,
@@ -328,15 +328,6 @@ class TestRowChunks:
             assert np.array_equal(got.rho,
                                   stacked_rho(profiles, panel.ids, s, method))
 
-    def test_matrix_matches_loop_oracle(self):
-        panel = chunk_panel(CHUNK + 1, 3)
-        profiles = [series_profile(ts, "increments").values
-                    for ts in panel.series]
-        got = pairwise_matrix(panel, 100, dma(), input_kind="increments").rho
-        for i, j in ((0, 1), (0, CHUNK), (CHUNK - 1, CHUNK)):
-            want = reference.naive_rho(profiles[i], profiles[j], 100, dma())
-            assert np.isclose(got[i, j], want, rtol=1e-10, atol=1e-12)
-
     def test_matrix_names_a_degenerate_member_in_a_later_chunk(self):
         members = list(chunk_panel(CHUNK + 1, 4).series)
         members[-1] = make_series(np.full(N_SMALL, 0.75), members[-1].id)
@@ -344,6 +335,25 @@ class TestRowChunks:
             pairwise_matrix(RatePanel(tuple(members)), 100, dfa(1),
                             input_kind="increments")
         assert tuple(info.value.ids) == (members[-1].id,)
+
+
+@pytest.mark.parametrize("inputs, s, method", [
+    *[("pair", s, m) for s in (5, 10) for m in (dfa(1), dma(), dma("backward"))],
+    ("chunks", 100, dma()),
+], ids=lambda v: getattr(v, "label", None))
+def test_rho_matches_loop_oracle(inputs, s, method):
+    if inputs == "pair":  # two 59-point profiles
+        rng = np.random.default_rng(12)
+        pa, pb = (profile_from_values(rng.standard_normal(59), k) for k in "ab")
+        ys, got = [pa.values, pb.values], {(0, 1): rho_from_profiles(pa, pb, s, method)}
+    else:  # pairs within a row chunk and across two
+        panel = chunk_panel(CHUNK + 1, 3)
+        ys = [series_profile(ts, "increments").values for ts in panel.series]
+        rho = pairwise_matrix(panel, s, method, input_kind="increments").rho
+        got = {(i, j): rho[i, j] for i, j in ((0, 1), (0, CHUNK), (CHUNK - 1, CHUNK))}
+    for (i, j), value in got.items():
+        want = reference.naive_rho(ys[i], ys[j], s, method)
+        assert value == pytest.approx(want, rel=1e-10)
 
 
 def failing_panel() -> RatePanel:

@@ -33,7 +33,7 @@ from longmem.series import (
 )
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
-from conftest import make_series, ramp_panel
+from conftest import make_series, ramp_panel, rule_test
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
 
@@ -131,26 +131,6 @@ class TestFitHurst:
         assert est.n_excluded == 1
         assert est.hurst == pytest.approx(0.6, abs=1e-12)
 
-    def test_too_few_points(self):
-        f = FluctuationFunction("x", dfa(1), [10, 20], [1.0, 2.0])
-        with pytest.raises(FitError, match="need at least 3"):
-            fit_hurst(f)
-
-    def test_all_zero_values(self):
-        f = FluctuationFunction("x", dfa(1), [10, 20, 40], [0.0, 0.0, 0.0])
-        with pytest.raises(FitError, match="0 usable"):
-            fit_hurst(f)
-
-    def test_identical_scales(self):
-        f = FluctuationFunction("x", dfa(1), [10, 10, 10], [1.0, 2.0, 3.0])
-        with pytest.raises(FitError, match="identical"):
-            fit_hurst(f)
-
-    def test_empty_range(self):
-        f = power_law(TEN_SCALES, 1.0, 0.5)
-        with pytest.raises(FitError, match="empty"):
-            fit_hurst(f, fit_range=(100, 50))
-
     def test_fgn_dma_recovery(self):
         ests = []
         for seed in range(20):
@@ -236,18 +216,6 @@ class TestDetectCrossover:
         k = list(PIECEWISE_GRID).index(rep.breakpoint_scale)
         assert k + 1 >= 4 and n - (k + 1) >= 4
 
-    def test_too_few_points(self):
-        f = power_law([10, 20, 40, 80, 160, 320], 1.0, 0.6)
-        with pytest.raises(FitError, match="crossover"):
-            detect_crossover(f)
-
-    def test_parameter_validation(self):
-        f = power_law(PIECEWISE_GRID, 1.0, 0.6)
-        with pytest.raises(ValueError, match="improvement_threshold"):
-            detect_crossover(f, improvement_threshold=0.0)
-        with pytest.raises(ValueError, match="2 points"):
-            detect_crossover(f, min_side_points=1)
-
     def test_json_dict(self):
         values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)
         rep = detect_crossover(
@@ -295,12 +263,6 @@ class TestHurstDistribution:
         assert "0 usable scales" in dist.failures[0][1]
         assert [e.series_id for e in dist.estimates] == ["b", "c"]
 
-    def test_unaligned_panel_rejected(self):
-        a = make_series(np.arange(300.0), "a", start=dt.date(2000, 1, 3))
-        b = make_series(np.arange(300.0), "b", start=dt.date(2000, 2, 1))
-        with pytest.raises(AlignmentError, match="aligned"):
-            hurst_distribution(RatePanel((a, b)), dfa(1))
-
     def test_all_members_failing(self):
         dates = trading_dates(400)
         flats = RatePanel(tuple(TimeSeries(f"f{i}", dates, np.full(400, i + 1.0))
@@ -313,15 +275,6 @@ class TestHurstDistribution:
         assert "'f0': 0 usable scales" in message
         assert "'f2': 0 usable scales" in message
         assert message.count("usable scales") == 3
-
-    def test_bad_bin_width(self):
-        with pytest.raises(ValueError, match="bin_width"):
-            hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=0.0)
-
-    @pytest.mark.parametrize("width", [np.nan, np.inf])
-    def test_non_finite_bin_width(self, width):
-        with pytest.raises(ValueError, match="bin_width must be positive and finite"):
-            hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=width)
 
     def test_histogram_edges(self):
         dist = hurst_distribution(fgn_panel(0.65, 10), dfa(1),
@@ -438,3 +391,46 @@ class TestProfileInputKinds:
         p_lvl = series_profile(ts, input_kind="levels")
         assert len(p_incr) == len(p_lvl) + 1
         assert not np.allclose(p_incr.values[:-1], p_lvl.values)
+
+
+def fit_of(scales, values):
+    return lambda: fit_hurst(FluctuationFunction("x", dfa(1), scales, values))
+
+
+def crossover_of(scales, **kwargs):
+    return lambda: detect_crossover(power_law(scales, 1.0, 0.6), **kwargs)
+
+
+def unaligned_pair():
+    return RatePanel((make_series(np.arange(300.0), "a"),
+                      make_series(np.arange(300.0), "b", dt.date(2000, 2, 1))))
+
+
+RULES = [
+    ("test_too_few_points[fit_hurst]", fit_of([10, 20], [1.0, 2.0]), FitError,
+     "'x': 2 usable scales in [0, 250], need at least 3"),
+    ("test_all_zero_values", fit_of([10, 20, 40], [0.0, 0.0, 0.0]), FitError,
+     "'x': 0 usable scales in [0, 250], need at least 3"),
+    ("test_identical_scales", fit_of([10, 10, 10], [1.0, 2.0, 3.0]), FitError,
+     "'x': all usable scales identical"),
+    ("test_empty_range",
+     lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
+     FitError, "empty fit range (100, 50)"),
+    ("test_too_few_points[detect_crossover]", crossover_of([10, 20, 40, 80, 160, 320]),
+     FitError, "'pl': 6 usable scales, need at least 7 for a crossover search"),
+    ("test_parameter_validation[improvement_threshold]",
+     crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), ValueError,
+     "improvement_threshold must be in (0, 1)"),
+    ("test_parameter_validation[min_side_points]",
+     crossover_of(PIECEWISE_GRID, min_side_points=1), ValueError,
+     "need at least 2 points per side"),
+    ("test_unaligned_panel_rejected",
+     lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
+     "panel must be aligned before batch estimation"),
+    *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
+       ValueError, "bin_width must be positive and finite") for name, w in [
+          ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
+          ("test_non_finite_bin_width[inf]", np.inf)]],
+]
+
+test_rule = rule_test(RULES)

@@ -7,7 +7,7 @@ import pytest
 
 from longmem.cli import _csv
 from longmem.dcca import DccaMatrix, pairwise_matrix
-from longmem.errors import LongmemError
+from longmem.errors import AlignmentError, LongmemError
 from longmem.network import (
     CommunityPartition,
     CorrelationNetwork,
@@ -23,7 +23,7 @@ from longmem.scaling import dfa
 from longmem.series import RatePanel
 from longmem.synthetic import BlockSpec, generate_blocks
 
-from conftest import make_series
+from conftest import make_series, rule_test
 from reference import naive_edges
 
 
@@ -97,23 +97,6 @@ class TestBuildNetwork:
             assert net.edges == want
             assert all(type(w) is float for *_, w in net.edges)
 
-    def test_threshold_validation(self):
-        m = matrix_from(np.ones((2, 2)))
-        for bad in (0.0, -0.5, 1.01):
-            with pytest.raises(ValueError, match="threshold"):
-                build_network(m, threshold=bad)
-
-    def test_network_invariants_enforced(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            CorrelationNetwork(("a",), (("a", "a", 0.9),), 50, 0.8)
-        with pytest.raises(ValueError, match="unknown node"):
-            CorrelationNetwork(("a", "b"), (("a", "zz", 0.9),), 50, 0.8)
-        with pytest.raises(ValueError, match="duplicate edge"):
-            CorrelationNetwork(("a", "b"),
-                               (("a", "b", 0.9), ("b", "a", 0.85)), 50, 0.8)
-        with pytest.raises(ValueError, match="below threshold"):
-            CorrelationNetwork(("a", "b"), (("a", "b", 0.5),), 50, 0.8)
-
 
 class TestDetectCommunities:
     def test_two_cliques_any_seed(self):
@@ -175,28 +158,6 @@ class TestDetectCommunities:
         assert part.labels["a"] == part.labels["b"]
         assert part.labels["c"] != part.labels["d"]
 
-    def test_all_negative_is_error(self):
-        net = CorrelationNetwork(("a", "b"), (("a", "b", -0.9),), 50, 0.8)
-        with pytest.raises(LongmemError, match="negative"):
-            detect_communities(net)
-
-    def test_empty_network_is_error(self):
-        with pytest.raises(LongmemError, match="empty"):
-            detect_communities(CorrelationNetwork((), (), 50, 0.8))
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError, match="resolution"):
-            detect_communities(clique_pair_network(), resolution=0.0)
-
-    @pytest.mark.parametrize("resolution", [np.nan, np.inf])
-    def test_non_finite_resolution_rejected(self, resolution):
-        with pytest.raises(ValueError, match="resolution must be positive and finite"):
-            detect_communities(clique_pair_network(), resolution=resolution)
-
-    def test_q_capped_validation(self):
-        with pytest.raises(ValueError, match="modularity"):
-            CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0)
-
     def test_q_at_least_one_community_value(self):
         # one community holding every node scores 1 - resolution
         rng = np.random.default_rng(15)
@@ -242,14 +203,15 @@ class TestAverageWeightedDegree:
             assert degrees[0] >= degrees[1] >= degrees[2]
 
 
-class TestSplitPeriods:
-    def make_panel(self, n=600):
-        a = make_series(np.arange(n, dtype=float) + 1.0, "a")
-        b = make_series(np.arange(n, dtype=float) * 2.0 + 1.0, "b")
-        return RatePanel((a, b))
+def two_ramps(n=600) -> RatePanel:
+    a = make_series(np.arange(n, dtype=float) + 1.0, "a")
+    b = make_series(np.arange(n, dtype=float) * 2.0 + 1.0, "b")
+    return RatePanel((a, b))
 
+
+class TestSplitPeriods:
     def test_full_range_identity(self):
-        panel = self.make_panel()
+        panel = two_ramps()
         lo, hi = panel.date_index[0], panel.date_index[-1]
         (sub,) = split_periods(panel, [(lo, hi)])
         assert sub.date_index == panel.date_index
@@ -257,7 +219,7 @@ class TestSplitPeriods:
             assert np.array_equal(orig.values, new.values)
 
     def test_overlapping_windows(self):
-        panel = self.make_panel()
+        panel = two_ramps()
         dates = panel.date_index
         first = (dates[0], dates[399])
         second = (dates[200], dates[-1])
@@ -267,26 +229,6 @@ class TestSplitPeriods:
         assert len(subs[1].date_index) == 400
         overlap = set(subs[0].date_index) & set(subs[1].date_index)
         assert len(overlap) == 200
-
-    def test_window_outside_range(self):
-        panel = self.make_panel()
-        with pytest.raises(LongmemError):
-            split_periods(panel, [(dt.date(1990, 1, 1), dt.date(1990, 6, 1))])
-
-    def test_window_with_one_shared_date(self):
-        days = np.array(["2020-01-01", "2020-01-02", "2020-01-03",
-                         "2020-01-04", "2020-01-05"], dtype="datetime64[D]")
-        panel = RatePanel.from_matrix(
-            ["a", "b"], days, [[1.0, 2.0, 3.0, np.nan, np.nan],
-                               [np.nan, np.nan, 3.0, 4.0, 5.0]])
-        with pytest.raises(LongmemError) as info:
-            split_periods(panel, [(dt.date(2020, 1, 1), dt.date(2020, 1, 5))])
-        assert str(info.value) == ("window 2020-01-01..2020-01-05 leaves 1 "
-                                   "shared dates, need at least 2")
-
-    def test_no_windows(self):
-        with pytest.raises(ValueError, match="window"):
-            split_periods(self.make_panel(), [])
 
 
 class TestExports:
@@ -353,3 +295,52 @@ class TestDatesHelper:
         d = part.to_json_dict()
         assert d["n_negative_excluded"] == 0
         assert dict(tuple(x) for x in d["assignment"]) == part.labels
+
+
+D = dt.date
+ONE_SHARED_DATE = RatePanel.from_matrix(
+    ["a", "b"], np.arange("2020-01-01", "2020-01-06", dtype="datetime64[D]"),
+    [[1, 2, 3, np.nan, np.nan], [np.nan, np.nan, 3, 4, 5]])
+RULES = [
+    *[(f"test_threshold_validation[{bad}]",
+       lambda bad=bad: build_network(matrix_from(np.ones((2, 2))), threshold=bad),
+       ValueError, "threshold must be in (0, 1]") for bad in (0.0, -0.5, 1.01)],
+    *[(f"test_network_invariants_enforced[{name}]",
+       lambda ids=ids, edges=edges: CorrelationNetwork(ids, edges, 50, 0.8),
+       ValueError, message) for name, ids, edges, message in [
+          ("self-loop", ("a",), (("a", "a", 0.9),), "self-loop on 'a'"),
+          ("unknown-node", ("a", "b"), (("a", "zz", 0.9),),
+           "edge ('a', 'zz') references unknown node"),
+          ("duplicate-edge", ("a", "b"), (("a", "b", 0.9), ("b", "a", 0.85)),
+           "duplicate edge for pair ('a', 'b')"),
+          ("below-threshold", ("a", "b"), (("a", "b", 0.5),),
+           "edge ('a', 'b') weight 0.5 below threshold 0.8")]],
+    ("test_all_negative_is_error",
+     lambda: detect_communities(
+         CorrelationNetwork(("a", "b"), (("a", "b", -0.9),), 50, 0.8)),
+     LongmemError, "all edges carry negative weight; no positive-weight "
+                   "subgraph to run modularity on"),
+    ("test_empty_network_is_error",
+     lambda: detect_communities(CorrelationNetwork((), (), 50, 0.8)),
+     LongmemError, "cannot partition an empty network"),
+    *[(name, lambda r=r: detect_communities(clique_pair_network(), resolution=r),
+       ValueError, "resolution must be positive and finite")
+      for name, r in [("test_resolution_validation", 0.0),
+                      ("test_non_finite_resolution_rejected[nan]", np.nan),
+                      ("test_non_finite_resolution_rejected[inf]", np.inf)]],
+    ("test_q_capped_validation",
+     lambda: CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0), ValueError,
+     "modularity cannot exceed 1"),
+    ("test_window_outside_range",
+     lambda: split_periods(two_ramps(), [(D(1990, 1, 1), D(1990, 6, 1))]),
+     AlignmentError,
+     "series 'a': window 1990-01-01..1990-06-01 keeps 0 observations (< 2)"),
+    ("test_window_with_one_shared_date",
+     lambda: split_periods(ONE_SHARED_DATE, [(D(2020, 1, 1), D(2020, 1, 5))]),
+     LongmemError, "window 2020-01-01..2020-01-05 leaves 1 shared dates, "
+                   "need at least 2"),
+    ("test_no_windows", lambda: split_periods(two_ramps(), []), ValueError,
+     "need at least one window"),
+]
+
+test_rule = rule_test(RULES)

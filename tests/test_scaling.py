@@ -20,6 +20,7 @@ from longmem.scaling import (
 from longmem.series import Profile, profile_from_values
 
 import reference
+from conftest import rule_test
 
 
 def f_of(resid: np.ndarray) -> float:
@@ -47,18 +48,6 @@ class TestDetrendMethod:
     def test_dma_backward(self):
         assert dma("backward").label == "dma-backward"
 
-    def test_dfa_order_zero_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            dfa(0)
-
-    def test_dma_bad_alignment(self):
-        with pytest.raises(ValueError, match="alignment"):
-            dma("forward")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            DetrendMethod("wavelet")
-
     def test_json_dicts(self):
         assert dfa(2).to_json_dict() == {"kind": "dfa", "order": 2}
         assert dma("backward").to_json_dict() == {"kind": "dma",
@@ -66,19 +55,6 @@ class TestDetrendMethod:
 
 
 class TestScaleGrid:
-    def test_empty(self):
-        with pytest.raises(ScaleError, match="empty"):
-            ScaleGrid(())
-
-    def test_scales_at_least_two(self):
-        with pytest.raises(ScaleError, match="below 2"):
-            ScaleGrid((1, 5))
-        assert list(ScaleGrid((2, 5))) == [2, 5]
-
-    def test_not_increasing(self):
-        with pytest.raises(ScaleError, match="increasing"):
-            ScaleGrid((10, 10, 20))
-
     def test_iteration(self):
         grid = ScaleGrid((10, 20, 40))
         assert list(grid) == [10, 20, 40]
@@ -95,21 +71,12 @@ class TestScaleGrid:
     def test_default_grid_quarter_length(self):
         assert list(default_grid(100))[-1] == 25
 
-    def test_default_grid_too_short(self):
-        with pytest.raises(ScaleError, match="no scales"):
-            default_grid(30)
-
     def test_default_grid_explicit_max(self):
         grid = default_grid(100_000, s_max=800, num=30)
         assert list(grid)[-1] == 800
 
     def test_default_grid_custom_min(self):
         assert list(default_grid(1000, s_min=5))[0] == 5
-
-    @pytest.mark.parametrize("s_min", [1, 0, -3])
-    def test_default_grid_min_below_two(self, s_min):
-        with pytest.raises(ScaleError, match=f"s_min must be >= 2, got {s_min}"):
-            default_grid(1000, s_min=s_min)
 
 
 def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:
@@ -150,10 +117,6 @@ class TestMovingAverage:
     def test_centered_window_three(self):
         y = np.array([0.0, 1.0, 2.0, 3.0])
         assert list(_Residuals((y,), dma("centered")).trend(3)[0]) == [0.5, 1.0, 2.0, 2.5]
-
-    def test_unknown_alignment(self):
-        with pytest.raises(ValueError, match="alignment"):
-            _Residuals((np.zeros(4),), dma("forward"))
 
     @given(values=st.lists(st.floats(-100, 100), min_size=8, max_size=40),
            s=st.integers(2, 7),
@@ -327,8 +290,33 @@ class TestFluctuation:
         ratio = se_10 / se_5
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.30)
 
-    def test_value_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            FluctuationFunction("x", dfa(1), [10], [-0.5])
-        with pytest.raises(ValueError, match="mismatch"):
-            FluctuationFunction("x", dfa(1), [10, 20], [0.5])
+
+BAD_ALIGNMENT = "dma alignment must be 'centered' or 'backward', got 'forward'"
+RULES = [
+    ("test_dfa_order_zero_rejected", lambda: dfa(0), ValueError,
+     "dfa order must be >= 1, got 0"),
+    ("test_dma_bad_alignment", lambda: dma("forward"), ValueError, BAD_ALIGNMENT),
+    ("test_unknown_alignment", lambda: _Residuals((np.zeros(4),), dma("forward")),
+     ValueError, BAD_ALIGNMENT),
+    ("test_unknown_kind", lambda: DetrendMethod("wavelet"), ValueError,
+     "unknown detrend kind 'wavelet'"),
+    ("test_empty", lambda: ScaleGrid(()), ScaleError, "empty scale grid"),
+    ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), ScaleError,
+     "scale 1 below 2"),
+    ("test_scales_at_least_two[2]", lambda: list(ScaleGrid((2, 5))), None, [2, 5]),
+    ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), ScaleError,
+     "scales not strictly increasing at 10, 10"),
+    ("test_default_grid_too_short", lambda: default_grid(30), ScaleError,
+     "profile of length 30 leaves no scales in [10, 7]"),
+    *[(f"test_default_grid_min_below_two[{s_min}]",
+       lambda s_min=s_min: default_grid(1000, s_min=s_min), ScaleError,
+       f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)],
+    ("test_value_validation[negative]",
+     lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), ValueError,
+     "auto-fluctuation values must be >= 0"),
+    ("test_value_validation[mismatch]",
+     lambda: FluctuationFunction("x", dfa(1), [10, 20], [0.5]), ValueError,
+     "scales and values length mismatch"),
+]
+
+test_rule = rule_test(RULES)

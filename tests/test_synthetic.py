@@ -18,6 +18,8 @@ from longmem.synthetic import (
 )
 from longmem import synthetic
 
+from conftest import rule_test
+
 
 class TestAutocovariance:
     def test_lag_zero_is_variance(self):
@@ -37,43 +39,6 @@ class TestAutocovariance:
     def test_persistent_positive_antipersistent_negative(self):
         assert _autocovariance(1, 0.8) > 0
         assert _autocovariance(1, 0.3) < 0
-
-
-class TestSpecValidation:
-    def test_fgn_bad_hurst(self):
-        for h in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(ValueError, match="hurst"):
-                FgnSpec(n=64, hurst=h)
-
-    def test_fgn_too_short(self):
-        with pytest.raises(ValueError, match="n must be"):
-            FgnSpec(n=8, hurst=0.5)
-
-    def test_fgn_bad_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            FgnSpec(n=64, hurst=0.5, sigma=0.0)
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("make", [
-        lambda sigma: FgnSpec(n=64, hurst=0.6, sigma=sigma),
-        lambda sigma: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=sigma),
-    ], ids=["fgn", "blocks"])
-    def test_non_finite_sigma(self, make, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            make(sigma)
-
-    def test_block_bounds(self):
-        ok = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5,
-                  n=64)
-        BlockSpec(**ok)
-        with pytest.raises(ValueError, match="n_blocks"):
-            BlockSpec(**{**ok, "n_blocks": 1})
-        with pytest.raises(ValueError, match="block_size"):
-            BlockSpec(**{**ok, "block_size": 1})
-        with pytest.raises(ValueError, match="common_weight"):
-            BlockSpec(**{**ok, "common_weight": 1.2})
-        with pytest.raises(ValueError, match="hurst"):
-            BlockSpec(**{**ok, "hurst": 0.0})
 
 
 class TestTradingDates:
@@ -211,3 +176,29 @@ class TestGenerateBlocks:
         monkeypatch.setattr(synthetic, "_embedding_eigenvalues", counting)
         generate_blocks(self.SPEC)
         assert calls == [(self.SPEC.n, self.SPEC.hurst)]
+
+
+OK_BLOCKS = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5, n=64)
+RULES = [
+    *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
+       f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
+    ("test_fgn_too_short", lambda: FgnSpec(n=8, hurst=0.5), ValueError,
+     "n must be >= 16, got 8"),
+    ("test_fgn_bad_sigma", lambda: FgnSpec(n=64, hurst=0.5, sigma=0.0),
+     ValueError, "sigma must be finite and > 0, got 0.0"),
+    *[(f"test_non_finite_sigma[{kind}-{sigma}]", lambda make=make, v=sigma: make(v),
+       ValueError, f"sigma must be finite and > 0, got {sigma}")
+      for kind, make in [("fgn", lambda v: FgnSpec(n=64, hurst=0.6, sigma=v)),
+                         ("blocks", lambda v: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=v))]
+      for sigma in (np.nan, np.inf, -np.inf)],
+    ("test_block_bounds[ok]", lambda: BlockSpec(**OK_BLOCKS).n_blocks, None, 2),
+    *[(f"test_block_bounds[{field}]",
+       lambda field=field, bad=bad: BlockSpec(**{**OK_BLOCKS, field: bad}),
+       ValueError, message) for field, bad, message in [
+          ("n_blocks", 1, "n_blocks must be >= 2, got 1"),
+          ("block_size", 1, "block_size must be >= 2, got 1"),
+          ("common_weight", 1.2, "common_weight must lie in [0, 1], got 1.2"),
+          ("hurst", 0.0, "hurst must lie in (0, 1), got 0.0")]],
+]
+
+test_rule = rule_test(RULES)
