@@ -39,14 +39,10 @@ def ramp_panel(n: int = 800) -> RatePanel:
                        "c": 3.0 + steps[1]})
 
 
-def rule_test(rows):
-    """One test over rows ``(id, call, exception type, full message)`` with
-    optional marks: ``call()``, run in an empty working directory, raises
-    exactly that type and message.  For a type of None the input is valid,
-    and ``call()`` returns the message."""
-    @pytest.mark.parametrize("call, kind, message", [
-        pytest.param(*row[1:4], id=row[0], marks=row[4:]) for row in rows])
-    def test_rule(tmp_path, monkeypatch, call, kind, message):
+def _rule_method(cases):
+    """A test method over ``cases``, [(case id, row)]: parametrized by the
+    ids, or the one row alone if it has no id."""
+    def test(self, tmp_path, monkeypatch, call, kind, message):
         monkeypatch.chdir(tmp_path)
         if kind is None:
             assert call() == message
@@ -55,7 +51,35 @@ def rule_test(rows):
             call()
         assert type(info.value) is kind
         assert str(info.value) == message
-    return test_rule
+
+    if cases[0][0]:
+        return pytest.mark.parametrize("call, kind, message", [
+            pytest.param(*row[:3], id=case, marks=row[3:])
+            for case, row in cases])(test)
+    ((_, (call, kind, message, *marks)),) = cases
+
+    def one(self, tmp_path, monkeypatch):
+        test(self, tmp_path, monkeypatch, call, kind, message)
+    for mark in marks:
+        one = mark(one)
+    return one
+
+
+def rule_tests(namespace, rules):
+    """Add ``rules``, {class name: rows}, as tests of those classes in a
+    module's ``namespace``.  A row ``(name, call, exception type, full
+    message)``, with optional marks, is the test ``Class::name``, or a case
+    of it if the name ends in ``[case]``.  It checks that ``call()``, run in
+    an empty working directory, raises exactly that type and message.  For
+    a type of None the input is valid, and ``call()`` returns the message."""
+    for cls, rows in rules.items():
+        tests = {}
+        for name, *row in rows:
+            name, _, case = name.partition("[")
+            tests.setdefault(name, []).append((case[:-1], row))
+        for name, cases in tests.items():
+            assert not hasattr(namespace[cls], name), f"{cls}.{name} exists"
+            setattr(namespace[cls], name, _rule_method(cases))
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from longmem.series import (
 )
 from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
-from conftest import make_panel, make_series, ramp_panel, rule_test
+from conftest import make_panel, make_series, ramp_panel, rule_tests
 from test_engine import chunk_panel, stacked_rho
 
 
@@ -317,37 +317,42 @@ def dcca_matrix(rho):
 
 
 ONE_SERIES = make_panel({"only": np.arange(100.0) % 7 + 1.0})
-RULES = [
-    ("test_length_mismatch",
-     lambda: rho_from_profiles(fgn_profile(0, n=512), fgn_profile(1, n=1024),
-                               10, dfa(1)),
-     AlignmentError, "profiles 'fgn-h0.7-seed0' and 'fgn-h0.7-seed1' have "
-                     "different lengths (512 vs 1024); align first"),
-    ("test_date_mismatch",
-     lambda: rho_vs_scale(*pair_off_by_a_year(100), ScaleGrid((10,)), method=dfa(1)),
-     AlignmentError, "series 'a' and 'b' are not on a common date index"),
-    ("test_unaligned_rejected",
-     lambda: pairwise_matrix(RatePanel(pair_off_by_a_year(300)), 20, dfa(1)),
-     AlignmentError, "panel must be aligned before pairwise analysis"),
-    ("test_single_series_rejected", lambda: pairwise_matrix(ONE_SERIES, 10, dfa(1)),
-     ValueError, "need at least two series for a pairwise matrix"),
-    ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), ValueError,
-     "rho must be square over ids"),
-    ("test_matrix_validation[diagonal]", dcca_matrix([[0.5, 0.1], [0.1, 1.0]]),
-     ValueError, "diagonal must be exactly 1"),
-    ("test_matrix_validation[symmetric]", dcca_matrix([[1.0, 0.2], [0.3, 1.0]]),
-     ValueError, "matrix must be symmetric"),
-    ("test_matrix_validation[range]", dcca_matrix([[1.0, 1.5], [1.5, 1.0]]),
-     ValueError, "entries must lie in [-1, 1]"),
-    ("test_curve_length_mismatch",
-     lambda: RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5])),
-     ValueError, "scales and values must match in length"),
-    ("test_too_short_for_default_grid", lambda: rho_vs_scale(
-        *(generate_fgn(FgnSpec(n=300, hurst=0.7, seed=k)) for k in (0, 1)),
-        ScaleGrid((5, 500)), method=dfa(1), input_kind="increments"),
-     ScaleError, "scale 500 exceeds half the profile length 300"),
-    ("test_method_required", lambda: rho_vs_scale(*pair_off_by_a_year(100), SMALL_GRID),
-     TypeError, "rho_vs_scale() missing 1 required keyword-only argument: 'method'"),
-]
-
-test_rule = rule_test(RULES)
+RULES = {
+    "TestCrossFluctuation": [
+        ("test_length_mismatch",
+         lambda: rho_from_profiles(fgn_profile(0, n=512), fgn_profile(1, n=1024),
+                                   10, dfa(1)),
+         AlignmentError, "profiles 'fgn-h0.7-seed0' and 'fgn-h0.7-seed1' have "
+                         "different lengths (512 vs 1024); align first")],
+    "TestRho": [
+        ("test_date_mismatch",
+         lambda: rho_vs_scale(*pair_off_by_a_year(100), ScaleGrid((10,)),
+                              method=dfa(1)),
+         AlignmentError, "series 'a' and 'b' are not on a common date index")],
+    "TestPairwiseMatrix": [
+        ("test_unaligned_rejected",
+         lambda: pairwise_matrix(RatePanel(pair_off_by_a_year(300)), 20, dfa(1)),
+         AlignmentError, "panel must be aligned before pairwise analysis"),
+        ("test_single_series_rejected", lambda: pairwise_matrix(ONE_SERIES, 10, dfa(1)),
+         ValueError, "need at least two series for a pairwise matrix"),
+        ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), ValueError,
+         "rho must be square over ids"),
+        ("test_matrix_validation[diagonal]", dcca_matrix([[0.5, 0.1], [0.1, 1.0]]),
+         ValueError, "diagonal must be exactly 1"),
+        ("test_matrix_validation[symmetric]", dcca_matrix([[1.0, 0.2], [0.3, 1.0]]),
+         ValueError, "matrix must be symmetric"),
+        ("test_matrix_validation[range]", dcca_matrix([[1.0, 1.5], [1.5, 1.0]]),
+         ValueError, "entries must lie in [-1, 1]")],
+    "TestRhoVsScale": [
+        ("test_curve_length_mismatch",
+         lambda: RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5])),
+         ValueError, "scales and values must match in length"),
+        ("test_too_short_for_default_grid", lambda: rho_vs_scale(
+            *(generate_fgn(FgnSpec(n=300, hurst=0.7, seed=k)) for k in (0, 1)),
+            ScaleGrid((5, 500)), method=dfa(1), input_kind="increments"),
+         ScaleError, "scale 500 exceeds half the profile length 300"),
+        ("test_method_required",
+         lambda: rho_vs_scale(*pair_off_by_a_year(100), SMALL_GRID), TypeError,
+         "rho_vs_scale() missing 1 required keyword-only argument: 'method'")],
+}
+rule_tests(globals(), RULES)

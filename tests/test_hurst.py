@@ -33,7 +33,7 @@ from longmem.series import (
 )
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
-from conftest import make_series, ramp_panel, rule_test
+from conftest import make_series, ramp_panel, rule_tests
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
 
@@ -406,31 +406,33 @@ def unaligned_pair():
                       make_series(np.arange(300.0), "b", dt.date(2000, 2, 1))))
 
 
-RULES = [
-    ("test_too_few_points[fit_hurst]", fit_of([10, 20], [1.0, 2.0]), FitError,
-     "'x': 2 usable scales in [0, 250], need at least 3"),
-    ("test_all_zero_values", fit_of([10, 20, 40], [0.0, 0.0, 0.0]), FitError,
-     "'x': 0 usable scales in [0, 250], need at least 3"),
-    ("test_identical_scales", fit_of([10, 10, 10], [1.0, 2.0, 3.0]), FitError,
-     "'x': all usable scales identical"),
-    ("test_empty_range",
-     lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
-     FitError, "empty fit range (100, 50)"),
-    ("test_too_few_points[detect_crossover]", crossover_of([10, 20, 40, 80, 160, 320]),
-     FitError, "'pl': 6 usable scales, need at least 7 for a crossover search"),
-    ("test_parameter_validation[improvement_threshold]",
-     crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), ValueError,
-     "improvement_threshold must be in (0, 1)"),
-    ("test_parameter_validation[min_side_points]",
-     crossover_of(PIECEWISE_GRID, min_side_points=1), ValueError,
-     "need at least 2 points per side"),
-    ("test_unaligned_panel_rejected",
-     lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
-     "panel must be aligned before batch estimation"),
-    *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
-       ValueError, "bin_width must be positive and finite") for name, w in [
-          ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
-          ("test_non_finite_bin_width[inf]", np.inf)]],
-]
-
-test_rule = rule_test(RULES)
+RULES = {
+    "TestFitHurst": [
+        ("test_too_few_points", fit_of([10, 20], [1.0, 2.0]), FitError,
+         "'x': 2 usable scales in [0, 250], need at least 3"),
+        ("test_all_zero_values", fit_of([10, 20, 40], [0.0, 0.0, 0.0]), FitError,
+         "'x': 0 usable scales in [0, 250], need at least 3"),
+        ("test_identical_scales", fit_of([10, 10, 10], [1.0, 2.0, 3.0]), FitError,
+         "'x': all usable scales identical"),
+        ("test_empty_range",
+         lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
+         FitError, "empty fit range (100, 50)")],
+    "TestDetectCrossover": [
+        ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), FitError,
+         "'pl': 6 usable scales, need at least 7 for a crossover search"),
+        ("test_parameter_validation[improvement_threshold]",
+         crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), ValueError,
+         "improvement_threshold must be in (0, 1)"),
+        ("test_parameter_validation[min_side_points]",
+         crossover_of(PIECEWISE_GRID, min_side_points=1), ValueError,
+         "need at least 2 points per side")],
+    "TestHurstDistribution": [
+        ("test_unaligned_panel_rejected",
+         lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
+         "panel must be aligned before batch estimation"),
+        *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
+           ValueError, "bin_width must be positive and finite") for name, w in [
+              ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
+              ("test_non_finite_bin_width[inf]", np.inf)]]],
+}
+rule_tests(globals(), RULES)

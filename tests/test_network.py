@@ -23,7 +23,7 @@ from longmem.scaling import dfa
 from longmem.series import RatePanel
 from longmem.synthetic import BlockSpec, generate_blocks
 
-from conftest import make_series, rule_test
+from conftest import make_series, rule_tests
 from reference import naive_edges
 
 
@@ -301,46 +301,48 @@ D = dt.date
 ONE_SHARED_DATE = RatePanel.from_matrix(
     ["a", "b"], np.arange("2020-01-01", "2020-01-06", dtype="datetime64[D]"),
     [[1, 2, 3, np.nan, np.nan], [np.nan, np.nan, 3, 4, 5]])
-RULES = [
-    *[(f"test_threshold_validation[{bad}]",
-       lambda bad=bad: build_network(matrix_from(np.ones((2, 2))), threshold=bad),
-       ValueError, "threshold must be in (0, 1]") for bad in (0.0, -0.5, 1.01)],
-    *[(f"test_network_invariants_enforced[{name}]",
-       lambda ids=ids, edges=edges: CorrelationNetwork(ids, edges, 50, 0.8),
-       ValueError, message) for name, ids, edges, message in [
-          ("self-loop", ("a",), (("a", "a", 0.9),), "self-loop on 'a'"),
-          ("unknown-node", ("a", "b"), (("a", "zz", 0.9),),
-           "edge ('a', 'zz') references unknown node"),
-          ("duplicate-edge", ("a", "b"), (("a", "b", 0.9), ("b", "a", 0.85)),
-           "duplicate edge for pair ('a', 'b')"),
-          ("below-threshold", ("a", "b"), (("a", "b", 0.5),),
-           "edge ('a', 'b') weight 0.5 below threshold 0.8")]],
-    ("test_all_negative_is_error",
-     lambda: detect_communities(
-         CorrelationNetwork(("a", "b"), (("a", "b", -0.9),), 50, 0.8)),
-     LongmemError, "all edges carry negative weight; no positive-weight "
-                   "subgraph to run modularity on"),
-    ("test_empty_network_is_error",
-     lambda: detect_communities(CorrelationNetwork((), (), 50, 0.8)),
-     LongmemError, "cannot partition an empty network"),
-    *[(name, lambda r=r: detect_communities(clique_pair_network(), resolution=r),
-       ValueError, "resolution must be positive and finite")
-      for name, r in [("test_resolution_validation", 0.0),
-                      ("test_non_finite_resolution_rejected[nan]", np.nan),
-                      ("test_non_finite_resolution_rejected[inf]", np.inf)]],
-    ("test_q_capped_validation",
-     lambda: CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0), ValueError,
-     "modularity cannot exceed 1"),
-    ("test_window_outside_range",
-     lambda: split_periods(two_ramps(), [(D(1990, 1, 1), D(1990, 6, 1))]),
-     AlignmentError,
-     "series 'a': window 1990-01-01..1990-06-01 keeps 0 observations (< 2)"),
-    ("test_window_with_one_shared_date",
-     lambda: split_periods(ONE_SHARED_DATE, [(D(2020, 1, 1), D(2020, 1, 5))]),
-     LongmemError, "window 2020-01-01..2020-01-05 leaves 1 shared dates, "
-                   "need at least 2"),
-    ("test_no_windows", lambda: split_periods(two_ramps(), []), ValueError,
-     "need at least one window"),
-]
-
-test_rule = rule_test(RULES)
+RULES = {
+    "TestBuildNetwork": [
+        *[(f"test_threshold_validation[{bad}]",
+           lambda bad=bad: build_network(matrix_from(np.ones((2, 2))), threshold=bad),
+           ValueError, "threshold must be in (0, 1]") for bad in (0.0, -0.5, 1.01)],
+        *[(f"test_network_invariants_enforced[{name}]",
+           lambda ids=ids, edges=edges: CorrelationNetwork(ids, edges, 50, 0.8),
+           ValueError, message) for name, ids, edges, message in [
+              ("self-loop", ("a",), (("a", "a", 0.9),), "self-loop on 'a'"),
+              ("unknown-node", ("a", "b"), (("a", "zz", 0.9),),
+               "edge ('a', 'zz') references unknown node"),
+              ("duplicate-edge", ("a", "b"), (("a", "b", 0.9), ("b", "a", 0.85)),
+               "duplicate edge for pair ('a', 'b')"),
+              ("below-threshold", ("a", "b"), (("a", "b", 0.5),),
+               "edge ('a', 'b') weight 0.5 below threshold 0.8")]]],
+    "TestDetectCommunities": [
+        ("test_all_negative_is_error",
+         lambda: detect_communities(
+             CorrelationNetwork(("a", "b"), (("a", "b", -0.9),), 50, 0.8)),
+         LongmemError, "all edges carry negative weight; no positive-weight "
+                       "subgraph to run modularity on"),
+        ("test_empty_network_is_error",
+         lambda: detect_communities(CorrelationNetwork((), (), 50, 0.8)),
+         LongmemError, "cannot partition an empty network"),
+        *[(name, lambda r=r: detect_communities(clique_pair_network(), resolution=r),
+           ValueError, "resolution must be positive and finite")
+          for name, r in [("test_resolution_validation", 0.0),
+                          ("test_non_finite_resolution_rejected[nan]", np.nan),
+                          ("test_non_finite_resolution_rejected[inf]", np.inf)]],
+        ("test_q_capped_validation",
+         lambda: CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0), ValueError,
+         "modularity cannot exceed 1")],
+    "TestSplitPeriods": [
+        ("test_window_outside_range",
+         lambda: split_periods(two_ramps(), [(D(1990, 1, 1), D(1990, 6, 1))]),
+         AlignmentError,
+         "series 'a': window 1990-01-01..1990-06-01 keeps 0 observations (< 2)"),
+        ("test_window_with_one_shared_date",
+         lambda: split_periods(ONE_SHARED_DATE, [(D(2020, 1, 1), D(2020, 1, 5))]),
+         LongmemError, "window 2020-01-01..2020-01-05 leaves 1 shared dates, "
+                       "need at least 2"),
+        ("test_no_windows", lambda: split_periods(two_ramps(), []), ValueError,
+         "need at least one window")],
+}
+rule_tests(globals(), RULES)

@@ -20,7 +20,7 @@ from longmem.scaling import (
 from longmem.series import Profile, profile_from_values
 
 import reference
-from conftest import rule_test
+from conftest import rule_tests
 
 
 def f_of(resid: np.ndarray) -> float:
@@ -292,31 +292,34 @@ class TestFluctuation:
 
 
 BAD_ALIGNMENT = "dma alignment must be 'centered' or 'backward', got 'forward'"
-RULES = [
-    ("test_dfa_order_zero_rejected", lambda: dfa(0), ValueError,
-     "dfa order must be >= 1, got 0"),
-    ("test_dma_bad_alignment", lambda: dma("forward"), ValueError, BAD_ALIGNMENT),
-    ("test_unknown_alignment", lambda: _Residuals((np.zeros(4),), dma("forward")),
-     ValueError, BAD_ALIGNMENT),
-    ("test_unknown_kind", lambda: DetrendMethod("wavelet"), ValueError,
-     "unknown detrend kind 'wavelet'"),
-    ("test_empty", lambda: ScaleGrid(()), ScaleError, "empty scale grid"),
-    ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), ScaleError,
-     "scale 1 below 2"),
-    ("test_scales_at_least_two[2]", lambda: list(ScaleGrid((2, 5))), None, [2, 5]),
-    ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), ScaleError,
-     "scales not strictly increasing at 10, 10"),
-    ("test_default_grid_too_short", lambda: default_grid(30), ScaleError,
-     "profile of length 30 leaves no scales in [10, 7]"),
-    *[(f"test_default_grid_min_below_two[{s_min}]",
-       lambda s_min=s_min: default_grid(1000, s_min=s_min), ScaleError,
-       f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)],
-    ("test_value_validation[negative]",
-     lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), ValueError,
-     "auto-fluctuation values must be >= 0"),
-    ("test_value_validation[mismatch]",
-     lambda: FluctuationFunction("x", dfa(1), [10, 20], [0.5]), ValueError,
-     "scales and values length mismatch"),
-]
-
-test_rule = rule_test(RULES)
+RULES = {
+    "TestDetrendMethod": [
+        ("test_dfa_order_zero_rejected", lambda: dfa(0), ValueError,
+         "dfa order must be >= 1, got 0"),
+        ("test_dma_bad_alignment", lambda: dma("forward"), ValueError, BAD_ALIGNMENT),
+        ("test_unknown_kind", lambda: DetrendMethod("wavelet"), ValueError,
+         "unknown detrend kind 'wavelet'")],
+    "TestMovingAverage": [
+        ("test_unknown_alignment", lambda: _Residuals((np.zeros(4),), dma("forward")),
+         ValueError, BAD_ALIGNMENT)],
+    "TestScaleGrid": [
+        ("test_empty", lambda: ScaleGrid(()), ScaleError, "empty scale grid"),
+        ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), ScaleError,
+         "scale 1 below 2"),
+        ("test_scales_at_least_two[2]", lambda: list(ScaleGrid((2, 5))), None, [2, 5]),
+        ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), ScaleError,
+         "scales not strictly increasing at 10, 10"),
+        ("test_default_grid_too_short", lambda: default_grid(30), ScaleError,
+         "profile of length 30 leaves no scales in [10, 7]"),
+        *[(f"test_default_grid_min_below_two[{s_min}]",
+           lambda s_min=s_min: default_grid(1000, s_min=s_min), ScaleError,
+           f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)]],
+    "TestFluctuation": [
+        ("test_value_validation[negative]",
+         lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), ValueError,
+         "auto-fluctuation values must be >= 0"),
+        ("test_value_validation[mismatch]",
+         lambda: FluctuationFunction("x", dfa(1), [10, 20], [0.5]), ValueError,
+         "scales and values length mismatch")],
+}
+rule_tests(globals(), RULES)

@@ -22,7 +22,7 @@ from longmem.series import (
     series_profile,
 )
 
-from conftest import make_panel, make_series, rule_test
+from conftest import make_panel, make_series, rule_tests
 from reference import naive_forward_fill
 
 
@@ -411,108 +411,119 @@ LATE = TimeSeries("late", FULL.dates[1:], [1, 2, 3, 4])
 TWO_DAYS = ["2020-01-01", "2020-01-02"]
 NO_WARNINGS = pytest.mark.filterwarnings("error")  # the ValueError alone
 
-RULES = [
-    ("test_duplicate_date",
-     reading("date,a\n2020-01-01,1\n2020-01-01,2\n2020-01-03,3\n"), SchemaError,
-     "p.csv: duplicate dates: 2020-01-01"),
-    ("test_duplicate_label", reading("date,a,a\n2020-01-01,1,2\n2020-01-02,3,4\n"),
-     SchemaError, "p.csv: duplicate column labels: a"),
-    # a quoted header cell may hold any of these; outputs write ids
-    # unquoted, so such a label would shift every cell after it
-    *[(f"test_label_with_csv_metacharacter[{c}]",
-       reading(f'date,"x{c.replace(chr(34), 2 * chr(34))}y",b\n2020-01-01,1,2\n'
-               "2020-01-02,3,4\n"), SchemaError,
-       f"p.csv: column label {'x' + c + 'y'!r} contains a comma, quote or line break")
-      for c in (",", '"', "\n")],
-    ("test_empty_file", reading(""), SchemaError, "p.csv: empty file"),
-    ("test_empty_header_label", reading("date,a, \n2020-01-01,1,2\n2020-01-02,3,4\n"),
-     SchemaError, "p.csv: empty column label in header"),
-    ("test_single_row_column", reading("date,a\n2020-01-01,1\n"),
-     SchemaError, "p.csv: column 'a' has 1 observations (< 2)"),
-    # float() reads 1_0 as 10, \u0663 as 3 and 3\u2028 as 3; cells are ASCII
-    # decimals, also after a header line that ends in a lone \r
-    *[(name, reading(f"date,a{end}2020-01-01,1{end}2020-01-02,{cell}{end}"),
-       SchemaError, f"p.csv:3: column 'a': non-numeric cell {cell!r}")
-      for name, cell, end in [("test_non_numeric_cell", "oops", "\n"),
-                              ("non_ascii_decimal_cell[1_0]", "1_0", "\r"),
-                              ("non_ascii_decimal_cell[\u0663]", "\u0663", "\n"),
-                              ("non_ascii_decimal_cell[3\u2028]", "3\u2028", "\n")]],
-    ("test_longer_row_is_error", reading("date,a,b\n2020-01-02,1,2\n"
-                                         "2020-01-01,1,2,99\n2020-01-03,3,4\n"),
-     SchemaError, "p.csv:3: 3 value cells but the header names 2 columns"),
-    ("test_non_finite_cell", reading("date,a,b\n2020-01-01,1,nan\n2020-01-02,2,5\n"
-                                     "2020-01-03,3,6\n"),
-     SchemaError, "p.csv: column 'b': non-finite values"),
-    *[(f"test_empty_first_line_is_an_empty_header[{text}]", reading(text),
-       SchemaError, "p.csv: no value columns (header: [])")
-      for text in ("\n2020-01-01,1\n", '\n"2020-01-01",1\n')],
-    *[(f"test_overlong_cell_keeps_the_csv_error[{header}]",
-       reading(f"{header},a\n2020-01-01,{'1' * 200_000}\n2020-01-02,2\n"),
-       SchemaError, "p.csv: field larger than field limit (131072)")
-      for header in ("date", '"date"')],
-    # str.splitlines would break the line here and shift the numbering
-    *[(f"test_other_line_breaks_stay_in_their_cell[{c}]",
-       reading(f"date,a\n2020-01-01,1\n2020-01-02,2{c}5\n"), SchemaError,
-       f"p.csv:3: column 'a': non-numeric cell {'2' + c + '5'!r}")
-      for c in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")],
-    ("test_rejects_short", lambda: make_series([1.0]), ValueError,
-     "series 'x': length 1 < 2"),
-    ("test_rejects_nan", lambda: make_series([1.0, np.nan, 2.0]), ValueError,
-     "series 'x': non-finite values"),
-    ("test_rejects_unsorted_dates", lambda: TimeSeries("x", A.dates[::-1], [1, 2]),
-     ValueError, "series 'x': dates not strictly increasing at 2000-01-04"),
-    ("test_rejects_2d_values", lambda: TimeSeries("x", A.dates, [[1.0, 2.0]]),
-     ValueError, "series 'x': values must be 1-D"),
-    ("test_rejects_dates_values_length_mismatch",
-     lambda: TimeSeries("x", A.dates, [1, 2, 3]), ValueError,
-     "series 'x': 2 dates vs 3 values"),
-    ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), AlignmentError,
-     "aligned panel would have 0 shared dates (< 2)"),
-    ("test_forward_fill_requires_max_gap", lambda: align(AB, policy="forward_fill"),
-     ValueError, "forward_fill requires max_gap >= 1"),
-    ("test_intersect_rejects_max_gap", lambda: align(AB, max_gap=3),
-     ValueError, "max_gap=3 applies only to forward_fill, not 'intersect'"),
-    ("test_forward_fill_leading_gap_is_error",
-     lambda: align(RatePanel((FULL, LATE)), policy="forward_fill", max_gap=2),
-     AlignmentError, "series 'late': gap of 1 at series start cannot be "
-                     "forward-filled (no prior value)"),
-    ("test_unknown_policy", lambda: align(AB, policy="pad"),
-     ValueError, "unknown alignment policy 'pad'"),
-    ("test_series_profile_bad_kind", lambda: series_profile(A, input_kind="returns"),
-     ValueError, "unknown input_kind 'returns'"),
-    ("test_profile_rejects_short", lambda: Profile("p", np.array([0.0])),
-     ValueError, "'p': profile shorter than 2"),
-    ("test_profile_must_telescope", lambda: Profile("p", np.array([1.0, 2.0])),
-     ValueError, "'p': profile does not telescope to 0 (final value 2)"),
-    *[(f"test_profile_rejects_non_finite_increments[{bad}]",
-       lambda bad=bad: profile_from_values([1.0, bad, 2.0, 0.5], "z9"),
-       ValueError, "'z9': non-finite increments") for bad in (np.nan, np.inf, -np.inf)],
-    *[(f"test_profile_rejects_overflow[{name}]",
-       lambda xs=xs: profile_from_values(xs, "big"), ValueError,
-       "'big': profile is not finite (the increments overflow)", NO_WARNINGS)
-      for name, xs in [("mean-overflows", [1e308, 1e308, -1e308]),
-                       ("cumsum-overflows", [0.5e308] * 8 + [-0.5e308] * 8)]],
-    ("test_levels_changes_overflow_without_warnings",
-     lambda: series_profile(make_series([1e308, -1e308, 1e308], "big")),
-     ValueError, "'big': non-finite increments", NO_WARNINGS),
-    ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), ValueError,
-     "duplicate series ids: a"),
-    ("test_empty_rejected", lambda: RatePanel(()), ValueError, "panel has no series"),
-    *[(name, from_matrix(ids, dates, matrix), ValueError, message)
-      for name, ids, dates, matrix, message in [
-          ("test_from_matrix_rejects_short_row", ["a", "b"], TWO_DAYS,
-           [[1, 2], [np.nan, 1]], "series 'b': length 1 < 2"),
-          ("test_from_matrix_rejects[no-ids]", [], TWO_DAYS, np.ones((0, 2)),
-           "panel has no series"),
-          ("test_from_matrix_rejects[shape]", ["a", "b"], TWO_DAYS, np.ones((2, 3)),
-           "matrix shape (2, 3) does not match 2 series x 2 dates"),
-          ("test_from_matrix_rejects[unsorted-dates]", ["a"],
-           ["2020-01-01", "2020-01-03", "2020-01-02"], [[1, 2, 3]],
-           "panel dates not strictly increasing at 2020-01-03"),
-          ("test_from_matrix_rejects[infinite-cell]", ["a"], TWO_DAYS, [[1, np.inf]],
-           "panel has non-finite values")]],
-    ("test_date_outside_index_rejected", lambda: RatePanel((FULL,), FULL.dates[:2]),
-     ValueError, "series 'full' has dates outside the panel's date index"),
-]
-
-test_rule = rule_test(RULES)
+RULES = {
+    "TestLoadPanel": [
+        ("test_duplicate_date",
+         reading("date,a\n2020-01-01,1\n2020-01-01,2\n2020-01-03,3\n"), SchemaError,
+         "p.csv: duplicate dates: 2020-01-01"),
+        ("test_duplicate_label", reading("date,a,a\n2020-01-01,1,2\n2020-01-02,3,4\n"),
+         SchemaError, "p.csv: duplicate column labels: a"),
+        # a quoted header cell may hold any of these; outputs write ids
+        # unquoted, so such a label would shift every cell after it
+        *[(f"test_label_with_csv_metacharacter[{c}]",
+           reading(f'date,"x{c.replace(chr(34), 2 * chr(34))}y",b\n2020-01-01,1,2\n'
+                   "2020-01-02,3,4\n"), SchemaError,
+           f"p.csv: column label {'x' + c + 'y'!r} contains a comma, quote or line "
+           "break")
+          for c in (",", '"', "\n")],
+        ("test_empty_file", reading(""), SchemaError, "p.csv: empty file"),
+        ("test_empty_header_label",
+         reading("date,a, \n2020-01-01,1,2\n2020-01-02,3,4\n"), SchemaError,
+         "p.csv: empty column label in header"),
+        ("test_single_row_column", reading("date,a\n2020-01-01,1\n"),
+         SchemaError, "p.csv: column 'a' has 1 observations (< 2)"),
+        # float() reads 1_0 as 10, \u0663 as 3 and 3\u2028 as 3; cells are ASCII
+        # decimals, also after a header line that ends in a lone \r
+        *[(name, reading(f"date,a{end}2020-01-01,1{end}2020-01-02,{cell}{end}"),
+           SchemaError, f"p.csv:3: column 'a': non-numeric cell {cell!r}")
+          for name, cell, end in [
+              ("test_non_numeric_cell", "oops", "\n"),
+              ("test_non_ascii_decimal_cell[1_0]", "1_0", "\r"),
+              ("test_non_ascii_decimal_cell[\u0663]", "\u0663", "\n"),
+              ("test_non_ascii_decimal_cell[3\u2028]", "3\u2028", "\n")]],
+        ("test_longer_row_is_error", reading("date,a,b\n2020-01-02,1,2\n"
+                                             "2020-01-01,1,2,99\n2020-01-03,3,4\n"),
+         SchemaError, "p.csv:3: 3 value cells but the header names 2 columns"),
+        ("test_non_finite_cell", reading("date,a,b\n2020-01-01,1,nan\n2020-01-02,2,5\n"
+                                         "2020-01-03,3,6\n"),
+         SchemaError, "p.csv: column 'b': non-finite values")],
+    "TestReaderPaths": [
+        *[(f"test_empty_first_line_is_an_empty_header[{text}]", reading(text),
+           SchemaError, "p.csv: no value columns (header: [])")
+          for text in ("\n2020-01-01,1\n", '\n"2020-01-01",1\n')],
+        *[(f"test_overlong_cell_keeps_the_csv_error[{header}]",
+           reading(f"{header},a\n2020-01-01,{'1' * 200_000}\n2020-01-02,2\n"),
+           SchemaError, "p.csv: field larger than field limit (131072)")
+          for header in ("date", '"date"')],
+        # str.splitlines would break the line here and shift the numbering
+        *[(f"test_other_line_breaks_stay_in_their_cell[{c}]",
+           reading(f"date,a\n2020-01-01,1\n2020-01-02,2{c}5\n"), SchemaError,
+           f"p.csv:3: column 'a': non-numeric cell {'2' + c + '5'!r}")
+          for c in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")]],
+    "TestTimeSeries": [
+        ("test_rejects_short", lambda: make_series([1.0]), ValueError,
+         "series 'x': length 1 < 2"),
+        ("test_rejects_nan", lambda: make_series([1.0, np.nan, 2.0]), ValueError,
+         "series 'x': non-finite values"),
+        ("test_rejects_unsorted_dates", lambda: TimeSeries("x", A.dates[::-1], [1, 2]),
+         ValueError, "series 'x': dates not strictly increasing at 2000-01-04"),
+        ("test_rejects_2d_values", lambda: TimeSeries("x", A.dates, [[1.0, 2.0]]),
+         ValueError, "series 'x': values must be 1-D"),
+        ("test_rejects_dates_values_length_mismatch",
+         lambda: TimeSeries("x", A.dates, [1, 2, 3]), ValueError,
+         "series 'x': 2 dates vs 3 values")],
+    "TestAlign": [
+        ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), AlignmentError,
+         "aligned panel would have 0 shared dates (< 2)"),
+        ("test_forward_fill_requires_max_gap", lambda: align(AB, policy="forward_fill"),
+         ValueError, "forward_fill requires max_gap >= 1"),
+        ("test_intersect_rejects_max_gap", lambda: align(AB, max_gap=3),
+         ValueError, "max_gap=3 applies only to forward_fill, not 'intersect'"),
+        ("test_forward_fill_leading_gap_is_error",
+         lambda: align(RatePanel((FULL, LATE)), policy="forward_fill", max_gap=2),
+         AlignmentError, "series 'late': gap of 1 at series start cannot be "
+                         "forward-filled (no prior value)"),
+        ("test_unknown_policy", lambda: align(AB, policy="pad"),
+         ValueError, "unknown alignment policy 'pad'")],
+    "TestIncrementsAndProfile": [
+        ("test_series_profile_bad_kind",
+         lambda: series_profile(A, input_kind="returns"), ValueError,
+         "unknown input_kind 'returns'"),
+        ("test_profile_rejects_short", lambda: Profile("p", np.array([0.0])),
+         ValueError, "'p': profile shorter than 2"),
+        ("test_profile_must_telescope", lambda: Profile("p", np.array([1.0, 2.0])),
+         ValueError, "'p': profile does not telescope to 0 (final value 2)"),
+        *[(f"test_profile_rejects_non_finite_increments[{bad}]",
+           lambda bad=bad: profile_from_values([1.0, bad, 2.0, 0.5], "z9"),
+           ValueError, "'z9': non-finite increments")
+          for bad in (np.nan, np.inf, -np.inf)],
+        *[(f"test_profile_rejects_overflow[{name}]",
+           lambda xs=xs: profile_from_values(xs, "big"), ValueError,
+           "'big': profile is not finite (the increments overflow)", NO_WARNINGS)
+          for name, xs in [("mean-overflows", [1e308, 1e308, -1e308]),
+                           ("cumsum-overflows", [0.5e308] * 8 + [-0.5e308] * 8)]],
+        ("test_levels_changes_overflow_without_warnings",
+         lambda: series_profile(make_series([1e308, -1e308, 1e308], "big")),
+         ValueError, "'big': non-finite increments", NO_WARNINGS)],
+    "TestRatePanel": [
+        ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), ValueError,
+         "duplicate series ids: a"),
+        ("test_empty_rejected", lambda: RatePanel(()), ValueError,
+         "panel has no series"),
+        *[(name, from_matrix(ids, dates, matrix), ValueError, message)
+          for name, ids, dates, matrix, message in [
+              ("test_from_matrix_rejects_short_row", ["a", "b"], TWO_DAYS,
+               [[1, 2], [np.nan, 1]], "series 'b': length 1 < 2"),
+              ("test_from_matrix_rejects[no-ids]", [], TWO_DAYS, np.ones((0, 2)),
+               "panel has no series"),
+              ("test_from_matrix_rejects[shape]", ["a", "b"], TWO_DAYS, np.ones((2, 3)),
+               "matrix shape (2, 3) does not match 2 series x 2 dates"),
+              ("test_from_matrix_rejects[unsorted-dates]", ["a"],
+               ["2020-01-01", "2020-01-03", "2020-01-02"], [[1, 2, 3]],
+               "panel dates not strictly increasing at 2020-01-03"),
+              ("test_from_matrix_rejects[infinite-cell]", ["a"], TWO_DAYS,
+               [[1, np.inf]], "panel has non-finite values")]],
+        ("test_date_outside_index_rejected", lambda: RatePanel((FULL,), FULL.dates[:2]),
+         ValueError, "series 'full' has dates outside the panel's date index")],
+}
+rule_tests(globals(), RULES)

@@ -18,7 +18,7 @@ from longmem.synthetic import (
 )
 from longmem import synthetic
 
-from conftest import rule_test
+from conftest import rule_tests
 
 
 class TestAutocovariance:
@@ -178,27 +178,32 @@ class TestGenerateBlocks:
         assert calls == [(self.SPEC.n, self.SPEC.hurst)]
 
 
-OK_BLOCKS = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5, n=64)
-RULES = [
-    *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
-       f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
-    ("test_fgn_too_short", lambda: FgnSpec(n=8, hurst=0.5), ValueError,
-     "n must be >= 16, got 8"),
-    ("test_fgn_bad_sigma", lambda: FgnSpec(n=64, hurst=0.5, sigma=0.0),
-     ValueError, "sigma must be finite and > 0, got 0.0"),
-    *[(f"test_non_finite_sigma[{kind}-{sigma}]", lambda make=make, v=sigma: make(v),
-       ValueError, f"sigma must be finite and > 0, got {sigma}")
-      for kind, make in [("fgn", lambda v: FgnSpec(n=64, hurst=0.6, sigma=v)),
-                         ("blocks", lambda v: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=v))]
-      for sigma in (np.nan, np.inf, -np.inf)],
-    ("test_block_bounds[ok]", lambda: BlockSpec(**OK_BLOCKS).n_blocks, None, 2),
-    *[(f"test_block_bounds[{field}]",
-       lambda field=field, bad=bad: BlockSpec(**{**OK_BLOCKS, field: bad}),
-       ValueError, message) for field, bad, message in [
-          ("n_blocks", 1, "n_blocks must be >= 2, got 1"),
-          ("block_size", 1, "block_size must be >= 2, got 1"),
-          ("common_weight", 1.2, "common_weight must lie in [0, 1], got 1.2"),
-          ("hurst", 0.0, "hurst must lie in (0, 1), got 0.0")]],
-]
+class TestSpecValidation:
+    """FgnSpec and BlockSpec checks, the rows of RULES."""
 
-test_rule = rule_test(RULES)
+
+OK_BLOCKS = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5, n=64)
+RULES = {
+    "TestSpecValidation": [
+        *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
+           f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
+        ("test_fgn_too_short", lambda: FgnSpec(n=8, hurst=0.5), ValueError,
+         "n must be >= 16, got 8"),
+        ("test_fgn_bad_sigma", lambda: FgnSpec(n=64, hurst=0.5, sigma=0.0),
+         ValueError, "sigma must be finite and > 0, got 0.0"),
+        *[(f"test_non_finite_sigma[{kind}-{sigma}]", lambda make=make, v=sigma: make(v),
+           ValueError, f"sigma must be finite and > 0, got {sigma}")
+          for kind, make in [
+              ("fgn", lambda v: FgnSpec(n=64, hurst=0.6, sigma=v)),
+              ("blocks", lambda v: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=v))]
+          for sigma in (np.nan, np.inf, -np.inf)],
+        ("test_block_bounds[ok]", lambda: BlockSpec(**OK_BLOCKS).n_blocks, None, 2),
+        *[(f"test_block_bounds[{field}]",
+           lambda field=field, bad=bad: BlockSpec(**{**OK_BLOCKS, field: bad}),
+           ValueError, message) for field, bad, message in [
+              ("n_blocks", 1, "n_blocks must be >= 2, got 1"),
+              ("block_size", 1, "block_size must be >= 2, got 1"),
+              ("common_weight", 1.2, "common_weight must lie in [0, 1], got 1.2"),
+              ("hurst", 0.0, "hurst must lie in (0, 1), got 0.0")]]],
+}
+rule_tests(globals(), RULES)
