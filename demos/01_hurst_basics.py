@@ -7,8 +7,6 @@ mean-centered absolute changes, measure the fluctuation function over a
 log-spaced window grid, and read the exponent off the log-log slope.
 """
 
-import numpy as np
-
 from longmem import (
     FgnSpec,
     default_grid,

@@ -443,6 +443,8 @@ def _check(cfg: RunConfig) -> None:
     if cfg.blocks is not None and min(cfg.blocks) < 2:
         raise ConfigError(f"--blocks needs at least 2x2, got "
                           f"{cfg.blocks[0]}x{cfg.blocks[1]}")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
 
 
 def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:

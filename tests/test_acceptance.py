@@ -7,12 +7,10 @@ protocols and are slower than the unit suites (the recovery benchmark in
 criterion 1 carries its own runtime budget).
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from longmem.cli import main, rerun_from_manifest
 from longmem.dcca import pairwise_matrix, rho_from_profiles, rho_vs_scale

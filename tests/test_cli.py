@@ -32,7 +32,7 @@ from longmem.cli import (
     resolve_config,
 )
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
-from longmem.synthetic import FgnSpec, generate_fgn
+from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
 
 from conftest import ramp_panel
 
@@ -54,7 +54,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory) -> Path:
     """Panel files: three co-moving members, a flat-column copy, member
-    ``a`` alone, and two malformed files (a long row, a label with a comma).
+    ``a`` alone, two malformed files (a long row, a label with a comma),
+    a 2x2 block panel and the levels ramp of ``conftest.ramp_panel``.
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -76,6 +77,10 @@ def panel_dir(tmp_path_factory) -> Path:
                                      "2020-01-03,5,6\n")
     (root / "comma.csv").write_text('date,"a,b",c\n2020-01-01,1,2\n2020-01-02,3,4\n'
                                     "2020-01-03,5,7\n")
+    blocks = BlockSpec(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.7,
+                       n=600, seed=0)
+    (root / "blocks.csv").write_text(panel_to_csv(generate_blocks(blocks)))
+    (root / "ramp.csv").write_text(panel_to_csv(ramp_panel()))
     return root
 
 
@@ -236,6 +241,9 @@ INPUT_RULES = [
      "--all needs a panel with at least 2 series"),
     (["network", "--input", "one.csv"],
      "network needs a panel with at least 2 series"),
+    (["synth", "--fgn", "--hurst", "0.5", "--n", "64", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    ([*NETWORK, "--seed=-1"], "--seed must be >= 0, got -1"),
 ]
 
 
@@ -258,11 +266,47 @@ def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
         name, value = argv[0].split("=")
         monkeypatch.setenv(name, value)
         argv = argv[1:]
+    assert_rule(argv, 1, message, panel_dir, tmp_path, capsys, monkeypatch)
+
+
+def assert_rule(argv, code, message, panel_dir, tmp_path, capsys, monkeypatch):
+    """Run in panel_dir, ``argv`` exits ``code`` with stderr ``error: message``
+    and creates no --output-dir."""
     monkeypatch.chdir(panel_dir)
     out = tmp_path / "out"
-    assert run([*argv, "--output-dir", out]) == 1
+    assert run([*argv, "--output-dir", out]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+INCREMENTS = ["--input-kind", "increments"]
+FLAT_AT_20 = "zero detrended fluctuation at s=20 for ['flat']; coefficient undefined"
+# valid configurations whose data cannot give the result: exit 2, no output
+RUNTIME_RULES = [
+    # dcca keeps the whole 5..500 pair-curve span; a 600-point panel is too
+    # short for it, and the failure must surface rather than be clipped
+    (["dcca", "--input", "abc.csv", *INCREMENTS, "--pair", "a,b"],
+     "scale 312 exceeds half the profile length 600"),
+    (["dcca", "--input", "with_flat.csv", *INCREMENTS, "--pair", "flat,a"],
+     "zero detrended fluctuation at s=5 for ['flat']; coefficient undefined"),
+    # one member with F = 0 at a matrix scale aborts every matrix command
+    *[([command, "--input", "with_flat.csv", *INCREMENTS, "--scale", "20"],
+       FLAT_AT_20) for command in ("report", "network")],
+    (["dcca", "--input", "ramp.csv", "--all", "--scale", "20"],
+     "zero detrended fluctuation at s=20 for ['lin']; coefficient undefined"),
+    ([*NETWORK, *INCREMENTS, "--period", "2050-01-01:2050-12-31"],
+     "series 'a': window 2050-01-01..2050-12-31 keeps 0 observations (< 2)"),
+    (["hurst", "--input", "blocks.csv", *INCREMENTS, "--scales", "10,20,400"],
+     "no panel member produced a usable fit: 4 failed (b1:m1, b1:m2, b2:m1, "
+     "b2:m2); scale 400 exceeds half the profile length 600"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RUNTIME_RULES, ids=[
+    f"{argv[0]}: {message}" for argv, message in RUNTIME_RULES])
+def test_runtime_rule_exits_two_without_outputs(panel_dir, tmp_path, capsys,
+                                                monkeypatch, argv, message):
+    assert_rule(argv, 2, message, panel_dir, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("flags, method", [
@@ -423,22 +467,14 @@ def test_strict_exits_zero_without_failures(panel_dir, tmp_path, command):
     assert not list(out.rglob("failures.csv"))
 
 
-@pytest.fixture(scope="module")
-def short_grid_panel(tmp_path_factory) -> Path:
-    """A 2x2 block panel; five scales are too few for a crossover search."""
-    out = tmp_path_factory.mktemp("blocks")
-    assert run(["synth", "--blocks", "2x2", "--weight", "0.5", "--hurst",
-                "0.7", "--n", "600", "--output-dir", out]) == 0
-    return out / "panel.csv"
-
-
+# five scales are too few for a crossover search
 CROSSOVER_STARVED = ["--input-kind", "increments",
                      "--scales", "10,20,30,40,50", "--strict"]
 
 
-def test_strict_counts_crossover_failures(short_grid_panel, tmp_path, capsys):
+def test_strict_counts_crossover_failures(panel_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    code = run(["hurst", "--input", short_grid_panel, "--output-dir", out,
+    code = run(["hurst", "--input", panel_dir / "blocks.csv", "--output-dir", out,
                 "--crossover", *CROSSOVER_STARVED])
     assert code == 3
     ids = ["b1:m1", "b1:m2", "b2:m1", "b2:m2"]
@@ -454,20 +490,9 @@ def test_strict_counts_crossover_failures(short_grid_panel, tmp_path, capsys):
     assert printed.err.count("failed: ") == 4
 
 
-def test_all_members_failing_names_them_and_the_reason(short_grid_panel, tmp_path,
-                                                       capsys):
-    code = run(["hurst", "--input", short_grid_panel, "--output-dir",
-                tmp_path / "out", "--input-kind", "increments",
-                "--scales", "10,20,400"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "4 failed (b1:m1, b1:m2, b2:m1, b2:m2)" in err
-    assert err.count("scale 400 exceeds half the profile length 600") == 1
-
-
-def test_report_strict_counts_crossover_failures(short_grid_panel, tmp_path):
+def test_report_strict_counts_crossover_failures(panel_dir, tmp_path):
     out = tmp_path / "out"
-    code = run(["report", "--input", short_grid_panel, "--output-dir", out,
+    code = run(["report", "--input", panel_dir / "blocks.csv", "--output-dir", out,
                 "--scale", "20", "--threshold", "0.5", *CROSSOVER_STARVED])
     assert code == 3
     assert len(read_rows(out / "hurst" / "failures.csv")) == 5
@@ -571,17 +596,6 @@ def test_self_pair_curve_is_unity(panel_dir, tmp_path):
         assert abs(float(r[1]) - 1.0) <= 1e-9
 
 
-def test_default_curve_span_needs_long_panel(panel_dir, tmp_path, capsys):
-    # the default pair grid reaches scale 500; a 600-point panel is too
-    # short for that, and the failure must surface rather than be clipped
-    out = tmp_path / "out"
-    code = run(["dcca", "--input", panel_dir / "abc.csv", "--output-dir",
-                out, "--input-kind", "increments", "--pair", "a,b"])
-    assert code == 2
-    assert "half the profile length" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_all_pairs_matrix_per_scale(panel_dir, tmp_path):
     out = tmp_path / "out"
     assert run(["dcca", "--input", panel_dir / "abc.csv", "--output-dir",
@@ -597,26 +611,11 @@ def test_all_pairs_matrix_per_scale(panel_dir, tmp_path):
     assert [m["scale"] for m in payload["matrices"]] == [10, 20]
 
 
-def test_degenerate_pair_exits_two_and_names_series(panel_dir, tmp_path,
-                                                    capsys):
-    out = tmp_path / "out"
-    code = run(["dcca", "--input", panel_dir / "with_flat.csv",
-                "--output-dir", out, "--input-kind", "increments",
-                "--pair", "flat,a"])
-    assert code == 2
-    assert "flat" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cancellation_noise_member_fails_hurst_and_matrix(tmp_path, capsys):
-    path = tmp_path / "ramp.csv"
-    path.write_text(panel_to_csv(ramp_panel()))
-    assert run(["hurst", "--input", path, "--output-dir", tmp_path / "h"]) == 0
+def test_cancellation_noise_member_fails_hurst(panel_dir, tmp_path):
+    # dcca --all on the same panel exits 2 (RUNTIME_RULES)
+    assert run(["hurst", "--input", panel_dir / "ramp.csv", "--output-dir",
+                tmp_path / "h"]) == 0
     assert read_rows(tmp_path / "h" / "failures.csv")[1][0] == "lin"
-    code = run(["dcca", "--input", path, "--output-dir", tmp_path / "d",
-                "--all", "--scale", "20"])
-    assert code == 2
-    assert "lin" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +671,6 @@ def test_period_windows_write_subdirectories(panel_dir, tmp_path):
     assert not (out / "degree_vs_scale.csv").exists()
     payload = json.loads((out / "network.json").read_text())
     assert [p["prefix"] for p in payload] == ["period_1", "period_2"]
-
-
-def test_period_outside_range_exits_two(panel_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = run(["network", "--input", panel_dir / "abc.csv", "--output-dir",
-                out, "--input-kind", "increments",
-                "--period", "2050-01-01:2050-12-31"])
-    assert code == 2
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

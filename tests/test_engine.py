@@ -8,6 +8,7 @@ to the rounding floor too, and tie both to the loop oracle in
 """
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -306,17 +307,6 @@ class TestRowChunks:
         assert probe.series_id == "probe" and np.all(probe.values == 0.0)
         assert count == 1 or np.all(got[0].values > 0.0)
 
-    @pytest.mark.parametrize("method", [dfa(1), dma(), dma("backward")],
-                             ids=lambda m: m.label)
-    def test_fluctuations_match_loop_oracle(self, method):
-        profiles = chunk_profiles(CHUNK + 1, 9)
-        grid = ScaleGrid((16, 100))
-        got = _fluctuations(profiles, grid, method)
-        for i in (0, CHUNK // 2, CHUNK):
-            want = [reference.naive_fluctuation(profiles[i].values, s, method)
-                    for s in grid]
-            assert np.allclose(got[i].values, want, rtol=1e-10, atol=1e-10)
-
     @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.label)
     @pytest.mark.parametrize("count", [n for n in LAYOUTS if n > 1])
     def test_matrix_equals_gram_of_stacked_rows(self, method, count):
@@ -337,23 +327,68 @@ class TestRowChunks:
         assert tuple(info.value.ids) == (members[-1].id,)
 
 
-@pytest.mark.parametrize("inputs, s, method", [
-    *[("pair", s, m) for s in (5, 10) for m in (dfa(1), dma(), dma("backward"))],
-    ("chunks", 100, dma()),
-], ids=lambda v: getattr(v, "label", None))
-def test_rho_matches_loop_oracle(inputs, s, method):
-    if inputs == "pair":  # two 59-point profiles
-        rng = np.random.default_rng(12)
-        pa, pb = (profile_from_values(rng.standard_normal(59), k) for k in "ab")
-        ys, got = [pa.values, pb.values], {(0, 1): rho_from_profiles(pa, pb, s, method)}
-    else:  # pairs within a row chunk and across two
-        panel = chunk_panel(CHUNK + 1, 3)
-        ys = [series_profile(ts, "increments").values for ts in panel.series]
-        rho = pairwise_matrix(panel, s, method, input_kind="increments").rho
-        got = {(i, j): rho[i, j] for i, j in ((0, 1), (0, CHUNK), (CHUNK - 1, CHUNK))}
-    for (i, j), value in got.items():
-        want = reference.naive_rho(ys[i], ys[j], s, method)
-        assert value == pytest.approx(want, rel=1e-10)
+def chunk_fluctuations(method):
+    """F of three members of a two-chunk panel, one of them the probe."""
+    profiles, grid = chunk_profiles(CHUNK + 1, 9), ScaleGrid((16, 100))
+    got = _fluctuations(profiles, grid, method)
+    return [(got[i].values, [reference.naive_fluctuation(profiles[i].values, s, method)
+                             for s in grid]) for i in (0, CHUNK // 2, CHUNK)]
+
+
+def pair_rho(s, method):
+    """rho of two 59-point profiles."""
+    rng = np.random.default_rng(12)
+    pa, pb = (profile_from_values(rng.standard_normal(59), k) for k in "ab")
+    return [(rho_from_profiles(pa, pb, s, method),
+             reference.naive_rho(pa.values, pb.values, s, method))]
+
+
+def chunk_rho(s, method):
+    """rho of pairs within a row chunk and across two."""
+    panel = chunk_panel(CHUNK + 1, 3)
+    ys = [series_profile(ts, "increments").values for ts in panel.series]
+    rho = pairwise_matrix(panel, s, method, input_kind="increments").rho
+    return [(rho[i, j], reference.naive_rho(ys[i], ys[j], s, method))
+            for i, j in ((0, 1), (0, CHUNK), (CHUNK - 1, CHUNK))]
+
+
+def walk_segments(s, method):
+    """The detrended segments of a 57-point walk."""
+    y = np.random.default_rng(11).standard_normal(57).cumsum()
+    return [(detrended_segments(y, s, method), reference.naive_residuals(y, s, method))]
+
+
+# {test: rows (case, rel, abs)}: case() gives (engine, loop-oracle) value pairs;
+# the engine value has the oracle's shape and lies within max(rel*|oracle|, abs)
+LOOP_ORACLE = {
+    "TestRowChunks.test_fluctuations_match_loop_oracle": [
+        pytest.param(partial(chunk_fluctuations, m), 1e-10, 1e-10, id=m.label)
+        for m in (dfa(1), dma(), dma("backward"))],
+    "test_rho_matches_loop_oracle": [
+        *[pytest.param(partial(pair_rho, s, m), 1e-10, 1e-12, id=f"pair-{s}-{m.label}")
+          for s in (5, 10) for m in (dfa(1), dma(), dma("backward"))],
+        pytest.param(partial(chunk_rho, 100, dma()), 1e-10, 1e-12,
+                     id="chunks-100-dma-centered")],
+    "test_segments_match_loop_oracle": [
+        pytest.param(partial(walk_segments, s, m), 1e-10, 1e-10, id=f"{s}-{m.label}")
+        for s in (5, 10) for m in (dfa(1), dfa(2), dma(), dma("backward"))],
+}
+
+
+def loop_oracle_test(rows):
+    @pytest.mark.parametrize("case, rel, abs_", rows)
+    def test(case, rel, abs_):
+        for got, want in case():
+            assert got == pytest.approx(np.asarray(want), rel=rel, abs=abs_)
+    return test
+
+
+for name, rows in LOOP_ORACLE.items():
+    owner, _, name = name.rpartition(".")
+    if owner:
+        setattr(globals()[owner], name, staticmethod(loop_oracle_test(rows)))
+    else:
+        globals()[name] = loop_oracle_test(rows)
 
 
 def failing_panel() -> RatePanel:

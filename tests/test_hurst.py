@@ -11,6 +11,7 @@ from longmem.dcca import pairwise_matrix, rho_vs_scale
 from longmem.errors import AlignmentError, FitError
 from longmem.hurst import (
     HurstEstimate,
+    _fit_line,
     _histogram,
     detect_crossover,
     fit_hurst,
@@ -36,6 +37,10 @@ from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 from conftest import make_series, ramp_panel, rule_tests
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
+# _fit_line's zero-variance inputs: flat y (r is NaN), and y that differs only
+# below 1e-162, whose variance underflows to 0 but its cross moment not (r is 0)
+LOG_SCALES = np.log10([10.0, 20.0, 40.0, 80.0, 160.0])
+FLAT_Y, TINY_Y = np.full(5, 0.5), np.array([0.0, 0.0, 0.0, 0.0, 1e-163])
 
 
 def power_law(scales, amplitude, exponent):
@@ -83,6 +88,10 @@ class TestFitHurst:
             assert est.intercept == float(res.intercept)
             assert est.r_squared == float(res.rvalue) ** 2
             assert est.stderr == float(res.stderr)
+        for y in (FLAT_Y, TINY_Y):  # repr: NaN equals NaN
+            res = stats.linregress(LOG_SCALES, y)
+            assert repr(_fit_line(LOG_SCALES, y)[:4]) == repr(tuple(
+                float(v) for v in (res.slope, res.intercept, res.rvalue, res.stderr)))
 
     def test_exact_power_law(self):
         est = fit_hurst(power_law(TEN_SCALES, 2.0, 0.83))
@@ -416,7 +425,11 @@ RULES = {
          "'x': all usable scales identical"),
         ("test_empty_range",
          lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
-         FitError, "empty fit range (100, 50)")],
+         FitError, "empty fit range (100, 50)"),
+        ("test_fit_line_zero_variance[flat]",
+         lambda: repr(_fit_line(LOG_SCALES, FLAT_Y)[:4]), None, "(0.0, 0.5, nan, nan)"),
+        ("test_fit_line_zero_variance[tiny]",
+         lambda: _fit_line(LOG_SCALES, TINY_Y)[2:4], None, (0.0, 0.0))],
     "TestDetectCrossover": [
         ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), FitError,
          "'pl': 6 usable scales, need at least 7 for a crossover search"),

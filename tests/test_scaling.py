@@ -1,3 +1,5 @@
+from operator import attrgetter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -29,29 +31,7 @@ def f_of(resid: np.ndarray) -> float:
 
 
 class TestDetrendMethod:
-    def test_dfa_defaults(self):
-        m = dfa()
-        assert (m.kind, m.order) == ("dfa", 1)
-        assert m.label == "dfa1"
-        assert m.min_scale == 3
-
-    def test_dfa_higher_order(self):
-        assert dfa(2).min_scale == 4
-        assert dfa(3).label == "dfa3"
-
-    def test_dma_defaults(self):
-        m = dma()
-        assert (m.kind, m.alignment) == ("dma", "centered")
-        assert m.label == "dma-centered"
-        assert m.min_scale == 2
-
-    def test_dma_backward(self):
-        assert dma("backward").label == "dma-backward"
-
-    def test_json_dicts(self):
-        assert dfa(2).to_json_dict() == {"kind": "dfa", "order": 2}
-        assert dma("backward").to_json_dict() == {"kind": "dma",
-                                                  "alignment": "backward"}
+    """Fields, labels and minimum scales (rows in RULES)."""
 
 
 class TestScaleGrid:
@@ -68,15 +48,6 @@ class TestScaleGrid:
         assert all(b > a for a, b in zip(scales, scales[1:]))
         assert len(scales) <= 20
 
-    def test_default_grid_quarter_length(self):
-        assert list(default_grid(100))[-1] == 25
-
-    def test_default_grid_explicit_max(self):
-        grid = default_grid(100_000, s_max=800, num=30)
-        assert list(grid)[-1] == 800
-
-    def test_default_grid_custom_min(self):
-        assert list(default_grid(1000, s_min=5))[0] == 5
 
 
 def dma_rows(y: np.ndarray, s: int, ranges) -> np.ndarray:
@@ -129,14 +100,7 @@ class TestMovingAverage:
 
 
 class TestLocalTrend:
-    """The trend detrended_segments removes from each segment."""
-
-    def test_backward_trailing_means(self):
-        # trailing means 0, 0.5, 1.5, 2.5 leave residuals 0, 0.5, 0.5, 0.5
-        resid = detrended_segments(np.array([0.0, 1.0, 2.0, 3.0]), 2,
-                                   dma("backward"))
-        assert resid.tolist() == [[0.0, 0.5], [0.5, 0.5], [0.5, 0.5],
-                                  [0.0, 0.5]]
+    """The trend detrended_segments removes from each segment (rows in RULES)."""
 
 
 class TestPolyBasis:
@@ -159,52 +123,11 @@ class TestPolyBasis:
         assert again[0] is basis and again[1] is pinv
 
 
-# (n, s, method, error); a usable scale gives 2 * (n // s) rows of s points
-SEGMENT_SCALES = [
-    (5, 6, dma(), "scale 6 exceeds half the profile length 5"),
-    (40, 21, dfa(1), "scale 21 exceeds half the profile length 40"),
-    (10, 1, dma(), "scale 1 below method minimum 2 (dma-centered)"),
-    (40, 2, dfa(1), "scale 2 below method minimum 3 (dfa1)"),
-    (40, 3, dfa(2), "scale 3 below method minimum 4 (dfa2)"),
-    (40, 4, dfa(3), "scale 4 below method minimum 5 (dfa3)"),
-    (40, 3, dfa(1), None),
-    (40, 4, dfa(2), None),
-    (40, 5, dfa(3), None),
-]
-
-T = np.linspace(-1.0, 1.0, 60)
-# (y, s, method, all_zero): a trend the method fits exactly leaves exact zeros
-EXACT_POLYNOMIALS = [
-    (np.linspace(-5.0, 0.0, 20), 8, dfa(1), True),
-    (np.full(12, 3.0), 5, dma(), True),
-    (np.linspace(0.0, 10.0, 50), 10, dfa(1), True),
-    (np.linspace(0.0, 10.0, 50), 10, dfa(2), True),
-    (3.0 * T * T, 10, dfa(2), True),
-    (3.0 * T * T, 10, dfa(1), False),
-]
-
-
 class TestDetrendedSegments:
     def test_shapes(self):
         y = np.random.default_rng(0).standard_normal(100).cumsum()
         assert detrended_segments(y, 10, dfa(1)).shape == (20, 10)
         assert detrended_segments(y, 7, dma()).shape == (28, 7)
-
-    @pytest.mark.parametrize("n, s, method, error", SEGMENT_SCALES,
-                             ids=lambda v: getattr(v, "label", None))
-    def test_scale_bounds(self, n, s, method, error):
-        y = np.random.default_rng(5).standard_normal(n).cumsum()
-        if error is None:
-            assert detrended_segments(y, s, method).shape == (2 * (n // s), s)
-            return
-        with pytest.raises(ScaleError) as exc:
-            detrended_segments(y, s, method)
-        assert str(exc.value) == error
-
-    @pytest.mark.parametrize("y, s, method, all_zero", EXACT_POLYNOMIALS,
-                             ids=lambda v: getattr(v, "label", None))
-    def test_exact_polynomial(self, y, s, method, all_zero):
-        assert np.all(detrended_segments(y, s, method) == 0.0) == all_zero
 
     def test_polynomial_invariance(self):
         rng = np.random.default_rng(7)
@@ -224,18 +147,6 @@ class TestDetrendedSegments:
             for c in (2.5, -3.0):
                 scaled = f_of(detrended_segments(c * y, 15, method))
                 assert scaled == pytest.approx(abs(c) * base, rel=1e-10)
-
-    @pytest.mark.parametrize("method", [dfa(1), dfa(2), dma(), dma("backward")],
-                             ids=lambda m: m.label)
-    @pytest.mark.parametrize("s", [5, 10])
-    def test_matches_naive_segments(self, method, s):
-        rng = np.random.default_rng(11)
-        y = rng.standard_normal(57).cumsum()
-        got = detrended_segments(y, s, method)
-        want = reference.naive_residuals(y, s, method)
-        assert got.shape[0] == len(want)
-        for row, ref_row in zip(got, want):
-            assert np.allclose(row, ref_row, rtol=1e-10, atol=1e-10)
 
 
 class TestFluctuation:
@@ -291,9 +202,51 @@ class TestFluctuation:
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.30)
 
 
+def walk_segments(n, s, method):
+    """detrended_segments of an n-point random walk."""
+    y = np.random.default_rng(5).standard_normal(n).cumsum()
+    return detrended_segments(y, s, method)
+
+
+T = np.linspace(-1.0, 1.0, 60)
+DFA_FIELDS = attrgetter("kind", "order", "label", "min_scale")
+DMA_FIELDS = attrgetter("kind", "alignment", "label", "min_scale")
 BAD_ALIGNMENT = "dma alignment must be 'centered' or 'backward', got 'forward'"
 RULES = {
+    "TestDetrendedSegments": [
+        *[(f"test_scale_bounds[{n}-{s}-{m.label}-{error}]",
+           lambda n=n, s=s, m=m: walk_segments(n, s, m), ScaleError, error)
+          for n, s, m, error in [
+              (5, 6, dma(), "scale 6 exceeds half the profile length 5"),
+              (40, 21, dfa(1), "scale 21 exceeds half the profile length 40"),
+              (10, 1, dma(), "scale 1 below method minimum 2 (dma-centered)"),
+              (40, 2, dfa(1), "scale 2 below method minimum 3 (dfa1)"),
+              (40, 3, dfa(2), "scale 3 below method minimum 4 (dfa2)"),
+              (40, 4, dfa(3), "scale 4 below method minimum 5 (dfa3)")]],
+        # a usable scale gives 2 * (n // s) rows of s points
+        *[(f"test_scale_bounds[40-{s}-{m.label}-None]",
+           lambda s=s, m=m: walk_segments(40, s, m).shape, None, (2 * (40 // s), s))
+          for s, m in [(3, dfa(1)), (4, dfa(2)), (5, dfa(3))]],
+        # a trend the method fits exactly leaves exact zeros
+        *[(f"test_exact_polynomial[y{k}-{s}-{m.label}-{zero}]",
+           lambda y=y, s=s, m=m: np.all(detrended_segments(y, s, m) == 0.0), None, zero)
+          for k, (y, s, m, zero) in enumerate([
+              (np.linspace(-5.0, 0.0, 20), 8, dfa(1), True),
+              (np.full(12, 3.0), 5, dma(), True),
+              (np.linspace(0.0, 10.0, 50), 10, dfa(1), True),
+              (np.linspace(0.0, 10.0, 50), 10, dfa(2), True),
+              (3.0 * T * T, 10, dfa(2), True),
+              (3.0 * T * T, 10, dfa(1), False)])]],
     "TestDetrendMethod": [
+        ("test_dfa_defaults", lambda: DFA_FIELDS(dfa()), None, ("dfa", 1, "dfa1", 3)),
+        ("test_dfa_higher_order", lambda: (dfa(2).min_scale, dfa(3).label), None,
+         (4, "dfa3")),
+        ("test_dma_defaults", lambda: DMA_FIELDS(dma()), None,
+         ("dma", "centered", "dma-centered", 2)),
+        ("test_dma_backward", lambda: dma("backward").label, None, "dma-backward"),
+        ("test_json_dicts",
+         lambda: [m.to_json_dict() for m in (dfa(2), dma("backward"))], None,
+         [{"kind": "dfa", "order": 2}, {"kind": "dma", "alignment": "backward"}]),
         ("test_dfa_order_zero_rejected", lambda: dfa(0), ValueError,
          "dfa order must be >= 1, got 0"),
         ("test_dma_bad_alignment", lambda: dma("forward"), ValueError, BAD_ALIGNMENT),
@@ -302,7 +255,18 @@ RULES = {
     "TestMovingAverage": [
         ("test_unknown_alignment", lambda: _Residuals((np.zeros(4),), dma("forward")),
          ValueError, BAD_ALIGNMENT)],
+    "TestLocalTrend": [
+        # trailing means 0, 0.5, 1.5, 2.5 leave residuals 0, 0.5, 0.5, 0.5
+        ("test_backward_trailing_means",
+         lambda: detrended_segments(np.arange(4.0), 2, dma("backward")).tolist(), None,
+         [[0.0, 0.5], [0.5, 0.5], [0.5, 0.5], [0.0, 0.5]])],
     "TestScaleGrid": [
+        ("test_default_grid_quarter_length", lambda: list(default_grid(100))[-1], None,
+         25),
+        ("test_default_grid_explicit_max",
+         lambda: list(default_grid(100_000, s_max=800, num=30))[-1], None, 800),
+        ("test_default_grid_custom_min", lambda: list(default_grid(1000, s_min=5))[0],
+         None, 5),
         ("test_empty", lambda: ScaleGrid(()), ScaleError, "empty scale grid"),
         ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), ScaleError,
          "scale 1 below 2"),

@@ -294,14 +294,6 @@ class TestIncrementsAndProfile:
     def test_increments_absolute(self):
         assert_levels_profile([1.0, 0.5, 1.5], [0.5, 1.0])
 
-    def test_profile_small(self):
-        prof = profile_from_values([1.0, 2.0, 3.0], "t")
-        assert list(prof.values) == [-1.0, -1.0, 0.0]
-
-    def test_profile_zeros(self):
-        prof = profile_from_values([0.0, 0.0, 0.0], "t")
-        assert list(prof.values) == [0.0, 0.0, 0.0]
-
     def test_series_profile_kinds(self):
         ts = make_series([1.0, 3.0, 2.0, 5.0])
         via_levels = series_profile(ts)  # default: absolute changes first
@@ -461,6 +453,7 @@ RULES = {
            f"p.csv:3: column 'a': non-numeric cell {'2' + c + '5'!r}")
           for c in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")]],
     "TestTimeSeries": [
+        ("test_repr", lambda: repr(FULL), None, "TimeSeries('full', 5 observations)"),
         ("test_rejects_short", lambda: make_series([1.0]), ValueError,
          "series 'x': length 1 < 2"),
         ("test_rejects_nan", lambda: make_series([1.0, np.nan, 2.0]), ValueError,
@@ -486,6 +479,10 @@ RULES = {
         ("test_unknown_policy", lambda: align(AB, policy="pad"),
          ValueError, "unknown alignment policy 'pad'")],
     "TestIncrementsAndProfile": [
+        *[(name, lambda x=x: list(profile_from_values(x, "t").values), None, want)
+          for name, x, want in [
+              ("test_profile_small", [1.0, 2.0, 3.0], [-1.0, -1.0, 0.0]),
+              ("test_profile_zeros", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])]],
         ("test_series_profile_bad_kind",
          lambda: series_profile(A, input_kind="returns"), ValueError,
          "unknown input_kind 'returns'"),
@@ -506,6 +503,8 @@ RULES = {
          lambda: series_profile(make_series([1e308, -1e308, 1e308], "big")),
          ValueError, "'big': non-finite increments", NO_WARNINGS)],
     "TestRatePanel": [
+        ("test_repr", lambda: repr(RatePanel((FULL,))), None,
+         "RatePanel(1 series x 5 dates)"),
         ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), ValueError,
          "duplicate series ids: a"),
         ("test_empty_rejected", lambda: RatePanel(()), ValueError,
