@@ -71,6 +71,9 @@ _FORMATS = ("table", "json", "graphml", "dot")
 # The output kind of each file extension, for the --format filter.
 _KINDS = {".csv": "table", ".json": "json", ".graphml": "graphml", ".dot": "dot"}
 _MANIFEST_NAME = "run_manifest.json"
+# --smax and --n go through float64 math (a log-spaced grid, a power-of-two
+# embedding), which holds every integer up to this one exactly
+_MAX_EXACT_INT = 2 ** 53
 
 
 class ConfigError(Exception):
@@ -406,6 +409,9 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError(f"--smin must be >= 2, got {cfg.s_min}")
     if cfg.s_max is not None and cfg.s_max < cfg.s_min:
         raise ConfigError(f"--smax {cfg.s_max} below --smin {cfg.s_min}")
+    if cfg.s_max is not None and cfg.s_max > _MAX_EXACT_INT:
+        raise ConfigError(f"--smax must be <= {_MAX_EXACT_INT}, "
+                          f"got {cfg.s_max}")
     if cfg.num_scales < 3:
         raise ConfigError(f"--num-scales must be >= 3, got {cfg.num_scales}")
     if cfg.scales and cfg.scales[0] < 2:
@@ -432,6 +438,8 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError(f"--hurst must be in (0, 1), got {cfg.hurst_value}")
     if cfg.n_obs is not None and cfg.n_obs < 16:
         raise ConfigError(f"--n must be >= 16, got {cfg.n_obs}")
+    if cfg.n_obs is not None and cfg.n_obs > _MAX_EXACT_INT:
+        raise ConfigError(f"--n must be <= {_MAX_EXACT_INT}, got {cfg.n_obs}")
     if cfg.sigma <= 0.0:
         raise ConfigError(f"--sigma must be positive, got {cfg.sigma}")
     if cfg.synth_kind == "blocks" and cfg.weight is None:
@@ -470,8 +478,6 @@ class _Quoted(str):
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):  # np.float64 too, which subclasses float
-        return repr(float(v))
     if v is None:
         return ""
     if isinstance(v, _Quoted):  # RFC 4180: quote, double embedded quotes
@@ -482,8 +488,8 @@ def _cell(v) -> str:
 def _csv(header, rows) -> str:
     """The one CSV writer: a header line, then one line per row, each LF-ended.
 
-    Floats are written as ``repr(float(v))``, so they read back to the same
-    bits; ints and text with ``str``; None as an empty cell.  Panel labels
+    Every cell but None (an empty cell) is written with ``str``, which gives
+    a float's shortest round-trip text, ``np.float64`` too.  Panel labels
     hold no comma, quote or line break (``load_panel`` rejects them), so
     only ``_Quoted`` free text needs quoting.
     """
@@ -823,7 +829,6 @@ def _write_all(cfg: RunConfig, files: dict[str, str]) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = list(argv)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -841,7 +846,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LongmemError, ValueError) as exc:
+    except (LongmemError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -192,7 +192,7 @@ def detect_crossover(
 
     *_, sse_single = _fit_line(log_s, log_f)
 
-    best_k = -1
+    best_k = -1  # read only once a candidate is accepted
     best = (math.inf, 0.0, 0.0)  # sse, slope_left, slope_right
     for k in range(min_side_points - 1, n_pts - min_side_points):
         sl, *_, sse_l = _fit_line(log_s[: k + 1], log_f[: k + 1])

@@ -179,8 +179,7 @@ def _louvain_level(
     improved = True
     while improved:
         improved = False
-        for u in order:
-            u = int(u)
+        for u in order.tolist():
             cu = comm[u]
             # weight from u to each neighboring community, u taken out of its own
             w_to: dict[int, float] = {cu: 0.0}
@@ -191,8 +190,6 @@ def _louvain_level(
             best_c = cu
             best_gain = w_to.get(cu, 0.0) - resolution * tot[cu] * strength[u] / two_m
             for c in sorted(w_to):
-                if c == cu:
-                    continue
                 gain = w_to[c] - resolution * tot[c] * strength[u] / two_m
                 tie = _GAIN_TIE_REL * max(1.0, abs(gain), abs(best_gain))
                 if gain > best_gain + tie or (
@@ -274,7 +271,7 @@ def detect_communities(
         if comm is None:
             break
         rank = {c: i for i, c in enumerate(sorted(set(comm)))}
-        comm = [rank[c] for c in comm]
+        comm = [rank[c] for c in comm]  # 0..k-1: _aggregate makes max + 1 nodes
         assign = [comm[a] for a in assign]
         neighbors, loops = _aggregate(neighbors, loops, comm)
 

@@ -56,6 +56,7 @@ row, forward segments first and backward ones end-first.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,14 @@ def dma(alignment: str = "centered") -> DetrendMethod:
     return DetrendMethod("dma", alignment=alignment)
 
 
+def _grid_scale(s) -> int:
+    """``s`` as an int; ``operator.index`` takes numpy integers, not 2.5 or "3"."""
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ScaleError(f"scale {s!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class ScaleGrid:
     """Strictly increasing window sizes (each >= 2), counted in observations."""
@@ -138,7 +147,7 @@ class ScaleGrid:
     scales: tuple[int, ...]
 
     def __post_init__(self):
-        scales = tuple(int(s) for s in self.scales)
+        scales = tuple(map(_grid_scale, self.scales))
         object.__setattr__(self, "scales", scales)
         if not scales:
             raise ScaleError("empty scale grid")
@@ -172,7 +181,7 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
                          f"[{s_min}, {s_max}]")
     raw = np.logspace(np.log10(s_min), np.log10(s_max), num)
     scales = np.unique(np.rint(raw).astype(int))
-    return ScaleGrid(tuple(int(s) for s in scales))
+    return ScaleGrid(scales)
 
 
 @functools.lru_cache(maxsize=1024)

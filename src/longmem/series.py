@@ -351,7 +351,7 @@ def _plain_body(text: str) -> bool:
     that ``float()`` reads its cells as ``_ascii_number`` does.  Labels may
     be any text."""
     end = text.find("\n")
-    if end < 0:
+    if end < 0:  # a header line alone: no body follows
         end = len(text)
     cr = text.find("\r", 0, end)
     if cr >= 0:

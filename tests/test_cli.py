@@ -164,12 +164,14 @@ INPUT_RULES = [
      "--scales: expected comma-separated integers, got '10,x'"),
     ([*NETWORK, "--scale", "x"],
      "--scale: expected comma-separated integers, got 'x'"),
-    *[(["report", "--input", "abc.csv", flag, text], f"{flag}: empty list")
+    *[(["report", "--input", "abc.csv", f"{flag}={text}"], f"{flag}: empty list")
       for text in ("", ",") for flag in ("--scales", "--scale")],
     (["dcca", "--input", "abc.csv", "--pair", "a"],
      "--pair expects 'id_a,id_b', got 'a'"),
     (["dcca", "--input", "abc.csv"], "dcca needs --pair and/or --all"),
     (["dcca", "--input", "abc.csv", "--pair", "a,zzz"],
+     "unknown series id(s) in --pair: zzz"),
+    (["report", "--input", "abc.csv", "--pair=a,zzz"],
      "unknown series id(s) in --pair: zzz"),
     ([*NETWORK, "--period", "2020-01-01"],
      "--period expects 'YYYY-MM-DD:YYYY-MM-DD', got '2020-01-01'"),
@@ -215,6 +217,9 @@ INPUT_RULES = [
      "--max-gap only applies to --align forward_fill"),
     ([*HURST, "--smin", "1"], "--smin must be >= 2, got 1"),
     ([*HURST, "--smin", "20", "--smax", "10"], "--smax 10 below --smin 20"),
+    # --smax and --n meet float64 math, exact up to 2**53
+    ([*HURST, f"--smax={10 ** 20}"],
+     f"--smax must be <= 9007199254740992, got {10 ** 20}"),
     ([*HURST, "--num-scales", "2"], "--num-scales must be >= 3, got 2"),
     ([*HURST, "--scales", "1,5"], "--scales: scale 1 < 2"),
     ([*HURST, "--fit-min", "100", "--fit-max", "50"],
@@ -228,6 +233,7 @@ INPUT_RULES = [
     ([*NETWORK, "--threshold", "1.01"], "--threshold must be in (0, 1], got 1.01"),
     ([*NETWORK, "--resolution", "0"], "--resolution must be positive, got 0.0"),
     ([*SYNTH, "--n", "8"], "--n must be >= 16, got 8"),
+    ([*SYNTH, f"--n={10 ** 20}"], f"--n must be <= 9007199254740992, got {10 ** 20}"),
     ([*SYNTH, "--sigma", "0"], "--sigma must be positive, got 0.0"),
     ([*SYNTH, "--weight", "1.5"], "--weight must be in [0, 1], got 1.5"),
     ([*SYNTH, "--blocks", "1x5"], "--blocks needs at least 2x2, got 1x5"),
@@ -307,6 +313,42 @@ RUNTIME_RULES = [
 def test_runtime_rule_exits_two_without_outputs(panel_dir, tmp_path, capsys,
                                                 monkeypatch, argv, message):
     assert_rule(argv, 2, message, panel_dir, tmp_path, capsys, monkeypatch)
+
+
+def test_oversized_allocation_exits_two(panel_dir, tmp_path, capsys, monkeypatch):
+    # about 646 PiB of histogram edges, past any 57-bit address space
+    monkeypatch.chdir(panel_dir)
+    out = tmp_path / "out"
+    assert run(["hurst", "--input", "blocks.csv", "--bin-width", "2e-18",
+                "--output-dir", out]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert not out.exists()
+
+
+# the whole stdout of each command; OUT is its --output-dir
+STDOUT_RULES = [
+    (["--version"], "0.1.0\n"),
+    ([*HURST], "seed: 0\nestimated 3 series, 0 failed; mode bin [0.44, 0.46)\n"
+               "wrote 4 file(s) to OUT\n"),
+    (["dcca", "--input", "abc.csv", "--pair", "a,b", "--scales", "10,20,40",
+      "--all", "--scale", "10,20"],
+     "seed: 0\nwrote 1 curve(s), 2 matrix(es)\nwrote 5 file(s) to OUT\n"),
+    ([*NETWORK, "--scale", "10", "--threshold", "0.5"],
+     "seed: 0\nwrote 6 file(s) to OUT\n"),
+    ([*SYNTH], "seed: 0\ngenerated 4 series x 64 observations\n"
+               "wrote 2 file(s) to OUT\n"),
+    (["report", "--input", "abc.csv", "--scale", "10", "--threshold", "0.5"],
+     "seed: 0\nwrote 12 file(s) to OUT\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", STDOUT_RULES,
+                         ids=[argv[0] for argv, _ in STDOUT_RULES])
+def test_stdout(panel_dir, tmp_path, capsys, monkeypatch, argv, stdout):
+    monkeypatch.chdir(panel_dir)
+    out = tmp_path / "out"
+    assert run([*argv, "--output-dir", out]) == 0
+    assert capsys.readouterr().out == stdout.replace("OUT", str(out))
 
 
 @pytest.mark.parametrize("flags, method", [

@@ -295,6 +295,9 @@ class TestHurstDistribution:
         assert int(dist.counts.sum()) == len(dist.estimates)
         # a value on the closed top edge counts once
         assert _histogram(np.array([0.5, 0.6]), 0.02)[1].tolist() == [1, 0, 0, 0, 1]
+        # (0.56 - 0.42) / 0.02 rounds a hair above 7: still 7 bins
+        assert _histogram(np.array([0.42, 0.56]), 0.02)[1].tolist() == [
+            1, 0, 0, 0, 0, 0, 1]
         # a value a hair above a snapped top edge gets a bin of its own
         edges, counts = _histogram(np.array([0.5, 0.6 + 1e-12]), 0.02)
         assert counts.tolist() == [1, 0, 0, 0, 0, 1]

@@ -11,6 +11,8 @@ from longmem.errors import AlignmentError, LongmemError
 from longmem.network import (
     CommunityPartition,
     CorrelationNetwork,
+    _aggregate,
+    _louvain_level,
     _xml_attr,
     average_weighted_degree,
     build_network,
@@ -175,6 +177,91 @@ class TestDetectCommunities:
         part = detect_communities(clique_pair_network())
         assert _csv(("id", "community"), part.assignment) == (
             "id,community\na,0\nb,0\nc,0\nd,1\ne,1\nf,1\n")
+
+
+def level_graph(n, edges, loops=None):
+    """Neighbor maps and self-loops of a Louvain level from (u, v, w) edges."""
+    neighbors = [dict() for _ in range(n)]
+    for u, v, w in edges:
+        neighbors[u][v] = neighbors[v][u] = w
+    return neighbors, loops or [0.0] * n
+
+
+def random_level(seed):
+    """A random weighted level graph with some self-loops, and a visit order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    edges = [(u, v, float(rng.uniform(0.5, 1.0)))
+             for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    loops = [float(rng.uniform(0.0, 1.0)) if rng.random() < 0.3 else 0.0
+             for _ in range(n)]
+    return (*level_graph(n, edges, loops), rng.permutation(n))
+
+
+def strengths(neighbors, loops):
+    return [2.0 * lp + sum(nb.values()) for lp, nb in zip(loops, neighbors)]
+
+
+def level_modularity(neighbors, loops, comm):
+    """Q of ``comm`` on a level graph, a self-loop counting twice."""
+    strength = strengths(neighbors, loops)
+    two_m = sum(strength)
+    inside = sum(2.0 * loops[u] + sum(w for v, w in neighbors[u].items()
+                                      if comm[v] == comm[u])
+                 for u in range(len(loops)))
+    tot = {}
+    for u, c in enumerate(comm):
+        tot[c] = tot.get(c, 0.0) + strength[u]
+    return inside / two_m - sum(t * t for t in tot.values()) / two_m ** 2
+
+
+class TestLouvainSteps:
+    def test_node_takes_its_best_move(self):
+        # node 0 gains more by joining 1 (0.9) than 2 (0.5); 1 then stays
+        neighbors, loops = level_graph(3, [(0, 1, 0.9), (0, 2, 0.5)])
+        assert _louvain_level(neighbors, loops, 1.0, np.arange(3)) == [1, 1, 1]
+
+    def test_rounding_tie_goes_to_the_smaller_label(self):
+        # once 3 joins 2, node 0 sees 0.3 toward community 1 and 0.1 + 0.2
+        # (0.30000000000000004) toward 2; the self-loop of 1 makes both
+        # totals 2.3, so the two gains differ by rounding alone
+        neighbors, loops = level_graph(
+            4, [(0, 1, 0.3), (0, 2, 0.1), (0, 3, 0.2), (2, 3, 1.0)],
+            [0.0, 1.0, 0.0, 0.0])
+        comm = _louvain_level(neighbors, loops, 1.0, np.array([3, 0, 1, 2]))
+        assert comm == [1, 1, 2, 2]
+
+    def test_level_leaves_no_improving_move(self):
+        for seed in range(60):
+            neighbors, loops, order = random_level(seed)
+            comm = _louvain_level(neighbors, loops, 1.0, order)
+            if comm is None:
+                continue
+            strength = strengths(neighbors, loops)
+            two_m = sum(strength)
+            tot = {}
+            for u, c in enumerate(comm):
+                tot[c] = tot.get(c, 0.0) + strength[u]
+            for u, cu in enumerate(comm):
+                w_to = {cu: 0.0}
+                for v, w in neighbors[u].items():
+                    w_to[comm[v]] = w_to.get(comm[v], 0.0) + w
+                rest = {**tot, cu: tot[cu] - strength[u]}  # u taken out
+                gain = {c: w - rest[c] * strength[u] / two_m for c, w in w_to.items()}
+                assert max(gain.values()) <= gain[cu] + 1e-9, (seed, u)
+
+    def test_aggregate_keeps_weight_and_modularity(self):
+        for seed in range(20):
+            neighbors, loops, _ = random_level(seed)
+            comm = np.random.default_rng(seed).integers(0, 3, len(loops))
+            comm = np.unique(comm, return_inverse=True)[1].tolist()  # 0..k-1
+            new_neighbors, new_loops = _aggregate(neighbors, loops, comm)
+            assert sum(strengths(new_neighbors, new_loops)) == pytest.approx(
+                sum(strengths(neighbors, loops)), rel=1e-12)
+            assert level_modularity(
+                new_neighbors, new_loops, list(range(len(new_loops)))
+            ) == pytest.approx(level_modularity(neighbors, loops, comm),
+                               rel=1e-12, abs=1e-12)
 
 
 class TestAverageWeightedDegree:

@@ -158,6 +158,18 @@ class TestFluctuation:
         assert list(f.scales) == list(grid)
         assert np.all(f.values >= 0)
 
+    def test_dma_forms_each_trend_once(self, monkeypatch):
+        # segments are re-checked against a fresh trend only near the
+        # rounding floor, which a random walk never reaches
+        calls = []
+        trend = _Residuals.trend
+        monkeypatch.setattr(_Residuals, "trend",
+                            lambda self, s: calls.append(s) or trend(self, s))
+        prof = profile_from_values(np.random.default_rng(6).standard_normal(4000), "x")
+        grid = default_grid(len(prof), num=20)
+        fluctuation(prof, grid, dma())
+        assert len(grid) == 20 and calls == list(grid)
+
     def test_linear_profile_is_flat_zero(self):
         prof = Profile("lin", np.linspace(-7.5, 0.0, 120))
         f = fluctuation(prof, default_grid(120), dfa(1))
@@ -209,6 +221,10 @@ def walk_segments(n, s, method):
 
 
 T = np.linspace(-1.0, 1.0, 60)
+# a rate at 100 rising 0.01 a day: its profile is cancellation noise of a
+# few dozen ulps, which every method must detrend to exact zeros
+RAMP_100 = profile_from_values(np.abs(np.diff(100.0 + 0.01 * np.arange(200))),
+                               "r").values
 DFA_FIELDS = attrgetter("kind", "order", "label", "min_scale")
 DMA_FIELDS = attrgetter("kind", "alignment", "label", "min_scale")
 BAD_ALIGNMENT = "dma alignment must be 'centered' or 'backward', got 'forward'"
@@ -236,7 +252,13 @@ RULES = {
               (np.linspace(0.0, 10.0, 50), 10, dfa(1), True),
               (np.linspace(0.0, 10.0, 50), 10, dfa(2), True),
               (3.0 * T * T, 10, dfa(2), True),
-              (3.0 * T * T, 10, dfa(1), False)])]],
+              (3.0 * T * T, 10, dfa(1), False),
+              (RAMP_100, 20, dma(), True),
+              (RAMP_100, 20, dfa(1), True),
+              # residuals of exactly the floor, 64 eps of a segment below 1
+              # in magnitude, snap to zero; a few ulps above it they do not
+              (np.resize([0.0, 2.0 ** -45], 8), 2, dma(), True),
+              (np.resize([0.0, 2.0 ** -45 * (1 + 2.0 ** -50)], 8), 2, dma(), False)])]],
     "TestDetrendMethod": [
         ("test_dfa_defaults", lambda: DFA_FIELDS(dfa()), None, ("dfa", 1, "dfa1", 3)),
         ("test_dfa_higher_order", lambda: (dfa(2).min_scale, dfa(3).label), None,
@@ -273,6 +295,13 @@ RULES = {
         ("test_scales_at_least_two[2]", lambda: list(ScaleGrid((2, 5))), None, [2, 5]),
         ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), ScaleError,
          "scales not strictly increasing at 10, 10"),
+        ("test_numpy_integers",
+         lambda: [type(s) for s in ScaleGrid(np.array([2, 5])).scales], None,
+         [int, int]),
+        ("test_not_integers[float]", lambda: ScaleGrid((2.5, 5.9)), ScaleError,
+         "scale 2.5 is not an integer"),
+        ("test_not_integers[str]", lambda: ScaleGrid(("3", 5)), ScaleError,
+         "scale '3' is not an integer"),
         ("test_default_grid_too_short", lambda: default_grid(30), ScaleError,
          "profile of length 30 leaves no scales in [10, 7]"),
         *[(f"test_default_grid_min_below_two[{s_min}]",

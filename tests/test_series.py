@@ -361,6 +361,8 @@ class TestRatePanel:
         assert panel.member("b").dates == (dt.date(2020, 1, 1),
                                            dt.date(2020, 1, 3))
         assert not panel.member("a").values.flags.writeable
+        # a fully observed row is a view: its dates are the panel's own array
+        assert panel.member("a").days is panel.days
         with pytest.raises(ValueError):
             panel.matrix[0, 0] = 9.0
 
@@ -375,6 +377,11 @@ class TestRatePanel:
         assert sub.is_aligned
         with pytest.raises(AlignmentError, match="'a'.*keeps 1"):
             panel.restrict(dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+
+    def test_members_from_any_iterable(self):
+        panel = RatePanel(s for s in (A, B))
+        assert panel.ids == ("a", "b")
+        assert panel.matrix.tolist() == [[1.0, 2.0], [1.0, 2.0]]
 
     def test_member_lookup(self):
         panel = make_panel({"a": [1.0, 2.0], "b": [3.0, 4.0]})

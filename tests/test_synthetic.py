@@ -118,6 +118,11 @@ class TestGenerateFgn:
                             lambda n, h: np.array([1.0, -0.5, 1.0, -0.5]))
         with pytest.raises(ValueError, match="not nonnegative definite"):
             generate_fgn(FgnSpec(n=16, hurst=0.7))
+        # far above rounding, yet well inside a tolerance of 1e-6
+        monkeypatch.setattr(synthetic, "_embedding_eigenvalues",
+                            lambda n, h: np.array([1.0, -1e-9, 1.0, -1e-9]))
+        with pytest.raises(ValueError, match="not nonnegative definite"):
+            generate_fgn(FgnSpec(n=16, hurst=0.7))
 
 
 class TestGenerateBlocks:
