@@ -2,9 +2,11 @@
 
 One binary with subcommands ``hurst``, ``dcca``, ``network``, ``synth``
 and ``report``.  Every run resolves its flags into a single config,
-validates it before touching the filesystem, computes everything, then
-writes all files in one pass together with ``run_manifest.json``.  The
-manifest stores the exact argv, so feeding it back through
+validates it before touching the filesystem, and hands the command's runner
+one run record, ``_Run``, that collects every output text and per-series
+failure.  ``main`` alone reports the failures, writes all files in one pass
+together with ``run_manifest.json`` and picks the exit code.  The manifest
+stores the exact argv, so feeding it back through
 :func:`rerun_from_manifest` reproduces the outputs byte for byte on the
 same machine, with the same numpy/BLAS build and BLAS thread count.
 
@@ -23,7 +25,7 @@ import os
 import platform
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -580,20 +582,23 @@ def _check_pairs(cfg: RunConfig, panel: RatePanel) -> None:
         raise ConfigError(f"unknown series id(s) in --pair: {', '.join(missing)}")
 
 
-def _failure_code(cfg: RunConfig, failures: list[tuple[str, str]]) -> int:
-    for sid, msg in failures:
-        print(f"failed: {sid}: {msg}", file=sys.stderr)
-    return 3 if failures and cfg.strict else 0
+@dataclass
+class _Run:
+    """One run, made by ``main`` and filled in by its runner: each output's
+    text by relative path, and the per-series ``(id, message)`` failures."""
+
+    cfg: RunConfig
+    files: dict[str, str] = field(default_factory=dict)
+    failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
-                   files: dict[str, str]
-                   ) -> tuple[HurstDistribution, list[tuple[str, str]]]:
+def _hurst_outputs(run: _Run, panel: RatePanel, prefix: str) -> HurstDistribution:
     """Exponents, histogram and (with cfg.crossover) breakpoint rows.
 
-    Returns the distribution and every per-series failure, fit and
-    crossover alike, in id order: the rows of ``failures.csv``.
+    Every per-series failure, fit and crossover alike, goes in id order to
+    ``failures.csv`` and to the run's failures.
     """
+    cfg, files = run.cfg, run.files
     n_prof = _profile_length(panel, cfg.input_kind)
     dist = hurst_distribution(
         panel, cfg.method, grid=_analysis_grid(cfg, n_prof),
@@ -636,16 +641,18 @@ def _hurst_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
         files[f"{prefix}failures.csv"] = _csv(
             ("id", "error"), ((sid, _Quoted(msg)) for sid, msg in failures))
     files[f"{prefix}hurst.json"] = _json_text(payload)
-    return dist, failures
+    run.failures += failures
+    return dist
 
 
-def _dcca_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
-                  files: dict[str, str], curve_grid: ScaleGrid | None,
+def _dcca_outputs(run: _Run, panel: RatePanel, prefix: str,
+                  curve_grid: ScaleGrid | None,
                   with_matrices: bool) -> list[DccaMatrix]:
     """Curves for cfg.pairs, then (if asked) one matrix per cfg.matrix_scales.
 
     Returns the matrices so a caller can build networks from them.
     """
+    cfg, files = run.cfg, run.files
     payload: dict = {"pairs": [], "matrices": []}
     for k, (a, b) in enumerate(cfg.pairs):
         curve = rho_vs_scale(panel.member(a), panel.member(b), grid=curve_grid,
@@ -671,13 +678,13 @@ def _matrices(cfg: RunConfig, panel: RatePanel) -> list[DccaMatrix]:
             for s in cfg.matrix_scales]
 
 
-def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
-                     files: dict[str, str],
+def _network_outputs(run: _Run, panel: RatePanel, prefix: str,
                      matrices: list[DccaMatrix] | None = None) -> None:
     """Networks, partitions and degree curves, per --period window if any.
 
     ``matrices`` are the whole panel's, reused when there are no periods.
     """
+    cfg, files = run.cfg, run.files
     if cfg.periods:
         windows = ((f"{prefix}period_{i}/", _matrices(cfg, sub))
                    for i, sub in enumerate(split_periods(panel, list(cfg.periods)),
@@ -712,15 +719,15 @@ def _network_outputs(cfg: RunConfig, panel: RatePanel, prefix: str,
     files[f"{prefix}network.json"] = _json_text(payload)
 
 
-def _run_hurst(cfg: RunConfig, files: dict[str, str]) -> int:
-    dist, failures = _hurst_outputs(cfg, _load_aligned(cfg), "", files)
+def _run_hurst(run: _Run) -> None:
+    dist = _hurst_outputs(run, _load_aligned(run.cfg), "")
     lo, hi = dist.mode_bin
-    print(f"estimated {len(dist.estimates)} series, {len(failures)} failed; "
+    print(f"estimated {len(dist.estimates)} series, {len(run.failures)} failed; "
           f"mode bin [{lo:.2f}, {hi:.2f})")
-    return _failure_code(cfg, failures)
 
 
-def _run_dcca(cfg: RunConfig, files: dict[str, str]) -> int:
+def _run_dcca(run: _Run) -> None:
+    cfg = run.cfg
     panel = _load_aligned(cfg)
     if cfg.all_pairs and len(panel) < 2:
         raise ConfigError("--all needs a panel with at least 2 series")
@@ -728,37 +735,31 @@ def _run_dcca(cfg: RunConfig, files: dict[str, str]) -> int:
     curve_grid = None
     if cfg.pairs:
         curve_grid = _analysis_grid(cfg, _profile_length(panel, cfg.input_kind))
-    matrices = _dcca_outputs(cfg, panel, "", files, curve_grid, cfg.all_pairs)
+    matrices = _dcca_outputs(run, panel, "", curve_grid, cfg.all_pairs)
     print(f"wrote {len(cfg.pairs)} curve(s), {len(matrices)} matrix(es)")
-    return 0
 
 
-def _run_network(cfg: RunConfig, files: dict[str, str]) -> int:
-    panel = _load_aligned(cfg)
+def _run_network(run: _Run) -> None:
+    panel = _load_aligned(run.cfg)
     if len(panel) < 2:
         raise ConfigError("network needs a panel with at least 2 series")
-    _network_outputs(cfg, panel, "", files)
-    return 0
+    _network_outputs(run, panel, "")
 
 
-def _run_synth(cfg: RunConfig, files: dict[str, str]) -> int:
+def _run_synth(run: _Run) -> None:
+    cfg = run.cfg
     if cfg.synth_kind == "fgn":
-        spec = FgnSpec(n=cfg.n_obs, hurst=cfg.hurst_value, seed=cfg.seed,
-                       sigma=cfg.sigma)
-        ts = generate_fgn(spec)
-        panel = RatePanel((ts,))
+        panel = RatePanel((generate_fgn(FgnSpec(
+            n=cfg.n_obs, hurst=cfg.hurst_value, seed=cfg.seed, sigma=cfg.sigma)),))
     else:
-        n_blocks, block_size = cfg.blocks
-        spec = BlockSpec(n_blocks=n_blocks, block_size=block_size,
-                         common_weight=cfg.weight, hurst=cfg.hurst_value,
-                         n=cfg.n_obs, seed=cfg.seed, sigma=cfg.sigma)
-        panel = generate_blocks(spec)
-    files["panel.csv"] = panel_to_csv(panel)
+        panel = generate_blocks(BlockSpec(
+            *cfg.blocks, common_weight=cfg.weight, hurst=cfg.hurst_value,
+            n=cfg.n_obs, seed=cfg.seed, sigma=cfg.sigma))
+    run.files["panel.csv"] = panel_to_csv(panel)
     print(f"generated {len(panel)} series x {len(panel.days)} observations")
-    return 0
 
 
-def _run_report(cfg: RunConfig, files: dict[str, str]) -> int:
+def _run_report(run: _Run) -> None:
     """The hurst, dcca and network outputs of one panel, in subdirectories.
 
     Report has no --crossover flag; its config always sets crossover.
@@ -767,19 +768,18 @@ def _run_report(cfg: RunConfig, files: dict[str, str]) -> int:
     and the networks reuse the dcca matrices unless --period splits the
     panel.
     """
+    cfg = run.cfg
     panel = _load_aligned(cfg)
     _check_pairs(cfg, panel)
-    _, failures = _hurst_outputs(cfg, panel, "hurst/", files)
+    _hurst_outputs(run, panel, "hurst/")
     curve_grid = None
     if cfg.pairs:
         n_prof = _profile_length(panel, cfg.input_kind)
         curve_grid = default_grid(n_prof, s_min=5, s_max=min(500, n_prof // 2),
                                   num=40)
-    matrices = _dcca_outputs(cfg, panel, "dcca/", files, curve_grid,
-                             len(panel) >= 2)
+    matrices = _dcca_outputs(run, panel, "dcca/", curve_grid, len(panel) >= 2)
     if matrices:
-        _network_outputs(cfg, panel, "network/", files, matrices)
-    return _failure_code(cfg, failures)
+        _network_outputs(run, panel, "network/", matrices)
 
 
 _RUNNERS = {
@@ -805,21 +805,21 @@ def _manifest(cfg: RunConfig) -> str:
     })
 
 
-def _write_all(cfg: RunConfig, files: dict[str, str]) -> None:
+def _write_all(run: _Run) -> None:
     """Write each file via a ``.tmp`` sibling and os.replace, manifest last.
 
     A stale manifest is removed first, so a manifest marks a complete run.
     """
-    manifest = os.path.join(cfg.output_dir, _MANIFEST_NAME)
+    manifest = os.path.join(run.cfg.output_dir, _MANIFEST_NAME)
     if os.path.lexists(manifest):
         os.remove(manifest)
-    for rel in sorted(files, key=lambda rel: (rel == _MANIFEST_NAME, rel)):
-        path = os.path.join(cfg.output_dir, rel)
+    for rel in sorted(run.files, key=lambda rel: (rel == _MANIFEST_NAME, rel)):
+        path = os.path.join(run.cfg.output_dir, rel)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(files[rel])
+                fh.write(run.files[rel])
             os.replace(tmp, path)
         finally:  # after a successful replace there is no tmp left
             if os.path.lexists(tmp):
@@ -840,29 +840,28 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     print(f"seed: {cfg.seed}")
-    files: dict[str, str] = {}
+    run = _Run(cfg)
     try:
-        code = _RUNNERS[cfg.command](cfg, files)
-    except (ConfigError, SchemaError) as exc:
+        _RUNNERS[cfg.command](run)
+    except (ConfigError, LongmemError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LongmemError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2
+    for sid, msg in run.failures:
+        print(f"failed: {sid}: {msg}", file=sys.stderr)
 
     # synth's panel.csv is its one output, written under any --format
     if cfg.command != "synth":
-        files = {rel: text for rel, text in files.items()
-                 if _KINDS[os.path.splitext(rel)[1]] in cfg.formats}
-    files[_MANIFEST_NAME] = _manifest(cfg)
+        run.files = {rel: text for rel, text in run.files.items()
+                     if _KINDS[os.path.splitext(rel)[1]] in cfg.formats}
+    run.files[_MANIFEST_NAME] = _manifest(cfg)
     try:
-        _write_all(cfg, files)
+        _write_all(run)
     except OSError as exc:
         print(f"error: cannot write outputs to {cfg.output_dir}: {exc}",
               file=sys.stderr)
         return 1
-    print(f"wrote {len(files)} file(s) to {cfg.output_dir}")
-    return code
+    print(f"wrote {len(run.files)} file(s) to {cfg.output_dir}")
+    return 3 if run.failures and cfg.strict else 0
 
 
 def rerun_from_manifest(manifest_path: str) -> int:

@@ -1,5 +1,7 @@
 import datetime as dt
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,36 @@ from longmem.series import RatePanel, TimeSeries
 settings.register_profile("suite", max_examples=50, derandomize=True,
                           deadline=None)
 settings.load_profile("suite")
+
+# Seconds a test may run; past it the test fails and the run goes on.  The
+# slowest test takes under 2 s, so only a hang comes near the limit.
+TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outruns ``TIME_LIMIT_S``.  Not an ``Exception``,
+    so neither the code under test nor hypothesis's shrinker catches it."""
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded(f"test still running after {TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Run each test under a ``SIGALRM`` timer of ``TIME_LIMIT_S`` seconds.
+
+    Signals reach the main thread only, so elsewhere the test runs untimed.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return (yield)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_series(values, series_id="x", start=dt.date(2000, 1, 3)) -> TimeSeries:

@@ -53,9 +53,10 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory) -> Path:
-    """Panel files: three co-moving members, a flat-column copy, member
-    ``a`` alone, two malformed files (a long row, a label with a comma),
-    a 2x2 block panel and the levels ramp of ``conftest.ramp_panel``.
+    """Panel files: three co-moving members, a flat-column copy, members
+    ``a`` and ``b``, member ``a`` alone, two malformed files (a long row, a
+    label with a comma), a 2x2 block panel and the levels ramp of
+    ``conftest.ramp_panel``.
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -72,6 +73,7 @@ def panel_dir(tmp_path_factory) -> Path:
     flat = TimeSeries("flat", members[0].dates, np.full(600, 3.0))
     with_flat = RatePanel(tuple(members) + (flat,))
     (root / "with_flat.csv").write_text(panel_to_csv(with_flat))
+    (root / "ab.csv").write_text(panel_to_csv(RatePanel(tuple(members[:2]))))
     (root / "one.csv").write_text(panel_to_csv(RatePanel(tuple(members[:1]))))
     (root / "ragged.csv").write_text("date,a,b\n2020-01-01,1,2,99\n2020-01-02,3,4\n"
                                      "2020-01-03,5,6\n")
@@ -325,25 +327,34 @@ def test_oversized_allocation_exits_two(panel_dir, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-# the whole stdout of each command; OUT is its --output-dir
+# the whole stdout of each command, named by the command (and by its input
+# where a command has two rows); OUT is its --output-dir
 STDOUT_RULES = [
-    (["--version"], "0.1.0\n"),
-    ([*HURST], "seed: 0\nestimated 3 series, 0 failed; mode bin [0.44, 0.46)\n"
-               "wrote 4 file(s) to OUT\n"),
-    (["dcca", "--input", "abc.csv", "--pair", "a,b", "--scales", "10,20,40",
-      "--all", "--scale", "10,20"],
+    ("--version", ["--version"], "0.1.0\n"),
+    ("hurst", [*HURST],
+     "seed: 0\nestimated 3 series, 0 failed; mode bin [0.44, 0.46)\n"
+     "wrote 4 file(s) to OUT\n"),
+    ("dcca", ["dcca", "--input", "abc.csv", "--pair", "a,b", "--scales",
+              "10,20,40", "--all", "--scale", "10,20"],
      "seed: 0\nwrote 1 curve(s), 2 matrix(es)\nwrote 5 file(s) to OUT\n"),
-    ([*NETWORK, "--scale", "10", "--threshold", "0.5"],
+    # two series are the fewest that dcca --all and network accept
+    ("dcca-ab.csv", ["dcca", "--input", "ab.csv", "--all", "--scale", "10"],
+     "seed: 0\nwrote 0 curve(s), 1 matrix(es)\nwrote 3 file(s) to OUT\n"),
+    ("network", [*NETWORK, "--scale", "10", "--threshold", "0.5"],
      "seed: 0\nwrote 6 file(s) to OUT\n"),
-    ([*SYNTH], "seed: 0\ngenerated 4 series x 64 observations\n"
-               "wrote 2 file(s) to OUT\n"),
-    (["report", "--input", "abc.csv", "--scale", "10", "--threshold", "0.5"],
+    ("network-ab.csv", ["network", "--input", "ab.csv", "--scale", "10",
+                        "--threshold", "0.5"],
+     "seed: 0\nwrote 6 file(s) to OUT\n"),
+    ("synth", [*SYNTH], "seed: 0\ngenerated 4 series x 64 observations\n"
+                        "wrote 2 file(s) to OUT\n"),
+    ("report", ["report", "--input", "abc.csv", "--scale", "10", "--threshold",
+                "0.5"],
      "seed: 0\nwrote 12 file(s) to OUT\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout", STDOUT_RULES,
-                         ids=[argv[0] for argv, _ in STDOUT_RULES])
+@pytest.mark.parametrize("argv, stdout", [row[1:] for row in STDOUT_RULES],
+                         ids=[row[0] for row in STDOUT_RULES])
 def test_stdout(panel_dir, tmp_path, capsys, monkeypatch, argv, stdout):
     monkeypatch.chdir(panel_dir)
     out = tmp_path / "out"
@@ -541,6 +552,19 @@ def test_report_strict_counts_crossover_failures(panel_dir, tmp_path):
     assert (out / "network" / "network.json").exists()
 
 
+def test_report_stderr_order(panel_dir, tmp_path, capsys):
+    """Warnings as they occur, then one failed: line per member in id order."""
+    code = run(["report", "--input", panel_dir / "blocks.csv", "--output-dir",
+                tmp_path / "out", "--scale", "20", "--threshold", "1.0",
+                *CROSSOVER_STARVED])
+    assert code == 3
+    assert capsys.readouterr().err == "".join([
+        "warning: empty network at s=20 (threshold 1.0)\n",
+        *(f"failed: {sid}: crossover: '{sid}': 5 usable scales, need at least "
+          "7 for a crossover search\n"
+          for sid in ("b1:m1", "b1:m2", "b2:m1", "b2:m2"))])
+
+
 def test_unwritable_output_dir_exits_one(panel_dir, tmp_path, capsys):
     blocker = tmp_path / "afile"
     blocker.write_text("")
@@ -692,7 +716,8 @@ def test_empty_network_warns_and_still_exports(panel_dir, tmp_path, capsys):
                 out, "--input-kind", "increments", "--threshold", "1.0",
                 "--scale", "10"])
     assert code == 0
-    assert "empty network" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "warning: empty network at s=10 (threshold 1.0)\n")
     part = read_rows(out / "partition_s10.csv")
     assert sorted(r[1] for r in part[1:]) == ["0", "1", "2"]  # singletons
     degree = read_rows(out / "degree_vs_scale.csv")

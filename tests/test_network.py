@@ -393,6 +393,13 @@ RULES = {
         *[(f"test_threshold_validation[{bad}]",
            lambda bad=bad: build_network(matrix_from(np.ones((2, 2))), threshold=bad),
            ValueError, "threshold must be in (0, 1]") for bad in (0.0, -0.5, 1.01)],
+        # |rho| equal to the threshold is an edge, built or given
+        *[(f"test_edge_at_threshold_kept[{name}]", call, None, (("a", "b", -0.8),))
+          for name, call in [
+              ("build_network", lambda: build_network(matrix_from(
+                  np.array([[1.0, -0.8], [-0.8, 1.0]]), ("a", "b")), 0.8).edges),
+              ("CorrelationNetwork", lambda: CorrelationNetwork(
+                  ("a", "b"), (("a", "b", -0.8),), 50, 0.8).edges)]],
         *[(f"test_network_invariants_enforced[{name}]",
            lambda ids=ids, edges=edges: CorrelationNetwork(ids, edges, 50, 0.8),
            ValueError, message) for name, ids, edges, message in [

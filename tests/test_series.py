@@ -514,6 +514,8 @@ RULES = {
          "RatePanel(1 series x 5 dates)"),
         ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), ValueError,
          "duplicate series ids: a"),
+        ("test_duplicate_ids_name_only_the_duplicates",
+         lambda: RatePanel((A, A, B)), ValueError, "duplicate series ids: a"),
         ("test_empty_rejected", lambda: RatePanel(()), ValueError,
          "panel has no series"),
         *[(name, from_matrix(ids, dates, matrix), ValueError, message)
