@@ -73,9 +73,6 @@ _FORMATS = ("table", "json", "graphml", "dot")
 # The output kind of each file extension, for the --format filter.
 _KINDS = {".csv": "table", ".json": "json", ".graphml": "graphml", ".dot": "dot"}
 _MANIFEST_NAME = "run_manifest.json"
-# --smax and --n go through float64 math (a log-spaced grid, a power-of-two
-# embedding), which holds every integer up to this one exactly
-_MAX_EXACT_INT = 2 ** 53
 
 
 class ConfigError(Exception):
@@ -371,16 +368,53 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get("LONGMEM_THREADS", "1")
-        try:
-            value = _ascii_number(raw, int)
-        except ValueError:
-            raise ConfigError(f"LONGMEM_THREADS: not an integer: {raw!r}")
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
-    return value
+# Each numeric flag's range: (flag, dest, low, high, ends), ends in interval
+# notation ("(]" reads (low, high]), None for an unbounded side.  --smax, --n
+# and --num-scales meet float64 math, exact up to 2**53; a --blocks factor up
+# to 2**27 keeps B*M rows of 16 values within numpy's 2**63 bytes.
+_RANGES = (
+    ("--threads", "threads", 1, None, "[]"),
+    ("--dfa-order", "dfa_order", 1, None, "[]"),
+    ("--seed", "seed", 0, None, "[]"),
+    ("--smin", "s_min", 2, None, "[]"),
+    ("--smax", "s_max", None, 2 ** 53, "[]"),
+    ("--num-scales", "num_scales", 3, 2 ** 53, "[]"),
+    ("--scales", "scales", 2, None, "[]"),
+    ("--min-side-points", "min_side_points", 2, None, "[]"),
+    ("--scale", "matrix_scales", 2, None, "[]"),
+    ("--n", "n_obs", 16, 2 ** 53, "[]"),
+    ("--blocks", "blocks", 2, 2 ** 27, "[]"),
+    ("--bin-width", "bin_width", 0, None, "()"),
+    ("--crossover-threshold", "crossover_threshold", 0, 1, "()"),
+    ("--threshold", "threshold", 0, 1, "(]"),
+    ("--resolution", "resolution", 0, None, "()"),
+    ("--hurst", "hurst_value", 0, 1, "()"),
+    ("--weight", "weight", 0, 1, "[]"),
+    ("--sigma", "sigma", 0, None, "()"),
+)
+
+
+def _check_ranges(values: dict) -> None:
+    """Raise ConfigError for the first value, by dest, outside its range: a
+    float is told its interval, an integer the edge it crossed."""
+    for flag, dest, low, high, ends in _RANGES:
+        value = values.get(dest)
+        if value is None:
+            continue
+        lo, hi = (min(value), max(value)) if isinstance(value, tuple) else (value, value)
+        low_ok = low is None or lo > low or lo == low and ends[0] == "["
+        if low_ok and (high is None or hi < high or hi == high and ends[1] == "]"):
+            continue
+        if dest == "blocks":
+            edge = f"most {high}x{high}" if low_ok else f"least {low}x{low}"
+            raise ConfigError(f"--blocks needs at {edge}, got {value[0]}x{value[1]}")
+        if isinstance(value, tuple):
+            raise ConfigError(f"{flag}: scale {lo} < {low}")
+        if isinstance(value, int):
+            rule = f"<= {high}" if low_ok else f">= {low}"
+        else:  # a float range is (0, inf) or bounded by 1
+            rule = f"in {ends[0]}{low}, {high}{ends[1]}" if high else "positive"
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
 
 
 def _resolve_method(ns) -> DetrendMethod:
@@ -391,70 +425,29 @@ def _resolve_method(ns) -> DetrendMethod:
         raise ConfigError("--dma-alignment only applies to --method dma")
     if kind == "dma":
         return dma(getattr(ns, "dma_alignment", "centered"))
-    order = getattr(ns, "dfa_order", 1)
-    if order < 1:
-        raise ConfigError(f"--dfa-order must be >= 1, got {order}")
-    return dfa(order)
+    return dfa(getattr(ns, "dfa_order", 1))
 
 
 def _check(cfg: RunConfig) -> None:
-    """Raise ConfigError for the first out-of-range setting.
+    """Raise ConfigError for the first failed rule that relates settings.
 
-    Every RunConfig default passes every check, so a command is only
-    checked on the flags it has.
+    Every RunConfig default passes every rule, so a command is only checked
+    on the flags it has.  Each flag's own range is in ``_RANGES``.
     """
     if cfg.align_policy == "forward_fill" and (cfg.max_gap is None or cfg.max_gap < 1):
         raise ConfigError("--align forward_fill requires --max-gap >= 1")
     if cfg.align_policy != "forward_fill" and cfg.max_gap is not None:
         raise ConfigError("--max-gap only applies to --align forward_fill")
-    if cfg.s_min < 2:
-        raise ConfigError(f"--smin must be >= 2, got {cfg.s_min}")
     if cfg.s_max is not None and cfg.s_max < cfg.s_min:
         raise ConfigError(f"--smax {cfg.s_max} below --smin {cfg.s_min}")
-    if cfg.s_max is not None and cfg.s_max > _MAX_EXACT_INT:
-        raise ConfigError(f"--smax must be <= {_MAX_EXACT_INT}, "
-                          f"got {cfg.s_max}")
-    if cfg.num_scales < 3:
-        raise ConfigError(f"--num-scales must be >= 3, got {cfg.num_scales}")
-    if cfg.scales and cfg.scales[0] < 2:
-        raise ConfigError(f"--scales: scale {cfg.scales[0]} < 2")
     if cfg.fit_min is not None and cfg.fit_max is not None and cfg.fit_min > cfg.fit_max:
         raise ConfigError(f"--fit-min {cfg.fit_min} above --fit-max {cfg.fit_max}")
-    if cfg.bin_width <= 0.0:
-        raise ConfigError(f"--bin-width must be positive, got {cfg.bin_width}")
-    if not 0.0 < cfg.crossover_threshold < 1.0:
-        raise ConfigError("--crossover-threshold must be in (0, 1), got "
-                          f"{cfg.crossover_threshold}")
-    if cfg.min_side_points < 2:
-        raise ConfigError(f"--min-side-points must be >= 2, got "
-                          f"{cfg.min_side_points}")
     if cfg.command == "dcca" and not cfg.all_pairs and not cfg.pairs:
         raise ConfigError("dcca needs --pair and/or --all")
-    if cfg.matrix_scales[0] < 2:
-        raise ConfigError(f"--scale: scale {cfg.matrix_scales[0]} < 2")
-    if not 0.0 < cfg.threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in (0, 1], got {cfg.threshold}")
-    if cfg.resolution <= 0.0:
-        raise ConfigError(f"--resolution must be positive, got {cfg.resolution}")
-    if cfg.hurst_value is not None and not 0.0 < cfg.hurst_value < 1.0:
-        raise ConfigError(f"--hurst must be in (0, 1), got {cfg.hurst_value}")
-    if cfg.n_obs is not None and cfg.n_obs < 16:
-        raise ConfigError(f"--n must be >= 16, got {cfg.n_obs}")
-    if cfg.n_obs is not None and cfg.n_obs > _MAX_EXACT_INT:
-        raise ConfigError(f"--n must be <= {_MAX_EXACT_INT}, got {cfg.n_obs}")
-    if cfg.sigma <= 0.0:
-        raise ConfigError(f"--sigma must be positive, got {cfg.sigma}")
     if cfg.synth_kind == "blocks" and cfg.weight is None:
         raise ConfigError("--blocks requires --weight")
     if cfg.synth_kind == "fgn" and cfg.weight is not None:
         raise ConfigError("--weight only applies to --blocks")
-    if cfg.weight is not None and not 0.0 <= cfg.weight <= 1.0:
-        raise ConfigError(f"--weight must be in [0, 1], got {cfg.weight}")
-    if cfg.blocks is not None and min(cfg.blocks) < 2:
-        raise ConfigError(f"--blocks needs at least 2x2, got "
-                          f"{cfg.blocks[0]}x{cfg.blocks[1]}")
-    if cfg.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
 
 
 def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
@@ -462,7 +455,13 @@ def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
     # a repeatable flag collects a list; the config holds tuples
     values = {name: tuple(v) if isinstance(v, list) else v
               for name, v in vars(ns).items() if name in _DEFAULT}
-    values["threads"] = _resolve_threads(values.get("threads"))
+    if "threads" not in values:
+        raw = os.environ.get("LONGMEM_THREADS", "1")
+        try:
+            values["threads"] = _ascii_number(raw, int)
+        except ValueError:
+            raise ConfigError(f"LONGMEM_THREADS: not an integer: {raw!r}")
+    _check_ranges({**vars(ns), **values})
     if ns.command != "synth":
         if not os.path.isfile(ns.input):
             raise ConfigError(f"--input: no such file: {ns.input}")

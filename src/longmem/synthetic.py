@@ -32,11 +32,6 @@ __all__ = [
     "trading_dates",
 ]
 
-# Relative level below which a negative embedding eigenvalue is treated as
-# rounding noise of an exact zero.
-_EIGEN_TOL = 1e-12
-
-
 def _autocovariance(k, hurst: float, sigma: float = 1.0):
     """Analytic fGn autocovariance gamma(k) at integer lag(s) k."""
     k = np.abs(np.asarray(k, dtype=float))
@@ -111,9 +106,19 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
 
 
 def _embedding(n: int, hurst: float) -> np.ndarray:
-    """Embedding eigenvalues for n draws, checked and clamped at zero."""
+    """Embedding eigenvalues for n draws, checked and clamped at zero.
+
+    The exact eigenvalues are nonnegative; a computed one falls below zero
+    only through the rounding of the power terms that ``_autocovariance``
+    cancels at each lag k = 0..m.  Their summed size, 2 * sum (k+1)^{2H},
+    times the float64 epsilon bounds that rounding, so only an eigenvalue
+    further below zero raises.
+    """
     eigvals = _embedding_eigenvalues(n, hurst)
-    if eigvals.min() < -_EIGEN_TOL * eigvals.max():
+    m = eigvals.size // 2
+    rounding = 2.0 * np.finfo(float).eps * np.sum(
+        np.arange(1.0, m + 2.0) ** (2.0 * hurst))
+    if eigvals.min() < -rounding:
         raise ValueError(f"circulant embedding for n={n}, hurst={hurst} is "
                          "not nonnegative definite")
     return np.maximum(eigvals, 0.0)

@@ -21,10 +21,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from longmem.cli import (
+    _RANGES,
     ConfigError,
     _csv,
     _json_text,
     _JsonNumbers,
+    _parse_blocks,
+    _parse_float,
+    _parse_int,
+    _parse_int_list,
     _Quoted,
     build_parser,
     main,
@@ -252,6 +257,20 @@ INPUT_RULES = [
     (["synth", "--fgn", "--hurst", "0.5", "--n", "64", "--seed", "-1"],
      "--seed must be >= 0, got -1"),
     ([*NETWORK, "--seed=-1"], "--seed must be >= 0, got -1"),
+    (["synth", "--fgn", "--hurst", "0", "--n", "64"],
+     "--hurst must be in (0, 1), got 0.0"),
+    (["synth", "--fgn", "--hurst", "1", "--n", "64"],
+     "--hurst must be in (0, 1), got 1.0"),
+    ([*HURST, "--crossover-threshold", "0"],
+     "--crossover-threshold must be in (0, 1), got 0.0"),
+    ([*HURST, "--crossover-threshold", "1"],
+     "--crossover-threshold must be in (0, 1), got 1.0"),
+    ([*NETWORK, "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
+    # too large for numpy to size an array: a flag error, not numpy's
+    ([*HURST, f"--num-scales={10 ** 20}"],
+     f"--num-scales must be <= 9007199254740992, got {10 ** 20}"),
+    ([*SYNTH, f"--blocks={10 ** 20}x2"],
+     f"--blocks needs at most 134217728x134217728, got {10 ** 20}x2"),
 ]
 
 
@@ -285,6 +304,84 @@ def assert_rule(argv, code, message, panel_dir, tmp_path, capsys, monkeypatch):
     assert run([*argv, "--output-dir", out]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# Numeric flags with no row in cli._RANGES, and why
+UNBOUNDED = {
+    "--max-gap": "its >= 1 belongs to the --align forward_fill rule",
+    "--fit-min": "ordered against --fit-max; a value off the grid fails the fit",
+    "--fit-max": "ordered against --fit-min; a value off the grid fails the fit",
+}
+
+
+def test_every_numeric_flag_has_one_range_row():
+    import argparse
+
+    numeric = {_parse_int, _parse_float, _parse_int_list, _parse_blocks}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = set()
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            if getattr(action.type, "func", action.type) not in numeric:
+                continue
+            flag = action.option_strings[0]
+            flags.add(flag)
+            rows = [(f, dest) for f, dest, *_ in _RANGES if f == flag]
+            assert rows == ([] if flag in UNBOUNDED else [(flag, action.dest)])
+    assert flags == {row[0] for row in _RANGES} | set(UNBOUNDED)
+
+
+# Accepted range edges, and README's values of 10**20 on unbounded sides: a
+# row's run exits 0 (None), or exits 2 with the message its data gives.  A
+# run that would ask for more memory than any machine has is only resolved
+# (CONFIG_ONLY).
+CONFIG_ONLY = "config only"
+ONE = ["hurst", "--input", "one.csv"]
+ACCEPTED_EDGES = [
+    ([*HURST, "--threads", "1"], None),
+    ([*HURST, "--method", "dfa", "--dfa-order", "1"], None),
+    ([*HURST, "--seed", "0"], None),
+    ([*NETWORK, f"--seed={10 ** 20}"], None),
+    ([*HURST, "--smin", "2"], None),
+    ([*HURST, "--num-scales", "3"], None),
+    ([*HURST, f"--num-scales={2 ** 53}"], CONFIG_ONLY),
+    ([*HURST, "--scales", "2,4,8"], None),
+    ([*HURST, "--crossover", "--min-side-points", "2"], None),
+    ([*HURST, "--align", "forward_fill", "--max-gap", "1"], None),
+    ([*HURST, "--align", "forward_fill", f"--max-gap={10 ** 20}"], None),
+    ([*HURST, f"--fit-max={10 ** 20}"], None),
+    ([*ONE, "--smin", "20", "--smax", "20"], "no panel member produced a usable "
+     "fit: 1 failed (a); 'a': 1 usable scales in [0, 250], need at least 3"),
+    ([*ONE, f"--smax={2 ** 53}"], "no panel member produced a usable fit: 1 "
+     "failed (a); scale 375 exceeds half the profile length 599"),
+    ([*ONE, "--scales", "25,50,100", "--fit-min", "50", "--fit-max", "50"],
+     "no panel member produced a usable fit: 1 failed (a); 'a': 1 usable "
+     "scales in [50, 50], need at least 3"),
+    ([*NETWORK, "--scale", "2"], None),
+    ([*NETWORK, "--threshold", "1"], None),
+    ([*NETWORK, "--period", "2000-01-10:2000-01-10"],
+     "series 'a': window 2000-01-10..2000-01-10 keeps 1 observations (< 2)"),
+    (["synth", "--fgn", "--hurst", "0.5", "--n", "16"], None),
+    ([*SYNTH, f"--n={2 ** 53}"], CONFIG_ONLY),
+    ([*SYNTH, "--weight", "0"], None),
+    ([*SYNTH, "--weight", "1"], None),
+    ([*SYNTH, f"--blocks={2 ** 27}x{2 ** 27}"], CONFIG_ONLY),
+]
+
+
+@pytest.mark.parametrize("argv, outcome", ACCEPTED_EDGES,
+                         ids=[" ".join(argv) for argv, _ in ACCEPTED_EDGES])
+def test_accepted_edge(panel_dir, tmp_path, capsys, monkeypatch, argv, outcome):
+    monkeypatch.chdir(panel_dir)
+    out = tmp_path / "out"
+    if outcome is CONFIG_ONLY:
+        argv = [*argv, "--output-dir", str(out)]
+        assert resolve_config(build_parser().parse_args(argv), argv).argv == tuple(argv)
+    elif outcome is None:
+        assert run([*argv, "--output-dir", out]) == 0
+    else:
+        assert_rule(argv, 2, outcome, panel_dir, tmp_path, capsys, monkeypatch)
 
 
 INCREMENTS = ["--input-kind", "increments"]

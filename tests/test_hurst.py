@@ -217,6 +217,29 @@ class TestDetectCrossover:
             rep = detect_crossover(f)
             assert rep.sse_piecewise <= rep.sse_single * (1 + 1e-12)
 
+    def test_ratio_at_threshold_is_accepted(self):
+        rng = np.random.default_rng(0)
+        values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)
+        noisy = values * 10 ** rng.normal(0.0, 0.02, size=len(values))
+        f = FluctuationFunction("pw", dfa(1), PIECEWISE_GRID, noisy)
+        ratio = detect_crossover(f).improvement_ratio
+        rep = detect_crossover(f, improvement_threshold=ratio)
+        assert rep.improvement_ratio == ratio
+        assert rep.breakpoint_scale is not None
+
+    def test_rounding_tie_goes_to_the_larger_scale(self):
+        # the log-log curve is symmetric, so the splits after 256 and after
+        # 512 mirror each other and their SSEs are equal in exact
+        # arithmetic; rounding makes the one at 512 the larger
+        scales = 2 ** np.arange(4, 15)
+        log_f = 0.2 * np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0])
+        f = FluctuationFunction("tie", dfa(1), scales, 10.0 ** log_f)
+        x, y = np.log10(scales.astype(float)), np.log10(f.values)
+        sse = [_fit_line(x[:k + 1], y[:k + 1])[-1] + _fit_line(x[k + 1:], y[k + 1:])[-1]
+               for k in (4, 5)]
+        assert sse[0] < sse[1] == pytest.approx(sse[0], rel=1e-12)
+        assert detect_crossover(f).breakpoint_scale == 512
+
     def test_min_side_points_respected(self):
         values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)
         f = FluctuationFunction("pw", dfa(1), PIECEWISE_GRID, values)

@@ -111,7 +111,18 @@ class TestGenerateFgn:
         for n in (16, 1000, 65536):
             for h in hursts:
                 eig = synthetic._embedding_eigenvalues(n, h)
-                assert eig.min() >= -synthetic._EIGEN_TOL * eig.max(), (n, h)
+                assert eig.min() >= -1e-12 * eig.max(), (n, h)
+
+    @pytest.mark.parametrize("n, hurst", [
+        (512, 1 - 1e-10), (1024, 0.999999999), (4096, 0.9999999)])
+    def test_rounding_negatives_near_h_one_are_clamped(self, n, hurst):
+        # each embedding has a negative eigenvalue, below -1e-12 * max for
+        # the last two, that is rounding in the cancelled power terms
+        eig = synthetic._embedding_eigenvalues(n, hurst)
+        assert eig.min() < 0.0
+        assert np.array_equal(synthetic._embedding(n, hurst),
+                              np.maximum(eig, 0.0))
+        assert len(generate_fgn(FgnSpec(n=n, hurst=hurst)).values) == n
 
     def test_indefinite_embedding_raises(self, monkeypatch):
         monkeypatch.setattr(synthetic, "_embedding_eigenvalues",
