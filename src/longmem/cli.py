@@ -92,8 +92,8 @@ class RunConfig:
     command: str
     argv: tuple[str, ...]
     output_dir: str
+    threads: int  # from --threads or LONGMEM_THREADS, so it has no default
     seed: int = 0
-    threads: int = 1
     formats: tuple[str, ...] = _FORMATS
     strict: bool = False
     input: str | None = None
@@ -448,6 +448,11 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError("--blocks requires --weight")
     if cfg.synth_kind == "fgn" and cfg.weight is not None:
         raise ConfigError("--weight only applies to --blocks")
+    # numpy sizes an array below 2**63 bytes, so below 2**60 float64 values
+    if cfg.blocks and math.prod(cfg.blocks) * cfg.n_obs >= 2 ** 60:
+        b, m = cfg.blocks
+        raise ConfigError(f"--blocks {b}x{m} with --n {cfg.n_obs} makes "
+                          f"{b * m * cfg.n_obs} values, past numpy's 2**63-byte limit")
 
 
 def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:

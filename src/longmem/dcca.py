@@ -52,20 +52,17 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
             "coefficient undefined",
         )
     denom = np.sqrt(f2)
-    rho = np.triu(gram / np.outer(denom, denom), 1)
+    rho = np.triu(gram / np.outer(denom, denom))
     rho = rho + rho.T
     np.fill_diagonal(rho, 1.0)
-    over = np.abs(rho) > 1.0
-    if np.any(over):
-        i, j = np.unravel_index(np.argmax(np.abs(rho)), rho.shape)
-        if abs(rho[i, j]) - 1.0 > _RHO_OVERSHOOT_TOL:
-            raise LongmemError(
-                f"|rho|={abs(rho[i, j])} for ({ids[i]!r}, {ids[j]!r}) at "
-                f"s={s} exceeds 1 beyond rounding tolerance; "
-                "this indicates a bug"
-            )
-        rho[over] = np.sign(rho[over])
-    return rho
+    i, j = np.unravel_index(np.argmax(np.abs(rho)), rho.shape)
+    if abs(rho[i, j]) - 1.0 > _RHO_OVERSHOOT_TOL:
+        raise LongmemError(
+            f"|rho|={abs(rho[i, j])} for ({ids[i]!r}, {ids[j]!r}) at "
+            f"s={s} exceeds 1 beyond rounding tolerance; "
+            "this indicates a bug"
+        )
+    return rho.clip(-1.0, 1.0, out=rho)
 
 
 def _rho_matrix(engines, ids, s: int) -> np.ndarray:

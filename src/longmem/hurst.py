@@ -167,12 +167,12 @@ def detect_crossover(
 
     A candidate at scale s fits one line to the points with scale <= s and
     an independent line to the points above s.  The candidate with the
-    smallest combined squared error wins; near-exact ties go to the largest
-    scale so a kink sitting on a grid point is reported at that point.  The
-    breakpoint is only reported when the two-line model removes at least
-    ``improvement_threshold`` of the single-line squared error; a single
-    line that already fits to rounding noise yields ratio 0 and no
-    breakpoint.
+    smallest combined squared error wins; ties (SSEs within 1e-9 of the
+    larger, or 1e-20) go to the largest scale, so a kink on a grid point
+    is reported there.  The breakpoint is only reported when the two-line
+    model removes at least ``improvement_threshold`` of the single-line
+    squared error; a single line that already fits to rounding noise (SSE
+    at most 1e-20) yields ratio 0 and no breakpoint.
     """
     if not 0.0 < improvement_threshold < 1.0:
         raise ValueError("improvement_threshold must be in (0, 1)")
@@ -192,18 +192,16 @@ def detect_crossover(
 
     *_, sse_single = _fit_line(log_s, log_f)
 
-    best_k = -1  # read only once a candidate is accepted
-    best = (math.inf, 0.0, 0.0)  # sse, slope_left, slope_right
+    best = (math.inf, 0.0, 0.0, 0)  # sse, slope_left, slope_right, k
     for k in range(min_side_points - 1, n_pts - min_side_points):
         sl, *_, sse_l = _fit_line(log_s[: k + 1], log_f[: k + 1])
         sr, *_, sse_r = _fit_line(log_s[k + 1 :], log_f[k + 1 :])
         sse = sse_l + sse_r
         tie = max(_SSE_FLOOR, _SSE_TIE_REL * max(sse, best[0]))
         if sse <= best[0] + tie:
-            best = (sse, sl, sr)
-            best_k = k
+            best = (sse, sl, sr, k)
 
-    sse_piecewise, slope_left, slope_right = best
+    sse_piecewise, slope_left, slope_right, best_k = best
     if sse_single <= _SSE_FLOOR:
         ratio = 0.0
     else:

@@ -7,7 +7,7 @@ excluded negative edges is recorded on the partition.
 
 Community detection is a greedy multi-level modularity pass made fully
 deterministic: nodes are visited in canonical id order permuted by the
-seeded generator, gain ties go to the smallest community label, and final
+seeded generator, gain ties (within 1e-12) go to the smallest label, and final
 labels are renumbered by each community's smallest member id.
 """
 

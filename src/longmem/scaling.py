@@ -78,7 +78,7 @@ __all__ = [
 _DEFAULT_SCALE_CAP = 250  # one trading year
 
 # Relative level below which a detrended segment is indistinguishable from
-# an exact polynomial fit (a few dozen ulps of the segment magnitude).
+# an exact polynomial fit (64 ulps of the segment magnitude, or of 1).
 _RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
 # Elements per row chunk of the residual engine: each per-scale temporary
@@ -190,9 +190,8 @@ def _poly_basis(s: int, order: int):
 
     Built once per (s, order) and shared, so both arrays are read-only.
     """
-    x = np.arange(s, dtype=float)
-    half = max((s - 1) / 2.0, 1.0)
-    x = (x - (s - 1) / 2.0) / half
+    half = (s - 1) / 2.0
+    x = (np.arange(s, dtype=float) - half) / half
     basis = np.vander(x, order + 1, increasing=True)
     return _frozen(basis), _frozen(np.linalg.pinv(basis))
 
@@ -306,7 +305,7 @@ class _Residuals:
     def _snapped(self, s: int, ms: np.ndarray, trend):
         """(row, segment) indices of residuals at the rounding floor.
 
-        A residual no larger than the floor, a few dozen ulps of its segment
+        A residual no larger than the floor, 64 ulps of its segment
         magnitude, is numerically zero.  Snapping it keeps perfectly
         detrended segments (constant or polynomial profiles) at F = 0, so
         they are excluded from log fits instead of being fitted on

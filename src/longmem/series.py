@@ -254,7 +254,7 @@ class RatePanel:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Cumulative sum of mean-centered increments; telescopes to 0.
+    """Cumulative sum of mean-centered increments; telescopes to 0 (1e-9).
 
     ``_fluct`` keeps every F(s) computed on the profile, as
     ``{method: {s: F}}``, so a run computes each value once.
@@ -499,7 +499,7 @@ def _forward_fill(panel: RatePanel, max_gap: int) -> np.ndarray:
     after = np.minimum.accumulate(np.where(missing, n, cols)[:, ::-1],
                                   axis=1)[:, ::-1]
     short = missing & (after - last - 1 <= max_gap)
-    i = _first((short & (last < 0) & (after < n)).any(axis=1))
+    i = _first((short & (last < 0)).any(axis=1))
     if i is not None:
         raise AlignmentError(
             f"series {panel.ids[i]!r}: gap of {after[i, 0]} at series start "

@@ -134,7 +134,7 @@ def _fgn_values(n: int, eigvals: np.ndarray, sigma: float,
     w[0] = np.sqrt(eigvals[0] / two_m) * z[0]
     w[m] = np.sqrt(eigvals[m] / two_m) * z[1]
     half = np.sqrt(eigvals[1:m] / (2.0 * two_m))
-    w[1:m] = half * (z[2:m + 1] + 1j * z[m + 1:two_m])
+    w[1:m] = half * (z[2:m + 1] + 1j * z[m + 1:])
     w[m + 1:] = np.conj(w[1:m][::-1])
     return sigma * np.fft.fft(w)[:n].real
 

@@ -218,6 +218,8 @@ INPUT_RULES = [
      "--dma-alignment only applies to --method dma"),
     ([*HURST, "--align", "forward_fill"],
      "--align forward_fill requires --max-gap >= 1"),
+    ([*HURST, "--align", "forward_fill", "--max-gap=0"],
+     "--align forward_fill requires --max-gap >= 1"),
     ([*HURST, "--max-gap", "3"],
      "--max-gap only applies to --align forward_fill"),
     ([*HURST, "--align", "intersect", "--max-gap=3"],
@@ -271,6 +273,9 @@ INPUT_RULES = [
      f"--num-scales must be <= 9007199254740992, got {10 ** 20}"),
     ([*SYNTH, f"--blocks={10 ** 20}x2"],
      f"--blocks needs at most 134217728x134217728, got {10 ** 20}x2"),
+    # B*M*n float64 values must stay below numpy's 2**63 bytes: 2**60 do not
+    ([*SYNTH, f"--blocks={2 ** 27}x{2 ** 27}"], "--blocks 134217728x134217728 "
+     "with --n 64 makes 1152921504606846976 values, past numpy's 2**63-byte limit"),
 ]
 
 
@@ -359,6 +364,7 @@ ACCEPTED_EDGES = [
      "no panel member produced a usable fit: 1 failed (a); 'a': 1 usable "
      "scales in [50, 50], need at least 3"),
     ([*NETWORK, "--scale", "2"], None),
+    (["report", "--input", "one.csv"], None),  # no matrices or networks
     ([*NETWORK, "--threshold", "1"], None),
     ([*NETWORK, "--period", "2000-01-10:2000-01-10"],
      "series 'a': window 2000-01-10..2000-01-10 keeps 1 observations (< 2)"),
@@ -366,7 +372,9 @@ ACCEPTED_EDGES = [
     ([*SYNTH, f"--n={2 ** 53}"], CONFIG_ONLY),
     ([*SYNTH, "--weight", "0"], None),
     ([*SYNTH, "--weight", "1"], None),
-    ([*SYNTH, f"--blocks={2 ** 27}x{2 ** 27}"], CONFIG_ONLY),
+    ([*SYNTH, f"--blocks={2 ** 27}x{2 ** 27}", "--n=63"], CONFIG_ONLY),
+    # 9 * 25 * 5124095576030431 = 2**60 - 1 values, the most numpy can size
+    ([*SYNTH, "--blocks=9x25", "--n=5124095576030431"], CONFIG_ONLY),
 ]
 
 
@@ -858,6 +866,19 @@ def test_report_writes_grouped_layout(panel_dir, tmp_path):
     # (dcca exits 2 on the same pair instead)
     rows = read_rows(out / "dcca/rho_curve_00_a__b.csv")
     assert (rows[1][0], rows[-1][0]) == ("5", "300")
+
+
+def test_report_curve_span_ends_at_500(tmp_path):
+    # half of a 1100-point profile is past 500, so the span is whole
+    blocks = BlockSpec(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.7,
+                       n=1100, seed=0)
+    (tmp_path / "long.csv").write_text(panel_to_csv(generate_blocks(blocks)))
+    out = tmp_path / "out"
+    assert run(["report", "--input", tmp_path / "long.csv", "--output-dir", out,
+                "--input-kind", "increments", "--pair", "b1:m1,b1:m2",
+                "--scale", "20"]) == 0
+    rows = read_rows(out / "dcca/rho_curve_00_b1_m1__b1_m2.csv")
+    assert (rows[1][0], rows[-1][0]) == ("5", "500")
 
 
 def test_report_without_pairs_needs_no_curve_grid(tmp_path, capsys):

@@ -318,6 +318,15 @@ def dcca_matrix(rho):
 
 ONE_SERIES = make_panel({"only": np.arange(100.0) % 7 + 1.0})
 RULES = {
+    # |rho| up to 1 + 1e-9 is rounding and clamps to 1; beyond it is a bug
+    "TestNormalize": [
+        ("test_overshoot_tolerance[5e-10]",
+         lambda: _normalize(*TestNormalize.moments(1.0 + 5e-10), ("a", "b"), 10)[0, 1],
+         None, 1.0),
+        ("test_overshoot_tolerance[2e-9]",
+         lambda: _normalize(*TestNormalize.moments(1.0 + 2e-9), ("a", "b"), 10),
+         LongmemError, "|rho|=1.000000002 for ('a', 'b') at s=10 exceeds 1 beyond "
+                       "rounding tolerance; this indicates a bug")],
     "TestCrossFluctuation": [
         ("test_length_mismatch",
          lambda: rho_from_profiles(fgn_profile(0, n=512), fgn_profile(1, n=1024),

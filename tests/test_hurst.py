@@ -296,11 +296,8 @@ class TestHurstDistribution:
         assert [e.series_id for e in dist.estimates] == ["b", "c"]
 
     def test_all_members_failing(self):
-        dates = trading_dates(400)
-        flats = RatePanel(tuple(TimeSeries(f"f{i}", dates, np.full(400, i + 1.0))
-                                for i in range(7)))
         with pytest.raises(FitError, match="no panel member") as info:
-            hurst_distribution(flats, dfa(1))
+            hurst_distribution(flat_panel(7), dfa(1))
         # the first five ids, then the rest counted; three distinct reasons
         message = str(info.value)
         assert "7 failed (f0, f1, f2, f3, f4 and 2 more)" in message
@@ -441,6 +438,38 @@ def unaligned_pair():
                       make_series(np.arange(300.0), "b", dt.date(2000, 2, 1))))
 
 
+def flat_panel(n_members):
+    """Constant members f0, f1, ...: each fit fails with 0 usable scales."""
+    dates = trading_dates(400)
+    return RatePanel(tuple(TimeSeries(f"f{i}", dates, np.full(400, i + 1.0))
+                           for i in range(n_members)))
+
+
+def kinked(bend):
+    """PIECEWISE_GRID's power law whose slope drops by ``bend`` past 250."""
+    return FluctuationFunction("k", dfa(1), PIECEWISE_GRID, piecewise_values(
+        PIECEWISE_GRID, 250.0, 0.5 + bend, 0.5))
+
+
+def tie_curve(eps):
+    """The curve of test_rounding_tie_goes_to_the_larger_scale with its last
+    log F raised by ``eps``: the split after 512 then leaves a relative
+    4 * eps more squared error than the split after 256."""
+    log_f = 0.2 * np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0]) + np.eye(11)[-1] * eps
+    return FluctuationFunction("tie", dfa(1), 2 ** np.arange(4, 15), 10.0 ** log_f)
+
+
+def noisy_power_law(seed):
+    """A power law over PIECEWISE_GRID with 2% log-normal noise."""
+    noise = np.random.default_rng(seed).normal(0.0, 0.02, PIECEWISE_GRID.size)
+    return FluctuationFunction("n", dfa(1), PIECEWISE_GRID,
+                               power_law(PIECEWISE_GRID, 0.02, 0.5).values * 10 ** noise)
+
+
+SEVEN_SCALES = [10, 20, 40, 80, 160, 320, 640]
+FLAT_REASON = "0 usable scales in [0, 250], need at least 3"
+
+
 RULES = {
     "TestFitHurst": [
         ("test_too_few_points", fit_of([10, 20], [1.0, 2.0]), FitError,
@@ -455,7 +484,15 @@ RULES = {
         ("test_fit_line_zero_variance[flat]",
          lambda: repr(_fit_line(LOG_SCALES, FLAT_Y)[:4]), None, "(0.0, 0.5, nan, nan)"),
         ("test_fit_line_zero_variance[tiny]",
-         lambda: _fit_line(LOG_SCALES, TINY_Y)[2:4], None, (0.0, 0.0))],
+         lambda: _fit_line(LOG_SCALES, TINY_Y)[2:4], None, (0.0, 0.0)),
+        # the rounded r of this falling line is -1.0000000000000002
+        ("test_fit_line_r_clamped_at_minus_one",
+         lambda: _fit_line(LOG_SCALES, 0.1 - 0.3 * LOG_SCALES)[2], None, -1.0),
+        ("test_fit_line_two_points_has_no_stderr",
+         lambda: repr(_fit_line(LOG_SCALES[:2], LOG_SCALES[:2])[3]), None, "nan"),
+        ("test_one_scale_range",
+         lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(50, 50)),
+         FitError, "'pl': 0 usable scales in [50, 50], need at least 3")],
     "TestDetectCrossover": [
         ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), FitError,
          "'pl': 6 usable scales, need at least 7 for a crossover search"),
@@ -464,7 +501,38 @@ RULES = {
          "improvement_threshold must be in (0, 1)"),
         ("test_parameter_validation[min_side_points]",
          crossover_of(PIECEWISE_GRID, min_side_points=1), ValueError,
-         "need at least 2 points per side")],
+         "need at least 2 points per side"),
+        ("test_parameter_validation[improvement_threshold=1]",
+         crossover_of(PIECEWISE_GRID, improvement_threshold=1.0), ValueError,
+         "improvement_threshold must be in (0, 1)"),
+        ("test_two_points_per_side",
+         lambda: crossover_of(PIECEWISE_GRID, min_side_points=2)().breakpoint_scale,
+         None, None),
+        # two lines fit seed 1's noise with 38% less squared error, short
+        # of the default threshold of one half
+        ("test_default_threshold_is_half",
+         lambda: detect_crossover(noisy_power_law(1)).breakpoint_scale, None, None),
+        ("test_bend_at_the_first_candidate", lambda: detect_crossover(
+            FluctuationFunction("pw", dfa(1), PIECEWISE_GRID, piecewise_values(
+                PIECEWISE_GRID, 24.0, 0.85, 0.50))).breakpoint_scale, None, 24),
+        ("test_exactly_enough_points",
+         lambda: crossover_of(SEVEN_SCALES)().breakpoint_scale, None, None),
+        ("test_zero_values_excluded",
+         lambda: detect_crossover(FluctuationFunction(
+             "z", dfa(1), SEVEN_SCALES, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
+         FitError, "'z': 6 usable scales, need at least 7 for a crossover search"),
+        # the single line's SSE is 1.8e-20 (above the 1e-20 floor) or 4.5e-21
+        # (below it: ratio 0); splits whose SSEs are within 1e-20 of the
+        # best tie, so the largest such split scale wins
+        ("test_sse_floor[above]",
+         lambda: detect_crossover(kinked(2e-10)).breakpoint_scale, None, 640),
+        ("test_sse_floor[below]",
+         lambda: detect_crossover(kinked(1e-10)).improvement_ratio, None, 0.0),
+        # SSEs within a relative 1e-9 tie, and the tie goes to the larger scale
+        ("test_sse_tie_window[inside]",
+         lambda: detect_crossover(tie_curve(1.25e-10)).breakpoint_scale, None, 512),
+        ("test_sse_tie_window[outside]",
+         lambda: detect_crossover(tie_curve(5e-10)).breakpoint_scale, None, 256)],
     "TestHurstDistribution": [
         ("test_unaligned_panel_rejected",
          lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
@@ -472,6 +540,10 @@ RULES = {
         *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
            ValueError, "bin_width must be positive and finite") for name, w in [
               ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
-              ("test_non_finite_bin_width[inf]", np.inf)]]],
+              ("test_non_finite_bin_width[inf]", np.inf)]],
+        ("test_five_members_failing",
+         lambda: hurst_distribution(flat_panel(5), dfa(1)), FitError,
+         "no panel member produced a usable fit: 5 failed (f0, f1, f2, f3, f4); "
+         f"'f0': {FLAT_REASON}; 'f1': {FLAT_REASON}; 'f2': {FLAT_REASON}")],
 }
 rule_tests(globals(), RULES)

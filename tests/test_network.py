@@ -384,10 +384,19 @@ class TestDatesHelper:
         assert dict(tuple(x) for x in d["assignment"]) == part.labels
 
 
+def dot_of(ids):
+    """DOT text of an edgeless network on ``ids``."""
+    net = CorrelationNetwork(ids, (), 50, 0.8)
+    return to_dot(net, detect_communities(net))
+
+
 D = dt.date
 ONE_SHARED_DATE = RatePanel.from_matrix(
     ["a", "b"], np.arange("2020-01-01", "2020-01-06", dtype="datetime64[D]"),
     [[1, 2, 3, np.nan, np.nan], [np.nan, np.nan, 3, 4, 5]])
+TWO_SHARED_DATES = RatePanel.from_matrix(
+    ["a", "b"], np.arange("2020-01-01", "2020-01-06", dtype="datetime64[D]"),
+    [[1, 2, 3, 4, np.nan], [np.nan, np.nan, 3, 4, 5]])
 RULES = {
     "TestBuildNetwork": [
         *[(f"test_threshold_validation[{bad}]",
@@ -409,7 +418,13 @@ RULES = {
               ("duplicate-edge", ("a", "b"), (("a", "b", 0.9), ("b", "a", 0.85)),
                "duplicate edge for pair ('a', 'b')"),
               ("below-threshold", ("a", "b"), (("a", "b", 0.5),),
-               "edge ('a', 'b') weight 0.5 below threshold 0.8")]]],
+               "edge ('a', 'b') weight 0.5 below threshold 0.8")]],
+        ("test_default_threshold",
+         lambda: build_network(matrix_from(np.array([[1.0, 0.5], [0.5, 1.0]]))).edges,
+         None, ()),
+        ("test_threshold_of_one_accepted",
+         lambda: build_network(matrix_from(np.ones((2, 2))), threshold=1.0).edges,
+         None, (("n0", "n1", 1.0),))],
     "TestDetectCommunities": [
         ("test_all_negative_is_error",
          lambda: detect_communities(
@@ -426,7 +441,25 @@ RULES = {
                           ("test_non_finite_resolution_rejected[inf]", np.inf)]],
         ("test_q_capped_validation",
          lambda: CommunityPartition((("a", 0),), 1.5, 1.0, 0, 0), ValueError,
-         "modularity cannot exceed 1")],
+         "modularity cannot exceed 1"),
+        ("test_q_of_one_accepted",
+         lambda: CommunityPartition((("a", 0),), 1.0, 1.0, 0, 0).modularity_q,
+         None, 1.0)],
+    "TestLouvainSteps": [
+        # communities 0 and 1 become two nodes: 0 keeps the 0.5 edge inside
+        # it as a self-loop, and 0.25 joins it to 1
+        ("test_aggregate_makes_one_node_per_community",
+         lambda: _aggregate(*level_graph(3, [(0, 1, 0.5), (1, 2, 0.25)]), [0, 0, 1]),
+         None, ([{1: 0.25}, {0: 0.25}], [0.5, 0.0])),
+        # two nodes joined by weight w, at a resolution that leaves the gains
+        # w (join) and 0 (stay): gains within 1e-12 tie, and the tie goes to
+        # the smaller label, so node 0 stays and node 1 joins it
+        *[(f"test_gain_tie_window[{w}]", lambda w=w: _louvain_level(
+            *level_graph(2, [(0, 1, w)]), 1e-300, np.arange(2)), None, comm)
+          for w, comm in [(5e-13, [0, 0]), (1e-12, [0, 0]), (2e-12, [1, 1])]]],
+    "TestExports": [
+        ("test_dot_escapes_backslashes", lambda: dot_of(("a\\b",)).splitlines()[1],
+         None, '  "a\\\\b" [community=0];')],
     "TestSplitPeriods": [
         ("test_window_outside_range",
          lambda: split_periods(two_ramps(), [(D(1990, 1, 1), D(1990, 6, 1))]),
@@ -437,6 +470,9 @@ RULES = {
          LongmemError, "window 2020-01-01..2020-01-05 leaves 1 shared dates, "
                        "need at least 2"),
         ("test_no_windows", lambda: split_periods(two_ramps(), []), ValueError,
-         "need at least one window")],
+         "need at least one window"),
+        ("test_window_with_two_shared_dates",
+         lambda: [p.matrix.shape for p in split_periods(
+             TWO_SHARED_DATES, [(D(2020, 1, 1), D(2020, 1, 5))])], None, [(2, 5)])],
 }
 rule_tests(globals(), RULES)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from longmem.errors import ScaleError
 from longmem.scaling import (
+    _CHUNK_ELEMS,
     _DEFAULT_SCALE_CAP,
     _poly_basis,
     _Residuals,
+    _row_chunks,
     DetrendMethod,
     FluctuationFunction,
     ScaleGrid,
@@ -263,6 +265,7 @@ RULES = {
         ("test_dfa_defaults", lambda: DFA_FIELDS(dfa()), None, ("dfa", 1, "dfa1", 3)),
         ("test_dfa_higher_order", lambda: (dfa(2).min_scale, dfa(3).label), None,
          (4, "dfa3")),
+        ("test_dfa_default_order", lambda: DetrendMethod("dfa").label, None, "dfa1"),
         ("test_dma_defaults", lambda: DMA_FIELDS(dma()), None,
          ("dma", "centered", "dma-centered", 2)),
         ("test_dma_backward", lambda: dma("backward").label, None, "dma-backward"),
@@ -306,8 +309,14 @@ RULES = {
          "profile of length 30 leaves no scales in [10, 7]"),
         *[(f"test_default_grid_min_below_two[{s_min}]",
            lambda s_min=s_min: default_grid(1000, s_min=s_min), ScaleError,
-           f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)]],
+           f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)],
+        ("test_default_grid_min_of_two",
+         lambda: list(default_grid(1000, s_min=2, s_max=4, num=3)), None, [2, 3, 4]),
+        ("test_default_grid_single_scale", lambda: list(default_grid(100, s_min=25)),
+         None, [25])],
     "TestFluctuation": [
+        ("test_long_profile_is_a_chunk_of_one_row",
+         lambda: _row_chunks([0, 1, 2], _CHUNK_ELEMS + 1), None, [[0], [1], [2]]),
         ("test_value_validation[negative]",
          lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), ValueError,
          "auto-fluctuation values must be >= 0"),

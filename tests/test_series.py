@@ -398,6 +398,14 @@ def reading(text):
     return call
 
 
+def warned_at(call):
+    """The name of the file that a warning of ``call`` points at."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return Path(caught[0].filename).name
+
+
 def from_matrix(ids, dates, matrix):
     days = np.array(dates, dtype="datetime64[D]")
     return lambda: RatePanel.from_matrix(ids, days, matrix)
@@ -408,6 +416,7 @@ AB, B2021 = RatePanel((A, B)), make_series([1, 2], "b", dt.date(2021, 1, 1))
 FULL = make_series(np.arange(5.0), "full")
 LATE = TimeSeries("late", FULL.dates[1:], [1, 2, 3, 4])
 TWO_DAYS = ["2020-01-01", "2020-01-02"]
+BAD_DATE_ROW = "date,a\nx,1\n2020-01-01,1\n2020-01-02,2\n"
 NO_WARNINGS = pytest.mark.filterwarnings("error")  # the ValueError alone
 
 RULES = {
@@ -417,6 +426,9 @@ RULES = {
          "p.csv: duplicate dates: 2020-01-01"),
         ("test_duplicate_label", reading("date,a,a\n2020-01-01,1,2\n2020-01-02,3,4\n"),
          SchemaError, "p.csv: duplicate column labels: a"),
+        ("test_duplicate_label_beside_a_unique_one",
+         reading("date,a,a,b\n2020-01-01,1,2,3\n2020-01-02,3,4,5\n"), SchemaError,
+         "p.csv: duplicate column labels: a"),
         # a quoted header cell may hold any of these; outputs write ids
         # unquoted, so such a label would shift every cell after it
         *[(f"test_label_with_csv_metacharacter[{c}]",
@@ -443,6 +455,12 @@ RULES = {
         ("test_longer_row_is_error", reading("date,a,b\n2020-01-02,1,2\n"
                                              "2020-01-01,1,2,99\n2020-01-03,3,4\n"),
          SchemaError, "p.csv:3: 3 value cells but the header names 2 columns"),
+        # the suite turns warnings into errors; the warning names the
+        # caller of load_panel
+        ("test_dropped_rows_warning", reading(BAD_DATE_ROW), UserWarning,
+         "p.csv: dropped 1 rows with unparseable dates"),
+        ("test_dropped_rows_warning_points_at_the_caller",
+         lambda: warned_at(reading(BAD_DATE_ROW)), None, "test_series.py"),
         ("test_non_finite_cell", reading("date,a,b\n2020-01-01,1,nan\n2020-01-02,2,5\n"
                                          "2020-01-03,3,6\n"),
          SchemaError, "p.csv: column 'b': non-finite values")],
@@ -467,6 +485,8 @@ RULES = {
          "series 'x': non-finite values"),
         ("test_rejects_unsorted_dates", lambda: TimeSeries("x", A.dates[::-1], [1, 2]),
          ValueError, "series 'x': dates not strictly increasing at 2000-01-04"),
+        ("test_rejects_repeated_date", lambda: TimeSeries("x", A.dates[:1] * 2, [1, 2]),
+         ValueError, "series 'x': dates not strictly increasing at 2000-01-03"),
         ("test_rejects_2d_values", lambda: TimeSeries("x", A.dates, [[1.0, 2.0]]),
          ValueError, "series 'x': values must be 1-D"),
         ("test_rejects_dates_values_length_mismatch",
@@ -483,8 +503,14 @@ RULES = {
          lambda: align(RatePanel((FULL, LATE)), policy="forward_fill", max_gap=2),
          AlignmentError, "series 'late': gap of 1 at series start cannot be "
                          "forward-filled (no prior value)"),
+        ("test_forward_fill_rejects_zero_max_gap",
+         lambda: align(AB, policy="forward_fill", max_gap=0), ValueError,
+         "forward_fill requires max_gap >= 1"),
         ("test_unknown_policy", lambda: align(AB, policy="pad"),
-         ValueError, "unknown alignment policy 'pad'")],
+         ValueError, "unknown alignment policy 'pad'"),
+        ("test_two_shared_dates",
+         lambda: len(align(RatePanel((FULL, TimeSeries("end", FULL.dates[3:], [1, 2]))))),
+         None, 2)],
     "TestIncrementsAndProfile": [
         *[(name, lambda x=x: list(profile_from_values(x, "t").values), None, want)
           for name, x, want in [
@@ -497,6 +523,12 @@ RULES = {
          ValueError, "'p': profile shorter than 2"),
         ("test_profile_must_telescope", lambda: Profile("p", np.array([1.0, 2.0])),
          ValueError, "'p': profile does not telescope to 0 (final value 2)"),
+        # the final value may reach 1e-9 of max(sum |steps|, 1), and no more
+        ("test_profile_final_value_at_tolerance",
+         lambda: Profile("p", np.array([0.0, 1e-9])).values[-1], None, 1e-9),
+        ("test_profile_final_value_above_tolerance",
+         lambda: Profile("p", np.array([0.0, 2e-9])), ValueError,
+         "'p': profile does not telescope to 0 (final value 2e-09)"),
         *[(f"test_profile_rejects_non_finite_increments[{bad}]",
            lambda bad=bad: profile_from_values([1.0, bad, 2.0, 0.5], "z9"),
            ValueError, "'z9': non-finite increments")
@@ -529,6 +561,9 @@ RULES = {
               ("test_from_matrix_rejects[unsorted-dates]", ["a"],
                ["2020-01-01", "2020-01-03", "2020-01-02"], [[1, 2, 3]],
                "panel dates not strictly increasing at 2020-01-03"),
+              ("test_from_matrix_rejects[repeated-date]", ["a"],
+               ["2020-01-01", "2020-01-01"], [[1, 2]],
+               "panel dates not strictly increasing at 2020-01-01"),
               ("test_from_matrix_rejects[infinite-cell]", ["a"], TWO_DAYS,
                [[1, np.inf]], "panel has non-finite values")]],
         ("test_date_outside_index_rejected", lambda: RatePanel((FULL,), FULL.dates[:2]),

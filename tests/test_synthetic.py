@@ -198,8 +198,23 @@ class TestSpecValidation:
     """FgnSpec and BlockSpec checks, the rows of RULES."""
 
 
+def embedding_at(scale):
+    """``_embedding`` at H = 0.5 of a 4-point spectrum whose negative
+    eigenvalues are ``scale`` times its rounding bound, 2 eps (1 + 2 + 3)."""
+    low = -scale * 12 * np.finfo(float).eps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthetic, "_embedding_eigenvalues",
+                   lambda n, h: np.array([1.0, low, 1.0, low]))
+        return synthetic._embedding(16, 0.5).tolist()
+
+
 OK_BLOCKS = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5, n=64)
 RULES = {
+    "TestGenerateFgn": [
+        ("test_embedding_rounding_bound[0.95]", lambda: embedding_at(0.95), None,
+         [1.0, 0.0, 1.0, 0.0]),
+        ("test_embedding_rounding_bound[1.05]", lambda: embedding_at(1.05), ValueError,
+         "circulant embedding for n=16, hurst=0.5 is not nonnegative definite")],
     "TestSpecValidation": [
         *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
            f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
@@ -214,6 +229,7 @@ RULES = {
               ("blocks", lambda v: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=v))]
           for sigma in (np.nan, np.inf, -np.inf)],
         ("test_block_bounds[ok]", lambda: BlockSpec(**OK_BLOCKS).n_blocks, None, 2),
+        ("test_block_default_sigma", lambda: BlockSpec(**OK_BLOCKS).sigma, None, 1.0),
         *[(f"test_block_bounds[{field}]",
            lambda field=field, bad=bad: BlockSpec(**{**OK_BLOCKS, field: bad}),
            ValueError, message) for field, bad, message in [
