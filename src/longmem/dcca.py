@@ -153,8 +153,9 @@ def pairwise_matrix(
     Residual segments are computed once per series and reused across
     pairs.  If any member has zero fluctuation at this scale the whole
     computation aborts with every offending id listed, because a matrix
-    with undefined holes is worse than no matrix.  ``threads`` is accepted
-    for compatibility and ignored.
+    with undefined holes is worse than no matrix.  ``threads`` is ignored;
+    it stays only because ``perfbench/kernels.py`` passes it, and ROADMAP
+    item 1c removes it.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before pairwise analysis")

@@ -267,11 +267,20 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
     Each value is counted once, in the bin [e_i, e_i+1) holding it; the
     last bin is closed.  A rounded edge can land a hair past the smallest
     or largest value, so the grid then gets one more bin on that side.
+    A width so small that the bin count overflows or reaches 2**60 (the
+    float64 values numpy can size) raises ValueError.
     """
-    v_min, v_max = values.min(), values.max()
-    k = math.floor(v_min / width)
-    lo = k * width if k * width <= v_min else (k - 1) * width
-    n_bins = max(1, math.ceil((v_max - lo) / width - 1e-9))
+    v_min, v_max = float(values.min()), float(values.max())
+    try:
+        k = math.floor(v_min / width)
+        lo = k * width if k * width <= v_min else (k - 1) * width
+        n_bins = max(1, math.ceil((v_max - lo) / width - 1e-9))
+    except OverflowError:  # a quotient past the float64 range
+        n_bins = math.inf
+    if n_bins >= 2 ** 60:
+        raise ValueError(f"bin width {float(width)!r} splits the exponent "
+                         f"range [{v_min:g}, {v_max:g}] into 2**60 or more "
+                         "bins")
     if lo + width * n_bins < v_max:
         n_bins += 1
     edges = lo + width * np.arange(n_bins + 1)
@@ -333,9 +342,9 @@ def hurst_distribution(
     rest; if all fail, the FitError counts and names them and gives their
     first distinct reasons.  The panel must be aligned so every member sees
     the same grid.  F(s) is computed for row chunks of members at once and
-    kept on each profile (see ``scaling``).  ``threads`` is accepted for
-    compatibility and ignored: one thread measured faster than a thread
-    pool.
+    kept on each profile (see ``scaling``).  ``threads`` is ignored: one
+    thread measured faster than a thread pool.  It stays only because
+    ``perfbench/kernels.py`` passes it, and ROADMAP item 1c removes it.
     """
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")

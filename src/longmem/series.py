@@ -56,7 +56,9 @@ def _as_days(dates) -> np.ndarray:
     """Read-only datetime64[D] copy of datetime.date objects or datetime64s."""
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
         return _frozen(dates.astype("datetime64[D]"))
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64)
+    count = len(dates) if hasattr(dates, "__len__") else -1
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64,
+                           count=count)
     return _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
 
 
@@ -137,8 +139,11 @@ class RatePanel:
     ``days`` is the ``datetime64[D]`` index and ``matrix`` the read-only
     ``(n_series, n_dates)`` array, NaN where a series has no observation.
     Built from :class:`TimeSeries` members, the index defaults to the union
-    of their dates.  ``series`` and :meth:`member` give row views holding
-    only each series' observed cells.
+    of their dates, and the panel keeps only the matrix it fills, not the
+    members.  On every panel ``series`` and :meth:`member` give row views
+    of ``matrix``, built once, holding only each series' observed cells: a
+    row without gaps is a view of ``matrix`` on ``days`` itself, a row with
+    gaps a copy of its observed cells and their dates.
     """
 
     __slots__ = ("ids", "days", "matrix", "_series", "_date_index")
@@ -161,7 +166,7 @@ class RatePanel:
                 raise ValueError(f"series {s.id!r} has dates outside the "
                                  f"panel's date index")
             matrix[i, pos] = s.values
-        self._set([s.id for s in series], days, matrix, series)
+        self._set([s.id for s in series], days, matrix)
 
     @classmethod
     def from_matrix(cls, ids, dates, matrix) -> "RatePanel":
@@ -170,10 +175,10 @@ class RatePanel:
         The panel keeps ``matrix`` (made read-only) rather than a copy.
         """
         panel = cls.__new__(cls)
-        panel._set(ids, _as_days(dates), np.asarray(matrix, dtype=float), None)
+        panel._set(ids, _as_days(dates), np.asarray(matrix, dtype=float))
         return panel
 
-    def _set(self, ids, days, matrix, series) -> None:
+    def _set(self, ids, days, matrix) -> None:
         ids = tuple(ids)
         if not ids:
             raise ValueError("panel has no series")
@@ -193,7 +198,7 @@ class RatePanel:
         if i is not None:
             raise ValueError(f"series {ids[i]!r}: length {counts[i]} < 2")
         self.ids, self.days, self.matrix = ids, days, _frozen(matrix)
-        self._series, self._date_index = series, None
+        self._series = self._date_index = None
 
     def _row(self, i: int) -> TimeSeries:
         row = self.matrix[i]
@@ -325,8 +330,18 @@ def _parse_cells(path, labels, lineno: int,
     return values, blank
 
 
+def _numbered(reader):
+    """``(line, cells)`` of each record of a ``csv.reader``, ``line`` being
+    the line the record starts on: a quoted cell may span lines."""
+    line = 1
+    for cells in reader:
+        yield line, cells
+        line = reader.line_num + 1
+
+
 def _records(text: str):
-    """The cell lists of each record of ``text``, as ``csv.reader`` gives them.
+    """``(line, cells)`` of each record of ``text``, the cells as
+    ``csv.reader`` gives them.
 
     Text holding no quote or NUL has no quoted cells, so its records are
     its lines, split at ``\\r\\n``, ``\\r`` or ``\\n``, and their cells the
@@ -335,15 +350,16 @@ def _records(text: str):
     enough to hold a cell past the reader's field limit, which it rejects.
     """
     if '"' in text or "\0" in text:
-        return csv.reader(io.StringIO(text, newline=""))
+        return _numbered(csv.reader(io.StringIO(text, newline="")))
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:  # a final line end starts no record
         lines.pop()
     if max(map(len, lines), default=0) > csv.field_size_limit():
-        return csv.reader(lines)
-    return (line.split(",") if line else [] for line in lines)
+        return _numbered(csv.reader(lines))
+    return enumerate((line.split(",") if line else [] for line in lines),
+                     start=1)
 
 
 def _plain_body(text: str) -> bool:
@@ -372,7 +388,7 @@ def _read_body(path, records, labels,
     values = array("d")
     blank = bytearray()
     n_bad_dates = 0
-    for lineno, row in enumerate(records, start=2):
+    for lineno, row in records:
         try:
             d = _iso_date(row[0].strip())
         except (IndexError, ValueError):
@@ -424,10 +440,10 @@ def load_panel(path) -> RatePanel:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
             records = _records(text)
-            header = next(records, None)
-            if header is None:
+            first = next(records, None)
+            if first is None:
                 raise SchemaError(f"{path}: empty file")
-            header = [h.strip() for h in header]
+            header = [h.strip() for h in first[1]]
             if len(header) < 2:
                 raise SchemaError(f"{path}: no value columns (header: {header})")
             labels = header[1:]

@@ -124,19 +124,24 @@ def _embedding(n: int, hurst: float) -> np.ndarray:
     return np.maximum(eigvals, 0.0)
 
 
-def _fgn_values(n: int, eigvals: np.ndarray, sigma: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Exact fGn of scale sigma via the circulant embedding ``eigvals``."""
+def _fgn_rows(rows: int, n: int, eigvals: np.ndarray, sigma: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """``rows`` exact fGn draws of scale sigma, as ``rows`` one-row calls."""
     m = eigvals.size // 2
     two_m = 2 * m
-    z = rng.standard_normal(two_m)
-    w = np.zeros(two_m, dtype=complex)
-    w[0] = np.sqrt(eigvals[0] / two_m) * z[0]
-    w[m] = np.sqrt(eigvals[m] / two_m) * z[1]
+    z = rng.standard_normal((rows, two_m))
+    w = np.zeros((rows, two_m), dtype=complex)
+    w[:, 0] = np.sqrt(eigvals[0] / two_m) * z[:, 0]
+    w[:, m] = np.sqrt(eigvals[m] / two_m) * z[:, 1]
     half = np.sqrt(eigvals[1:m] / (2.0 * two_m))
-    w[1:m] = half * (z[2:m + 1] + 1j * z[m + 1:])
-    w[m + 1:] = np.conj(w[1:m][::-1])
-    return sigma * np.fft.fft(w)[:n].real
+    w[:, 1:m] = half * (z[:, 2:m + 1] + 1j * z[:, m + 1:])
+    w[:, m + 1:] = np.conj(w[:, 1:m][:, ::-1])
+    with np.errstate(over="ignore"):  # checked below
+        draws = sigma * np.fft.fft(w)[:, :n].real
+    if not np.isfinite(draws).all():
+        raise ValueError(f"fGn draws of sigma {float(sigma)!r} overflow "
+                         "float64")
+    return draws
 
 
 def generate_fgn(spec: FgnSpec) -> TimeSeries:
@@ -146,8 +151,8 @@ def generate_fgn(spec: FgnSpec) -> TimeSeries:
     noise itself (increments), not integrated levels.
     """
     rng = np.random.default_rng(spec.seed)
-    values = _fgn_values(spec.n, _embedding(spec.n, spec.hurst), spec.sigma,
-                         rng)
+    values = _fgn_rows(1, spec.n, _embedding(spec.n, spec.hurst), spec.sigma,
+                       rng)[0]
     return TimeSeries(f"fgn-h{spec.hurst:g}-seed{spec.seed}",
                       _trading_days(spec.n), values)
 
@@ -162,13 +167,11 @@ def generate_blocks(spec: BlockSpec) -> RatePanel:
     """
     rng = np.random.default_rng(spec.seed)
     eigvals = _embedding(spec.n, spec.hurst)
-    ids = []
-    matrix = np.empty((spec.n_blocks * spec.block_size, spec.n))
-    for b in range(1, spec.n_blocks + 1):
-        common = _fgn_values(spec.n, eigvals, spec.sigma, rng)
-        for m in range(1, spec.block_size + 1):
-            own = _fgn_values(spec.n, eigvals, spec.sigma, rng)
-            matrix[len(ids)] = (spec.common_weight * common
-                                + (1.0 - spec.common_weight) * own)
-            ids.append(f"b{b}:m{m}")
+    size, w = spec.block_size, spec.common_weight
+    matrix = np.empty((spec.n_blocks * size, spec.n))
+    for b in range(spec.n_blocks):
+        draw = _fgn_rows(size + 1, spec.n, eigvals, spec.sigma, rng)
+        matrix[b * size:(b + 1) * size] = w * draw[0] + (1.0 - w) * draw[1:]
+    ids = [f"b{b}:m{m}" for b in range(1, spec.n_blocks + 1)
+           for m in range(1, size + 1)]
     return RatePanel.from_matrix(ids, _trading_days(spec.n), matrix)

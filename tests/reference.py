@@ -5,10 +5,17 @@ loops, np.polyfit on the raw abscissa) so they share no code path with the
 vectorized production implementation.  Used as brute-force oracles.
 """
 
+import csv
+import datetime as dt
+import io
+import math
+import re
+
 import numpy as np
 
-from longmem.errors import AlignmentError
+from longmem.errors import AlignmentError, SchemaError
 from longmem.scaling import DetrendMethod
+from longmem.synthetic import _embedding, _trading_days
 
 
 def naive_segment_ranges(n: int, s: int) -> list[tuple[int, int]]:
@@ -113,3 +120,164 @@ def naive_forward_fill(series_id, dates, values, index, max_gap):
         out_dates.extend(run)
         out_values.extend([out_values[-1]] * len(run))
     return out_dates, out_values
+
+
+def naive_fgn_row(n, eigvals, sigma, rng):
+    """One exact fGn draw through the circulant embedding ``eigvals``."""
+    m = eigvals.size // 2
+    two_m = 2 * m
+    z = rng.standard_normal(two_m)
+    w = np.zeros(two_m, dtype=complex)
+    w[0] = np.sqrt(eigvals[0] / two_m) * z[0]
+    w[m] = np.sqrt(eigvals[m] / two_m) * z[1]
+    half = np.sqrt(eigvals[1:m] / (2.0 * two_m))
+    w[1:m] = half * (z[2:m + 1] + 1j * z[m + 1:])
+    w[m + 1:] = np.conj(w[1:m][::-1])
+    return sigma * np.fft.fft(w)[:n].real
+
+
+def naive_blocks(spec):
+    """Ids and matrix of a block panel, drawn one series at a time.
+
+    Each block draws its factor, then each member its own noise, all from
+    one generator seeded with ``spec.seed``.
+    """
+    rng = np.random.default_rng(spec.seed)
+    eigvals = _embedding(spec.n, spec.hurst)
+    ids, rows = [], []
+    for b in range(1, spec.n_blocks + 1):
+        common = naive_fgn_row(spec.n, eigvals, spec.sigma, rng)
+        for m in range(1, spec.block_size + 1):
+            own = naive_fgn_row(spec.n, eigvals, spec.sigma, rng)
+            rows.append(spec.common_weight * common
+                        + (1.0 - spec.common_weight) * own)
+            ids.append(f"b{b}:m{m}")
+    return tuple(ids), np.array(rows), _trading_days(spec.n)
+
+
+def naive_modularity(ids, edges, assignment, resolution):
+    """Reichardt & Bornholdt's Q on the positive-weight edges.
+
+    Q = (1/2m) sum_ij (A_ij - resolution * k_i k_j / 2m) delta(c_i, c_j),
+    summed over every ordered node pair (PRE 74, 016110, 2006).
+    """
+    index = {node: i for i, node in enumerate(ids)}
+    a = [[0.0] * len(ids) for _ in ids]
+    for u, v, w in edges:
+        if w > 0.0:
+            a[index[u]][index[v]] += w
+            a[index[v]][index[u]] += w
+    k = [sum(row) for row in a]
+    two_m = sum(k)
+    comm = dict(assignment)
+    q = 0.0
+    for i in range(len(ids)):
+        for j in range(len(ids)):
+            if comm[ids[i]] == comm[ids[j]]:
+                q += a[i][j] - resolution * k[i] * k[j] / two_m
+    return q / two_m
+
+
+# README's panel grammar: a value cell is an ASCII decimal as float() reads
+# it, without "_" (inf and nan parse, and are then rejected as non-finite);
+# a date is ASCII YYYY-MM-DD naming a calendar day
+CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                  r"|(?i:inf|infinity|nan))")
+DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+
+
+def naive_date(text):
+    """The date of a stripped date cell, or None."""
+    match = DATE.fullmatch(text.strip())
+    try:
+        return match and dt.date(*map(int, match.groups()))
+    except ValueError:
+        return None
+
+
+def naive_load(text, path="p.csv"):
+    """What README says ``load_panel`` makes of a file holding ``text``.
+
+    Reads record by record with ``csv.reader``.  Returns ``(ids, dates,
+    rows, warnings)``, ``rows`` holding one list per date with a value,
+    NaN where a cell is blank.  A rejected file gives ``(exception type,
+    line, message, warnings)``, ``line`` being the file line where the
+    offending record starts (None when the fault is not in one record).
+    A csv error (a field past the reader's limit) comes when the reading
+    reaches it.
+    """
+    def fail(line, message, warned=()):
+        return SchemaError, line, message, list(warned)
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records, start, unreadable = [], 1, None
+    try:
+        for cells in reader:
+            records.append((start, cells))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        unreadable = fail(None, f"{path}: {exc}")
+    if not records:
+        return unreadable or fail(None, f"{path}: empty file")
+    header = [h.strip() for h in records[0][1]]
+    if len(header) < 2:
+        return fail(None, f"{path}: no value columns (header: {header})")
+    labels = header[1:]
+    repeated = sorted({l for l in labels if labels.count(l) > 1})
+    if repeated:
+        return fail(None, f"{path}: duplicate column labels: "
+                          f"{', '.join(repeated)}")
+    if "" in labels:
+        return fail(None, f"{path}: empty column label in header")
+    for label in labels:
+        if set(label) & set(',"\r\n'):
+            return fail(None, f"{path}: column label {label!r} contains a "
+                              "comma, quote or line break")
+
+    table, bad_dates = {}, 0
+    for line, row in records[1:]:
+        date = naive_date(row[0]) if row else None
+        if date is None:
+            if any(c.strip() for c in row):
+                bad_dates += 1
+            continue
+        cells = row[1:]
+        if len(cells) > len(labels):
+            return fail(line, f"{path}:{line}: {len(cells)} value cells but "
+                              f"the header names {len(labels)} columns")
+        values = []
+        for label, cell in zip(labels, cells + [""] * len(labels)):
+            if cell.isascii():
+                cell = cell.strip()
+            if not cell:
+                values.append(None)
+            elif cell.isascii() and CELL.fullmatch(cell):
+                values.append(float(cell))
+            else:
+                return fail(line, f"{path}:{line}: column {label!r}: "
+                                  f"non-numeric cell {cell!r}")
+        table.setdefault(date, []).append(values)
+    if unreadable:
+        return unreadable
+    warned = ([f"{path}: dropped {bad_dates} rows with unparseable dates"]
+              if bad_dates else [])
+
+    repeated = sorted(d for d, rows in table.items() if len(rows) > 1)
+    if repeated:
+        return fail(None, f"{path}: duplicate dates: "
+                          + ", ".join(map(str, repeated)), warned)
+    dates = sorted(table)
+    rows = [table[d][0] for d in dates]
+    for j, label in enumerate(labels):
+        column = [row[j] for row in rows if row[j] is not None]
+        if len(column) < 2:
+            return fail(None, f"{path}: column {label!r} has {len(column)} "
+                              "observations (< 2)", warned)
+        if not all(map(math.isfinite, column)):
+            return fail(None, f"{path}: column {label!r}: non-finite values",
+                        warned)
+    kept = [(d, row) for d, row in zip(dates, rows)
+            if row.count(None) < len(row)]
+    return (tuple(labels), [d for d, _ in kept],
+            [[math.nan if v is None else v for v in row] for _, row in kept],
+            warned)

@@ -9,6 +9,7 @@ flag parsing, file layout, determinism, and error-path exit codes.
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,9 +38,16 @@ from longmem.cli import (
     resolve_config,
 )
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
-from longmem.synthetic import BlockSpec, FgnSpec, generate_blocks, generate_fgn
+from longmem.synthetic import (
+    BlockSpec,
+    FgnSpec,
+    generate_blocks,
+    generate_fgn,
+    trading_dates,
+)
 
 from conftest import ramp_panel
+from reference import naive_modularity
 
 
 def run(args) -> int:
@@ -325,16 +333,20 @@ def test_every_numeric_flag_has_one_range_row():
     numeric = {_parse_int, _parse_float, _parse_int_list, _parse_blocks}
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = set()
+    flags, floats = set(), set()
     for parser in sub.choices.values():
         for action in parser._actions:
-            if getattr(action.type, "func", action.type) not in numeric:
+            parse = getattr(action.type, "func", action.type)
+            if parse not in numeric:
                 continue
             flag = action.option_strings[0]
             flags.add(flag)
+            if parse is _parse_float:
+                floats.add(flag)
             rows = [(f, dest) for f, dest, *_ in _RANGES if f == flag]
             assert rows == ([] if flag in UNBOUNDED else [(flag, action.dest)])
     assert flags == {row[0] for row in _RANGES} | set(UNBOUNDED)
+    assert floats == {flag for _, flag in FLOAT_FLAGS}  # FLOAT_EXTREMES runs each
 
 
 # Accepted range edges, and README's values of 10**20 on unbounded sides: a
@@ -412,6 +424,14 @@ RUNTIME_RULES = [
     (["hurst", "--input", "blocks.csv", *INCREMENTS, "--scales", "10,20,400"],
      "no panel member produced a usable fit: 4 failed (b1:m1, b1:m2, b2:m1, "
      "b2:m2); scale 400 exceeds half the profile length 600"),
+    # a histogram of 2**60 or more bins: a quotient past the float64 range
+    # (a subnormal width), then a finite count numpy cannot size
+    (["hurst", "--input", "blocks.csv", *INCREMENTS, "--bin-width", "1e-320"],
+     "bin width 1e-320 splits the exponent range [0.640555, 0.767503] into "
+     "2**60 or more bins"),
+    (["report", "--input", "abc.csv", "--bin-width", "1e-300"],
+     "bin width 1e-300 splits the exponent range [0.450668, 0.482318] into "
+     "2**60 or more bins"),
 ]
 
 
@@ -420,6 +440,32 @@ RUNTIME_RULES = [
 def test_runtime_rule_exits_two_without_outputs(panel_dir, tmp_path, capsys,
                                                 monkeypatch, argv, message):
     assert_rule(argv, 2, message, panel_dir, tmp_path, capsys, monkeypatch)
+
+
+def admitted_max(flag):
+    """The largest double a float flag's _RANGES row admits."""
+    _, _, _, high, ends = next(row for row in _RANGES if row[0] == flag)
+    if high is None:
+        return sys.float_info.max
+    return float(high) if ends[1] == "]" else float(np.nextafter(high, 0.0))
+
+
+# Each float flag at the smallest double and at the largest its range admits
+FLOAT_EXTREMES = [[*base, f"{flag}={value!r}"] for base, flag in FLOAT_FLAGS
+                  for value in (5e-324, admitted_max(flag))]
+
+
+@pytest.mark.parametrize("argv", FLOAT_EXTREMES, ids=" ".join)
+def test_float_flag_extremes_end_cleanly(panel_dir, tmp_path, capsys,
+                                         monkeypatch, argv):
+    monkeypatch.chdir(panel_dir)
+    code = run([*argv, "--output-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert [l for l in lines if l.startswith("error:")] == lines[-1:]
 
 
 def test_oversized_allocation_exits_two(panel_dir, tmp_path, capsys, monkeypatch):
@@ -843,6 +889,36 @@ def test_period_windows_write_subdirectories(panel_dir, tmp_path):
     assert not (out / "degree_vs_scale.csv").exists()
     payload = json.loads((out / "network.json").read_text())
     assert [p["prefix"] for p in payload] == ["period_1", "period_2"]
+
+
+def test_written_modularity_matches_its_formula(tmp_path):
+    # two blocks of three and a member mirroring b1m1, so every network has
+    # positive edges, negative edges and more than one community
+    n = 600
+    factors = [generate_fgn(FgnSpec(n=n, hurst=0.5, seed=s)).values
+               for s in (20, 21)]
+    noise = [generate_fgn(FgnSpec(n=n, hurst=0.5, seed=s)).values
+             for s in range(100, 107)]
+    rows = [0.7 * factors[k // 3] + 0.3 * noise[k] for k in range(6)]
+    rows.append(0.2 * noise[6] - rows[0])
+    ids = [f"b{k // 3 + 1}m{k % 3 + 1}" for k in range(6)] + ["neg"]
+    (tmp_path / "p.csv").write_text(panel_to_csv(
+        RatePanel.from_matrix(ids, trading_dates(n), np.array(rows))))
+    out = tmp_path / "out"
+    assert run(["network", "--input", tmp_path / "p.csv", "--output-dir", out,
+                *INCREMENTS, "--scale", "10,40", "--threshold", "0.5",
+                "--resolution", "0.8", "--period", "2000-01-03:2001-02-23",
+                "--period", "2001-02-26:2002-04-19"]) == 0
+    payload = json.loads((out / "network.json").read_text())
+    assert len(payload) == 4
+    for entry in payload:
+        net, part = entry["network"], entry["partition"]
+        assert min(w for *_, w in net["edges"]) < 0 < max(w for *_, w in net["edges"])
+        assert len({c for _, c in part["assignment"]}) > 1
+        q = naive_modularity(net["ids"], net["edges"], part["assignment"],
+                             part["resolution"])
+        assert part["resolution"] == 0.8
+        assert math.isclose(part["modularity_q"], q, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

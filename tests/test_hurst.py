@@ -541,6 +541,12 @@ RULES = {
            ValueError, "bin_width must be positive and finite") for name, w in [
               ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
               ("test_non_finite_bin_width[inf]", np.inf)]],
+        # 2**60 bins, the float64 values numpy can size, and a bin count
+        # whose quotient overflows
+        *[(f"test_histogram_bin_count_bound[{w!r}]",
+           lambda w=w: _histogram(np.array([0.5, 0.75]), w), ValueError,
+           f"bin width {w!r} splits the exponent range [0.5, 0.75] into 2**60 "
+           "or more bins") for w in (2.0 ** -62, 5e-324)],
         ("test_five_members_failing",
          lambda: hurst_distribution(flat_panel(5), dfa(1)), FitError,
          "no panel member produced a usable fit: 5 failed (f0, f1, f2, f3, f4); "

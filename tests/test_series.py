@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import re
 import tempfile
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longmem.errors import AlignmentError, SchemaError
@@ -23,7 +24,7 @@ from longmem.series import (
 )
 
 from conftest import make_panel, make_series, rule_tests
-from reference import naive_forward_fill
+from reference import naive_forward_fill, naive_load
 
 
 class TestTimeSeries:
@@ -151,29 +152,56 @@ BAD_DATES = st.sampled_from(["", " ", "2020-13-01", "x", " 2020-01-02 ",
                              "2020-01-01"])
 
 
+# past the reader's limit for one field, and at it (1e131071 and 1.0)
+LIMIT = csv.field_size_limit()
+LONG_CELLS = ["x" * (LIMIT + 1), "1" + "0" * (LIMIT - 1), "0" * (LIMIT - 1) + "1"]
+WIDE_CELLS = st.one_of(BAD_CELLS, st.sampled_from([
+    '"1.5"', '" 2 "', '""', '"1,5"', '"3\n4"', '"a""b"', "1_0", "\u0663",
+    "\u0661.5", "\uff11", "1\x00", "\x00", "\ufeff1", "1e999", "-nan",
+    "+Infinity", ".5", "5.", "1E+5", ".", "0x1", "1\u2028", *LONG_CELLS]))
+WIDE_DATES = st.one_of(BAD_DATES, st.sampled_from([
+    '"2020-01-03"', "\ufeff2020-01-01", "2020-01-0\u0663", "20200102",
+    "2020-W01-4", "0000-01-01", "2020-02-30", "\u20282020-01-04", '"x\ny"']))
+LABELS = st.sampled_from(["a", "b", "c", "\u00e9", "a_b", "\u0663", '"d"',
+                          '" e "', "f\x00"])
+BAD_LABELS = st.sampled_from(['"f,g"', '"h""i"', '"j\nk"', '""', " ", "a"])
+
+
 @st.composite
-def panel_texts(draw):
+def panel_texts(draw, wide=False):
     """Unquoted panel text on unordered dates with blank and padded cells
     and mixed line ends; about one row in four is a blank line, has a bad
-    or repeated date, is short or long, or holds an odd cell."""
+    or repeated date, is short or long, or holds an odd cell.
+
+    ``wide`` text may also start with a BOM and hold quoted labels, dates
+    and cells, NUL, ``_``, non-ASCII digits and fields at or past the
+    reader's limit; about one label in ten is one the reader rejects."""
     width = draw(st.integers(1, 3))
-    lines = ["date," + ",".join("abc"[:width])]
+    labels = list("abc"[:width])
+    if wide:
+        labels = draw(st.lists(LABELS, min_size=width, max_size=width,
+                               unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            labels[-1] = draw(BAD_LABELS)
+    lines = [",".join(["date", *labels])]
     for date in draw(st.permutations(DATES))[:draw(st.integers(0, len(DATES)))]:
         rare = draw(st.integers(0, 19))
         if rare == 0:
             lines.append(draw(st.sampled_from(["", " ", ", ,"])))
             continue
         if rare == 1:
-            date = draw(BAD_DATES)
+            date = draw(WIDE_DATES if wide else BAD_DATES)
         n = {2: width - 1, 3: width + 1}.get(rare, width)
-        cells = draw(st.lists(BAD_CELLS if rare == 4 else CELLS,
+        odd = WIDE_CELLS if wide else BAD_CELLS
+        cells = draw(st.lists(odd if rare == 4 else CELLS,
                               min_size=n, max_size=n))
         lines.append(",".join([date, *cells]))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
     if draw(st.booleans()):
         ends[-1] = ""
-    return "".join(line + end for line, end in zip(lines, ends))
+    bom = "\ufeff" if wide and draw(st.booleans()) else ""
+    return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
 class TestReaderPaths:
@@ -196,6 +224,45 @@ class TestReaderPaths:
         p.write_bytes(b"date,a\r\n2020-01-01,1\r2020-01-02,2\n\r\n2020-01-03,3")
         panel = load_panel(p)
         assert list(panel.member("a").values) == [1.0, 2.0, 3.0]
+
+
+def reader_outcome(text):
+    """load_panel's reading of ``text`` in naive_load's terms."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                panel = load_panel(path)
+            except Exception as exc:
+                line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+                got = (type(exc), line and int(line[1]), str(exc))
+            else:
+                got = (panel.ids, list(panel.date_index), panel.matrix.T)
+        return got, [str(w.message) for w in caught], naive_load(text, str(path))
+
+
+class TestReaderOracle:
+    """load_panel reads every file as README's grammar does."""
+
+    @settings(max_examples=150)
+    @given(panel_texts(wide=True))
+    # a column of two cells, one non-finite; a multi-line quoted cell; a
+    # line exactly at the field limit; blank header lines
+    @example("date,a,b\n2020-01-01,1,nan\n2020-01-02,2,5\n")
+    @example('date,a\nx,"1\n2"\n2020-01-01,zz\n')
+    @example("date,a\n2020-01-01," + "0" * (LIMIT - 12) + "1\n2020-01-02,2\n")
+    @example("\ndate,a\n2020-01-01,\u0663\n")
+    @example("\rdate,a_b\r2020-01-01,1\r")
+    def test_load_panel_agrees_with_naive_load(self, text):
+        got, warned, expected = reader_outcome(text)
+        if isinstance(got[0], type):
+            assert (*got, warned) == expected
+        else:
+            ids, dates, rows, naive_warned = expected
+            assert (got[:2], warned) == ((ids, dates), naive_warned)
+            assert got[2].tobytes() == np.array(rows, dtype=float).tobytes()
 
 
 class TestAlign:
@@ -377,6 +444,16 @@ class TestRatePanel:
         assert sub.is_aligned
         with pytest.raises(AlignmentError, match="'a'.*keeps 1"):
             panel.restrict(dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+
+    def test_built_panel_hands_out_row_views(self):
+        a, b = make_series([1.0, 2.0, 4.0], "a"), make_series([3.0, 1.0, 2.0], "b")
+        panel = RatePanel((a, b))
+        for i in panel.ids:
+            member = panel.member(i)
+            assert np.shares_memory(member.values, panel.matrix)
+            assert member.days is panel.days
+        assert panel.member("a") is not a
+        assert panel.series == tuple(map(panel.member, panel.ids))
 
     def test_members_from_any_iterable(self):
         panel = RatePanel(s for s in (A, B))

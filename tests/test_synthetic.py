@@ -19,6 +19,7 @@ from longmem.synthetic import (
 from longmem import synthetic
 
 from conftest import rule_tests
+from reference import naive_blocks, naive_fgn_row
 
 
 class TestAutocovariance:
@@ -105,6 +106,12 @@ class TestGenerateFgn:
                 f = fluctuation(prof, default_grid(len(prof)), dfa(1))
                 ests.append(fit_hurst(f).hurst)
             assert np.mean(ests) == pytest.approx(target, abs=0.05)
+
+    def test_matches_one_row_oracle(self):
+        spec = FgnSpec(n=1000, hurst=0.6, seed=9, sigma=1.5)
+        row = naive_fgn_row(spec.n, synthetic._embedding(spec.n, spec.hurst),
+                            spec.sigma, np.random.default_rng(spec.seed))
+        assert generate_fgn(spec).values.tobytes() == row.tobytes()
 
     def test_embedding_nonnegative_definite(self):
         hursts = [0.01] + [round(0.05 * k, 2) for k in range(1, 20)] + [0.99]
@@ -193,6 +200,19 @@ class TestGenerateBlocks:
         generate_blocks(self.SPEC)
         assert calls == [(self.SPEC.n, self.SPEC.hurst)]
 
+    @pytest.mark.parametrize("spec", [
+        BlockSpec(30, 10, 0.6, 0.7, n=3000, seed=44),  # the CLI's synth panel
+        BlockSpec(2, 2, 0.0, 0.3, n=16, seed=0, sigma=2.5),
+        BlockSpec(3, 5, 1.0, 0.9, n=1025, seed=7),
+        BlockSpec(4, 3, 0.5, 0.5, n=777, seed=123, sigma=0.1),
+    ], ids=repr)
+    def test_matches_one_series_at_a_time(self, spec):
+        ids, matrix, days = naive_blocks(spec)
+        panel = generate_blocks(spec)
+        assert panel.ids == ids
+        assert np.array_equal(panel.days, days)
+        assert panel.matrix.tobytes() == matrix.tobytes()
+
 
 class TestSpecValidation:
     """FgnSpec and BlockSpec checks, the rows of RULES."""
@@ -208,13 +228,20 @@ def embedding_at(scale):
         return synthetic._embedding(16, 0.5).tolist()
 
 
+MAX = np.finfo(float).max
 OK_BLOCKS = dict(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.5, n=64)
 RULES = {
     "TestGenerateFgn": [
         ("test_embedding_rounding_bound[0.95]", lambda: embedding_at(0.95), None,
          [1.0, 0.0, 1.0, 0.0]),
         ("test_embedding_rounding_bound[1.05]", lambda: embedding_at(1.05), ValueError,
-         "circulant embedding for n=16, hurst=0.5 is not nonnegative definite")],
+         "circulant embedding for n=16, hurst=0.5 is not nonnegative definite"),
+        *[(f"test_sigma_past_float64[{kind}]", make, ValueError,
+           "fGn draws of sigma 1.7976931348623157e+308 overflow float64")
+          for kind, make in [
+              ("fgn", lambda: generate_fgn(FgnSpec(64, 0.6, sigma=MAX))),
+              ("blocks", lambda: generate_blocks(BlockSpec(2, 2, 0.5, 0.7, 64,
+                                                           sigma=MAX)))]]],
     "TestSpecValidation": [
         *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
            f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
