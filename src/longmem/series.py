@@ -56,9 +56,7 @@ def _as_days(dates) -> np.ndarray:
     """Read-only datetime64[D] copy of datetime.date objects or datetime64s."""
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
         return _frozen(dates.astype("datetime64[D]"))
-    count = len(dates) if hasattr(dates, "__len__") else -1
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64,
-                           count=count)
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64)
     return _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
 
 

@@ -124,6 +124,11 @@ def _embedding(n: int, hurst: float) -> np.ndarray:
     return np.maximum(eigvals, 0.0)
 
 
+# Normals per _fgn_rows call of generate_blocks: the call's float and
+# complex temporaries stay near 2 MB, and a longer embedding is one row.
+_DRAW_ELEMS = 40_000
+
+
 def _fgn_rows(rows: int, n: int, eigvals: np.ndarray, sigma: float,
              rng: np.random.Generator) -> np.ndarray:
     """``rows`` exact fGn draws of scale sigma, as ``rows`` one-row calls."""
@@ -163,15 +168,21 @@ def generate_blocks(spec: BlockSpec) -> RatePanel:
     Member values are common_weight * block_factor +
     (1 - common_weight) * own_noise, every component drawn at the same
     Hurst exponent, so the embedding eigenvalues are built once per call.
+    Each block draws its factor, then its members in row chunks of at most
+    ``_DRAW_ELEMS`` normals, written straight into the panel's rows.
     Ids follow the "b<block>:m<member>" pattern.
     """
     rng = np.random.default_rng(spec.seed)
     eigvals = _embedding(spec.n, spec.hurst)
     size, w = spec.block_size, spec.common_weight
+    rows = max(1, _DRAW_ELEMS // eigvals.size)
     matrix = np.empty((spec.n_blocks * size, spec.n))
-    for b in range(spec.n_blocks):
-        draw = _fgn_rows(size + 1, spec.n, eigvals, spec.sigma, rng)
-        matrix[b * size:(b + 1) * size] = w * draw[0] + (1.0 - w) * draw[1:]
+    for start in range(0, matrix.shape[0], size):
+        common = w * _fgn_rows(1, spec.n, eigvals, spec.sigma, rng)[0]
+        for lo in range(start, start + size, rows):
+            hi = min(lo + rows, start + size)
+            own = _fgn_rows(hi - lo, spec.n, eigvals, spec.sigma, rng)
+            matrix[lo:hi] = common + (1.0 - w) * own
     ids = [f"b{b}:m{m}" for b in range(1, spec.n_blocks + 1)
            for m in range(1, size + 1)]
     return RatePanel.from_matrix(ids, _trading_days(spec.n), matrix)

@@ -49,6 +49,9 @@ PINNED = {
 MARGINS = {
     "_CHUNK_ELEMS": "rows per engine chunk: each member's values are bit for "
                     "bit those of a one-row engine, whatever the chunk size",
+    "_DRAW_ELEMS": "rows per block draw of generate_blocks: the generator "
+                   "fills rows in the order one-row draws do, so every panel "
+                   "is bit for bit the one-series-at-a-time oracle's",
 }
 
 

@@ -213,6 +213,22 @@ class TestGenerateBlocks:
         assert np.array_equal(panel.days, days)
         assert panel.matrix.tobytes() == matrix.tobytes()
 
+    @pytest.mark.parametrize("n", [16, 3000, 40000])
+    def test_each_draw_stays_within_its_budget(self, monkeypatch, n):
+        # a draw is one row, or rows whose normals fit _DRAW_ELEMS
+        calls = []
+        original = synthetic._fgn_rows
+
+        def recording(rows, n, eigvals, sigma, rng):
+            calls.append((rows, eigvals.size))
+            return original(rows, n, eigvals, sigma, rng)
+
+        monkeypatch.setattr(synthetic, "_fgn_rows", recording)
+        generate_blocks(BlockSpec(2, 12, 0.6, 0.7, n=n))
+        assert sum(rows for rows, _ in calls) == 2 * 13
+        assert all(rows == 1 or rows * size <= synthetic._DRAW_ELEMS
+                   for rows, size in calls)
+
 
 class TestSpecValidation:
     """FgnSpec and BlockSpec checks, the rows of RULES."""
