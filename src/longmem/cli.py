@@ -726,7 +726,8 @@ def _network_outputs(run: _Run, panel: RatePanel, prefix: str,
 def _run_hurst(run: _Run) -> None:
     dist = _hurst_outputs(run, _load_aligned(run.cfg), "")
     lo, hi = dist.mode_bin
-    print(f"estimated {len(dist.estimates)} series, {len(run.failures)} failed; "
+    failed = len({sid for sid, _ in run.failures})
+    print(f"estimated {len(dist.estimates)} series, {failed} failed; "
           f"mode bin [{lo:.2f}, {hi:.2f})")
 
 

@@ -97,12 +97,11 @@ def fit_hurst(
         )
 
     s_used = f.scales[usable]
-    log_s = np.log10(s_used.astype(float))
-    log_f = np.log10(f.values[usable])
-    if np.ptp(log_s) == 0.0:
+    points = _log_points(f, usable)
+    if np.ptp(points[0]) == 0.0:
         raise FitError(f"{f.series_id!r}: all usable scales identical")
 
-    slope, intercept, r, stderr, _ = _fit_line(log_s, log_f)
+    slope, intercept, r, stderr, _ = _fit_line(points)
     return HurstEstimate(
         series_id=f.series_id,
         hurst=slope,
@@ -115,20 +114,25 @@ def fit_hurst(
     )
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray
-              ) -> tuple[float, float, float, float, float]:
+def _log_points(f: FluctuationFunction, keep: np.ndarray) -> np.ndarray:
+    """The kept (log10 s, log10 F) points of ``f`` as one (2, L) array."""
+    return np.log10(np.stack((f.scales[keep].astype(float), f.values[keep])))
+
+
+def _fit_line(points: np.ndarray) -> tuple[float, float, float, float, float]:
     """Least-squares line: (slope, intercept, r, stderr, sse).
 
-    The moments are those of ``np.cov(x, y, bias=1)``, formed as it forms
-    them (stack, center, ``X @ X.T``, scale by 1/n) without its overhead,
-    so the first four match ``scipy.stats.linregress`` bit for bit.  r is
-    clamped to [-1, 1]; for flat y it is 0, or NaN when the cross moment is
-    exactly 0 as well.  stderr is NaN for two points.
+    ``points`` is (2, L), x over y: a ``_log_points`` array or a column
+    slice of one.  The moments are those of ``np.cov(x, y, bias=1)``,
+    formed as it forms them (center, ``X @ X.T``, scale by 1/n) without
+    its overhead, so the first four match ``scipy.stats.linregress`` bit
+    for bit.  r is clamped to [-1, 1]; for flat y it is 0, or NaN when the
+    cross moment is exactly 0 as well.  stderr is NaN for two points.
     """
+    x, y = points
     n = x.size
-    d = np.stack((x, y))
-    mean = np.add.reduce(d, axis=1) / n
-    d -= mean[:, None]
+    mean = np.add.reduce(points, axis=1) / n
+    d = points - mean[:, None]
     ssxm, ssxym, _, ssym = ((d @ d.T) * (1.0 / n)).flat
     if ssxm == 0.0 or ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
@@ -187,15 +191,14 @@ def detect_crossover(
             f"{f.series_id!r}: {n_pts} usable scales, need at least "
             f"{2 * min_side_points + 1} for a crossover search"
         )
-    log_s = np.log10(scales.astype(float))
-    log_f = np.log10(f.values[usable])
+    points = _log_points(f, usable)
 
-    *_, sse_single = _fit_line(log_s, log_f)
+    *_, sse_single = _fit_line(points)
 
     best = (math.inf, 0.0, 0.0, 0)  # sse, slope_left, slope_right, k
     for k in range(min_side_points - 1, n_pts - min_side_points):
-        sl, *_, sse_l = _fit_line(log_s[: k + 1], log_f[: k + 1])
-        sr, *_, sse_r = _fit_line(log_s[k + 1 :], log_f[k + 1 :])
+        sl, *_, sse_l = _fit_line(points[:, : k + 1])
+        sr, *_, sse_r = _fit_line(points[:, k + 1 :])
         sse = sse_l + sse_r
         tie = max(_SSE_FLOOR, _SSE_TIE_REL * max(sse, best[0]))
         if sse <= best[0] + tie:

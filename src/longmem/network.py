@@ -136,6 +136,15 @@ class CommunityPartition:
         }
 
 
+def _total(values) -> float:
+    """Floats added left to right, as Python 3.11's builtin ``sum`` does;
+    its compensated form from 3.12 on would move Q and gains by a bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _modularity(
     n_nodes: int,
     edges: list[tuple[int, int, float]],
@@ -147,7 +156,7 @@ def _modularity(
     for u, v, w in edges:
         strength[u] += w
         strength[v] += w
-    two_m = sum(strength)
+    two_m = _total(strength)
     if two_m == 0.0:
         return 0.0
     q = 0.0
@@ -158,7 +167,7 @@ def _modularity(
     for u in range(n_nodes):
         tot[comm[u]] = tot.get(comm[u], 0.0) + strength[u]
     q /= two_m
-    q -= resolution * sum(t * t for t in tot.values()) / (two_m * two_m)
+    q -= resolution * _total(t * t for t in tot.values()) / (two_m * two_m)
     return q
 
 
@@ -169,8 +178,9 @@ def _louvain_level(
     order: np.ndarray,
 ) -> list[int] | None:
     """One local-move phase; returns the assignment or None if nothing moved."""
-    strength = [2.0 * lp + sum(nb.values()) for lp, nb in zip(loops, neighbors)]
-    two_m = sum(strength)
+    strength = [2.0 * lp + _total(nb.values())
+                for lp, nb in zip(loops, neighbors)]
+    two_m = _total(strength)
     if two_m == 0.0:
         return None  # edgeless graph: nothing to move
     comm = list(range(len(loops)))

@@ -32,18 +32,17 @@ which builds each series' profile once per input kind:
   two cumsum slices over the window length, the interior and the < s
   boundary points (where the window is truncated) alike.  The residual
   y - trend is formed once per scale over the whole profile, in place,
-  and the forward and backward segments are the views
-  ``r[:, :k*s].reshape(m, k, s)`` and
-  ``r[:, n-k*s:].reshape(m, k, s)[:, ::-1]``.  A
-  per-segment moving average would be ill-defined near segment edges.
-- DFA concatenates each member's segments into one (m, 2k, s) block,
-  projects it onto the polynomial basis in one stacked product and
-  subtracts and squares in place.  The block is never flattened to
-  (m * 2k, s): a product's bits depend on its operand shape.  The basis
-  and its pseudoinverse are built once per (s, order) and shared
-  read-only.
-- The coefficient matrices and ``detrended_segments`` copy the residual
-  segments into one (m, 2k, s) buffer.
+  and its per-segment sums of squares are reduced over the forward and
+  backward (m, k, s) views of ``_tiles``.  A per-segment moving average
+  would be ill-defined near segment edges.
+- ``_segments`` is the one (m, 2k, s) layout of an (m, n) block's
+  segments: forward tiles, then backward ones end-first.  DFA reads the
+  profile through it, projects it onto the polynomial basis in one
+  stacked product and subtracts and squares in place.  The block is never
+  flattened to (m * 2k, s): a product's bits depend on its operand shape.
+  The basis and its pseudoinverse are built once per (s, order) and
+  shared read-only.  The coefficient matrices, ``detrended_segments`` and
+  the floor check below read their segments through it too.
 - Segments at the rounding floor snap to zero for both methods.  Only the
   segments whose mean square could be that small are checked exactly, so
   the common case costs one comparison per segment.
@@ -81,8 +80,9 @@ _DEFAULT_SCALE_CAP = 250  # one trading year
 # an exact polynomial fit (64 ulps of the segment magnitude, or of 1).
 _RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
-# Elements per row chunk of the residual engine: each per-scale temporary
-# of a chunk is about 320 KB, and a longer profile is a chunk of one row.
+# Elements per row chunk of the residual engine and of a block draw of
+# ``synthetic.generate_blocks``: each per-scale temporary of a chunk is
+# about 320 KB, and a longer row is a chunk of one row.
 _CHUNK_ELEMS = 40_000
 
 
@@ -196,14 +196,8 @@ def _poly_basis(s: int, order: int):
     return _frozen(basis), _frozen(np.linalg.pinv(basis))
 
 
-def _segment_starts(n: int, s: int) -> np.ndarray:
-    """First index of every segment: forward tiles, then backward end-first."""
-    i = np.arange(n // s)
-    return np.concatenate((i * s, n - (i + 1) * s))
-
-
 def _row_chunks(items, n: int) -> list:
-    """``items`` cut into consecutive row chunks for profiles of length n."""
+    """``items`` cut into consecutive row chunks for rows of length n."""
     rows = max(1, _CHUNK_ELEMS // n)
     return [items[i:i + rows] for i in range(0, len(items), rows)]
 
@@ -290,6 +284,17 @@ class _Residuals:
         return (r[:, :k * s].reshape(self.m, k, s),
                 r[:, self.n - k * s:].reshape(self.m, k, s))
 
+    def _segments(self, r: np.ndarray, s: int, k: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """The (m, 2k, s) segments of an (m, n) block, written into ``out``:
+        forward tiles first, then the backward tiles end-first."""
+        if out is None:
+            out = np.empty((self.m, 2 * k, s))
+        fwd, bwd = self._tiles(r, s, k)
+        out[:, :k] = fwd
+        out[:, k:] = bwd[:, ::-1]
+        return out
+
     def _dfa(self, s: int, k: int):
         """The (m, 2k, s) segments and their polynomial trend.
 
@@ -297,12 +302,11 @@ class _Residuals:
         product's bits depend on its operand shape, so the block is never
         flattened to (m * 2k, s).
         """
-        fwd, bwd = self._tiles(self.y, s, k)
-        seg = np.concatenate((fwd, bwd[:, ::-1]), axis=1)
+        seg = self._segments(self.y, s, k)
         basis, pinv = _poly_basis(s, self.method.order)
         return seg, (seg @ pinv.T) @ basis.T
 
-    def _snapped(self, s: int, ms: np.ndarray, trend):
+    def _snapped(self, s: int, k: int, ms: np.ndarray, trend):
         """(row, segment) indices of residuals at the rounding floor.
 
         A residual no larger than the floor, 64 ulps of its segment
@@ -311,19 +315,18 @@ class _Residuals:
         they are excluded from log fits instead of being fitted on
         cancellation noise.  Only segments whose mean square ``ms`` is
         within their row's bound are checked exactly, on residuals
-        re-formed from the profile and its trend (``trend`` for dfa; dma
-        forms its trend again), so the common case costs one comparison per
-        segment.
+        re-formed from the profile's ``_segments`` (a chunk's block at
+        most) and their trend (``trend`` for dfa; dma forms its trend
+        again), so the common case costs one comparison per segment.
         """
         rows, segs = np.nonzero(ms <= self._ms_bound[:, None])
         if rows.size == 0:
             return rows, segs
-        pos = _segment_starts(self.n, s)[segs, None] + np.arange(s)
-        seg = self.y[rows[:, None], pos]
+        seg = self._segments(self.y, s, k)[rows, segs]
         if self.method.kind == "dfa":
             trend = trend[rows, segs]
         else:
-            trend = self.trend(s)[rows[:, None], pos]
+            trend = self._segments(self.trend(s), s, k)[rows, segs]
         floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(seg).max(axis=1))
         keep = np.abs(seg - trend).max(axis=1) <= floor
         return rows[keep], segs[keep]
@@ -346,25 +349,21 @@ class _Residuals:
         # np.mean's own steps (the sum, then a true divide by the count)
         # without its wrapper, so the bits are the same.
         ms /= s
-        ms[self._snapped(s, ms, trend)] = 0.0
+        ms[self._snapped(s, k, ms, trend)] = 0.0
         return ms
 
     def residuals(self, s: int, out: np.ndarray | None = None) -> np.ndarray:
         """Residual segments at scale s, written into ``out`` (m, 2k, s)."""
         k = self.n_segments(s)
-        if out is None:
-            out = np.empty((self.m, 2 * k, s))
         if self.method.kind == "dma":
-            fwd, bwd = self._tiles(self._dma(s), s, k)
-            out[:, :k] = fwd
-            out[:, k:] = bwd[:, ::-1]
+            out = self._segments(self._dma(s), s, k, out)
             trend = None
         else:
             seg, trend = self._dfa(s, k)
-            np.subtract(seg, trend, out=out)
+            out = np.subtract(seg, trend, out=out)
         flat = out.reshape(-1, s)
         ms = (np.einsum("ij,ij->i", flat, flat) / s).reshape(self.m, 2 * k)
-        out[self._snapped(s, ms, trend)] = 0.0
+        out[self._snapped(s, k, ms, trend)] = 0.0
         return out
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scaling import _row_chunks
 from .series import RatePanel, TimeSeries
 
 __all__ = [
@@ -124,11 +125,6 @@ def _embedding(n: int, hurst: float) -> np.ndarray:
     return np.maximum(eigvals, 0.0)
 
 
-# Normals per _fgn_rows call of generate_blocks: the call's float and
-# complex temporaries stay near 2 MB, and a longer embedding is one row.
-_DRAW_ELEMS = 40_000
-
-
 def _fgn_rows(rows: int, n: int, eigvals: np.ndarray, sigma: float,
              rng: np.random.Generator) -> np.ndarray:
     """``rows`` exact fGn draws of scale sigma, as ``rows`` one-row calls."""
@@ -168,21 +164,20 @@ def generate_blocks(spec: BlockSpec) -> RatePanel:
     Member values are common_weight * block_factor +
     (1 - common_weight) * own_noise, every component drawn at the same
     Hurst exponent, so the embedding eigenvalues are built once per call.
-    Each block draws its factor, then its members in row chunks of at most
-    ``_DRAW_ELEMS`` normals, written straight into the panel's rows.
-    Ids follow the "b<block>:m<member>" pattern.
+    Each block draws its factor, then its members in the row chunks that
+    ``scaling._row_chunks`` cuts for the embedding's length (at most
+    ``_CHUNK_ELEMS`` normals a draw, or one row), written straight into
+    the panel's rows.  Ids follow the "b<block>:m<member>" pattern.
     """
     rng = np.random.default_rng(spec.seed)
     eigvals = _embedding(spec.n, spec.hurst)
     size, w = spec.block_size, spec.common_weight
-    rows = max(1, _DRAW_ELEMS // eigvals.size)
     matrix = np.empty((spec.n_blocks * size, spec.n))
     for start in range(0, matrix.shape[0], size):
         common = w * _fgn_rows(1, spec.n, eigvals, spec.sigma, rng)[0]
-        for lo in range(start, start + size, rows):
-            hi = min(lo + rows, start + size)
-            own = _fgn_rows(hi - lo, spec.n, eigvals, spec.sigma, rng)
-            matrix[lo:hi] = common + (1.0 - w) * own
+        for rows in _row_chunks(range(start, start + size), eigvals.size):
+            own = _fgn_rows(len(rows), spec.n, eigvals, spec.sigma, rng)
+            matrix[rows.start:rows.stop] = common + (1.0 - w) * own
     ids = [f"b{b}:m{m}" for b in range(1, spec.n_blocks + 1)
            for m in range(1, size + 1)]
     return RatePanel.from_matrix(ids, _trading_days(spec.n), matrix)

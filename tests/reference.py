@@ -13,7 +13,8 @@ import re
 
 import numpy as np
 
-from longmem.errors import AlignmentError, SchemaError
+from longmem.errors import AlignmentError, FitError, SchemaError
+from longmem.hurst import CrossoverReport
 from longmem.scaling import DetrendMethod
 from longmem.synthetic import _embedding, _trading_days
 
@@ -176,6 +177,47 @@ def naive_modularity(ids, edges, assignment, resolution):
             if comm[ids[i]] == comm[ids[j]]:
                 q += a[i][j] - resolution * k[i] * k[j] / two_m
     return q / two_m
+
+
+def naive_line(x, y):
+    """(slope, sse) of the least-squares line, moments as ``np.cov(x, y,
+    bias=1)`` forms them: one ``np.stack`` per fit."""
+    n = x.size
+    d = np.stack((x, y))
+    mean = np.add.reduce(d, axis=1) / n
+    d -= mean[:, None]
+    ssxm, ssxym, *_ = ((d @ d.T) * (1.0 / n)).flat
+    slope = float(ssxym / ssxm)
+    resid = y - (float(mean[1] - slope * mean[0]) + slope * x)
+    return slope, float(np.dot(resid, resid))
+
+
+def naive_crossover(f, min_side_points, improvement_threshold):
+    """``detect_crossover`` fitted on separate log10 arrays, one line at a
+    time: every split after the k-th usable scale, both sides at least
+    ``min_side_points`` long; a split wins unless its SSE exceeds the best
+    so far by more than max(1e-20, 1e-9 of the larger)."""
+    usable = f.values > 0.0
+    scales = f.scales[usable]
+    n_pts = scales.size
+    if n_pts < 2 * min_side_points + 1:
+        raise FitError(f"{f.series_id!r}: {n_pts} usable scales, need at "
+                       f"least {2 * min_side_points + 1} for a crossover search")
+    log_s = np.log10(scales.astype(float))
+    log_f = np.log10(f.values[usable])
+    _, sse_single = naive_line(log_s, log_f)
+    best = (math.inf, 0.0, 0.0, 0)
+    for k in range(min_side_points - 1, n_pts - min_side_points):
+        sl, sse_l = naive_line(log_s[:k + 1], log_f[:k + 1])
+        sr, sse_r = naive_line(log_s[k + 1:], log_f[k + 1:])
+        sse = sse_l + sse_r
+        if sse <= best[0] + max(1e-20, 1e-9 * max(sse, best[0])):
+            best = (sse, sl, sr, k)
+    sse_piecewise, slope_left, slope_right, k = best
+    ratio = 0.0 if sse_single <= 1e-20 else 1.0 - sse_piecewise / sse_single
+    return CrossoverReport(
+        f.series_id, int(scales[k]) if ratio >= improvement_threshold else None,
+        slope_left, slope_right, sse_single, sse_piecewise, ratio)
 
 
 # README's panel grammar: a value cell is an ASCII decimal as float() reads

@@ -68,8 +68,8 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 def panel_dir(tmp_path_factory) -> Path:
     """Panel files: three co-moving members, a flat-column copy, members
     ``a`` and ``b``, member ``a`` alone, two malformed files (a long row, a
-    label with a comma), a 2x2 block panel and the levels ramp of
-    ``conftest.ramp_panel``.
+    label with a comma), a 2x2 block panel, that panel with a flat member
+    and the levels ramp of ``conftest.ramp_panel``.
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -94,7 +94,10 @@ def panel_dir(tmp_path_factory) -> Path:
                                     "2020-01-03,5,7\n")
     blocks = BlockSpec(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.7,
                        n=600, seed=0)
-    (root / "blocks.csv").write_text(panel_to_csv(generate_blocks(blocks)))
+    block_panel = generate_blocks(blocks)
+    (root / "blocks.csv").write_text(panel_to_csv(block_panel))
+    (root / "blocks_flat.csv").write_text(
+        panel_to_csv(RatePanel((*block_panel.series, flat))))
     (root / "ramp.csv").write_text(panel_to_csv(ramp_panel()))
     return root
 
@@ -485,6 +488,11 @@ STDOUT_RULES = [
     ("hurst", [*HURST],
      "seed: 0\nestimated 3 series, 0 failed; mode bin [0.44, 0.46)\n"
      "wrote 4 file(s) to OUT\n"),
+    # the flat member fails its fit and its crossover search: one member
+    ("hurst-blocks_flat.csv", ["hurst", "--input", "blocks_flat.csv",
+                               "--input-kind", "increments", "--crossover"],
+     "seed: 0\nestimated 4 series, 1 failed; mode bin [0.64, 0.66)\n"
+     "wrote 6 file(s) to OUT\n"),
     ("dcca", ["dcca", "--input", "abc.csv", "--pair", "a,b", "--scales",
               "10,20,40", "--all", "--scale", "10,20"],
      "seed: 0\nwrote 1 curve(s), 2 matrix(es)\nwrote 5 file(s) to OUT\n"),

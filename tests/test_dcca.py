@@ -20,7 +20,7 @@ from longmem.errors import (
     LongmemError,
     ScaleError,
 )
-from longmem.scaling import ScaleGrid, default_grid, dfa, dma
+from longmem.scaling import ScaleGrid, default_grid, dfa, dma, fluctuation
 from longmem.series import (
     Profile,
     RatePanel,
@@ -272,6 +272,45 @@ class TestPairwiseMatrix:
                         *((i, *r) for i, r in zip(m.ids, m.rho.tolist()))])
         payload = json.loads(json.dumps(m.to_json_dict()))
         assert payload["scale"] == 32
+
+
+# the golden synth panel of test_golden.py
+GOLDEN_BLOCKS = BlockSpec(3, 4, 0.7, 0.7, n=700, seed=5)
+
+
+def rescaled(panel: RatePanel, member: int, factor: float) -> RatePanel:
+    """``panel`` with one member's increments multiplied by ``factor``."""
+    matrix = panel.matrix.copy()
+    matrix[member] *= factor
+    return RatePanel.from_matrix(panel.ids, panel.date_index, matrix)
+
+
+class TestMetamorphic:
+    """Relations between runs on related panels, which need no oracle."""
+
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=lambda m: m.label)
+    @pytest.mark.parametrize("member", [0, 7])
+    def test_negated_member_negates_its_row_and_column(self, method, member):
+        panel = generate_blocks(GOLDEN_BLOCKS)
+        sign = np.ones(len(panel))
+        sign[member] = -1.0
+        for s in (20, 60):
+            rho = pairwise_matrix(panel, s, method, input_kind="increments").rho
+            got = pairwise_matrix(rescaled(panel, member, -1.0), s, method,
+                                  input_kind="increments").rho
+            assert got.tobytes() == (rho * np.outer(sign, sign)).tobytes()
+
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=lambda m: m.label)
+    def test_doubled_member_doubles_its_f_and_keeps_rho(self, method):
+        panel = generate_blocks(GOLDEN_BLOCKS)
+        doubled = rescaled(panel, 5, 2.0)
+        grid = ScaleGrid((20, 60))
+        f, f2 = (fluctuation(series_profile(p.series[5], "increments"), grid,
+                             method).values for p in (panel, doubled))
+        assert f2.tobytes() == (2.0 * f).tobytes()
+        for s in grid:
+            assert (pairwise_matrix(doubled, s, method, "increments").rho.tobytes()
+                    == pairwise_matrix(panel, s, method, "increments").rho.tobytes())
 
 
 class TestRhoVsScale:

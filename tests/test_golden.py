@@ -213,3 +213,23 @@ def test_every_table_is_rectangular_csv(golden_root):
             rows = list(csv.reader(fh))
         assert path.read_bytes().endswith(b"\n"), path
         assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), path
+
+
+def test_whole_sample_period_is_the_unsplit_run(golden_root, tmp_path):
+    # a --period spanning every date writes the unsplit run's files under
+    # period_1/, and its network.json differs only in each entry's prefix
+    argv = ["network", "--input", str(golden_root / "synth" / "panel.csv"),
+            "--input-kind", "increments", "--threshold", "0.5",
+            "--scale", "20,40"]
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main([*argv, "--output-dir", str(whole)]) == 0
+    assert main([*argv, "--period", "2000-01-01:2002-12-31",
+                 "--output-dir", str(split)]) == 0
+    files = {p.name: p.read_bytes() for p in whole.iterdir()}
+    payload = json.loads(files.pop("network.json"))
+    del files["run_manifest.json"]
+    assert {p.name: p.read_bytes() for p in (split / "period_1").iterdir()} == files
+    entries = json.loads((split / "network.json").read_text())
+    assert [e.pop("prefix") for e in entries] == ["period_1"] * len(payload)
+    assert entries == [{k: v for k, v in e.items() if k != "prefix"}
+                       for e in payload]

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from longmem.cli import main
@@ -35,6 +35,7 @@ from longmem.series import (
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
 from conftest import make_series, ramp_panel, rule_tests
+from reference import naive_crossover
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
 # _fit_line's zero-variance inputs: flat y (r is NaN), and y that differs only
@@ -90,7 +91,7 @@ class TestFitHurst:
             assert est.stderr == float(res.stderr)
         for y in (FLAT_Y, TINY_Y):  # repr: NaN equals NaN
             res = stats.linregress(LOG_SCALES, y)
-            assert repr(_fit_line(LOG_SCALES, y)[:4]) == repr(tuple(
+            assert repr(_fit_line(np.stack((LOG_SCALES, y)))[:4]) == repr(tuple(
                 float(v) for v in (res.slope, res.intercept, res.rvalue, res.stderr)))
 
     def test_exact_power_law(self):
@@ -169,7 +170,53 @@ def piecewise_values(scales, s_break, slope_left, slope_right, amplitude=0.02):
     return np.where(scales <= s_break, left, right)
 
 
+TENT = np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0], dtype=float)
+# test_rounding_tie_goes_to_the_larger_scale's curve at slope 0.185, its last
+# F raised until the split after 512 lands exactly on the tie window's edge:
+# its SSE equals the best one's plus max(1e-20, 1e-9 of the larger)
+EDGE_CURVE = FluctuationFunction("edge", dfa(1), 2 ** np.arange(4, 15),
+                                 np.append(10.0 ** (0.185 * TENT[:-1]),
+                                           1.0000000005324725))
+
+
+@st.composite
+def crossover_curves(draw):
+    """F over 8 to 40 scales, some of them 0: log F drawn at random, on a
+    coarse lattice (equal points, SSEs near the floor), or a tent on
+    doubling scales, whose mirrored splits tie in exact arithmetic."""
+    n = draw(st.integers(8, 40))
+    kind = draw(st.sampled_from(["random", "lattice", "tent"]))
+    if kind == "tent":
+        scales = 2 ** np.arange(4, 4 + n)
+        i = np.arange(n)
+        log_f = draw(st.sampled_from([0.1, 0.185, 0.2, -0.3])) * np.minimum(
+            np.minimum(i, n - 1 - i), draw(st.integers(1, n // 2)))
+    else:
+        scales = 1 + np.cumsum(draw(st.lists(st.integers(1, 60), min_size=n,
+                                             max_size=n)))
+        cells = (st.floats(-3.0, 3.0) if kind == "random"
+                 else st.integers(-4, 4).map(lambda v: 0.25 * v))
+        log_f = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    values = 10.0 ** log_f
+    values[draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0.0
+    return FluctuationFunction("c", dfa(1), scales, values)
+
+
 class TestDetectCrossover:
+    @given(f=crossover_curves(), min_side_points=st.integers(2, 4),
+           threshold=st.floats(0.05, 0.95))
+    @example(f=EDGE_CURVE, min_side_points=3, threshold=0.5)
+    def test_matches_the_loop_oracle(self, f, min_side_points, threshold):
+        try:
+            want = naive_crossover(f, min_side_points, threshold)
+        except FitError as exc:
+            with pytest.raises(FitError) as info:
+                detect_crossover(f, min_side_points, threshold)
+            assert str(info.value) == str(exc)
+            return
+        # repr: field by field, NaN equal to NaN
+        assert repr(detect_crossover(f, min_side_points, threshold)) == repr(want)
+
     def test_noiseless_piecewise(self):
         values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)
         f = FluctuationFunction("pw", dfa(1), PIECEWISE_GRID, values)
@@ -232,10 +279,10 @@ class TestDetectCrossover:
         # 512 mirror each other and their SSEs are equal in exact
         # arithmetic; rounding makes the one at 512 the larger
         scales = 2 ** np.arange(4, 15)
-        log_f = 0.2 * np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0])
+        log_f = 0.2 * TENT
         f = FluctuationFunction("tie", dfa(1), scales, 10.0 ** log_f)
-        x, y = np.log10(scales.astype(float)), np.log10(f.values)
-        sse = [_fit_line(x[:k + 1], y[:k + 1])[-1] + _fit_line(x[k + 1:], y[k + 1:])[-1]
+        xy = np.stack((np.log10(scales.astype(float)), np.log10(f.values)))
+        sse = [_fit_line(xy[:, :k + 1])[-1] + _fit_line(xy[:, k + 1:])[-1]
                for k in (4, 5)]
         assert sse[0] < sse[1] == pytest.approx(sse[0], rel=1e-12)
         assert detect_crossover(f).breakpoint_scale == 512
@@ -455,7 +502,7 @@ def tie_curve(eps):
     """The curve of test_rounding_tie_goes_to_the_larger_scale with its last
     log F raised by ``eps``: the split after 512 then leaves a relative
     4 * eps more squared error than the split after 256."""
-    log_f = 0.2 * np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0]) + np.eye(11)[-1] * eps
+    log_f = 0.2 * TENT + np.eye(11)[-1] * eps
     return FluctuationFunction("tie", dfa(1), 2 ** np.arange(4, 15), 10.0 ** log_f)
 
 
@@ -482,14 +529,14 @@ RULES = {
          lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
          FitError, "empty fit range (100, 50)"),
         ("test_fit_line_zero_variance[flat]",
-         lambda: repr(_fit_line(LOG_SCALES, FLAT_Y)[:4]), None, "(0.0, 0.5, nan, nan)"),
+         lambda: repr(_fit_line(np.stack((LOG_SCALES, FLAT_Y)))[:4]), None, "(0.0, 0.5, nan, nan)"),
         ("test_fit_line_zero_variance[tiny]",
-         lambda: _fit_line(LOG_SCALES, TINY_Y)[2:4], None, (0.0, 0.0)),
+         lambda: _fit_line(np.stack((LOG_SCALES, TINY_Y)))[2:4], None, (0.0, 0.0)),
         # the rounded r of this falling line is -1.0000000000000002
         ("test_fit_line_r_clamped_at_minus_one",
-         lambda: _fit_line(LOG_SCALES, 0.1 - 0.3 * LOG_SCALES)[2], None, -1.0),
+         lambda: _fit_line(np.stack((LOG_SCALES, 0.1 - 0.3 * LOG_SCALES)))[2], None, -1.0),
         ("test_fit_line_two_points_has_no_stderr",
-         lambda: repr(_fit_line(LOG_SCALES[:2], LOG_SCALES[:2])[3]), None, "nan"),
+         lambda: repr(_fit_line(np.stack((LOG_SCALES[:2], LOG_SCALES[:2])))[3]), None, "nan"),
         ("test_one_scale_range",
          lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(50, 50)),
          FitError, "'pl': 0 usable scales in [50, 50], need at least 3")],

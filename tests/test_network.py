@@ -1,5 +1,6 @@
 import datetime as dt
 import itertools
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from longmem.cli import _csv
 from longmem.dcca import DccaMatrix, pairwise_matrix
+from longmem import network
 from longmem.errors import AlignmentError, LongmemError
 from longmem.network import (
     CommunityPartition,
@@ -171,6 +173,25 @@ class TestDetectCommunities:
             resolution = float(rng.uniform(0.01, 5.0))
             part = detect_communities(net, resolution=resolution, seed=seed)
             assert part.modularity_q >= 1.0 - resolution - 1e-12
+
+    def test_same_bits_under_compensated_sum(self, monkeypatch):
+        # Python 3.12's builtin sum of floats is compensated; a network whose
+        # strengths add to another last bit that way keeps Q and partition
+        net = build_network(random_matrix(4, n=5), threshold=0.3)
+        strength = dict.fromkeys(net.ids, 0.0)
+        for a, b, w in net.edges:
+            if w > 0.0:
+                strength[a] += w
+                strength[b] += w
+        plain = 0.0
+        for v in strength.values():
+            plain += v
+        assert math.fsum(strength.values()) != plain
+        part = detect_communities(net)
+        monkeypatch.setattr(network, "sum", math.fsum, raising=False)
+        patched = detect_communities(net)
+        assert repr(patched.modularity_q) == repr(part.modularity_q)
+        assert patched.assignment == part.assignment
 
     def test_table(self):
         # the partition_s<scale>.csv layout the CLI writes

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -47,11 +48,10 @@ PINNED = {
 }
 # ... or why no output depends on its value
 MARGINS = {
-    "_CHUNK_ELEMS": "rows per engine chunk: each member's values are bit for "
-                    "bit those of a one-row engine, whatever the chunk size",
-    "_DRAW_ELEMS": "rows per block draw of generate_blocks: the generator "
-                   "fills rows in the order one-row draws do, so every panel "
-                   "is bit for bit the one-series-at-a-time oracle's",
+    "_CHUNK_ELEMS": "rows per engine chunk and per block draw of "
+                    "generate_blocks: each member's values are bit for bit "
+                    "those of a one-row engine, and the generator fills rows "
+                    "in the order one-row draws do, whatever the chunk size",
 }
 
 
@@ -73,3 +73,15 @@ def test_every_named_constant_is_pinned_or_a_margin():
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     missing = ids - set(proc.stdout.splitlines())
     assert not missing, sorted(missing)
+
+
+def test_no_module_calls_the_builtin_sum():
+    # from Python 3.12 on, sum of floats is compensated, so a float total
+    # would change bits with the Python version: loops or numpy instead
+    calls = []
+    for path in sorted((ROOT / "src" / "longmem").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, calls

@@ -6,7 +6,7 @@ import pytest
 
 from longmem.dcca import pairwise_matrix
 from longmem.hurst import fit_hurst
-from longmem.scaling import default_grid, dfa, fluctuation
+from longmem.scaling import _CHUNK_ELEMS, default_grid, dfa, fluctuation
 from longmem.series import profile_from_values
 from longmem.synthetic import (
     BlockSpec,
@@ -215,7 +215,7 @@ class TestGenerateBlocks:
 
     @pytest.mark.parametrize("n", [16, 3000, 40000])
     def test_each_draw_stays_within_its_budget(self, monkeypatch, n):
-        # a draw is one row, or rows whose normals fit _DRAW_ELEMS
+        # a draw is one row, or rows whose normals fit _CHUNK_ELEMS
         calls = []
         original = synthetic._fgn_rows
 
@@ -226,7 +226,7 @@ class TestGenerateBlocks:
         monkeypatch.setattr(synthetic, "_fgn_rows", recording)
         generate_blocks(BlockSpec(2, 12, 0.6, 0.7, n=n))
         assert sum(rows for rows, _ in calls) == 2 * 13
-        assert all(rows == 1 or rows * size <= synthetic._DRAW_ELEMS
+        assert all(rows == 1 or rows * size <= _CHUNK_ELEMS
                    for rows, size in calls)
 
 
