@@ -73,6 +73,7 @@ _FORMATS = ("table", "json", "graphml", "dot")
 # The output kind of each file extension, for the --format filter.
 _KINDS = {".csv": "table", ".json": "json", ".graphml": "graphml", ".dot": "dot"}
 _MANIFEST_NAME = "run_manifest.json"
+_WRITE_CHARS = 2**20  # characters per write: the encoder holds one slice's bytes
 
 
 class ConfigError(Exception):
@@ -814,6 +815,8 @@ def _write_all(run: _Run) -> None:
     """Write each file via a ``.tmp`` sibling and os.replace, manifest last.
 
     A stale manifest is removed first, so a manifest marks a complete run.
+    Each text is written in slices of ``_WRITE_CHARS`` characters, so its
+    UTF-8 bytes are never held whole beside it.
     """
     manifest = os.path.join(run.cfg.output_dir, _MANIFEST_NAME)
     if os.path.lexists(manifest):
@@ -823,8 +826,10 @@ def _write_all(run: _Run) -> None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = path + ".tmp"
         try:
+            text = run.files[rel]
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(run.files[rel])
+                for i in range(0, len(text), _WRITE_CHARS):
+                    fh.write(text[i:i + _WRITE_CHARS])
             os.replace(tmp, path)
         finally:  # after a successful replace there is no tmp left
             if os.path.lexists(tmp):

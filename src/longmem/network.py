@@ -20,8 +20,8 @@ from datetime import date
 import numpy as np
 
 from .dcca import DccaMatrix
-from .errors import LongmemError
-from .series import RatePanel
+from .errors import AlignmentError, LongmemError
+from .series import RatePanel, _first
 
 __all__ = [
     "CorrelationNetwork",
@@ -316,19 +316,39 @@ def split_periods(
     panel: RatePanel,
     windows: list[tuple[date, date]],
 ) -> list[RatePanel]:
-    """Restrict the panel to each date window (windows may overlap)."""
+    """The sub-panel on each date window (windows may overlap).
+
+    A window ``(d_from, d_to)`` holds the panel's dates from ``d_from`` to
+    ``d_to``, both included, less those where no series is observed.  Each
+    series must keep at least two observations in it (AlignmentError), and
+    at least two of its dates must be shared by every series
+    (LongmemError).  A window that drops no date holds a view of the
+    panel's matrix, not a copy.
+    """
     if not windows:
         raise ValueError("need at least one window")
     out = []
     for d_from, d_to in windows:
-        sub = panel.restrict(d_from, d_to)
-        n_shared = int((~np.isnan(sub.matrix)).all(axis=0).sum())
+        lo = np.searchsorted(panel.days, np.datetime64(d_from, "D"), side="left")
+        hi = np.searchsorted(panel.days, np.datetime64(d_to, "D"), side="right")
+        sub, days = panel.matrix[:, lo:hi], panel.days[lo:hi]
+        seen = ~np.isnan(sub)
+        counts = seen.sum(axis=1)
+        i = _first(counts < 2)
+        if i is not None:
+            raise AlignmentError(
+                f"series {panel.ids[i]!r}: window {d_from}..{d_to} keeps "
+                f"{counts[i]} observations (< 2)")
+        n_shared = int(seen.all(axis=0).sum())
         if n_shared < 2:
             raise LongmemError(
                 f"window {d_from.isoformat()}..{d_to.isoformat()} leaves "
                 f"{n_shared} shared dates, need at least 2"
             )
-        out.append(sub)
+        used = seen.any(axis=0)
+        if not used.all():
+            sub, days = sub[:, used], days[used]
+        out.append(RatePanel.from_matrix(panel.ids, days, sub))
     return out
 
 

@@ -124,13 +124,6 @@ class TimeSeries:
         return f"TimeSeries({self.id!r}, {len(self)} observations)"
 
 
-def _window(days: np.ndarray, date_from, date_to) -> tuple[int, int]:
-    """Slice bounds of the inclusive date window [date_from, date_to]."""
-    lo = np.searchsorted(days, np.datetime64(date_from, "D"), side="left")
-    hi = np.searchsorted(days, np.datetime64(date_to, "D"), side="right")
-    return int(lo), int(hi)
-
-
 class RatePanel:
     """Series on one sorted date index, stored as one float matrix.
 
@@ -233,26 +226,6 @@ class RatePanel:
             return self.series[self.ids.index(series_id)]
         except ValueError:
             raise KeyError(f"no series {series_id!r} in panel") from None
-
-    def restrict(self, date_from: dt.date, date_to: dt.date) -> "RatePanel":
-        """Sub-panel on the inclusive window [date_from, date_to].
-
-        Dates in the window where no series is observed are dropped, and
-        every series must keep at least two observations.
-        """
-        lo, hi = _window(self.days, date_from, date_to)
-        sub, days = self.matrix[:, lo:hi], self.days[lo:hi]
-        seen = ~np.isnan(sub)
-        counts = seen.sum(axis=1)
-        i = _first(counts < 2)
-        if i is not None:
-            raise AlignmentError(
-                f"series {self.ids[i]!r}: window {date_from}..{date_to} keeps "
-                f"{counts[i]} observations (< 2)")
-        used = seen.any(axis=0)
-        if not used.all():
-            sub, days = sub[:, used], days[used]
-        return RatePanel.from_matrix(self.ids, days, sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +410,8 @@ def load_panel(path) -> RatePanel:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-            records = _records(text)
+            plain, records = _plain_body(text), _records(text)
+            del text  # the records hold its lines: read them without it
             first = next(records, None)
             if first is None:
                 raise SchemaError(f"{path}: empty file")
@@ -455,8 +429,7 @@ def load_panel(path) -> RatePanel:
             if bad is not None:
                 raise SchemaError(f"{path}: column label {bad!r} contains a "
                                   "comma, quote or line break")
-            dates, values, blank = _read_body(path, records, labels,
-                                              _plain_body(text))
+            dates, values, blank = _read_body(path, records, labels, plain)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:

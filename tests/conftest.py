@@ -2,6 +2,7 @@ import datetime as dt
 import signal
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,19 @@ def ramp_panel(n: int = 800) -> RatePanel:
     steps = 0.1 * rng.standard_normal((2, n)).cumsum(axis=1)
     return make_panel({"lin": 1.0 + 0.01 * np.arange(n), "b": 5.0 + steps[0],
                        "c": 3.0 + steps[1]})
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` holds above what was in use before it,
+    as ``tracemalloc`` counts Python's allocations and numpy's."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def _rule_method(cases):

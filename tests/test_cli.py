@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from longmem.cli import (
     _parse_int,
     _parse_int_list,
     _Quoted,
+    _write_all,
     build_parser,
     main,
     rerun_from_manifest,
@@ -46,7 +48,7 @@ from longmem.synthetic import (
     trading_dates,
 )
 
-from conftest import ramp_panel
+from conftest import ramp_panel, traced_peak
 from reference import naive_modularity
 
 
@@ -751,6 +753,15 @@ def test_failed_write_leaves_no_temp_and_no_manifest(panel_dir, tmp_path,
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == [
         "hurst.json", "hurst_estimates.csv", "hurst_histogram.csv"]
+
+
+def test_write_holds_no_whole_encoded_copy(tmp_path):
+    # one write of the whole text would encode all 8 MB at once
+    text = "date,\u00e9t\u00e9,b\n" + "2020-01-01,0.5,-1.25\n" * 400_000
+    run = types.SimpleNamespace(cfg=types.SimpleNamespace(output_dir=str(tmp_path)),
+                                files={"big.csv": text})
+    assert traced_peak(lambda: _write_all(run)) < 0.5 * len(text)
+    assert (tmp_path / "big.csv").read_bytes() == text.encode()
 
 
 def test_json_only_format_writes_no_tables(panel_dir, tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from longmem import scaling
 from longmem.cli import main
 from longmem.dcca import (
     DccaMatrix,
@@ -20,6 +21,7 @@ from longmem.errors import (
     LongmemError,
     ScaleError,
 )
+from longmem.network import build_network
 from longmem.scaling import ScaleGrid, default_grid, dfa, dma, fluctuation
 from longmem.series import (
     Profile,
@@ -311,6 +313,24 @@ class TestMetamorphic:
         for s in grid:
             assert (pairwise_matrix(doubled, s, method, "increments").rho.tobytes()
                     == pairwise_matrix(panel, s, method, "increments").rho.tobytes())
+
+    def test_permuted_members_permute_matrices_and_edges(self, monkeypatch):
+        # chunks of five rows, so members move between chunks; partitions
+        # are left out, since Louvain visits the nodes in member order
+        monkeypatch.setattr(scaling, "_CHUNK_ELEMS", 5 * GOLDEN_BLOCKS.n)
+        panel = generate_blocks(GOLDEN_BLOCKS)
+        n, threshold = len(panel), 0.5
+        for order in (np.arange(n)[::-1], np.random.default_rng(3).permutation(n)):
+            permuted = RatePanel.from_matrix([panel.ids[i] for i in order],
+                                             panel.days, panel.matrix[order])
+            for method, s in itertools.product((dma(), dfa(2)), (20, 60)):
+                want = pairwise_matrix(panel, s, method, "increments")
+                got = pairwise_matrix(permuted, s, method, "increments")
+                assert np.abs(got.rho - want.rho[np.ix_(order, order)]).max() <= 1e-15
+                assert not (np.abs(np.abs(want.rho) - threshold) < 1e-12).any()
+                edges = [{frozenset(e[:2]) for e in build_network(m, threshold).edges}
+                         for m in (want, got)]
+                assert edges[0] == edges[1] and edges[0]
 
 
 class TestRhoVsScale:

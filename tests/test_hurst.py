@@ -275,16 +275,15 @@ class TestDetectCrossover:
         assert rep.breakpoint_scale is not None
 
     def test_rounding_tie_goes_to_the_larger_scale(self):
-        # the log-log curve is symmetric, so the splits after 256 and after
-        # 512 mirror each other and their SSEs are equal in exact
-        # arithmetic; rounding makes the one at 512 the larger
-        scales = 2 ** np.arange(4, 15)
-        log_f = 0.2 * TENT
-        f = FluctuationFunction("tie", dfa(1), scales, 10.0 ** log_f)
-        xy = np.stack((np.log10(scales.astype(float)), np.log10(f.values)))
+        # the splits after 256 and after 512 mirror each other, and the
+        # raised last log F gives the one at 512 a relative 4e-12 more
+        # squared error: far above any platform's rounding of these SSEs
+        # (about 1e-15), far inside the 1e-9 window of a rounding tie
+        f = tie_curve(1e-12)
+        xy = np.stack((np.log10(f.scales.astype(float)), np.log10(f.values)))
         sse = [_fit_line(xy[:, :k + 1])[-1] + _fit_line(xy[:, k + 1:])[-1]
                for k in (4, 5)]
-        assert sse[0] < sse[1] == pytest.approx(sse[0], rel=1e-12)
+        assert sse[0] < sse[1] == pytest.approx(sse[0], rel=1e-11)
         assert detect_crossover(f).breakpoint_scale == 512
 
     def test_min_side_points_respected(self):
@@ -499,9 +498,10 @@ def kinked(bend):
 
 
 def tie_curve(eps):
-    """The curve of test_rounding_tie_goes_to_the_larger_scale with its last
-    log F raised by ``eps``: the split after 512 then leaves a relative
-    4 * eps more squared error than the split after 256."""
+    """A symmetric tent of log F over the scales 2**4..2**14, whose splits
+    after 256 and after 512 mirror each other, with its last log F raised
+    by ``eps``: the split after 512 then leaves a relative 4 * eps more
+    squared error than the split after 256."""
     log_f = 0.2 * TENT + np.eye(11)[-1] * eps
     return FluctuationFunction("tie", dfa(1), 2 ** np.arange(4, 15), 10.0 ** log_f)
 
@@ -532,9 +532,13 @@ RULES = {
          lambda: repr(_fit_line(np.stack((LOG_SCALES, FLAT_Y)))[:4]), None, "(0.0, 0.5, nan, nan)"),
         ("test_fit_line_zero_variance[tiny]",
          lambda: _fit_line(np.stack((LOG_SCALES, TINY_Y)))[2:4], None, (0.0, 0.0)),
-        # the rounded r of this falling line is -1.0000000000000002
+        # this falling line's moments are exact on any platform (integer
+        # deviations from integer means), and its rounded r is
+        # -1.0000000000000002
         ("test_fit_line_r_clamped_at_minus_one",
-         lambda: _fit_line(np.stack((LOG_SCALES, 0.1 - 0.3 * LOG_SCALES)))[2], None, -1.0),
+         lambda: _fit_line(np.array([[0.0, 1.0, 2.0, 4.0, 5.0, 6.0],
+                                     [1.0, -2.0, -5.0, -11.0, -14.0, -17.0]]))[2],
+         None, -1.0),
         ("test_fit_line_two_points_has_no_stderr",
          lambda: repr(_fit_line(np.stack((LOG_SCALES[:2], LOG_SCALES[:2])))[3]), None, "nan"),
         ("test_one_scale_range",

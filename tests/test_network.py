@@ -338,6 +338,28 @@ class TestSplitPeriods:
         overlap = set(subs[0].date_index) & set(subs[1].date_index)
         assert len(overlap) == 200
 
+    def test_restrict_drops_unobserved_dates(self):
+        days = np.array(["2020-01-01", "2020-01-02", "2020-01-03",
+                         "2020-01-04"], dtype="datetime64[D]")
+        panel = RatePanel.from_matrix(
+            ["a", "b"], days,
+            [[1.0, np.nan, 3.0, 4.0], [5.0, np.nan, 7.0, 8.0]])
+        (sub,) = split_periods(panel, [(D(2020, 1, 2), D(2020, 1, 4))])
+        assert sub.date_index == (D(2020, 1, 3), D(2020, 1, 4))
+        assert sub.is_aligned
+        with pytest.raises(AlignmentError, match="'a'.*keeps 1"):
+            split_periods(panel, [(D(2020, 1, 1), D(2020, 1, 2))])
+
+    def test_window_copies_only_when_a_date_drops(self):
+        panel = RatePanel.from_matrix(
+            ["a", "b"], np.arange(4).astype("datetime64[D]"),
+            [[1.0, 2.0, np.nan, 4.0], [5.0, 6.0, np.nan, 8.0]])
+        kept, dropped = split_periods(panel, [(D(1970, 1, 1), D(1970, 1, 2)),
+                                              (D(1970, 1, 1), D(1970, 1, 4))])
+        assert np.shares_memory(kept.matrix, panel.matrix)
+        assert not np.shares_memory(dropped.matrix, panel.matrix)
+        assert dropped.matrix.tolist() == [[1.0, 2.0, 4.0], [5.0, 6.0, 8.0]]
+
 
 class TestExports:
     def test_graphml_parses_and_carries_attributes(self):

@@ -52,6 +52,8 @@ MARGINS = {
                     "generate_blocks: each member's values are bit for bit "
                     "those of a one-row engine, and the generator fills rows "
                     "in the order one-row draws do, whatever the chunk size",
+    "_WRITE_CHARS": "characters per write of cli._write_all: the file "
+                    "holds the text's UTF-8 bytes whatever the slices",
 }
 
 

@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` turns warnings into errors; a warning raised while a
 plugin builds a failure report must not abort the rest of the run.  A test
-that hangs fails on ``conftest``'s time limit and the run goes on.
+that hangs fails on ``conftest``'s time limit and the run goes on.  The
+tests that pin a rounding-level effect hold on other numeric code paths.
 """
 
 import os
@@ -66,3 +67,34 @@ def test_hanging_test_fails_on_the_time_limit(tmp_path):
     assert ("conftest.TimeLimitExceeded: test still running after 0.5 s"
             in proc.stdout)
     assert "1 failed, 1 passed" in proc.stdout
+
+
+# Tests whose input must round the way they assert on any platform.
+ROUNDING = (
+    "tests/test_hurst.py::TestFitHurst::test_fit_line_r_clamped_at_minus_one",
+    "tests/test_hurst.py::TestDetectCrossover::test_rounding_tie_goes_to_the_larger_scale",
+    "tests/test_synthetic.py::TestGenerateFgn::test_rounding_negatives_near_h_one_are_clamped",
+)
+
+
+def numpy_has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("AVX512F", False)
+
+
+def test_rounding_tests_hold_on_other_numeric_code_paths():
+    # numpy's power and log10 give other bits without AVX-512, and OpenBLAS's
+    # Sandybridge kernels another matrix product: a test that found its
+    # rounding in this CPU's code paths fails here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_CORETYPE": "Sandybridge"}
+    if numpy_has_avx512():
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "-p", "no:cacheprovider", *ROUNDING],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout

@@ -121,10 +121,12 @@ class TestGenerateFgn:
                 assert eig.min() >= -1e-12 * eig.max(), (n, h)
 
     @pytest.mark.parametrize("n, hurst", [
-        (512, 1 - 1e-10), (1024, 0.999999999), (4096, 0.9999999)])
+        (512, 1 - 1e-10), (1024, 0.999999999), (4096, 0.99999999)])
     def test_rounding_negatives_near_h_one_are_clamped(self, n, hurst):
         # each embedding has a negative eigenvalue, below -1e-12 * max for
-        # the last two, that is rounding in the cancelled power terms
+        # the last two, that is rounding in the cancelled power terms; with
+        # numpy's AVX-512 power and without it alike (the last reads about
+        # -1.9e-11 * max either way)
         eig = synthetic._embedding_eigenvalues(n, hurst)
         assert eig.min() < 0.0
         assert np.array_equal(synthetic._embedding(n, hurst),
