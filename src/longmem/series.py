@@ -301,6 +301,12 @@ def _parse_cells(path, labels, lineno: int,
     return values, blank
 
 
+# characters outside XML 1.0's Char production that a UTF-8 text can hold
+# (line breaks have their own rule; tab is allowed)
+_NOT_XML = frozenset(map(chr, [*range(9), 11, 12, *range(14, 32), 0xFFFE,
+                               0xFFFF]))
+
+
 def _numbered(reader):
     """``(line, cells)`` of each record of a ``csv.reader``, ``line`` being
     the line the record starts on: a quoted cell may span lines."""
@@ -310,27 +316,29 @@ def _numbered(reader):
         line = reader.line_num + 1
 
 
-def _records(text: str):
-    """``(line, cells)`` of each record of ``text``, the cells as
-    ``csv.reader`` gives them.
-
-    Text holding no quote or NUL has no quoted cells, so its records are
-    its lines, split at ``\\r\\n``, ``\\r`` or ``\\n``, and their cells the
-    comma-separated parts; such text is split with ``str.split``.  Other
-    text goes through ``csv.reader``, and so does text with a line long
-    enough to hold a cell past the reader's field limit, which it rejects.
+def _records(fh):
+    """``_plain_body``'s verdict on the text of the open file ``fh``, and
+    ``(line, cells)`` of each record, the cells as ``csv.reader`` gives them:
+    ``str.split`` cuts text holding no quote or NUL at ``\\r\\n``, ``\\r``
+    and ``\\n`` into records and at commas into cells.  ``csv.reader`` reads
+    other text, and text with a line long enough to hold a field past its
+    limit, which it rejects, from UTF-8 bytes that take the text's place.
     """
-    if '"' in text or "\0" in text:
-        return _numbered(csv.reader(io.StringIO(text, newline="")))
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:  # a final line end starts no record
-        lines.pop()
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return _numbered(csv.reader(lines))
-    return enumerate((line.split(",") if line else [] for line in lines),
-                     start=1)
+    text = fh.read()
+    plain = _plain_body(text)
+    if '"' not in text and "\0" not in text:
+        if "\r" in text:  # one replace at a time holds two texts, not three
+            text = text.replace("\r\n", "\n")
+            text = text.replace("\r", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:  # a final line end starts no record
+            lines.pop()
+        if max(map(len, lines), default=0) <= csv.field_size_limit():
+            return plain, enumerate(
+                (line.split(",") if line else [] for line in lines), start=1)
+        del lines
+    return plain, _numbered(csv.reader(io.TextIOWrapper(
+        io.BytesIO(text.encode()), "utf-8", newline="")))
 
 
 def _plain_body(text: str) -> bool:
@@ -399,19 +407,20 @@ def load_panel(path) -> RatePanel:
     becomes one series holding only the dates where it has a value; gaps
     are resolved later by :func:`align`.  Rows whose date cell is not an
     ASCII ``YYYY-MM-DD`` date are dropped with a warning; a row with fewer
-    cells than the header is missing the rest.
+    cells than the header is missing the rest.  ``path`` may be a pipe;
+    whatever the quoting and line ends, ``_records`` holds the text once
+    and frees it before the rows are parsed.
 
     Raises SchemaError for an unreadable file, missing value columns,
     duplicate column labels, a label holding a comma, quote or line break
-    (outputs write ids unquoted), a row with more cells than the header,
+    (outputs write ids unquoted) or a character XML 1.0 does not allow
+    (GraphML writes ids as XML), a row with more cells than the header,
     duplicate dates, non-numeric or non-finite cells, or any column with
     fewer than two observations.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-            plain, records = _plain_body(text), _records(text)
-            del text  # the records hold its lines: read them without it
+            plain, records = _records(fh)
             first = next(records, None)
             if first is None:
                 raise SchemaError(f"{path}: empty file")
@@ -429,6 +438,10 @@ def load_panel(path) -> RatePanel:
             if bad is not None:
                 raise SchemaError(f"{path}: column label {bad!r} contains a "
                                   "comma, quote or line break")
+            bad = next((l for l in labels if not _NOT_XML.isdisjoint(l)), None)
+            if bad is not None:  # GraphML writes ids as XML text
+                raise SchemaError(f"{path}: column label {bad!r} contains a "
+                                  "character that XML 1.0 does not allow")
             dates, values, blank = _read_body(path, records, labels, plain)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc

@@ -275,6 +275,10 @@ def naive_load(text, path="p.csv"):
         if set(label) & set(',"\r\n'):
             return fail(None, f"{path}: column label {label!r} contains a "
                               "comma, quote or line break")
+    for label in labels:
+        if re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", label):
+            return fail(None, f"{path}: column label {label!r} contains a "
+                              "character that XML 1.0 does not allow")
 
     table, bad_dates = {}, 0
     for line, row in records[1:]:

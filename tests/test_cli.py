@@ -69,9 +69,10 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 @pytest.fixture(scope="module")
 def panel_dir(tmp_path_factory) -> Path:
     """Panel files: three co-moving members, a flat-column copy, members
-    ``a`` and ``b``, member ``a`` alone, two malformed files (a long row, a
-    label with a comma), a 2x2 block panel, that panel with a flat member
-    and the levels ramp of ``conftest.ramp_panel``.
+    ``a`` and ``b``, member ``a`` alone, three malformed files (a long row,
+    a label with a comma, one with a control character), a 2x2 block
+    panel, that panel with a flat member and the levels ramp of
+    ``conftest.ramp_panel``.
 
     Members share a common fGn component (weight 0.8) so pairwise rho is
     strongly positive and the network commands have real edges to work on.
@@ -94,6 +95,8 @@ def panel_dir(tmp_path_factory) -> Path:
                                      "2020-01-03,5,6\n")
     (root / "comma.csv").write_text('date,"a,b",c\n2020-01-01,1,2\n2020-01-02,3,4\n'
                                     "2020-01-03,5,7\n")
+    (root / "control.csv").write_text("date,a,b1\x01m1\n2020-01-01,1,2\n"
+                                      "2020-01-02,3,4\n2020-01-03,5,7\n")
     blocks = BlockSpec(n_blocks=2, block_size=2, common_weight=0.5, hurst=0.7,
                        n=600, seed=0)
     block_panel = generate_blocks(blocks)
@@ -180,6 +183,8 @@ INPUT_RULES = [
      "ragged.csv:2: 3 value cells but the header names 2 columns"),
     (["report", "--input", "comma.csv"],
      "comma.csv: column label 'a,b' contains a comma, quote or line break"),
+    (["network", "--input", "control.csv"], "control.csv: column label "
+     "'b1\\x01m1' contains a character that XML 1.0 does not allow"),
     ([*HURST, "--scales", "10,x"],
      "--scales: expected comma-separated integers, got '10,x'"),
     ([*NETWORK, "--scale", "x"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from longmem import hurst
 from longmem.cli import main
 from longmem.dcca import pairwise_matrix, rho_vs_scale
 from longmem.errors import AlignmentError, FitError
@@ -285,6 +286,25 @@ class TestDetectCrossover:
                for k in (4, 5)]
         assert sse[0] < sse[1] == pytest.approx(sse[0], rel=1e-11)
         assert detect_crossover(f).breakpoint_scale == 512
+
+    def test_sse_on_the_tie_window_edge_is_a_tie(self, monkeypatch):
+        # SSEs from a table, so that no BLAS or SIMD path can round them: in
+        # doubles 1.000000001 == 1.0 + max(1e-20, 1e-9 * 1.000000001), so the
+        # split after the fourth scale sits exactly on the window's edge
+        f = FluctuationFunction("edge", dfa(1), 2 ** np.arange(4, 11),
+                                np.ones(7))
+        left_sse = {2: 3.0, 3: 1.0, 4: 1.000000001, 5: 2.0}
+
+        def table_fit(points):
+            n = points.shape[1]
+            if points[0, 0] != np.log10(16.0):  # a right side
+                return 0.0, 0.0, 0.0, 0.0, 0.0
+            return float(n), 0.0, 0.0, 0.0, left_sse.get(n, 10.0)
+
+        monkeypatch.setattr(hurst, "_fit_line", table_fit)
+        rep = detect_crossover(f, min_side_points=2)
+        assert (rep.breakpoint_scale, rep.slope_left) == (128, 4.0)
+        assert rep.sse_piecewise == 1.000000001
 
     def test_min_side_points_respected(self):
         values = piecewise_values(PIECEWISE_GRID, 250.0, 0.85, 0.50)

@@ -77,13 +77,28 @@ def test_every_named_constant_is_pinned_or_a_margin():
     assert not missing, sorted(missing)
 
 
-def test_no_module_calls_the_builtin_sum():
-    # from Python 3.12 on, sum of floats is compensated, so a float total
-    # would change bits with the Python version: loops or numpy instead
+def calls_in_the_package(matches):
+    """``module.py:line`` of each call in ``src/longmem`` that ``matches``."""
     calls = []
     for path in sorted((ROOT / "src" / "longmem").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "sum"):
+            if isinstance(node, ast.Call) and matches(node):
                 calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_no_module_calls_the_builtin_sum():
+    # from Python 3.12 on, sum of floats is compensated, so a float total
+    # would change bits with the Python version: loops or numpy instead
+    calls = calls_in_the_package(lambda node: isinstance(node.func, ast.Name)
+                                 and node.func.id == "sum")
+    assert not calls, calls
+
+
+def test_no_module_copies_a_text_into_a_stringio():
+    # a StringIO that starts from a text holds its own copy, at up to four
+    # bytes per character, beside the text; an empty write buffer is fine
+    calls = calls_in_the_package(
+        lambda node: (node.args or node.keywords) and "StringIO" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)))
     assert not calls, calls
