@@ -8,7 +8,8 @@ failure.  ``main`` alone reports the failures, writes all files in one pass
 together with ``run_manifest.json`` and picks the exit code.  The manifest
 stores the exact argv, so feeding it back through
 :func:`rerun_from_manifest` reproduces the outputs byte for byte on the
-same machine, with the same numpy/BLAS build and BLAS thread count.
+same machine, with the same numpy/BLAS build.  ``main`` runs the command
+with BLAS at ``--threads`` threads, which the manifest records.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 partial
 failure under --strict.
@@ -17,8 +18,10 @@ failure under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import functools
+import glob
 import json
 import math
 import os
@@ -224,7 +227,7 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
     p.add_argument("--seed", type=_parse_int,
                    help=f"RNG seed (default {_DEFAULT['seed']})")
     p.add_argument("--threads", type=_parse_int,
-                   help="recorded in the manifest, no effect on the run "
+                   help="BLAS threads for the run, recorded in the manifest "
                         "(default: LONGMEM_THREADS or 1)")
     p.add_argument("--format", type=_parse_formats, dest="formats",
                    metavar="FORMAT",
@@ -836,6 +839,33 @@ def _write_all(run: _Run) -> None:
                 os.remove(tmp)
 
 
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS at n threads, then restore its
+    count.  A product's bits can depend on the thread count, so pinning it
+    lets a rerun reproduce them on any core count.  A numpy whose BLAS
+    exposes no setter is left alone."""
+    import ctypes
+
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                      "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for get, put in (("scipy_openblas_get_num_threads64_",
+                          "scipy_openblas_set_num_threads64_"),
+                         ("openblas_get_num_threads", "openblas_set_num_threads")):
+            setter = getattr(handle, put, None)
+            if setter is not None:
+                old = getattr(handle, get)()
+                # a C int; OpenBLAS caps the count at its own maximum
+                setter(min(n, 2 ** 31 - 1))
+                try:
+                    yield
+                finally:
+                    setter(old)
+                return
+    yield
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -852,7 +882,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seed: {cfg.seed}")
     run = _Run(cfg)
     try:
-        _RUNNERS[cfg.command](run)
+        with _blas_threads(cfg.threads):
+            _RUNNERS[cfg.command](run)
     except (ConfigError, LongmemError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2
@@ -877,8 +908,8 @@ def main(argv: list[str] | None = None) -> int:
 def rerun_from_manifest(manifest_path: str) -> int:
     """Re-execute a recorded run.
 
-    The outputs are byte-identical on the same data, machine, numpy/BLAS
-    build and BLAS thread count.
+    The outputs are byte-identical on the same data, machine and numpy/BLAS
+    build.
     """
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)

@@ -31,21 +31,22 @@ which builds each series' profile once per input kind:
   the profile for all scales.  The moving-average trend is a difference of
   two cumsum slices over the window length, the interior and the < s
   boundary points (where the window is truncated) alike.  The residual
-  y - trend is formed once per scale over the whole profile, in place,
-  and its per-segment sums of squares are reduced over the forward and
-  backward (m, k, s) views of ``_tiles``.  A per-segment moving average
+  y - trend is formed once per scale over the whole profile, in place;
+  its squares are reduced per segment over the forward and backward
+  (m, k, s) views of ``_tiles``.  A per-segment moving average
   would be ill-defined near segment edges.
 - ``_segments`` is the one (m, 2k, s) layout of an (m, n) block's
   segments: forward tiles, then backward ones end-first.  DFA reads the
   profile through it, projects it onto the polynomial basis in one
-  stacked product and subtracts and squares in place.  The block is never
+  stacked product and subtracts the trend in place.  The block is never
   flattened to (m * 2k, s): a product's bits depend on its operand shape.
   The basis and its pseudoinverse are built once per (s, order) and
   shared read-only.  The coefficient matrices, ``detrended_segments`` and
   the floor check below read their segments through it too.
 - Segments at the rounding floor snap to zero for both methods.  Only the
-  segments whose mean square could be that small are checked exactly, so
-  the common case costs one comparison per segment.
+  segments whose mean square could be that small are checked exactly, on
+  the residuals the caller already holds, so each residual is formed once
+  and the common case costs one comparison per segment.
 
 Every F(s) value and coefficient is bit for bit what the materialized
 (2k, s) residual block of ``detrended_segments`` gives when reduced row by
@@ -217,10 +218,11 @@ class _Residuals:
     profile block, its row-wise cumulative sum (dma) and, per row, the
     bound on a segment's mean square below which the segment may sit at
     the rounding floor.  Each scale reads the segments as views of the
-    block or of one residual block; dfa copies them into the (m, 2k, s)
-    operand of its projection product, and ``residuals`` into its
-    caller's buffer.  Every reduction runs along a row, so each member's
-    values are bit for bit those of a one-row engine.
+    block or of one residual block; dfa copies the profile's into the
+    (m, 2k, s) operand of its projection product, ``residuals``' buffer
+    when it has one, and detrends them there.  Every reduction runs along
+    a row, so each member's values are bit for bit those of a one-row
+    engine.
     """
 
     def __init__(self, rows, method: DetrendMethod):
@@ -295,18 +297,19 @@ class _Residuals:
         out[:, k:] = bwd[:, ::-1]
         return out
 
-    def _dfa(self, s: int, k: int):
-        """The (m, 2k, s) segments and their polynomial trend.
+    def _dfa(self, s: int, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (m, 2k, s) residual segments, written into ``out``: the
+        profile's segments less their polynomial trend, in place.
 
         Both products are stacked ones, a (2k, s) product per member: a
         product's bits depend on its operand shape, so the block is never
         flattened to (m * 2k, s).
         """
-        seg = self._segments(self.y, s, k)
+        out = self._segments(self.y, s, k, out)
         basis, pinv = _poly_basis(s, self.method.order)
-        return seg, (seg @ pinv.T) @ basis.T
+        return np.subtract(out, (out @ pinv.T) @ basis.T, out=out)
 
-    def _snapped(self, s: int, k: int, ms: np.ndarray, trend):
+    def _snapped(self, s: int, k: int, ms: np.ndarray, resid: np.ndarray):
         """(row, segment) indices of residuals at the rounding floor.
 
         A residual no larger than the floor, 64 ulps of its segment
@@ -314,42 +317,36 @@ class _Residuals:
         detrended segments (constant or polynomial profiles) at F = 0, so
         they are excluded from log fits instead of being fitted on
         cancellation noise.  Only segments whose mean square ``ms`` is
-        within their row's bound are checked exactly, on residuals
-        re-formed from the profile's ``_segments`` (a chunk's block at
-        most) and their trend (``trend`` for dfa; dma forms its trend
-        again), so the common case costs one comparison per segment.
+        within their row's bound are checked exactly, on the caller's
+        residuals ``resid``: (m, 2k, s) segments, or an (m, n) block cut
+        by ``_segments`` once a segment is flagged.  The common case costs
+        one comparison per segment.
         """
         rows, segs = np.nonzero(ms <= self._ms_bound[:, None])
         if rows.size == 0:
             return rows, segs
+        if resid.ndim == 2:
+            resid = self._segments(resid, s, k)
         seg = self._segments(self.y, s, k)[rows, segs]
-        if self.method.kind == "dfa":
-            trend = trend[rows, segs]
-        else:
-            trend = self._segments(self.trend(s), s, k)[rows, segs]
         floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(seg).max(axis=1))
-        keep = np.abs(seg - trend).max(axis=1) <= floor
+        keep = np.abs(resid[rows, segs]).max(axis=1) <= floor
         return rows[keep], segs[keep]
 
     def mean_squares(self, s: int) -> np.ndarray:
         """Per-segment mean squared residual at scale s, shape (m, 2k)."""
         k = self.n_segments(s)
         if self.method.kind == "dma":
-            r2 = self._dma(s)
-            np.multiply(r2, r2, out=r2)
-            fwd, bwd = self._tiles(r2, s, k)
+            r = self._dma(s)
+            fwd, bwd = self._tiles(np.multiply(r, r), s, k)
             ms = np.concatenate((np.add.reduce(fwd, axis=2),
                                  np.add.reduce(bwd, axis=2)[:, ::-1]), axis=1)
-            trend = None
         else:
-            r2, trend = self._dfa(s, k)
-            np.subtract(r2, trend, out=r2)
-            np.multiply(r2, r2, out=r2)
-            ms = np.add.reduce(r2, axis=2)
+            r = self._dfa(s, k)
+            ms = np.add.reduce(np.multiply(r, r), axis=2)
         # np.mean's own steps (the sum, then a true divide by the count)
         # without its wrapper, so the bits are the same.
         ms /= s
-        ms[self._snapped(s, k, ms, trend)] = 0.0
+        ms[self._snapped(s, k, ms, r)] = 0.0
         return ms
 
     def residuals(self, s: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -357,13 +354,11 @@ class _Residuals:
         k = self.n_segments(s)
         if self.method.kind == "dma":
             out = self._segments(self._dma(s), s, k, out)
-            trend = None
         else:
-            seg, trend = self._dfa(s, k)
-            out = np.subtract(seg, trend, out=out)
+            out = self._dfa(s, k, out)
         flat = out.reshape(-1, s)
         ms = (np.einsum("ij,ij->i", flat, flat) / s).reshape(self.m, 2 * k)
-        out[self._snapped(s, k, ms, trend)] = 0.0
+        out[self._snapped(s, k, ms, out)] = 0.0
         return out
 
 

@@ -7,6 +7,7 @@ flag parsing, file layout, determinism, and error-path exit codes.
 """
 
 import csv
+import datetime as dt
 import io
 import json
 import math
@@ -39,6 +40,9 @@ from longmem.cli import (
     rerun_from_manifest,
     resolve_config,
 )
+from longmem.dcca import pairwise_matrix
+from longmem.network import build_network, detect_communities
+from longmem.scaling import FluctuationFunction, default_grid, dma
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
 from longmem.synthetic import (
     BlockSpec,
@@ -49,7 +53,13 @@ from longmem.synthetic import (
 )
 
 from conftest import ramp_panel, traced_peak
-from reference import naive_modularity
+from reference import (
+    naive_crossover,
+    naive_fluctuation,
+    naive_forward_fill,
+    naive_modularity,
+    naive_rho,
+)
 
 
 def run(args) -> int:
@@ -1070,6 +1080,145 @@ def test_cli_import_leaves_out_network_and_mail_modules(tmp_path):
     proc = run_process(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout.decode().splitlines() == ["[]", "[]"]
+
+
+def test_blas_thread_count_leaves_the_bytes_alone(tmp_path):
+    # The 150-member Gram products thread under OpenBLAS, and their last
+    # bits follow the thread count unless the CLI pins it to --threads.
+    assert run(["synth", "--blocks", "15x10", "--weight", "0.5", "--hurst", "0.7",
+                "--n", "2000", "--seed", "7", "--output-dir", tmp_path]) == 0
+    trees = []
+    for threads in ("1", "2"):
+        proc = run_process(["-m", "longmem", "dcca", "--input", "panel.csv",
+                            "--input-kind", "increments", "--all",
+                            "--scale", "20,50", "--output-dir", f"t{threads}"],
+                           tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        tree = tree_bytes(tmp_path / f"t{threads}")
+        del tree["run_manifest.json"]
+        trees.append(tree)
+    assert sorted(trees[0]) == ["dcca.json", "rho_matrix_s20.csv",
+                                "rho_matrix_s50.csv"]
+    assert trees[0] == trees[1]
+
+
+# ---------------------------------------------------------------------------
+# output oracle: each number lands in its file, row and column
+
+
+def csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def oracle_panel(path: Path, max_gap: int | None = None):
+    """{id: values} and the dates of a panel file, read with ``csv``:
+    forward-filled runs of at most ``max_gap`` dates (when given), then the
+    dates every member holds."""
+    header, *rows = csv_rows(path)
+    dates = [dt.date.fromisoformat(r[0]) for r in rows]
+    columns = {}
+    for j, sid in enumerate(header[1:], start=1):
+        seen = [(d, float(r[j])) for d, r in zip(dates, rows) if r[j]]
+        if max_gap is not None:
+            seen = list(zip(*naive_forward_fill(sid, *zip(*seen), dates, max_gap)))
+        columns[sid] = dict(seen)
+    shared = [d for d in dates if all(d in c for c in columns.values())]
+    return {sid: np.array([c[d] for d in shared]) for sid, c in columns.items()}, shared
+
+
+def levels_profile(values: np.ndarray) -> np.ndarray:
+    x = np.abs(np.diff(values))
+    return np.cumsum(x - x.mean())
+
+
+def rel_close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_numbers_land_in_their_file_row_and_column(tmp_path):
+    """``report`` matrices and crossover rows against the loop oracles, and
+    each ``network --period`` partition against its own window's matrix.
+    Every expected number is computed from the input file alone."""
+    # report: four levels series on a common factor; gaps of 2 and 1 dates are
+    # filled, and m3's 6-date gap drops those dates from every member
+    rng = np.random.default_rng(21)
+    common = rng.standard_normal(1000)
+    steps = 0.7 * common + 0.3 * rng.standard_normal((4, 1000))
+    levels = 5.0 + 0.02 * steps.cumsum(axis=1)
+    cells = levels.astype(object)
+    cells[1, 100:102] = cells[2, 500] = ""
+    cells[3, 700:706] = ""
+    ids = ["m2", "m0", "m3", "m1"]
+    dates = trading_dates(1000)
+    (tmp_path / "levels.csv").write_text(
+        "date," + ",".join(ids) + "\n" + "".join(
+            f"{d.isoformat()},{','.join(map(str, col))}\n"
+            for d, col in zip(dates, cells.T)))
+    out = tmp_path / "out"
+    assert run(["report", "--input", tmp_path / "levels.csv", "--output-dir", out,
+                "--align", "forward_fill", "--max-gap", "3", "--pair", "m0,m1",
+                "--scale", "20,50", "--threshold", "0.3",
+                "--min-side-points", "4", "--crossover-threshold", "0.05"]) == 0
+    columns, shared = oracle_panel(tmp_path / "levels.csv", max_gap=3)
+    assert len(shared) == 994
+    y = {sid: levels_profile(v) for sid, v in columns.items()}
+    method = dma()
+    for s in (20, 50):
+        header, *rows = csv_rows(out / "dcca" / f"rho_matrix_s{s}.csv")
+        assert header == ["id", *ids]
+        assert [r[0] for r in rows] == ids
+        for a, row in zip(ids, rows):
+            for b, cell in zip(ids, row[1:]):
+                want = naive_rho(y[a], y[b], s, method)
+                assert rel_close(float(cell), want), (s, a, b)
+    n_prof = len(shared) - 1
+    grid = default_grid(n_prof, s_max=min(500, n_prof // 2), num=25)
+    header, *rows = csv_rows(out / "hurst" / "crossover.csv")
+    assert header == ["id", "breakpoint_scale", "slope_left", "slope_right",
+                      "sse_single", "sse_piecewise", "improvement_ratio"]
+    assert [r[0] for r in rows] == sorted(ids)
+    for sid, *cells in rows:
+        f = FluctuationFunction(sid, method, grid.scales,
+                                [naive_fluctuation(y[sid], s, method) for s in grid])
+        want = naive_crossover(f, 4, 0.05)
+        brk = want.breakpoint_scale
+        assert cells[0] == ("" if brk is None else str(brk)), sid
+        assert all(rel_close(float(c), w) for c, w in zip(cells[1:], (
+            want.slope_left, want.slope_right, want.sse_single,
+            want.sse_piecewise, want.improvement_ratio))), sid
+
+    # network: two 600-date halves whose blocks differ (the second half's
+    # rows are the first block layout's rows interleaved), so each window
+    # has its own partition
+    panel = generate_blocks(BlockSpec(n_blocks=2, block_size=3, common_weight=0.7,
+                                      hurst=0.7, n=1200, seed=4))
+    matrix = panel.matrix.copy()
+    matrix[:, 600:] = matrix[[0, 3, 1, 4, 2, 5], 600:]
+    panel = RatePanel.from_matrix(panel.ids, panel.days, matrix)
+    (tmp_path / "panel.csv").write_text(panel_to_csv(panel))
+    days = [d.isoformat() for d in panel.days.tolist()]
+    windows = ((days[0], days[599]), (days[600], days[-1]))
+    out = tmp_path / "net"
+    assert run(["network", "--input", tmp_path / "panel.csv", "--output-dir", out,
+                "--input-kind", "increments", "--scale", "20,50", "--threshold", "0.3",
+                "--seed", "5", "--period", ":".join(windows[0]),
+                "--period", ":".join(windows[1])]) == 0
+    columns, shared = oracle_panel(tmp_path / "panel.csv")
+    got = {}
+    for k, (lo, hi) in enumerate(windows, start=1):
+        keep = [i for i, d in enumerate(shared) if lo <= d.isoformat() <= hi]
+        window = RatePanel.from_matrix(
+            list(columns), np.array(shared, dtype="datetime64[D]")[keep],
+            np.array([v[keep] for v in columns.values()]))
+        for s in (20, 50):
+            net = build_network(pairwise_matrix(window, s, dma(), "increments"), 0.3)
+            want = [[sid, str(c)] for sid, c in
+                    detect_communities(net, resolution=1.0, seed=5).assignment]
+            got[k, s] = csv_rows(out / f"period_{k}" / f"partition_s{s}.csv")
+            assert got[k, s] == [["id", "community"], *want], (k, s)
+    # the windows' partitions differ, so swapped windows would show
+    assert got[1, 20] != got[2, 20] and got[1, 50] != got[2, 50]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from longmem.series import (
 from longmem.synthetic import BlockSpec, generate_blocks
 
 import reference
-from conftest import make_series
+from conftest import make_series, traced_peak
 
 METHODS = [dfa(1), dfa(2), dfa(3), dma("centered"), dma("backward")]
 BLOCKS = {
@@ -513,3 +513,55 @@ class TestFOncePerScale:
         assert built == []
         _fluctuations(profiles, ScaleGrid(sorted({*grid, 500})), dma())
         assert built == [CHUNK, 1]
+
+
+class TestResidualsOnce:
+    """A ``mean_squares`` or ``residuals`` call forms its residual once: the
+    floor check reads the residual its caller holds."""
+
+    def test_flagged_dma_calls_form_one_trend_each(self, monkeypatch):
+        rows = np.random.default_rng(4).standard_normal((2, 1000)).cumsum(axis=1)
+        rows[0, 200:800] = rows[0, 200]
+        engine = _Residuals(rows, dma())
+        formed = []
+        original = scaling._Residuals.trend
+
+        def counting(self, s):
+            formed.append(s)
+            return original(self, s)
+
+        monkeypatch.setattr(scaling._Residuals, "trend", counting)
+        for s in (10, 20, 50):
+            # the flat stretch flags segments at every scale
+            assert np.any(engine.mean_squares(s)[0] == 0.0)
+            assert np.any(np.all(engine.residuals(s)[0] == 0.0, axis=1))
+        assert formed == [10, 10, 20, 20, 50, 50]
+
+    @pytest.mark.parametrize("method, want", [(dfa(2), [True] * 4),
+                                               (dma(), [False] * 2)],
+                             ids=["dfa2", "dma"])
+    def test_unflagged_calls_cut_no_segments_for_the_floor(self, monkeypatch,
+                                                           method, want):
+        # a walk has no segment near the floor, so the only cuts are dfa's
+        # operand (of the profile) and dma's residuals output (of its block)
+        rows = np.random.default_rng(6).standard_normal((2, 1000)).cumsum(axis=1)
+        engine = _Residuals(rows, method)
+        cuts = []
+        original = scaling._Residuals._segments
+
+        def counting(self, r, s, k, out=None):
+            cuts.append(r is self.y)
+            return original(self, r, s, k, out)
+
+        monkeypatch.setattr(scaling._Residuals, "_segments", counting)
+        for s in (10, 50):
+            engine.mean_squares(s)
+            engine.residuals(s)
+        assert cuts == want
+
+    def test_dfa_residuals_hold_one_trend_beside_the_output(self):
+        rows = np.random.default_rng(5).standard_normal((4, 5000)).cumsum(axis=1)
+        engine = _Residuals(rows, dfa(2))
+        s = 50
+        out = np.empty((4, 2 * engine.n_segments(s), s))
+        assert traced_peak(lambda: engine.residuals(s, out)) < 1.5 * out.nbytes
