@@ -4,12 +4,12 @@ One binary with subcommands ``hurst``, ``dcca``, ``network``, ``synth``
 and ``report``.  Every run resolves its flags into a single config,
 validates it before touching the filesystem, and hands the command's runner
 one run record, ``_Run``, that collects every output text and per-series
-failure.  ``main`` alone reports the failures, writes all files in one pass
-together with ``run_manifest.json`` and picks the exit code.  The manifest
-stores the exact argv, so feeding it back through
-:func:`rerun_from_manifest` reproduces the outputs byte for byte on the
-same machine, with the same numpy/BLAS build.  ``main`` runs the command
-with BLAS at ``--threads`` threads, which the manifest records.
+failure.  ``main`` alone reports warnings and failures, writes all files
+in one pass together with ``run_manifest.json`` and picks the exit code.
+The manifest stores the exact argv, the whole run (no setting is read from
+the environment), so feeding it back through :func:`rerun_from_manifest`
+reproduces the outputs byte for byte on the same machine, with the same
+numpy/BLAS build.  ``main`` runs the command on ``--threads`` BLAS threads.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 partial
 failure under --strict.
@@ -28,6 +28,7 @@ import os
 import platform
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -96,7 +97,7 @@ class RunConfig:
     command: str
     argv: tuple[str, ...]
     output_dir: str
-    threads: int  # from --threads or LONGMEM_THREADS, so it has no default
+    threads: int = 1  # BLAS threads, set from argv alone so a rerun replays it
     seed: int = 0
     formats: tuple[str, ...] = _FORMATS
     strict: bool = False
@@ -228,7 +229,7 @@ def _add_common(p: argparse.ArgumentParser, *, with_input: bool = True):
                    help=f"RNG seed (default {_DEFAULT['seed']})")
     p.add_argument("--threads", type=_parse_int,
                    help="BLAS threads for the run, recorded in the manifest "
-                        "(default: LONGMEM_THREADS or 1)")
+                        f"(default {_DEFAULT['threads']})")
     p.add_argument("--format", type=_parse_formats, dest="formats",
                    metavar="FORMAT",
                    help="comma list of table,json,graphml,dot (default all)")
@@ -377,7 +378,7 @@ def build_parser() -> _Parser:
 # and --num-scales meet float64 math, exact up to 2**53; a --blocks factor up
 # to 2**27 keeps B*M rows of 16 values within numpy's 2**63 bytes.
 _RANGES = (
-    ("--threads", "threads", 1, None, "[]"),
+    ("--threads", "threads", 1, 2 ** 31 - 1, "[]"),  # OpenBLAS takes a C int
     ("--dfa-order", "dfa_order", 1, None, "[]"),
     ("--seed", "seed", 0, None, "[]"),
     ("--smin", "s_min", 2, None, "[]"),
@@ -464,12 +465,6 @@ def resolve_config(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
     # a repeatable flag collects a list; the config holds tuples
     values = {name: tuple(v) if isinstance(v, list) else v
               for name, v in vars(ns).items() if name in _DEFAULT}
-    if "threads" not in values:
-        raw = os.environ.get("LONGMEM_THREADS", "1")
-        try:
-            values["threads"] = _ascii_number(raw, int)
-        except ValueError:
-            raise ConfigError(f"LONGMEM_THREADS: not an integer: {raw!r}")
     _check_ranges({**vars(ns), **values})
     if ns.command != "synth":
         if not os.path.isfile(ns.input):
@@ -705,8 +700,8 @@ def _network_outputs(run: _Run, panel: RatePanel, prefix: str,
         for m in window_matrices:
             net = build_network(m, threshold=cfg.threshold)
             if net.n_edges == 0:
-                print(f"warning: empty network at s={m.scale} "
-                      f"(threshold {cfg.threshold})", file=sys.stderr)
+                warnings.warn(f"empty network at s={m.scale} "
+                              f"(threshold {cfg.threshold})")
             part = detect_communities(net, resolution=cfg.resolution,
                                       seed=cfg.seed)
             deg = average_weighted_degree(net)
@@ -741,9 +736,8 @@ def _run_dcca(run: _Run) -> None:
     if cfg.all_pairs and len(panel) < 2:
         raise ConfigError("--all needs a panel with at least 2 series")
     _check_pairs(cfg, panel)
-    curve_grid = None
-    if cfg.pairs:
-        curve_grid = _analysis_grid(cfg, _profile_length(panel, cfg.input_kind))
+    curve_grid = (_analysis_grid(cfg, _profile_length(panel, cfg.input_kind))
+                  if cfg.pairs else None)
     matrices = _dcca_outputs(run, panel, "", curve_grid, cfg.all_pairs)
     print(f"wrote {len(cfg.pairs)} curve(s), {len(matrices)} matrix(es)")
 
@@ -856,8 +850,7 @@ def _blas_threads(n: int):
             setter = getattr(handle, put, None)
             if setter is not None:
                 old = getattr(handle, get)()
-                # a C int; OpenBLAS caps the count at its own maximum
-                setter(min(n, 2 ** 31 - 1))
+                setter(ctypes.c_int(n))
                 try:
                     yield
                 finally:
@@ -869,9 +862,8 @@ def _blas_threads(n: int):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         cfg = resolve_config(ns, argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -882,8 +874,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seed: {cfg.seed}")
     run = _Run(cfg)
     try:
-        with _blas_threads(cfg.threads):
-            _RUNNERS[cfg.command](run)
+        with warnings.catch_warnings(record=True) as caught, \
+                _blas_threads(cfg.threads):
+            warnings.simplefilter("always")  # each repeat too, under any -W
+            try:
+                _RUNNERS[cfg.command](run)
+            finally:  # one line per warning, before any error: line
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except (ConfigError, LongmemError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2

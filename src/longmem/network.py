@@ -306,10 +306,7 @@ def average_weighted_degree(net: CorrelationNetwork) -> float:
     """Mean over nodes of the summed magnitudes of incident edges."""
     if net.n_nodes == 0:
         return 0.0
-    total = 0.0
-    for _, _, w in net.edges:
-        total += 2.0 * abs(w)
-    return total / net.n_nodes
+    return _total(2.0 * abs(w) for _, _, w in net.edges) / net.n_nodes
 
 
 def split_periods(

@@ -318,18 +318,21 @@ class _Residuals:
         they are excluded from log fits instead of being fitted on
         cancellation noise.  Only segments whose mean square ``ms`` is
         within their row's bound are checked exactly, on the caller's
-        residuals ``resid``: (m, 2k, s) segments, or an (m, n) block cut
-        by ``_segments`` once a segment is flagged.  The common case costs
+        residuals ``resid``: (m, 2k, s) segments or an (m, n) block, of
+        which only the flagged segments are copied.  The common case costs
         one comparison per segment.
         """
         rows, segs = np.nonzero(ms <= self._ms_bound[:, None])
         if rows.size == 0:
             return rows, segs
-        if resid.ndim == 2:
-            resid = self._segments(resid, s, k)
-        seg = self._segments(self.y, s, k)[rows, segs]
-        floor = _RESIDUAL_FLOOR * np.maximum(1.0, np.abs(seg).max(axis=1))
-        keep = np.abs(resid[rows, segs]).max(axis=1) <= floor
+        starts = np.where(segs < k, segs * s, self.n - (segs - k + 1) * s)
+
+        def top(block):  # max |value| per flagged segment, from one copy
+            got = (np.lib.stride_tricks.sliding_window_view(block, s, axis=1)
+                   [rows, starts] if block.ndim == 2 else block[rows, segs])
+            return np.abs(got, out=got).max(axis=1)
+
+        keep = top(resid) <= _RESIDUAL_FLOOR * np.maximum(1.0, top(self.y))
         return rows[keep], segs[keep]
 
     def mean_squares(self, s: int) -> np.ndarray:
@@ -340,6 +343,7 @@ class _Residuals:
             fwd, bwd = self._tiles(np.multiply(r, r), s, k)
             ms = np.concatenate((np.add.reduce(fwd, axis=2),
                                  np.add.reduce(bwd, axis=2)[:, ::-1]), axis=1)
+            del fwd, bwd  # the squares, freed before the floor check
         else:
             r = self._dfa(s, k)
             ms = np.add.reduce(np.multiply(r, r), axis=2)

@@ -158,8 +158,8 @@ def test_every_flag_parses_into_a_config_field():
     from longmem.cli import RunConfig
 
     config_fields = {f.name for f in fields(RunConfig)}
-    allowed = config_fields | {"command", "input", "output_dir", "threads",
-                               "method", "dfa_order", "dma_alignment"}
+    allowed = config_fields | {"command", "input", "output_dir", "method",
+                               "dfa_order", "dma_alignment"}
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for command, parser in sub.choices.items():
@@ -184,8 +184,7 @@ FLOAT_FLAGS = [(HURST, "--bin-width"), (HURST, "--crossover-threshold"),
                (SYNTH, "--hurst"), (SYNTH, "--weight"), (SYNTH, "--sigma")]
 
 
-# Leading NAME=value items are environment settings, as on a shell line;
-# input files are read from the panel_dir fixture, and a repeated flag
+# Input files are read from the panel_dir fixture, and a repeated flag
 # overrides the earlier value.
 INPUT_RULES = [
     (["hurst", "--input", "nope.csv"], "--input: no such file: nope.csv"),
@@ -233,10 +232,10 @@ INPUT_RULES = [
     ([*HURST, "--smin", "\u0663"], "argument --smin: invalid int value: '\u0663'"),
     ([*NETWORK, "--resolution", "1_0"],
      "argument --resolution: invalid float value: '1_0'"),
-    (["LONGMEM_THREADS=x", *HURST], "LONGMEM_THREADS: not an integer: 'x'"),
-    (["LONGMEM_THREADS=\u0663", *HURST],
-     "LONGMEM_THREADS: not an integer: '\u0663'"),
     ([*HURST, "--threads", "0"], "--threads must be >= 1, got 0"),
+    # OpenBLAS takes the count as a C int
+    ([*HURST, f"--threads={2 ** 31}"],
+     "--threads must be <= 2147483647, got 2147483648"),
     ([*HURST, "--method", "dfa", "--dfa-order", "0"],
      "--dfa-order must be >= 1, got 0"),
     ([*HURST, "--dfa-order", "3"], "--dfa-order only applies to --method dfa"),
@@ -322,10 +321,6 @@ RULE_NAMES = {
     for argv, message in INPUT_RULES])
 def test_input_rule_exits_one_without_outputs(panel_dir, tmp_path, capsys,
                                               monkeypatch, argv, message):
-    while "=" in argv[0]:
-        name, value = argv[0].split("=")
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
     assert_rule(argv, 1, message, panel_dir, tmp_path, capsys, monkeypatch)
 
 
@@ -371,12 +366,13 @@ def test_every_numeric_flag_has_one_range_row():
 
 # Accepted range edges, and README's values of 10**20 on unbounded sides: a
 # row's run exits 0 (None), or exits 2 with the message its data gives.  A
-# run that would ask for more memory than any machine has is only resolved
-# (CONFIG_ONLY).
+# run that would ask for more memory than any machine has, or for OpenBLAS's
+# largest thread count, is only resolved (CONFIG_ONLY).
 CONFIG_ONLY = "config only"
 ONE = ["hurst", "--input", "one.csv"]
 ACCEPTED_EDGES = [
     ([*HURST, "--threads", "1"], None),
+    ([*HURST, f"--threads={2 ** 31 - 1}"], CONFIG_ONLY),
     ([*HURST, "--method", "dfa", "--dfa-order", "1"], None),
     ([*HURST, "--seed", "0"], None),
     ([*NETWORK, f"--seed={10 ** 20}"], None),
@@ -587,15 +583,6 @@ def test_manifest_records_argv_and_defaults(panel_dir, tmp_path):
     assert manifest["config"]["fit_max"] == 250
     assert manifest["config"]["input_kind"] == "increments"
     assert set(manifest["versions"]) == {"longmem", "numpy", "python"}
-
-
-def test_threads_env_fallback(panel_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("LONGMEM_THREADS", "2")
-    out = tmp_path / "out"
-    assert run(["hurst", "--input", panel_dir / "abc.csv",
-                "--output-dir", out, "--input-kind", "increments"]) == 0
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["config"]["threads"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +896,53 @@ def test_empty_network_warns_and_still_exports(panel_dir, tmp_path, capsys):
     assert float(degree[1][1]) == 0.0
 
 
+def test_a_repeated_warning_prints_each_time(panel_dir, tmp_path, capsys):
+    code = run(["network", "--input", panel_dir / "abc.csv", "--output-dir",
+                tmp_path / "out", "--input-kind", "increments",
+                "--threshold", "1.0", "--scale", "10",
+                "--period", "2000-01-03:2000-12-29",
+                "--period", "2001-01-01:2001-12-31"])
+    assert code == 0
+    assert capsys.readouterr().err == 2 * (
+        "warning: empty network at s=10 (threshold 1.0)\n")
+
+
+# (panel, extra row, command, exit code, stderr after the warning): a load
+# warning comes before the error line of a command that then fails
+BAD_DATE_RUNS = [
+    pytest.param("ab.csv", "bad,1,2", ["hurst", "--input-kind", "increments"],
+                 0, "", id="hurst"),
+    pytest.param("one.csv", "bad,1", ["dcca", "--all"], 1,
+                 "error: --all needs a panel with at least 2 series\n", id="dcca"),
+]
+
+
+def bad_date_run(panel_dir, tmp_path, panel, row, command) -> list[str]:
+    """argv of ``command`` on a copy of ``panel`` with one unparseable date
+    row, written as bad.csv into tmp_path, the run's working directory."""
+    (tmp_path / "bad.csv").write_text((panel_dir / panel).read_text() + row + "\n")
+    return [command[0], "--input", "bad.csv", *command[1:], "--output-dir", "out"]
+
+
+@pytest.mark.parametrize("panel, row, command, code, tail", BAD_DATE_RUNS)
+def test_load_warning_is_one_stderr_line(panel_dir, tmp_path, capsys, monkeypatch,
+                                         panel, row, command, code, tail):
+    monkeypatch.chdir(tmp_path)
+    assert run(bad_date_run(panel_dir, tmp_path, panel, row, command)) == code
+    assert capsys.readouterr().err == (
+        "warning: bad.csv: dropped 1 rows with unparseable dates\n" + tail)
+
+
+@pytest.mark.parametrize("panel, row, command, code, tail", BAD_DATE_RUNS)
+def test_warning_as_error_filter_changes_nothing(panel_dir, tmp_path,
+                                                 panel, row, command, code, tail):
+    argv = bad_date_run(panel_dir, tmp_path, panel, row, command)
+    proc = run_process(["-W", "error", "-m", "longmem", *argv], tmp_path)
+    assert proc.stderr.decode() == (
+        "warning: bad.csv: dropped 1 rows with unparseable dates\n" + tail)
+    assert proc.returncode == code
+
+
 def test_period_windows_write_subdirectories(panel_dir, tmp_path):
     out = tmp_path / "out"
     code = run(["network", "--input", panel_dir / "abc.csv", "--output-dir",
@@ -1061,10 +1095,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_process(args, cwd, **env) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter that imports this tree."""
+    """``python args`` in a fresh interpreter that imports this tree; an
+    ``env`` value of None unsets that variable."""
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=SRC, **env).items()
+           if v is not None}
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=SRC, **env),
-                          timeout=300)
+                          env=env, timeout=300)
 
 
 def test_cli_import_leaves_out_network_and_mail_modules(tmp_path):
@@ -1082,24 +1118,48 @@ def test_cli_import_leaves_out_network_and_mail_modules(tmp_path):
     assert proc.stdout.decode().splitlines() == ["[]", "[]"]
 
 
-def test_blas_thread_count_leaves_the_bytes_alone(tmp_path):
-    # The 150-member Gram products thread under OpenBLAS, and their last
-    # bits follow the thread count unless the CLI pins it to --threads.
+@pytest.fixture(scope="module")
+def gram_panel(tmp_path_factory) -> Path:
+    """A 150-member block panel, whose Gram products thread under OpenBLAS."""
+    out = tmp_path_factory.mktemp("gram")
     assert run(["synth", "--blocks", "15x10", "--weight", "0.5", "--hurst", "0.7",
-                "--n", "2000", "--seed", "7", "--output-dir", tmp_path]) == 0
+                "--n", "2000", "--seed", "7", "--output-dir", out]) == 0
+    return out / "panel.csv"
+
+
+def dcca_matrices(gram_panel, cwd, out, **env) -> dict[str, bytes]:
+    """The files of a ``dcca --all`` run in a fresh interpreter."""
+    proc = run_process(["-m", "longmem", "dcca", "--input", gram_panel,
+                        "--input-kind", "increments", "--all",
+                        "--scale", "20,50", "--output-dir", out], cwd, **env)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return tree_bytes(cwd / out)
+
+
+def test_blas_thread_count_leaves_the_bytes_alone(gram_panel, tmp_path):
+    # The Gram products' last bits follow the thread count unless the CLI
+    # pins it to --threads.
     trees = []
     for threads in ("1", "2"):
-        proc = run_process(["-m", "longmem", "dcca", "--input", "panel.csv",
-                            "--input-kind", "increments", "--all",
-                            "--scale", "20,50", "--output-dir", f"t{threads}"],
-                           tmp_path, OPENBLAS_NUM_THREADS=threads)
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-        tree = tree_bytes(tmp_path / f"t{threads}")
+        tree = dcca_matrices(gram_panel, tmp_path, f"t{threads}",
+                             OPENBLAS_NUM_THREADS=threads)
         del tree["run_manifest.json"]
         trees.append(tree)
     assert sorted(trees[0]) == ["dcca.json", "rho_matrix_s20.csv",
                                 "rho_matrix_s50.csv"]
     assert trees[0] == trees[1]
+
+
+def test_rerun_ignores_the_environment_thread_count(gram_panel, tmp_path):
+    # --threads comes from argv alone, the argv the manifest replays
+    first = dcca_matrices(gram_panel, tmp_path, "out", LONGMEM_THREADS="2")
+    rerun = ("import sys; from longmem.cli import rerun_from_manifest; "
+             "sys.exit(rerun_from_manifest('out/run_manifest.json'))")
+    proc = run_process(["-c", rerun], tmp_path, LONGMEM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert sorted(first) == ["dcca.json", "rho_matrix_s20.csv",
+                             "rho_matrix_s50.csv", "run_manifest.json"]
+    assert tree_bytes(tmp_path / "out") == first
 
 
 # ---------------------------------------------------------------------------

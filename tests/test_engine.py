@@ -559,6 +559,20 @@ class TestResidualsOnce:
             engine.residuals(s)
         assert cuts == want
 
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=["dma", "dfa2"])
+    def test_floor_check_copies_only_the_flagged_segments(self, method):
+        # every segment of the zero member, a third of the block, is flagged
+        rows = np.random.default_rng(7).standard_normal((3, 5000)).cumsum(axis=1)
+        flagged = rows.copy()
+        flagged[0] = 0.0
+        peaks = []
+        for block in (rows, flagged):
+            engine = _Residuals(block, method)
+            engine.mean_squares(50)  # dfa builds its basis on the first call
+            peaks.append(traced_peak(lambda: engine.mean_squares(50)))
+        assert np.all(engine.mean_squares(50)[0] == 0.0)
+        assert peaks[1] <= 1.1 * peaks[0]
+
     def test_dfa_residuals_hold_one_trend_beside_the_output(self):
         rows = np.random.default_rng(5).standard_normal((4, 5000)).cumsum(axis=1)
         engine = _Residuals(rows, dfa(2))

@@ -77,12 +77,13 @@ def test_every_named_constant_is_pinned_or_a_margin():
     assert not missing, sorted(missing)
 
 
-def calls_in_the_package(matches):
-    """``module.py:line`` of each call in ``src/longmem`` that ``matches``."""
+def calls_in_the_package(matches, kind=ast.Call):
+    """``module.py:line`` of each call, or other ``kind`` of node, in
+    ``src/longmem`` that ``matches``."""
     calls = []
     for path in sorted((ROOT / "src" / "longmem").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and matches(node):
+            if isinstance(node, kind) and matches(node):
                 calls.append(f"{path.name}:{node.lineno}")
     return calls
 
@@ -93,6 +94,14 @@ def test_no_module_calls_the_builtin_sum():
     calls = calls_in_the_package(lambda node: isinstance(node.func, ast.Name)
                                  and node.func.id == "sum")
     assert not calls, calls
+
+
+def test_no_module_reads_the_environment():
+    # a rerun replays the manifest's argv alone, so a setting read from
+    # the environment would not reach it
+    reads = calls_in_the_package(lambda node: node.attr in ("environ", "getenv"),
+                                 kind=ast.Attribute)
+    assert not reads, reads
 
 
 def test_no_module_copies_a_text_into_a_stringio():

@@ -261,8 +261,11 @@ class TestReaderPaths:
         fifo = tmp_path / "pipe" / "p.csv"
         os.mkfifo(fifo)
 
+        opened = threading.Event()
+
         def write():
             with open(fifo, "wb") as fh:
+                opened.set()
                 fh.write(data)
 
         writer = threading.Thread(target=write, daemon=True)
@@ -271,7 +274,8 @@ class TestReaderPaths:
         try:
             got = read_outcome("p.csv")
         finally:
-            if writer.is_alive():  # load_panel never opened the pipe
+            # a writer still closing its end is alive but needs no reader
+            if not opened.is_set():  # load_panel never opened the pipe
                 open(fifo, "rb").close()
             writer.join(timeout=10)
         assert not writer.is_alive()
