@@ -43,7 +43,9 @@ which builds each series' profile once per input kind:
   The basis and its pseudoinverse are built once per (s, order) and
   shared read-only.  The coefficient matrices, ``detrended_segments`` and
   the floor check below read their segments through it too.
-- Segments at the rounding floor snap to zero for both methods.  Only the
+- Segments at the rounding floor snap to zero for both methods.  DMA's
+  trend is a difference of cumsums, so its rounding grows with them, and
+  its floor scales with the cumsums as well as the profile.  Only the
   segments whose mean square could be that small are checked exactly, on
   the residuals the caller already holds, so each residual is formed once
   and the common case costs one comparison per segment.
@@ -229,16 +231,18 @@ class _Residuals:
         self.y = y = np.array(rows, dtype=float)
         self.m, self.n = y.shape
         self.method = method
+        mag = np.fmax.reduce(np.abs(y), axis=1, initial=0.0)
         if method.kind == "dma":
             self._cs = np.empty((self.m, self.n + 1))
             self._cs[:, 0] = 0.0
             np.cumsum(y, axis=1, out=self._cs[:, 1:])
+            # the trend's rounding grows with the cumsums it differences
+            mag = np.fmax(mag, np.fmax.reduce(np.abs(self._cs), axis=1))
         # A segment snaps only if max|r| <= floor <= top, so its mean square
         # is at most top**2; the 2x slack covers a rounded mean of squares
         # landing a few ulps above its largest term.  fmax skips NaN, which
         # never snaps, so the bound still covers every finite segment.
-        top = _RESIDUAL_FLOOR * np.maximum(
-            1.0, np.fmax.reduce(np.abs(y), axis=1, initial=0.0))
+        top = _RESIDUAL_FLOOR * np.maximum(1.0, mag)
         self._ms_bound = 2.0 * top * top
 
     def n_segments(self, s: int) -> int:
@@ -261,8 +265,7 @@ class _Residuals:
         only: the interior, the first a points (window clipped at 0) and,
         when centered, the last s - 1 - a (window clipped at n).
         """
-        n, cs = self.n, self._cs
-        a = (s - 1) // 2 if self.method.alignment == "centered" else s - 1
+        n, cs, a = self.n, self._cs, self._lag(s)
         out = np.empty((self.m, n))
         inner = out[:, a:n - s + a + 1]
         np.subtract(cs[:, s:], cs[:, :n - s + 1], out=inner)
@@ -271,6 +274,10 @@ class _Residuals:
         np.divide(cs[:, n, None] - cs[:, n - s + 1:n - a],
                   np.arange(s - 1, a, -1), out=out[:, n - s + a + 1:])
         return out
+
+    def _lag(self, s: int) -> int:
+        """The lag a of a dma window: point i averages [i - a, i - a + s)."""
+        return (s - 1) // 2 if self.method.alignment == "centered" else s - 1
 
     def _dma(self, s: int) -> np.ndarray:
         """Residual y - trend over every whole profile, formed in place."""
@@ -313,7 +320,9 @@ class _Residuals:
         """(row, segment) indices of residuals at the rounding floor.
 
         A residual no larger than the floor, 64 ulps of its segment
-        magnitude, is numerically zero.  Snapping it keeps perfectly
+        magnitude, is numerically zero; for dma the magnitude also takes
+        the cumsum entries the segment's trend reads (the 2s from its first
+        window's start, clipped to the cumsum).  Snapping it keeps perfectly
         detrended segments (constant or polynomial profiles) at F = 0, so
         they are excluded from log fits instead of being fitted on
         cancellation noise.  Only segments whose mean square ``ms`` is
@@ -327,12 +336,20 @@ class _Residuals:
             return rows, segs
         starts = np.where(segs < k, segs * s, self.n - (segs - k + 1) * s)
 
-        def top(block):  # max |value| per flagged segment, from one copy
+        def top(block, begin=starts):  # max |value| per flagged segment
             got = (np.lib.stride_tricks.sliding_window_view(block, s, axis=1)
-                   [rows, starts] if block.ndim == 2 else block[rows, segs])
+                   [rows, begin] if block.ndim == 2 else block[rows, segs])
             return np.abs(got, out=got).max(axis=1)
 
-        keep = top(resid) <= _RESIDUAL_FLOOR * np.maximum(1.0, top(self.y))
+        mag = top(self.y)
+        if self.method.kind == "dma":
+            begin = np.clip(starts - self._lag(s), 0, self.n + 1 - 2 * s)
+            for half in (begin, begin + s):  # one s-wide copy at a time
+                mag = np.fmax(mag, top(self._cs, half))
+        # kept finite: under an overflowed cumsum's infinite floor, the
+        # infinite residuals it leaves would snap
+        floor = _RESIDUAL_FLOOR * np.clip(mag, 1.0, np.finfo(float).max)
+        keep = top(resid) <= floor
         return rows[keep], segs[keep]
 
     def mean_squares(self, s: int) -> np.ndarray:

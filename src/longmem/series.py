@@ -52,12 +52,39 @@ def _readonly(values) -> np.ndarray:
     return _frozen(np.array(values, dtype=float))
 
 
+# (hash, snapshot, read-only index) of the last exact-date sequence converted,
+# replaced whole, so a concurrent reader sees one consistent entry
+_last_days: tuple = (None, (), None)
+
+
 def _as_days(dates) -> np.ndarray:
-    """Read-only datetime64[D] copy of datetime.date objects or datetime64s."""
+    """Read-only datetime64[D] copy of datetime.date objects or datetime64s.
+
+    Dates other than a datetime64 array are read into a tuple snapshot.  One
+    that hashes and compares equal to the last snapshot of exactly
+    ``datetime.date`` objects converted gets that index itself, so members
+    on one calendar share one array.  The hash keeps out ``np.datetime64``
+    scalars, which compare equal to dates but are rejected; keeping only
+    exact dates keeps out aware datetimes, equal across time zones on other
+    local dates.  A sequence changed in place no longer matches its snapshot.
+    """
+    global _last_days
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
         return _frozen(dates.astype("datetime64[D]"))
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64)
-    return _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
+    snap = tuple(dates)
+    try:
+        key = hash(snap)
+    except TypeError:  # an unhashable item, which toordinal rejects below
+        key = None
+    else:
+        last_key, last_snap, last = _last_days
+        if key == last_key and snap == last_snap:
+            return last
+    ordinals = np.fromiter(map(dt.date.toordinal, snap), dtype=np.int64)
+    days = _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
+    if key is not None and set(map(type, snap)) == {dt.date}:
+        _last_days = (key, snap, days)
+    return days
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -66,18 +93,29 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _first_unsorted(days: np.ndarray) -> np.datetime64 | None:
+def _check_index(days: np.ndarray, name: str) -> None:
+    """ValueError naming ``name`` unless ``days`` strictly increase.
+
+    NaT compares False with every date, so it is looked for on its own.
+    """
+    i = _first(np.isnat(days))
+    if i is not None:
+        raise ValueError(f"{name} hold NaT at position {i}")
     i = _first(days[1:] <= days[:-1])
-    return None if i is None else days[i]
+    if i is not None:
+        raise ValueError(f"{name} not strictly increasing at {days[i]}")
 
 
 class TimeSeries:
     """One dated observation vector (rate levels, percent units).
 
     ``days`` holds the strictly increasing dates as ``datetime64[D]`` and
-    ``values`` the matching observations; both are read-only.  ``dates``
-    gives the same dates as ``datetime.date`` objects.  ``_profiles`` keeps
-    the profiles :func:`series_profile` built, keyed by input kind.
+    ``values`` the matching observations; both are read-only.  Series
+    built in turn on one list of ``datetime.date`` objects (one calendar)
+    share one ``days`` array, which a panel built from them on that list
+    takes as its index.  ``dates`` gives the same dates as ``datetime.date``
+    objects.  ``_profiles`` keeps the profiles :func:`series_profile` built,
+    keyed by input kind.
     """
 
     __slots__ = ("id", "days", "values", "_dates", "_profiles")
@@ -94,10 +132,7 @@ class TimeSeries:
             raise ValueError(f"series {id!r}: length {len(values)} < 2")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"series {id!r}: non-finite values")
-        unsorted = _first_unsorted(days)
-        if unsorted is not None:
-            raise ValueError(f"series {id!r}: dates not strictly "
-                             f"increasing at {unsorted}")
+        _check_index(days, f"series {id!r}: dates")
         self._set(id, days, values)
 
     def _set(self, id, days, values) -> None:
@@ -154,6 +189,7 @@ class RatePanel:
                 continue
             pos = np.minimum(np.searchsorted(days, s.days), len(days) - 1)
             if not np.array_equal(days[pos], s.days):
+                _check_index(days, "panel dates")  # a bad index misplaces it
                 raise ValueError(f"series {s.id!r} has dates outside the "
                                  f"panel's date index")
             matrix[i, pos] = s.values
@@ -179,9 +215,7 @@ class RatePanel:
         if matrix.shape != (len(ids), len(days)):
             raise ValueError(f"matrix shape {matrix.shape} does not match "
                              f"{len(ids)} series x {len(days)} dates")
-        unsorted = _first_unsorted(days)
-        if unsorted is not None:
-            raise ValueError(f"panel dates not strictly increasing at {unsorted}")
+        _check_index(days, "panel dates")
         if np.isinf(matrix).any():
             raise ValueError("panel has non-finite values")
         counts = (~np.isnan(matrix)).sum(axis=1)

@@ -7,6 +7,7 @@ to the rounding floor too, and tie both to the loop oracle in
 ``reference.py`` within its usual tolerances.
 """
 
+import itertools
 from collections import Counter
 from functools import partial
 
@@ -203,6 +204,60 @@ class TestFloorCandidates:
         floor = _RESIDUAL_FLOOR * 1.6369616873214543
         r = np.full((1, 154), floor)
         assert np.mean(r * r, axis=1)[0] > floor * floor
+
+
+def flat_stretch(seed: int, wiggle: float = 0.0) -> np.ndarray:
+    """A 5000-point walk held at one level over points 1000-1400, that level
+    moved by +-``wiggle`` times the walk's largest |cumulative sum|."""
+    y = np.random.default_rng(seed).standard_normal(5000).cumsum()
+    y[1000:1400] = y[1000] + wiggle * np.abs(y.cumsum()).max() * (
+        (-1.0) ** np.arange(400))
+    return y
+
+
+def stretch_segments(s: int, kind: str, lo: int = 1000, hi: int = 1400):
+    """Segments of ``flat_stretch`` at scale s whose detrending reads points
+    of the stretch alone: the segment itself for dfa, every point its
+    centered trend averages for dma."""
+    k = 5000 // s
+    starts = np.r_[np.arange(k) * s, 5000 - (np.arange(k) + 1) * s]
+    first, span = ((s - 1) // 2, 2 * s - 1) if kind == "dma" else (0, s)
+    return np.flatnonzero((starts - first >= lo)
+                          & (starts - first + span <= hi))
+
+
+class TestDmaFloor:
+    """DMA's trend is a difference of cumulative sums, so its rounding
+    grows with them: its floor scales with them, and a flat stretch deep in
+    a long profile snaps under DMA as it does under DFA."""
+
+    def test_flat_stretch_snaps_as_under_dfa(self):
+        for seed, s in itertools.product(range(12), (10, 20, 50)):
+            y = flat_stretch(seed)
+            zeros = [np.flatnonzero(_Residuals((y,), m).mean_squares(s)[0] == 0)
+                     for m in (dma(), dfa(1))]
+            inner = stretch_segments(s, "dma")
+            assert inner.size and np.array_equal(zeros[0], inner), (seed, s)
+            assert np.array_equal(zeros[1], stretch_segments(s, "dfa")), (seed, s)
+
+    @pytest.mark.parametrize("method", [dma(), dma("backward")],
+                             ids=lambda m: m.label)
+    def test_an_overflowed_cumsum_snaps_no_infinite_residual(self, method):
+        y = np.r_[np.full(500, 1.0), np.full(500, 1.5e308)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            engine = _Residuals((y,), method)
+            k = engine.n_segments(10)
+            raw = engine._segments(engine._dma(10), 10, k)[0]
+            ms = engine.mean_squares(10)[0]
+        lost = ~np.isfinite(raw).all(axis=1)
+        assert lost.any() and not np.any(ms[lost] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_wiggle_far_above_the_floor_does_not_snap(self, seed):
+        y = flat_stretch(seed, wiggle=1e-9)
+        for s in (10, 20, 50):
+            for method in (dma(), dma("backward")):
+                assert np.all(_Residuals((y,), method).mean_squares(s) > 0)
 
 
 class TestWarmCalls:
@@ -558,6 +613,20 @@ class TestResidualsOnce:
             engine.mean_squares(s)
             engine.residuals(s)
         assert cuts == want
+
+    @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=["dma", "dfa2"])
+    def test_unflagged_calls_gather_nothing_for_the_floor(self, monkeypatch,
+                                                          method):
+        rows = np.random.default_rng(6).standard_normal((2, 1000)).cumsum(axis=1)
+        engine = _Residuals(rows, method)
+        gathers = []
+        original = np.lib.stride_tricks.sliding_window_view
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            lambda *a, **k: gathers.append(a) or original(*a, **k))
+        for s in (10, 50):
+            engine.mean_squares(s)
+            engine.residuals(s)
+        assert gathers == []
 
     @pytest.mark.parametrize("method", [dma(), dfa(2)], ids=["dma", "dfa2"])
     def test_floor_check_copies_only_the_flagged_segments(self, method):

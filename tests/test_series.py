@@ -5,6 +5,7 @@ import re
 import tempfile
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,72 @@ class TestRatePanel:
             panel.member("zz")
 
 
+def weekday_list(start: str, n: int) -> list[dt.date]:
+    return np.busday_offset(np.datetime64(start, "D"), np.arange(n)).tolist()
+
+
+class TestSharedCalendar:
+    """Members on one date list share one index, converted once."""
+
+    def test_panel_on_one_list_converts_it_once(self, monkeypatch):
+        dates = weekday_list("1990-01-01", 64)  # a calendar no other test uses
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(np, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np, name, call)
+
+        counting("fromiter")  # one per conversion
+        counting("searchsorted")  # one per member placed off the index itself
+        members = [TimeSeries(f"m{i:02d}", dates, np.arange(64.0) + i)
+                   for i in range(32)]
+        panel = RatePanel(members, tuple(dates))
+        assert calls == {"fromiter": 1}
+        assert all(m.days is panel.days for m in members)
+        assert panel.date_index == tuple(dates)
+
+    def test_list_changed_in_place_is_converted_again(self):
+        dates = weekday_list("1991-01-01", 4)
+        first = TimeSeries("a", dates, [1, 2, 3, 4]).days
+        dates[-1] += dt.timedelta(days=7)
+        second = TimeSeries("a", dates, [1, 2, 3, 4]).days
+        assert first[-1] == np.datetime64("1991-01-04")
+        assert second[-1] == np.datetime64("1991-01-11")
+        fresh = [dt.date(d.year, d.month, d.day) for d in dates]
+        assert np.array_equal(TimeSeries("b", fresh, [1, 2, 3, 4]).days, second)
+
+    def test_datetime64_scalars_stay_rejected(self):
+        dates = weekday_list("1992-01-01", 3)
+        TimeSeries("a", dates, [1, 2, 3])
+        scalars = [np.datetime64(d, "D") for d in dates]
+        assert scalars == dates  # equal, but toordinal takes no datetime64
+        with pytest.raises(TypeError, match="'numpy.datetime64' object"):
+            TimeSeries("b", scalars, [1, 2, 3])
+
+    def test_unhashable_items_convert_or_fail_as_before(self):
+        class Day(dt.date):
+            __hash__ = None
+
+        days = TimeSeries("a", [Day(1994, 1, 3), Day(1994, 1, 4)], [1, 2]).days
+        assert days.astype(str).tolist() == ["1994-01-03", "1994-01-04"]
+        with pytest.raises(TypeError, match="toordinal.*'list' object"):
+            TimeSeries("b", [[1], [2]], [1, 2])
+
+    def test_aware_datetimes_give_their_local_dates(self):
+        utc = [dt.datetime(1993, 1, d, 23, tzinfo=dt.timezone.utc)
+               for d in (4, 5, 6)]
+        east = [t.astimezone(dt.timezone(dt.timedelta(hours=2))) for t in utc]
+        assert east == utc  # the same instants, a day later on the clock
+        days = [TimeSeries(i, ts, [1, 2, 3]).days.astype(str).tolist()
+                for i, ts in (("utc", utc), ("east", east))]
+        assert days == [["1993-01-04", "1993-01-05", "1993-01-06"],
+                        ["1993-01-05", "1993-01-06", "1993-01-07"]]
+
+
 def reading(text):
     """A call that writes ``text`` to p.csv and loads it."""
     def call():
@@ -541,6 +608,13 @@ LATE = TimeSeries("late", FULL.dates[1:], [1, 2, 3, 4])
 TWO_DAYS = ["2020-01-01", "2020-01-02"]
 BAD_DATE_ROW = "date,a\nx,1\n2020-01-01,1\n2020-01-02,2\n"
 NO_WARNINGS = pytest.mark.filterwarnings("error")  # the ValueError alone
+
+
+def with_nat(i: int) -> np.ndarray:
+    """Three datetime64 dates, the one at position ``i`` NaT."""
+    days = np.array(["2000-01-03", "2000-01-04", "2000-01-05"], "M8[D]")
+    days[i] = np.datetime64("NaT")
+    return days
 
 RULES = {
     "TestLoadPanel": [
@@ -623,7 +697,11 @@ RULES = {
          ValueError, "series 'x': values must be 1-D"),
         ("test_rejects_dates_values_length_mismatch",
          lambda: TimeSeries("x", A.dates, [1, 2, 3]), ValueError,
-         "series 'x': 2 dates vs 3 values")],
+         "series 'x': 2 dates vs 3 values"),
+        # NaT compares False with every date, so no order check sees it
+        *[(f"test_rejects_nat_date[{i}]",
+           lambda i=i: TimeSeries("a", with_nat(i), [1.0, 2.0, 3.0]), ValueError,
+           f"series 'a': dates hold NaT at position {i}") for i in range(3)]],
     "TestAlign": [
         ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), AlignmentError,
          "aligned panel would have 0 shared dates (< 2)"),
@@ -697,8 +775,19 @@ RULES = {
                ["2020-01-01", "2020-01-01"], [[1, 2]],
                "panel dates not strictly increasing at 2020-01-01"),
               ("test_from_matrix_rejects[infinite-cell]", ["a"], TWO_DAYS,
-               [[1, np.inf]], "panel has non-finite values")]],
+               [[1, np.inf]], "panel has non-finite values"),
+              ("test_from_matrix_rejects[nat-date]", ["a"],
+               ["2020-01-01", "NaT", "2020-01-03"], [[1, 2, 3]],
+               "panel dates hold NaT at position 1")]],
         ("test_date_outside_index_rejected", lambda: RatePanel((FULL,), FULL.dates[:2]),
-         ValueError, "series 'full' has dates outside the panel's date index")],
+         ValueError, "series 'full' has dates outside the panel's date index"),
+        # a member that does not fit a bad index is not blamed for it
+        ("test_date_index_rejects[nat-date]",
+         lambda: RatePanel((FULL,), np.where(FULL.days == FULL.days[2],
+                                             np.datetime64("NaT"), FULL.days)),
+         ValueError, "panel dates hold NaT at position 2"),
+        ("test_date_index_rejects[unsorted]",
+         lambda: RatePanel((FULL,), FULL.dates[::-1]), ValueError,
+         "panel dates not strictly increasing at 2000-01-07")],
 }
 rule_tests(globals(), RULES)
