@@ -11,8 +11,8 @@ the environment), so feeding it back through :func:`rerun_from_manifest`
 reproduces the outputs byte for byte on the same machine, with the same
 numpy/BLAS build.  ``main`` runs the command on ``--threads`` BLAS threads.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 partial
-failure under --strict.
+Exit codes: 0 success, 1 validation error, 2 runtime failure or a bug (any
+exception but a LongmemError), 3 partial failure under --strict.
 """
 
 from __future__ import annotations
@@ -882,9 +882,12 @@ def main(argv: list[str] | None = None) -> int:
             finally:  # one line per warning, before any error: line
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-    except (ConfigError, LongmemError, ValueError, MemoryError) as exc:
+    except (ConfigError, LongmemError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2
+    except Exception as exc:  # a bug in longmem, not bad input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for sid, msg in run.failures:
         print(f"failed: {sid}: {msg}", file=sys.stderr)
 

@@ -42,7 +42,7 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     DegenerateSeriesError, since the coefficient is then undefined.  The
     upper triangle is mirrored so symmetry is exact, the diagonal is set
     to exactly 1, and overshoot past +-1 up to the rounding tolerance is
-    clamped; a larger one raises LongmemError.
+    clamped; a larger one is a bug and raises RuntimeError.
     """
     bad = [i for i, v in zip(ids, f2) if v <= 0.0]
     if bad:
@@ -57,7 +57,7 @@ def _normalize(f2: np.ndarray, gram: np.ndarray, ids, s: int) -> np.ndarray:
     np.fill_diagonal(rho, 1.0)
     i, j = np.unravel_index(np.argmax(np.abs(rho)), rho.shape)
     if abs(rho[i, j]) - 1.0 > _RHO_OVERSHOOT_TOL:
-        raise LongmemError(
+        raise RuntimeError(
             f"|rho|={abs(rho[i, j])} for ({ids[i]!r}, {ids[j]!r}) at "
             f"s={s} exceeds 1 beyond rounding tolerance; "
             "this indicates a bug"
@@ -124,13 +124,13 @@ class DccaMatrix:
         _frozen(self.rho)
         n = len(self.ids)
         if self.rho.shape != (n, n):
-            raise ValueError("rho must be square over ids")
+            raise LongmemError("rho must be square over ids")
         if not np.all(np.diag(self.rho) == 1.0):
-            raise ValueError("diagonal must be exactly 1")
+            raise LongmemError("diagonal must be exactly 1")
         if not np.array_equal(self.rho, self.rho.T):
-            raise ValueError("matrix must be symmetric")
+            raise LongmemError("matrix must be symmetric")
         if np.max(np.abs(self.rho)) > 1.0:
-            raise ValueError("entries must lie in [-1, 1]")
+            raise LongmemError("entries must lie in [-1, 1]")
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +160,7 @@ def pairwise_matrix(
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before pairwise analysis")
     if len(panel.series) < 2:
-        raise ValueError("need at least two series for a pairwise matrix")
+        raise LongmemError("need at least two series for a pairwise matrix")
 
     profiles = [series_profile(ts, input_kind=input_kind).values
                 for ts in panel.series]
@@ -181,7 +181,7 @@ class RhoCurve:
         _frozen(self.scales)
         _frozen(self.values)
         if self.scales.size != self.values.size:
-            raise ValueError("scales and values must match in length")
+            raise LongmemError("scales and values must match in length")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the longmem package."""
+"""Exception hierarchy for the longmem package: the one family of bad input."""
 
 __all__ = [
     "LongmemError",
@@ -10,8 +10,8 @@ __all__ = [
 ]
 
 
-class LongmemError(Exception):
-    """Base class for all longmem-specific errors."""
+class LongmemError(ValueError):
+    """Bad data or arguments; anything else longmem raises is a bug."""
 
 
 class SchemaError(LongmemError):

@@ -179,9 +179,9 @@ def detect_crossover(
     at most 1e-20) yields ratio 0 and no breakpoint.
     """
     if not 0.0 < improvement_threshold < 1.0:
-        raise ValueError("improvement_threshold must be in (0, 1)")
+        raise LongmemError("improvement_threshold must be in (0, 1)")
     if min_side_points < 2:
-        raise ValueError("need at least 2 points per side")
+        raise LongmemError("need at least 2 points per side")
 
     usable = f.values > 0.0
     scales = f.scales[usable]
@@ -271,7 +271,7 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
     last bin is closed.  A rounded edge can land a hair past the smallest
     or largest value, so the grid then gets one more bin on that side.
     A width so small that the bin count overflows or reaches 2**60 (the
-    float64 values numpy can size) raises ValueError.
+    float64 values numpy can size) raises LongmemError.
     """
     v_min, v_max = float(values.min()), float(values.max())
     try:
@@ -281,9 +281,9 @@ def _histogram(values: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray
     except OverflowError:  # a quotient past the float64 range
         n_bins = math.inf
     if n_bins >= 2 ** 60:
-        raise ValueError(f"bin width {float(width)!r} splits the exponent "
-                         f"range [{v_min:g}, {v_max:g}] into 2**60 or more "
-                         "bins")
+        raise LongmemError(f"bin width {float(width)!r} splits the exponent "
+                           f"range [{v_min:g}, {v_max:g}] into 2**60 or more "
+                           "bins")
     if lo + width * n_bins < v_max:
         n_bins += 1
     edges = lo + width * np.arange(n_bins + 1)
@@ -296,29 +296,29 @@ def _map_fluctuations(fn, panel: RatePanel, grid: ScaleGrid,
                       ) -> list[tuple[str, object]]:
     """Apply ``fn`` to the F(s) over ``grid`` of every aligned panel member.
 
-    The one place per-member work runs and its failures are caught.  The
-    members' profiles go through the batched ``_fluctuations`` in id
-    order.  Returns one ``(id, outcome)`` pair per member, in id order:
-    the outcome is ``fn(f)``, or the LongmemError or ValueError that the
-    member's profile, F or ``fn`` raised.  An error of the batched F (a
-    grid scale the profiles are too short for) is every member's outcome.
+    The one place per-member work runs and its LongmemErrors are caught; any
+    other exception is a bug and propagates.  Profiles go through the
+    batched ``_fluctuations`` in id order.  Returns one ``(id, outcome)``
+    pair per member, in id order: ``fn(f)``, or the LongmemError that the
+    member's profile, F or ``fn`` raised.  An error of the batched F (a grid
+    scale the profiles are too short for) is every member's outcome.
     """
     members = sorted(panel.series, key=lambda t: t.id)
     outcome, profiles = {}, []
     for ts in members:
         try:
             profiles.append(series_profile(ts, input_kind=input_kind))
-        except (LongmemError, ValueError) as exc:
+        except LongmemError as exc:
             outcome[ts.id] = exc
     try:
         curves = _fluctuations(profiles, grid, method) if profiles else []
-    except (LongmemError, ValueError) as exc:
+    except LongmemError as exc:
         curves = []
         outcome.update((p.parent_id, exc) for p in profiles)
     for f in curves:
         try:
             outcome[f.series_id] = fn(f)
-        except (LongmemError, ValueError) as exc:
+        except LongmemError as exc:
             outcome[f.series_id] = exc
     return [(ts.id, outcome[ts.id]) for ts in members]
 
@@ -352,7 +352,7 @@ def hurst_distribution(
     if not panel.is_aligned:
         raise AlignmentError("panel must be aligned before batch estimation")
     if not 0.0 < bin_width < math.inf:
-        raise ValueError("bin_width must be positive and finite")
+        raise LongmemError("bin_width must be positive and finite")
     if grid is None:
         grid = default_grid(_profile_length(panel, input_kind))
 

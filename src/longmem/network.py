@@ -6,9 +6,9 @@ rare and standard modularity assumes non-negative weights); the number of
 excluded negative edges is recorded on the partition.
 
 Community detection is a greedy multi-level modularity pass made fully
-deterministic: nodes are visited in canonical id order permuted by the
-seeded generator, gain ties (within 1e-12) go to the smallest label, and final
-labels are renumbered by each community's smallest member id.
+deterministic: nodes are visited in the network's id order (the panel's header
+order) permuted by the seeded generator, gain ties (within 1e-12) go to the
+smallest label, and final labels are renumbered by smallest member id.
 """
 
 from __future__ import annotations
@@ -49,20 +49,20 @@ class CorrelationNetwork:
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
+            raise LongmemError("threshold must be in (0, 1]")
         known = set(self.ids)
         seen = set()
         for a, b, w in self.edges:
             if a == b:
-                raise ValueError(f"self-loop on {a!r}")
+                raise LongmemError(f"self-loop on {a!r}")
             if a not in known or b not in known:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
+                raise LongmemError(f"edge ({a!r}, {b!r}) references unknown node")
             key = (a, b) if a <= b else (b, a)
             if key in seen:
-                raise ValueError(f"duplicate edge for pair {key}")
+                raise LongmemError(f"duplicate edge for pair {key}")
             seen.add(key)
             if abs(w) < self.threshold:
-                raise ValueError(
+                raise LongmemError(
                     f"edge ({a!r}, {b!r}) weight {w} below threshold {self.threshold}"
                 )
 
@@ -110,7 +110,7 @@ class CommunityPartition:
 
     def __post_init__(self):
         if self.modularity_q > 1.0:
-            raise ValueError("modularity cannot exceed 1")
+            raise LongmemError("modularity cannot exceed 1")
 
     @property
     def labels(self) -> dict[str, int]:
@@ -251,7 +251,7 @@ def detect_communities(
     network degenerates to singleton communities at Q = 0.
     """
     if not 0.0 < resolution < math.inf:
-        raise ValueError("resolution must be positive and finite")
+        raise LongmemError("resolution must be positive and finite")
     if net.n_nodes == 0:
         raise LongmemError("cannot partition an empty network")
     index = {node: i for i, node in enumerate(net.ids)}
@@ -323,7 +323,7 @@ def split_periods(
     panel's matrix, not a copy.
     """
     if not windows:
-        raise ValueError("need at least one window")
+        raise LongmemError("need at least one window")
     out = []
     for d_from, d_to in windows:
         lo = np.searchsorted(panel.days, np.datetime64(d_from, "D"), side="left")

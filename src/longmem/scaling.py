@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleError
+from .errors import LongmemError, ScaleError
 from .series import Profile, _frozen
 
 __all__ = [
@@ -100,13 +100,13 @@ class DetrendMethod:
     def __post_init__(self):
         if self.kind == "dfa":
             if self.order < 1:
-                raise ValueError(f"dfa order must be >= 1, got {self.order}")
+                raise LongmemError(f"dfa order must be >= 1, got {self.order}")
         elif self.kind == "dma":
             if self.alignment not in ("centered", "backward"):
-                raise ValueError(f"dma alignment must be 'centered' or "
-                                 f"'backward', got {self.alignment!r}")
+                raise LongmemError(f"dma alignment must be 'centered' or "
+                                   f"'backward', got {self.alignment!r}")
         else:
-            raise ValueError(f"unknown detrend kind {self.kind!r}")
+            raise LongmemError(f"unknown detrend kind {self.kind!r}")
 
     @property
     def min_scale(self) -> int:
@@ -409,9 +409,9 @@ class FluctuationFunction:
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "values", values)
         if len(scales) != len(values):
-            raise ValueError("scales and values length mismatch")
+            raise LongmemError("scales and values length mismatch")
         if np.any(values < 0):
-            raise ValueError("auto-fluctuation values must be >= 0")
+            raise LongmemError("auto-fluctuation values must be >= 0")
 
 
 def _fluctuations(profiles, grid: ScaleGrid,

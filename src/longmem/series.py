@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, SchemaError
+from .errors import AlignmentError, LongmemError, SchemaError
 
 __all__ = [
     "TimeSeries",
@@ -57,7 +57,7 @@ def _readonly(values) -> np.ndarray:
 _last_days: tuple = (None, (), None)
 
 
-def _as_days(dates) -> np.ndarray:
+def _as_days(dates, name: str = "panel dates") -> np.ndarray:
     """Read-only datetime64[D] copy of datetime.date objects or datetime64s.
 
     Dates other than a datetime64 array are read into a tuple snapshot.  One
@@ -80,7 +80,15 @@ def _as_days(dates) -> np.ndarray:
         last_key, last_snap, last = _last_days
         if key == last_key and snap == last_snap:
             return last
-    ordinals = np.fromiter(map(dt.date.toordinal, snap), dtype=np.int64)
+    try:
+        ordinals = np.fromiter(map(dt.date.toordinal, snap), dtype=np.int64)
+    except TypeError:  # name the first item that is not a date, if any
+        bad = [i for i, d in enumerate(snap) if not isinstance(d, dt.date)]
+        if not bad:
+            raise
+        kind = repr(type(snap[bad[0]]))[7:-1]  # 'list', 'numpy.datetime64'
+        raise TypeError(f"{name} hold a {kind} object at position {bad[0]}, "
+                        "not a datetime.date") from None
     days = _frozen((ordinals - _EPOCH_ORDINAL).astype("datetime64[D]"))
     if key is not None and set(map(type, snap)) == {dt.date}:
         _last_days = (key, snap, days)
@@ -94,16 +102,16 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def _check_index(days: np.ndarray, name: str) -> None:
-    """ValueError naming ``name`` unless ``days`` strictly increase.
+    """LongmemError naming ``name`` unless ``days`` strictly increase.
 
     NaT compares False with every date, so it is looked for on its own.
     """
     i = _first(np.isnat(days))
     if i is not None:
-        raise ValueError(f"{name} hold NaT at position {i}")
+        raise LongmemError(f"{name} hold NaT at position {i}")
     i = _first(days[1:] <= days[:-1])
     if i is not None:
-        raise ValueError(f"{name} not strictly increasing at {days[i]}")
+        raise LongmemError(f"{name} not strictly increasing at {days[i]}")
 
 
 class TimeSeries:
@@ -121,17 +129,17 @@ class TimeSeries:
     __slots__ = ("id", "days", "values", "_dates", "_profiles")
 
     def __init__(self, id: str, dates, values):
-        days = _as_days(dates)
+        days = _as_days(dates, f"series {id!r}: dates")
         values = _readonly(values)
         if values.ndim != 1:
-            raise ValueError(f"series {id!r}: values must be 1-D")
+            raise LongmemError(f"series {id!r}: values must be 1-D")
         if len(days) != len(values):
-            raise ValueError(f"series {id!r}: {len(days)} dates vs "
-                             f"{len(values)} values")
+            raise LongmemError(f"series {id!r}: {len(days)} dates vs "
+                               f"{len(values)} values")
         if len(values) < 2:
-            raise ValueError(f"series {id!r}: length {len(values)} < 2")
+            raise LongmemError(f"series {id!r}: length {len(values)} < 2")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"series {id!r}: non-finite values")
+            raise LongmemError(f"series {id!r}: non-finite values")
         _check_index(days, f"series {id!r}: dates")
         self._set(id, days, values)
 
@@ -177,7 +185,7 @@ class RatePanel:
     def __init__(self, series, date_index=()):
         series = tuple(series)
         if not series:
-            raise ValueError("panel has no series")
+            raise LongmemError("panel has no series")
         if date_index is not None and len(date_index):
             days = _as_days(date_index)
         else:
@@ -190,8 +198,8 @@ class RatePanel:
             pos = np.minimum(np.searchsorted(days, s.days), len(days) - 1)
             if not np.array_equal(days[pos], s.days):
                 _check_index(days, "panel dates")  # a bad index misplaces it
-                raise ValueError(f"series {s.id!r} has dates outside the "
-                                 f"panel's date index")
+                raise LongmemError(f"series {s.id!r} has dates outside the "
+                                   f"panel's date index")
             matrix[i, pos] = s.values
         self._set([s.id for s in series], days, matrix)
 
@@ -208,20 +216,20 @@ class RatePanel:
     def _set(self, ids, days, matrix) -> None:
         ids = tuple(ids)
         if not ids:
-            raise ValueError("panel has no series")
+            raise LongmemError("panel has no series")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate series ids: {', '.join(dupes)}")
+            raise LongmemError(f"duplicate series ids: {', '.join(dupes)}")
         if matrix.shape != (len(ids), len(days)):
-            raise ValueError(f"matrix shape {matrix.shape} does not match "
-                             f"{len(ids)} series x {len(days)} dates")
+            raise LongmemError(f"matrix shape {matrix.shape} does not match "
+                               f"{len(ids)} series x {len(days)} dates")
         _check_index(days, "panel dates")
         if np.isinf(matrix).any():
-            raise ValueError("panel has non-finite values")
+            raise LongmemError("panel has non-finite values")
         counts = (~np.isnan(matrix)).sum(axis=1)
         i = _first(counts < 2)
         if i is not None:
-            raise ValueError(f"series {ids[i]!r}: length {counts[i]} < 2")
+            raise LongmemError(f"series {ids[i]!r}: length {counts[i]} < 2")
         self.ids, self.days, self.matrix = ids, days, _frozen(matrix)
         self._series = self._date_index = None
 
@@ -277,40 +285,40 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         if len(self.values) < 2:
-            raise ValueError(f"{self.parent_id!r}: profile shorter than 2")
+            raise LongmemError(f"{self.parent_id!r}: profile shorter than 2")
         if not np.isfinite(self.values).all():
-            raise ValueError(f"{self.parent_id!r}: profile is not finite "
-                             "(the increments overflow)")
+            raise LongmemError(f"{self.parent_id!r}: profile is not finite "
+                               "(the increments overflow)")
         tol = _PROFILE_TOL * max(np.sum(np.abs(np.diff(self.values))), 1.0)
         if abs(self.values[-1]) > tol:
-            raise ValueError(f"{self.parent_id!r}: profile does not telescope "
-                             f"to 0 (final value {self.values[-1]:g})")
+            raise LongmemError(f"{self.parent_id!r}: profile does not telescope "
+                               f"to 0 (final value {self.values[-1]:g})")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 def _ascii_number(text: str, parse=float):
-    """``parse(text)`` for ASCII text without ``_``; ValueError otherwise.
+    """``parse(text)`` for ASCII text without ``_``; LongmemError otherwise.
 
     ``float()`` and ``int()`` also read other digits (``'\u0663'`` is 3)
     and digit separators (``'1_0'`` is 10).
     """
     if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
+        raise LongmemError(f"not an ASCII number: {text!r}")
     return parse(text)
 
 
 def _iso_date(text: str) -> dt.date:
     """The date of ASCII ``YYYY-MM-DD`` text.
 
-    Any other form raises the ValueError of Python 3.10's
+    Any other form raises a ValueError with the message of Python 3.10's
     ``date.fromisoformat``; later versions also read ``YYYYMMDD`` and
     ISO week dates.
     """
     if (len(text) != 10 or not text.isascii()
             or text[4] != "-" or text[7] != "-"):
-        raise ValueError(f"Invalid isoformat string: {text!r}")
+        raise LongmemError(f"Invalid isoformat string: {text!r}")
     return dt.date.fromisoformat(text)
 
 
@@ -550,18 +558,18 @@ def align(panel: RatePanel, policy: str = "intersect",
     never fabricates data and is the default.  ``forward_fill`` first fills
     missing runs of length <= max_gap from the last observation, then
     intersects.  ``max_gap`` belongs to ``forward_fill`` alone; passing it
-    with ``intersect`` is a ValueError rather than silently ignored.
+    with ``intersect`` is a LongmemError rather than silently ignored.
     """
     if policy not in ("intersect", "forward_fill"):
-        raise ValueError(f"unknown alignment policy {policy!r}")
+        raise LongmemError(f"unknown alignment policy {policy!r}")
     matrix = panel.matrix
     if policy == "forward_fill":
         if max_gap is None or max_gap < 1:
-            raise ValueError("forward_fill requires max_gap >= 1")
+            raise LongmemError("forward_fill requires max_gap >= 1")
         matrix = _forward_fill(panel, max_gap)
     elif max_gap is not None:
-        raise ValueError(f"max_gap={max_gap} applies only to forward_fill, "
-                         f"not {policy!r}")
+        raise LongmemError(f"max_gap={max_gap} applies only to forward_fill, "
+                           f"not {policy!r}")
 
     shared = ~np.isnan(matrix).any(axis=0)
     n_shared = int(shared.sum())
@@ -576,14 +584,14 @@ def profile_from_values(values, parent_id: str) -> Profile:
 
     This is the entry point for validation data whose values already are
     increments, e.g. synthetic noise panels.  A NaN or infinite increment
-    is a ValueError.
+    is a LongmemError.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or len(x) < 2:
-        raise ValueError(f"{parent_id!r}: need a 1-D increment vector of "
-                         f"length >= 2")
+        raise LongmemError(f"{parent_id!r}: need a 1-D increment vector of "
+                           f"length >= 2")
     if not np.isfinite(x).all():
-        raise ValueError(f"{parent_id!r}: non-finite increments")
+        raise LongmemError(f"{parent_id!r}: non-finite increments")
     # Increments whose sum overflows give a non-finite profile, which
     # Profile rejects; numpy's own overflow warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -615,7 +623,7 @@ def series_profile(series: TimeSeries, input_kind: str = "levels") -> Profile:
     elif input_kind == "increments":
         prof = profile_from_values(series.values, series.id)
     else:
-        raise ValueError(f"unknown input_kind {input_kind!r}")
+        raise LongmemError(f"unknown input_kind {input_kind!r}")
     series._profiles[input_kind] = prof
     return prof
 

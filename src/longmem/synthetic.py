@@ -8,7 +8,7 @@ in a circulant matrix of power-of-two size and draws through its FFT
 eigendecomposition, which reproduces the covariance exactly.  For fGn the
 embedding is nonnegative definite (Craigmile, J. Time Ser. Anal. 24, 505,
 2003); eigenvalues negative only at rounding level are clamped to zero,
-and a genuinely negative one raises ValueError rather than approximating.
+and a genuinely negative one raises LongmemError rather than approximating.
 
 Generated panels hold noise values, i.e. the series values are already
 increments.  Feed them to the estimators with ``input_kind="increments"``.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LongmemError
 from .scaling import _row_chunks
 from .series import RatePanel, TimeSeries
 
@@ -45,11 +46,11 @@ def _autocovariance(k, hurst: float, sigma: float = 1.0):
 def _check_fgn(spec) -> None:
     """Check the ``hurst``, ``n`` and ``sigma`` every fGn draw needs."""
     if not 0.0 < spec.hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {spec.hurst}")
+        raise LongmemError(f"hurst must lie in (0, 1), got {spec.hurst}")
     if spec.n < 16:
-        raise ValueError(f"n must be >= 16, got {spec.n}")
+        raise LongmemError(f"n must be >= 16, got {spec.n}")
     if not 0.0 < spec.sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {spec.sigma}")
+        raise LongmemError(f"sigma must be finite and > 0, got {spec.sigma}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ class BlockSpec:
 
     def __post_init__(self):
         if self.n_blocks < 2:
-            raise ValueError(f"n_blocks must be >= 2, got {self.n_blocks}")
+            raise LongmemError(f"n_blocks must be >= 2, got {self.n_blocks}")
         if self.block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
+            raise LongmemError(f"block_size must be >= 2, got {self.block_size}")
         if not 0.0 <= self.common_weight <= 1.0:
-            raise ValueError(f"common_weight must lie in [0, 1], got "
-                             f"{self.common_weight}")
+            raise LongmemError(f"common_weight must lie in [0, 1], got "
+                               f"{self.common_weight}")
         _check_fgn(self)
 
 
@@ -120,8 +121,8 @@ def _embedding(n: int, hurst: float) -> np.ndarray:
     rounding = 2.0 * np.finfo(float).eps * np.sum(
         np.arange(1.0, m + 2.0) ** (2.0 * hurst))
     if eigvals.min() < -rounding:
-        raise ValueError(f"circulant embedding for n={n}, hurst={hurst} is "
-                         "not nonnegative definite")
+        raise LongmemError(f"circulant embedding for n={n}, hurst={hurst} is "
+                           "not nonnegative definite")
     return np.maximum(eigvals, 0.0)
 
 
@@ -140,8 +141,8 @@ def _fgn_rows(rows: int, n: int, eigvals: np.ndarray, sigma: float,
     with np.errstate(over="ignore"):  # checked below
         draws = sigma * np.fft.fft(w)[:, :n].real
     if not np.isfinite(draws).all():
-        raise ValueError(f"fGn draws of sigma {float(sigma)!r} overflow "
-                         "float64")
+        raise LongmemError(f"fGn draws of sigma {float(sigma)!r} overflow "
+                           "float64")
     return draws
 
 

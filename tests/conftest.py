@@ -48,6 +48,20 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+def numpy_fault() -> None:
+    """Raise numpy's own ValueError, as a reshape slip in longmem would."""
+    np.arange(2).reshape(3)
+
+
+def planted_fault(real, member: str):
+    """``real(f, ...)`` with a bug planted for member ``member``'s F(s)."""
+    def call(f, *args, **kwargs):
+        if f.series_id == member:
+            numpy_fault()
+        return real(f, *args, **kwargs)
+    return call
+
+
 def make_series(values, series_id="x", start=dt.date(2000, 1, 3)) -> TimeSeries:
     """Series on consecutive weekdays from the weekday ``start``."""
     values = np.asarray(values, dtype=float)

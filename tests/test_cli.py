@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from longmem.cli import (
     _RANGES,
+    _RUNNERS,
     ConfigError,
     _csv,
     _json_text,
@@ -41,6 +43,7 @@ from longmem.cli import (
     resolve_config,
 )
 from longmem.dcca import pairwise_matrix
+from longmem.hurst import detect_crossover, fit_hurst
 from longmem.network import build_network, detect_communities
 from longmem.scaling import FluctuationFunction, default_grid, dma
 from longmem.series import RatePanel, TimeSeries, load_panel, panel_to_csv
@@ -52,7 +55,7 @@ from longmem.synthetic import (
     trading_dates,
 )
 
-from conftest import ramp_panel, traced_peak
+from conftest import numpy_fault, planted_fault, ramp_panel, traced_peak
 from reference import (
     naive_crossover,
     naive_fluctuation,
@@ -491,6 +494,43 @@ def test_oversized_allocation_exits_two(panel_dir, tmp_path, capsys, monkeypatch
     assert run(["hurst", "--input", "blocks.csv", "--bin-width", "2e-18",
                 "--output-dir", out]) == 2
     assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert not out.exists()
+
+
+def internal_error(fault) -> str:
+    """The message after ``error: `` of a run that ``fault()`` ends."""
+    with pytest.raises(Exception) as info:
+        fault()
+    return f"internal error: {info.type.__name__}: {info.value}"
+
+
+# a bug in per-member work is no data failure: it fails the whole run, with
+# no traceback and no output
+@pytest.mark.parametrize("target, real, argv", [
+    ("longmem.hurst.fit_hurst", fit_hurst, ["hurst"]),
+    ("longmem.cli.detect_crossover", detect_crossover,
+     ["report", "--scale", "10", "--threshold", "0.5"]),
+], ids=["hurst-fit", "report-crossover"])
+def test_a_bug_in_member_work_is_an_internal_error(panel_dir, tmp_path, capsys,
+                                                   monkeypatch, target, real,
+                                                   argv):
+    monkeypatch.setattr(target, planted_fault(real, "b"))
+    assert_rule([*argv, "--input", "abc.csv"], 2, internal_error(numpy_fault),
+                panel_dir, tmp_path, capsys, monkeypatch)
+
+
+def test_a_type_error_in_a_runner_is_an_internal_error(panel_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    def runner(record):
+        warnings.warn("before the fault")
+        len(None)
+
+    monkeypatch.setitem(_RUNNERS, "hurst", runner)
+    monkeypatch.chdir(panel_dir)
+    out = tmp_path / "out"
+    assert run(["hurst", "--input", "abc.csv", "--output-dir", out]) == 2
+    assert capsys.readouterr().err == ("warning: before the fault\nerror: "
+                                       f"{internal_error(lambda: len(None))}\n")
     assert not out.exists()
 
 

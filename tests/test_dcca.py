@@ -82,7 +82,7 @@ class TestNormalize:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_large_overshoot_raises(self, sign):
-        with pytest.raises(LongmemError, match="'a', 'b'.*s=10"):
+        with pytest.raises(RuntimeError, match="'a', 'b'.*s=10"):
             _normalize(*self.moments(sign * (1.0 + 1e-6)), self.IDS, 10)
 
 
@@ -384,7 +384,7 @@ RULES = {
          None, 1.0),
         ("test_overshoot_tolerance[2e-9]",
          lambda: _normalize(*TestNormalize.moments(1.0 + 2e-9), ("a", "b"), 10),
-         LongmemError, "|rho|=1.000000002 for ('a', 'b') at s=10 exceeds 1 beyond "
+         RuntimeError, "|rho|=1.000000002 for ('a', 'b') at s=10 exceeds 1 beyond "
                        "rounding tolerance; this indicates a bug")],
     "TestCrossFluctuation": [
         ("test_length_mismatch",
@@ -402,19 +402,19 @@ RULES = {
          lambda: pairwise_matrix(RatePanel(pair_off_by_a_year(300)), 20, dfa(1)),
          AlignmentError, "panel must be aligned before pairwise analysis"),
         ("test_single_series_rejected", lambda: pairwise_matrix(ONE_SERIES, 10, dfa(1)),
-         ValueError, "need at least two series for a pairwise matrix"),
-        ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), ValueError,
+         LongmemError, "need at least two series for a pairwise matrix"),
+        ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), LongmemError,
          "rho must be square over ids"),
         ("test_matrix_validation[diagonal]", dcca_matrix([[0.5, 0.1], [0.1, 1.0]]),
-         ValueError, "diagonal must be exactly 1"),
+         LongmemError, "diagonal must be exactly 1"),
         ("test_matrix_validation[symmetric]", dcca_matrix([[1.0, 0.2], [0.3, 1.0]]),
-         ValueError, "matrix must be symmetric"),
+         LongmemError, "matrix must be symmetric"),
         ("test_matrix_validation[range]", dcca_matrix([[1.0, 1.5], [1.5, 1.0]]),
-         ValueError, "entries must lie in [-1, 1]")],
+         LongmemError, "entries must lie in [-1, 1]")],
     "TestRhoVsScale": [
         ("test_curve_length_mismatch",
          lambda: RhoCurve(("a", "b"), dfa(1), np.array([10, 20]), np.array([0.5])),
-         ValueError, "scales and values must match in length"),
+         LongmemError, "scales and values must match in length"),
         ("test_too_short_for_default_grid", lambda: rho_vs_scale(
             *(generate_fgn(FgnSpec(n=300, hurst=0.7, seed=k)) for k in (0, 1)),
             ScaleGrid((5, 500)), method=dfa(1), input_kind="increments"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from longmem import hurst
 from longmem.cli import main
 from longmem.dcca import pairwise_matrix, rho_vs_scale
-from longmem.errors import AlignmentError, FitError
+from longmem.errors import AlignmentError, FitError, LongmemError
 from longmem.hurst import (
     HurstEstimate,
     _fit_line,
@@ -35,7 +35,7 @@ from longmem.series import (
 )
 from longmem.synthetic import FgnSpec, generate_fgn, trading_dates
 
-from conftest import make_series, ramp_panel, rule_tests
+from conftest import make_series, planted_fault, ramp_panel, rule_tests
 from reference import naive_crossover
 
 TEN_SCALES = np.unique(np.rint(np.logspace(1, 2.35, 10)).astype(int))
@@ -361,6 +361,13 @@ class TestHurstDistribution:
         assert "0 usable scales" in dist.failures[0][1]
         assert [e.series_id for e in dist.estimates] == ["b", "c"]
 
+    def test_a_bug_in_a_fit_propagates(self, monkeypatch):
+        # "lin" fails its fit on the data; "b" meets numpy's ValueError, a bug
+        monkeypatch.setattr(hurst, "fit_hurst", planted_fault(fit_hurst, "b"))
+        with pytest.raises(ValueError, match="cannot reshape") as info:
+            hurst_distribution(ramp_panel(), dfa(1))
+        assert type(info.value) is ValueError
+
     def test_all_members_failing(self):
         with pytest.raises(FitError, match="no panel member") as info:
             hurst_distribution(flat_panel(7), dfa(1))
@@ -568,13 +575,13 @@ RULES = {
         ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), FitError,
          "'pl': 6 usable scales, need at least 7 for a crossover search"),
         ("test_parameter_validation[improvement_threshold]",
-         crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), ValueError,
+         crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), LongmemError,
          "improvement_threshold must be in (0, 1)"),
         ("test_parameter_validation[min_side_points]",
-         crossover_of(PIECEWISE_GRID, min_side_points=1), ValueError,
+         crossover_of(PIECEWISE_GRID, min_side_points=1), LongmemError,
          "need at least 2 points per side"),
         ("test_parameter_validation[improvement_threshold=1]",
-         crossover_of(PIECEWISE_GRID, improvement_threshold=1.0), ValueError,
+         crossover_of(PIECEWISE_GRID, improvement_threshold=1.0), LongmemError,
          "improvement_threshold must be in (0, 1)"),
         ("test_two_points_per_side",
          lambda: crossover_of(PIECEWISE_GRID, min_side_points=2)().breakpoint_scale,
@@ -609,13 +616,13 @@ RULES = {
          lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
          "panel must be aligned before batch estimation"),
         *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
-           ValueError, "bin_width must be positive and finite") for name, w in [
+           LongmemError, "bin_width must be positive and finite") for name, w in [
               ("test_bad_bin_width", 0.0), ("test_non_finite_bin_width[nan]", np.nan),
               ("test_non_finite_bin_width[inf]", np.inf)]],
         # 2**60 bins, the float64 values numpy can size, and a bin count
         # whose quotient overflows
         *[(f"test_histogram_bin_count_bound[{w!r}]",
-           lambda w=w: _histogram(np.array([0.5, 0.75]), w), ValueError,
+           lambda w=w: _histogram(np.array([0.5, 0.75]), w), LongmemError,
            f"bin width {w!r} splits the exponent range [0.5, 0.75] into 2**60 "
            "or more bins") for w in (2.0 ** -62, 5e-324)],
         ("test_five_members_failing",

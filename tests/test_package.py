@@ -111,3 +111,60 @@ def test_no_module_copies_a_text_into_a_stringio():
         lambda node: (node.args or node.keywords) and "StringIO" in (
             getattr(node.func, "attr", None), getattr(node.func, "id", None)))
     assert not calls, calls
+
+
+def _caught(handler):
+    """Names of the exceptions an except clause lists; {None} if bare."""
+    kinds = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return {getattr(kind, "id", None) for kind in kinds}
+
+
+def _handles(func, names):
+    """Whether ``func`` holds an except clause listing one of ``names``."""
+    return any(isinstance(node, ast.ExceptHandler) and _caught(node) & names
+               for node in ast.walk(func))
+
+
+def _raised(node):
+    """Name of the exception a raise statement raises, called or not."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None)
+
+
+def test_no_module_raises_a_bare_value_error():
+    # bad input is a LongmemError (a ValueError too), so a plain ValueError
+    # can only come from numpy, Python or a bug
+    raises = calls_in_the_package(lambda node: _raised(node) == "ValueError",
+                                  kind=ast.Raise)
+    assert not raises, raises
+
+
+# the functions that catch the ValueError of float(), int() or list.index
+# on purpose; anywhere else such a handler would take a bug for bad input
+VALUE_ERROR_PARSERS = {"_parse_int_list", "_parse_int", "_parse_float",
+                       "_parse_period", "_parse_cells", "_read_body", "member"}
+
+
+def test_only_the_parsers_catch_value_error():
+    holders = calls_in_the_package(lambda f: _handles(f, {"ValueError"}),
+                                   kind=ast.FunctionDef)
+    parsers = calls_in_the_package(lambda f: f.name in VALUE_ERROR_PARSERS,
+                                   kind=ast.FunctionDef)
+    assert len(parsers) == len(VALUE_ERROR_PARSERS)
+    assert holders == parsers
+
+
+def test_main_alone_catches_every_exception():
+    bare = calls_in_the_package(lambda h: h.type is None,
+                                kind=ast.ExceptHandler)
+    broad = calls_in_the_package(
+        lambda h: _caught(h) & {"Exception", "BaseException"},
+        kind=ast.ExceptHandler)
+    holders = calls_in_the_package(
+        lambda f: _handles(f, {"Exception", "BaseException"}),
+        kind=ast.FunctionDef)
+    main = calls_in_the_package(lambda f: f.name == "main", kind=ast.FunctionDef)
+    assert not bare, bare
+    assert len(broad) == 1, broad
+    assert len(main) == 1 and holders == main, holders

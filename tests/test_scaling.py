@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from longmem.errors import ScaleError
+from longmem.errors import LongmemError, ScaleError
 from longmem.scaling import (
     _CHUNK_ELEMS,
     _DEFAULT_SCALE_CAP,
@@ -272,14 +272,14 @@ RULES = {
         ("test_json_dicts",
          lambda: [m.to_json_dict() for m in (dfa(2), dma("backward"))], None,
          [{"kind": "dfa", "order": 2}, {"kind": "dma", "alignment": "backward"}]),
-        ("test_dfa_order_zero_rejected", lambda: dfa(0), ValueError,
+        ("test_dfa_order_zero_rejected", lambda: dfa(0), LongmemError,
          "dfa order must be >= 1, got 0"),
-        ("test_dma_bad_alignment", lambda: dma("forward"), ValueError, BAD_ALIGNMENT),
-        ("test_unknown_kind", lambda: DetrendMethod("wavelet"), ValueError,
+        ("test_dma_bad_alignment", lambda: dma("forward"), LongmemError, BAD_ALIGNMENT),
+        ("test_unknown_kind", lambda: DetrendMethod("wavelet"), LongmemError,
          "unknown detrend kind 'wavelet'")],
     "TestMovingAverage": [
         ("test_unknown_alignment", lambda: _Residuals((np.zeros(4),), dma("forward")),
-         ValueError, BAD_ALIGNMENT)],
+         LongmemError, BAD_ALIGNMENT)],
     "TestLocalTrend": [
         # trailing means 0, 0.5, 1.5, 2.5 leave residuals 0, 0.5, 0.5, 0.5
         ("test_backward_trailing_means",
@@ -318,10 +318,10 @@ RULES = {
         ("test_long_profile_is_a_chunk_of_one_row",
          lambda: _row_chunks([0, 1, 2], _CHUNK_ELEMS + 1), None, [[0], [1], [2]]),
         ("test_value_validation[negative]",
-         lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), ValueError,
+         lambda: FluctuationFunction("x", dfa(1), [10], [-0.5]), LongmemError,
          "auto-fluctuation values must be >= 0"),
         ("test_value_validation[mismatch]",
-         lambda: FluctuationFunction("x", dfa(1), [10, 20], [0.5]), ValueError,
+         lambda: FluctuationFunction("x", dfa(1), [10, 20], [0.5]), LongmemError,
          "scales and values length mismatch")],
 }
 rule_tests(globals(), RULES)

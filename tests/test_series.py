@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longmem.errors import AlignmentError, SchemaError
+from longmem.errors import AlignmentError, LongmemError, SchemaError
 from longmem.synthetic import BlockSpec, generate_blocks, trading_dates
 from longmem.series import (
     Profile,
@@ -566,8 +566,16 @@ class TestSharedCalendar:
 
         days = TimeSeries("a", [Day(1994, 1, 3), Day(1994, 1, 4)], [1, 2]).days
         assert days.astype(str).tolist() == ["1994-01-03", "1994-01-04"]
-        with pytest.raises(TypeError, match="toordinal.*'list' object"):
+        with pytest.raises(TypeError, match="'b': dates hold a 'list' object at "
+                                            "position 0, not a datetime.date"):
             TimeSeries("b", [[1], [2]], [1, 2])
+
+    def test_a_non_date_in_a_panel_index_is_named(self):
+        dates = weekday_list("1992-01-01", 3)
+        member = TimeSeries("a", dates, [1, 2, 3])
+        with pytest.raises(TypeError, match="^panel dates hold a 'str' object "
+                                            "at position 1, not a datetime.date$"):
+            RatePanel((member,), [dates[0], "1992-01-02", dates[2]])
 
     def test_aware_datetimes_give_their_local_dates(self):
         utc = [dt.datetime(1993, 1, d, 23, tzinfo=dt.timezone.utc)
@@ -685,39 +693,39 @@ RULES = {
           for c in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")]],
     "TestTimeSeries": [
         ("test_repr", lambda: repr(FULL), None, "TimeSeries('full', 5 observations)"),
-        ("test_rejects_short", lambda: make_series([1.0]), ValueError,
+        ("test_rejects_short", lambda: make_series([1.0]), LongmemError,
          "series 'x': length 1 < 2"),
-        ("test_rejects_nan", lambda: make_series([1.0, np.nan, 2.0]), ValueError,
+        ("test_rejects_nan", lambda: make_series([1.0, np.nan, 2.0]), LongmemError,
          "series 'x': non-finite values"),
         ("test_rejects_unsorted_dates", lambda: TimeSeries("x", A.dates[::-1], [1, 2]),
-         ValueError, "series 'x': dates not strictly increasing at 2000-01-04"),
+         LongmemError, "series 'x': dates not strictly increasing at 2000-01-04"),
         ("test_rejects_repeated_date", lambda: TimeSeries("x", A.dates[:1] * 2, [1, 2]),
-         ValueError, "series 'x': dates not strictly increasing at 2000-01-03"),
+         LongmemError, "series 'x': dates not strictly increasing at 2000-01-03"),
         ("test_rejects_2d_values", lambda: TimeSeries("x", A.dates, [[1.0, 2.0]]),
-         ValueError, "series 'x': values must be 1-D"),
+         LongmemError, "series 'x': values must be 1-D"),
         ("test_rejects_dates_values_length_mismatch",
-         lambda: TimeSeries("x", A.dates, [1, 2, 3]), ValueError,
+         lambda: TimeSeries("x", A.dates, [1, 2, 3]), LongmemError,
          "series 'x': 2 dates vs 3 values"),
         # NaT compares False with every date, so no order check sees it
         *[(f"test_rejects_nat_date[{i}]",
-           lambda i=i: TimeSeries("a", with_nat(i), [1.0, 2.0, 3.0]), ValueError,
+           lambda i=i: TimeSeries("a", with_nat(i), [1.0, 2.0, 3.0]), LongmemError,
            f"series 'a': dates hold NaT at position {i}") for i in range(3)]],
     "TestAlign": [
         ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), AlignmentError,
          "aligned panel would have 0 shared dates (< 2)"),
         ("test_forward_fill_requires_max_gap", lambda: align(AB, policy="forward_fill"),
-         ValueError, "forward_fill requires max_gap >= 1"),
+         LongmemError, "forward_fill requires max_gap >= 1"),
         ("test_intersect_rejects_max_gap", lambda: align(AB, max_gap=3),
-         ValueError, "max_gap=3 applies only to forward_fill, not 'intersect'"),
+         LongmemError, "max_gap=3 applies only to forward_fill, not 'intersect'"),
         ("test_forward_fill_leading_gap_is_error",
          lambda: align(RatePanel((FULL, LATE)), policy="forward_fill", max_gap=2),
          AlignmentError, "series 'late': gap of 1 at series start cannot be "
                          "forward-filled (no prior value)"),
         ("test_forward_fill_rejects_zero_max_gap",
-         lambda: align(AB, policy="forward_fill", max_gap=0), ValueError,
+         lambda: align(AB, policy="forward_fill", max_gap=0), LongmemError,
          "forward_fill requires max_gap >= 1"),
         ("test_unknown_policy", lambda: align(AB, policy="pad"),
-         ValueError, "unknown alignment policy 'pad'"),
+         LongmemError, "unknown alignment policy 'pad'"),
         ("test_two_shared_dates",
          lambda: len(align(RatePanel((FULL, TimeSeries("end", FULL.dates[3:], [1, 2]))))),
          None, 2)],
@@ -727,40 +735,40 @@ RULES = {
               ("test_profile_small", [1.0, 2.0, 3.0], [-1.0, -1.0, 0.0]),
               ("test_profile_zeros", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])]],
         ("test_series_profile_bad_kind",
-         lambda: series_profile(A, input_kind="returns"), ValueError,
+         lambda: series_profile(A, input_kind="returns"), LongmemError,
          "unknown input_kind 'returns'"),
         ("test_profile_rejects_short", lambda: Profile("p", np.array([0.0])),
-         ValueError, "'p': profile shorter than 2"),
+         LongmemError, "'p': profile shorter than 2"),
         ("test_profile_must_telescope", lambda: Profile("p", np.array([1.0, 2.0])),
-         ValueError, "'p': profile does not telescope to 0 (final value 2)"),
+         LongmemError, "'p': profile does not telescope to 0 (final value 2)"),
         # the final value may reach 1e-9 of max(sum |steps|, 1), and no more
         ("test_profile_final_value_at_tolerance",
          lambda: Profile("p", np.array([0.0, 1e-9])).values[-1], None, 1e-9),
         ("test_profile_final_value_above_tolerance",
-         lambda: Profile("p", np.array([0.0, 2e-9])), ValueError,
+         lambda: Profile("p", np.array([0.0, 2e-9])), LongmemError,
          "'p': profile does not telescope to 0 (final value 2e-09)"),
         *[(f"test_profile_rejects_non_finite_increments[{bad}]",
            lambda bad=bad: profile_from_values([1.0, bad, 2.0, 0.5], "z9"),
-           ValueError, "'z9': non-finite increments")
+           LongmemError, "'z9': non-finite increments")
           for bad in (np.nan, np.inf, -np.inf)],
         *[(f"test_profile_rejects_overflow[{name}]",
-           lambda xs=xs: profile_from_values(xs, "big"), ValueError,
+           lambda xs=xs: profile_from_values(xs, "big"), LongmemError,
            "'big': profile is not finite (the increments overflow)", NO_WARNINGS)
           for name, xs in [("mean-overflows", [1e308, 1e308, -1e308]),
                            ("cumsum-overflows", [0.5e308] * 8 + [-0.5e308] * 8)]],
         ("test_levels_changes_overflow_without_warnings",
          lambda: series_profile(make_series([1e308, -1e308, 1e308], "big")),
-         ValueError, "'big': non-finite increments", NO_WARNINGS)],
+         LongmemError, "'big': non-finite increments", NO_WARNINGS)],
     "TestRatePanel": [
         ("test_repr", lambda: repr(RatePanel((FULL,))), None,
          "RatePanel(1 series x 5 dates)"),
-        ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), ValueError,
+        ("test_duplicate_ids_rejected", lambda: RatePanel((A, A)), LongmemError,
          "duplicate series ids: a"),
         ("test_duplicate_ids_name_only_the_duplicates",
-         lambda: RatePanel((A, A, B)), ValueError, "duplicate series ids: a"),
-        ("test_empty_rejected", lambda: RatePanel(()), ValueError,
+         lambda: RatePanel((A, A, B)), LongmemError, "duplicate series ids: a"),
+        ("test_empty_rejected", lambda: RatePanel(()), LongmemError,
          "panel has no series"),
-        *[(name, from_matrix(ids, dates, matrix), ValueError, message)
+        *[(name, from_matrix(ids, dates, matrix), LongmemError, message)
           for name, ids, dates, matrix, message in [
               ("test_from_matrix_rejects_short_row", ["a", "b"], TWO_DAYS,
                [[1, 2], [np.nan, 1]], "series 'b': length 1 < 2"),
@@ -780,14 +788,14 @@ RULES = {
                ["2020-01-01", "NaT", "2020-01-03"], [[1, 2, 3]],
                "panel dates hold NaT at position 1")]],
         ("test_date_outside_index_rejected", lambda: RatePanel((FULL,), FULL.dates[:2]),
-         ValueError, "series 'full' has dates outside the panel's date index"),
+         LongmemError, "series 'full' has dates outside the panel's date index"),
         # a member that does not fit a bad index is not blamed for it
         ("test_date_index_rejects[nat-date]",
          lambda: RatePanel((FULL,), np.where(FULL.days == FULL.days[2],
                                              np.datetime64("NaT"), FULL.days)),
-         ValueError, "panel dates hold NaT at position 2"),
+         LongmemError, "panel dates hold NaT at position 2"),
         ("test_date_index_rejects[unsorted]",
-         lambda: RatePanel((FULL,), FULL.dates[::-1]), ValueError,
+         lambda: RatePanel((FULL,), FULL.dates[::-1]), LongmemError,
          "panel dates not strictly increasing at 2000-01-07")],
 }
 rule_tests(globals(), RULES)

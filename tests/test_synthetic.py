@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from longmem.dcca import pairwise_matrix
+from longmem.errors import LongmemError
 from longmem.hurst import fit_hurst
 from longmem.scaling import _CHUNK_ELEMS, default_grid, dfa, fluctuation
 from longmem.series import profile_from_values
@@ -252,23 +253,23 @@ RULES = {
     "TestGenerateFgn": [
         ("test_embedding_rounding_bound[0.95]", lambda: embedding_at(0.95), None,
          [1.0, 0.0, 1.0, 0.0]),
-        ("test_embedding_rounding_bound[1.05]", lambda: embedding_at(1.05), ValueError,
+        ("test_embedding_rounding_bound[1.05]", lambda: embedding_at(1.05), LongmemError,
          "circulant embedding for n=16, hurst=0.5 is not nonnegative definite"),
-        *[(f"test_sigma_past_float64[{kind}]", make, ValueError,
+        *[(f"test_sigma_past_float64[{kind}]", make, LongmemError,
            "fGn draws of sigma 1.7976931348623157e+308 overflow float64")
           for kind, make in [
               ("fgn", lambda: generate_fgn(FgnSpec(64, 0.6, sigma=MAX))),
               ("blocks", lambda: generate_blocks(BlockSpec(2, 2, 0.5, 0.7, 64,
                                                            sigma=MAX)))]]],
     "TestSpecValidation": [
-        *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), ValueError,
+        *[(f"test_fgn_bad_hurst[{h}]", lambda h=h: FgnSpec(n=64, hurst=h), LongmemError,
            f"hurst must lie in (0, 1), got {h}") for h in (0.0, 1.0, -0.2, 1.4)],
-        ("test_fgn_too_short", lambda: FgnSpec(n=8, hurst=0.5), ValueError,
+        ("test_fgn_too_short", lambda: FgnSpec(n=8, hurst=0.5), LongmemError,
          "n must be >= 16, got 8"),
         ("test_fgn_bad_sigma", lambda: FgnSpec(n=64, hurst=0.5, sigma=0.0),
-         ValueError, "sigma must be finite and > 0, got 0.0"),
+         LongmemError, "sigma must be finite and > 0, got 0.0"),
         *[(f"test_non_finite_sigma[{kind}-{sigma}]", lambda make=make, v=sigma: make(v),
-           ValueError, f"sigma must be finite and > 0, got {sigma}")
+           LongmemError, f"sigma must be finite and > 0, got {sigma}")
           for kind, make in [
               ("fgn", lambda v: FgnSpec(n=64, hurst=0.6, sigma=v)),
               ("blocks", lambda v: BlockSpec(2, 2, 0.5, 0.7, 64, sigma=v))]
@@ -277,7 +278,7 @@ RULES = {
         ("test_block_default_sigma", lambda: BlockSpec(**OK_BLOCKS).sigma, None, 1.0),
         *[(f"test_block_bounds[{field}]",
            lambda field=field, bad=bad: BlockSpec(**{**OK_BLOCKS, field: bad}),
-           ValueError, message) for field, bad, message in [
+           LongmemError, message) for field, bad, message in [
               ("n_blocks", 1, "n_blocks must be >= 2, got 1"),
               ("block_size", 1, "block_size must be >= 2, got 1"),
               ("common_weight", 1.2, "common_weight must lie in [0, 1], got 1.2"),
