@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateSeriesError, LongmemError
+from .errors import DegenerateSeriesError, LongmemError
 from .scaling import DetrendMethod, ScaleGrid, _engines
 from .series import Profile, RatePanel, TimeSeries, _frozen, series_profile
 
@@ -102,7 +102,7 @@ def rho_from_profiles(
     coefficient is then undefined.
     """
     if pa.values.size != pb.values.size:
-        raise AlignmentError(
+        raise LongmemError(
             f"profiles {pa.parent_id!r} and {pb.parent_id!r} have different "
             f"lengths ({pa.values.size} vs {pb.values.size}); align first"
         )
@@ -158,7 +158,7 @@ def pairwise_matrix(
     item 1c removes it.
     """
     if not panel.is_aligned:
-        raise AlignmentError("panel must be aligned before pairwise analysis")
+        raise LongmemError("panel must be aligned before pairwise analysis")
     if len(panel.series) < 2:
         raise LongmemError("need at least two series for a pairwise matrix")
 
@@ -208,7 +208,7 @@ def rho_vs_scale(
     from the segmentation propagates otherwise).
     """
     if not (a.days is b.days or np.array_equal(a.days, b.days)):
-        raise AlignmentError(
+        raise LongmemError(
             f"series {a.id!r} and {b.id!r} are not on a common date index"
         )
     engines = tuple(_engines([series_profile(ts, input_kind=input_kind).values

@@ -1,13 +1,11 @@
-"""Exception hierarchy for the longmem package: the one family of bad input."""
+"""Exception hierarchy for the longmem package: the one family of bad input.
 
-__all__ = [
-    "LongmemError",
-    "SchemaError",
-    "AlignmentError",
-    "ScaleError",
-    "FitError",
-    "DegenerateSeriesError",
-]
+A subclass exists only where some code tells it apart: ``main`` maps a
+``SchemaError`` to exit 1, and a ``DegenerateSeriesError`` names its
+series in ``.ids``.
+"""
+
+__all__ = ["LongmemError", "SchemaError", "DegenerateSeriesError"]
 
 
 class LongmemError(ValueError):
@@ -16,18 +14,6 @@ class LongmemError(ValueError):
 
 class SchemaError(LongmemError):
     """Input file violates the documented panel schema."""
-
-
-class AlignmentError(LongmemError):
-    """Panel alignment failed (empty intersection, unfillable gap, ...)."""
-
-
-class ScaleError(LongmemError):
-    """Scale grid or segmentation is invalid for the given data."""
-
-
-class FitError(LongmemError):
-    """A least-squares fit has too few usable points or no spread."""
 
 
 class DegenerateSeriesError(LongmemError):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, FitError, LongmemError
+from .errors import LongmemError
 from .scaling import (
     _DEFAULT_SCALE_CAP,
     DetrendMethod,
@@ -85,13 +85,13 @@ def fit_hurst(
     lo = 0 if s_lo is None else int(s_lo)
     hi = np.inf if s_hi is None else int(s_hi)
     if s_lo is not None and s_hi is not None and lo > hi:
-        raise FitError(f"empty fit range ({lo}, {hi})")
+        raise LongmemError(f"empty fit range ({lo}, {hi})")
 
     in_range = (f.scales >= lo) & (f.scales <= hi)
     usable = in_range & (f.values > 0.0)
     n_excluded = int(in_range.sum() - usable.sum())
     if int(usable.sum()) < 3:
-        raise FitError(
+        raise LongmemError(
             f"{f.series_id!r}: {int(usable.sum())} usable scales in "
             f"[{lo}, {s_hi if s_hi is not None else 'inf'}], need at least 3"
         )
@@ -99,7 +99,7 @@ def fit_hurst(
     s_used = f.scales[usable]
     points = _log_points(f, usable)
     if np.ptp(points[0]) == 0.0:
-        raise FitError(f"{f.series_id!r}: all usable scales identical")
+        raise LongmemError(f"{f.series_id!r}: all usable scales identical")
 
     slope, intercept, r, stderr, _ = _fit_line(points)
     return HurstEstimate(
@@ -187,7 +187,7 @@ def detect_crossover(
     scales = f.scales[usable]
     n_pts = scales.size
     if n_pts < 2 * min_side_points + 1:
-        raise FitError(
+        raise LongmemError(
             f"{f.series_id!r}: {n_pts} usable scales, need at least "
             f"{2 * min_side_points + 1} for a crossover search"
         )
@@ -342,7 +342,7 @@ def hurst_distribution(
 
     A member whose fit fails (too short for the grid, constant, zero
     fluctuations) is recorded under ``failures`` instead of aborting the
-    rest; if all fail, the FitError counts and names them and gives their
+    rest; if all fail, the LongmemError counts and names them and gives their
     first distinct reasons.  The panel must be aligned so every member sees
     the same grid.  F(s) is computed for row chunks of members at once and
     kept on each profile (see ``scaling``).  ``threads`` is ignored: one
@@ -350,7 +350,7 @@ def hurst_distribution(
     ``perfbench/kernels.py`` passes it, and ROADMAP item 1c removes it.
     """
     if not panel.is_aligned:
-        raise AlignmentError("panel must be aligned before batch estimation")
+        raise LongmemError("panel must be aligned before batch estimation")
     if not 0.0 < bin_width < math.inf:
         raise LongmemError("bin_width must be positive and finite")
     if grid is None:
@@ -363,9 +363,9 @@ def hurst_distribution(
         ids = [sid for sid, _ in failures]
         more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
         reasons = list(dict.fromkeys(msg for _, msg in failures))[:3]
-        raise FitError(f"no panel member produced a usable fit: {len(ids)} "
-                       f"failed ({', '.join(ids[:5])}{more}); "
-                       + "; ".join(reasons))
+        raise LongmemError(f"no panel member produced a usable fit: {len(ids)} "
+                           f"failed ({', '.join(ids[:5])}{more}); "
+                           + "; ".join(reasons))
     estimates = tuple(got for _, got in outcomes
                       if not isinstance(got, Exception))
     h = np.array([e.hurst for e in estimates])

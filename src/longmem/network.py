@@ -20,7 +20,7 @@ from datetime import date
 import numpy as np
 
 from .dcca import DccaMatrix
-from .errors import AlignmentError, LongmemError
+from .errors import LongmemError
 from .series import RatePanel, _first
 
 __all__ = [
@@ -317,10 +317,10 @@ def split_periods(
 
     A window ``(d_from, d_to)`` holds the panel's dates from ``d_from`` to
     ``d_to``, both included, less those where no series is observed.  Each
-    series must keep at least two observations in it (AlignmentError), and
-    at least two of its dates must be shared by every series
-    (LongmemError).  A window that drops no date holds a view of the
-    panel's matrix, not a copy.
+    series must keep at least two observations in it, and at least two of
+    its dates must be shared by every series; else LongmemError.  A
+    window that drops no date holds a view of the panel's matrix, not a
+    copy.
     """
     if not windows:
         raise LongmemError("need at least one window")
@@ -333,7 +333,7 @@ def split_periods(
         counts = seen.sum(axis=1)
         i = _first(counts < 2)
         if i is not None:
-            raise AlignmentError(
+            raise LongmemError(
                 f"series {panel.ids[i]!r}: window {d_from}..{d_to} keeps "
                 f"{counts[i]} observations (< 2)")
         n_shared = int(seen.all(axis=0).sum())

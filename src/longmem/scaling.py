@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LongmemError, ScaleError
+from .errors import LongmemError
 from .series import Profile, _frozen
 
 __all__ = [
@@ -140,7 +140,7 @@ def _grid_scale(s) -> int:
     try:
         return operator.index(s)
     except TypeError:
-        raise ScaleError(f"scale {s!r} is not an integer") from None
+        raise LongmemError(f"scale {s!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,12 @@ class ScaleGrid:
         scales = tuple(map(_grid_scale, self.scales))
         object.__setattr__(self, "scales", scales)
         if not scales:
-            raise ScaleError("empty scale grid")
+            raise LongmemError("empty scale grid")
         if scales[0] < 2:
-            raise ScaleError(f"scale {scales[0]} below 2")
+            raise LongmemError(f"scale {scales[0]} below 2")
         for a, b in zip(scales, scales[1:]):
             if b <= a:
-                raise ScaleError(f"scales not strictly increasing at {a}, {b}")
+                raise LongmemError(f"scales not strictly increasing at {a}, {b}")
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -176,12 +176,12 @@ def default_grid(n: int, s_min: int = 10, s_max: int | None = None,
     crossover studies.
     """
     if s_min < 2:
-        raise ScaleError(f"s_min must be >= 2, got {s_min}")
+        raise LongmemError(f"s_min must be >= 2, got {s_min}")
     if s_max is None:
         s_max = min(_DEFAULT_SCALE_CAP, n // 4)
     if s_max < s_min:
-        raise ScaleError(f"profile of length {n} leaves no scales in "
-                         f"[{s_min}, {s_max}]")
+        raise LongmemError(f"profile of length {n} leaves no scales in "
+                           f"[{s_min}, {s_max}]")
     raw = np.logspace(np.log10(s_min), np.log10(s_max), num)
     scales = np.unique(np.rint(raw).astype(int))
     return ScaleGrid(scales)
@@ -249,10 +249,10 @@ class _Residuals:
         """Segments per direction at scale s, after checking s is usable."""
         n = self.n
         if s > n // 2:
-            raise ScaleError(f"scale {s} exceeds half the profile length {n}")
+            raise LongmemError(f"scale {s} exceeds half the profile length {n}")
         if s < self.method.min_scale:
-            raise ScaleError(f"scale {s} below method minimum "
-                             f"{self.method.min_scale} ({self.method.label})")
+            raise LongmemError(f"scale {s} below method minimum "
+                               f"{self.method.min_scale} ({self.method.label})")
         return n // s
 
     def trend(self, s: int) -> np.ndarray:
@@ -422,7 +422,7 @@ def _fluctuations(profiles, grid: ScaleGrid,
     on that profile reads it instead of computing it again.  The profiles
     are fed to the engine in row chunks; a chunk computes each grid scale
     that any of its members lacks, in grid order, so a scale the profiles
-    are too short for raises the ScaleError a one-profile call raises.
+    are too short for raises the LongmemError a one-profile call raises.
     """
     for chunk in _row_chunks(profiles, len(profiles[0])):
         memos = [p._fluct.setdefault(method, {}) for p in chunk]

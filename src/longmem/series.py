@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, LongmemError, SchemaError
+from .errors import LongmemError, SchemaError
 
 __all__ = [
     "TimeSeries",
@@ -126,7 +126,7 @@ class TimeSeries:
     keyed by input kind.
     """
 
-    __slots__ = ("id", "days", "values", "_dates", "_profiles")
+    __slots__ = ("id", "days", "values", "_profiles")
 
     def __init__(self, id: str, dates, values):
         days = _as_days(dates, f"series {id!r}: dates")
@@ -144,7 +144,7 @@ class TimeSeries:
         self._set(id, days, values)
 
     def _set(self, id, days, values) -> None:
-        self.id, self.days, self.values, self._dates = id, days, values, None
+        self.id, self.days, self.values = id, days, values
         self._profiles = {}
 
     @classmethod
@@ -156,9 +156,7 @@ class TimeSeries:
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
-        if self._dates is None:
-            self._dates = tuple(self.days.tolist())
-        return self._dates
+        return tuple(self.days.tolist())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -180,7 +178,7 @@ class RatePanel:
     gaps a copy of its observed cells and their dates.
     """
 
-    __slots__ = ("ids", "days", "matrix", "_series", "_date_index")
+    __slots__ = ("ids", "days", "matrix", "_series")
 
     def __init__(self, series, date_index=()):
         series = tuple(series)
@@ -231,7 +229,7 @@ class RatePanel:
         if i is not None:
             raise LongmemError(f"series {ids[i]!r}: length {counts[i]} < 2")
         self.ids, self.days, self.matrix = ids, days, _frozen(matrix)
-        self._series = self._date_index = None
+        self._series = None
 
     def _row(self, i: int) -> TimeSeries:
         row = self.matrix[i]
@@ -249,9 +247,7 @@ class RatePanel:
 
     @property
     def date_index(self) -> tuple[dt.date, ...]:
-        if self._date_index is None:
-            self._date_index = tuple(self.days.tolist())
-        return self._date_index
+        return tuple(self.days.tolist())
 
     @property
     def is_aligned(self) -> bool:
@@ -543,7 +539,7 @@ def _forward_fill(panel: RatePanel, max_gap: int) -> np.ndarray:
     short = missing & (after - last - 1 <= max_gap)
     i = _first((short & (last < 0)).any(axis=1))
     if i is not None:
-        raise AlignmentError(
+        raise LongmemError(
             f"series {panel.ids[i]!r}: gap of {after[i, 0]} at series start "
             f"cannot be forward-filled (no prior value)")
     prior = np.take_along_axis(m, np.maximum(last, 0), axis=1)
@@ -574,8 +570,8 @@ def align(panel: RatePanel, policy: str = "intersect",
     shared = ~np.isnan(matrix).any(axis=0)
     n_shared = int(shared.sum())
     if n_shared < 2:
-        raise AlignmentError(f"aligned panel would have {n_shared} shared "
-                             f"dates (< 2)")
+        raise LongmemError(f"aligned panel would have {n_shared} shared "
+                           f"dates (< 2)")
     return RatePanel.from_matrix(panel.ids, panel.days[shared], matrix[:, shared])
 
 

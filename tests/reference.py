@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from longmem.errors import AlignmentError, FitError, SchemaError
+from longmem.errors import LongmemError, SchemaError
 from longmem.hurst import CrossoverReport
 from longmem.scaling import DetrendMethod
 from longmem.synthetic import _embedding, _trading_days
@@ -97,7 +97,7 @@ def naive_forward_fill(series_id, dates, values, index, max_gap):
     """Fill runs of <= max_gap missing index dates from the last observation.
 
     Walks the panel index date by date.  A fillable run at the series start
-    has no prior value and raises AlignmentError; longer runs (including a
+    has no prior value and raises LongmemError; longer runs (including a
     long leading run) are left missing.  Returns the filled (dates, values)
     in index order.
     """
@@ -107,7 +107,7 @@ def naive_forward_fill(series_id, dates, values, index, max_gap):
         if d in have:
             if run and len(run) <= max_gap:
                 if not out_values:
-                    raise AlignmentError(
+                    raise LongmemError(
                         f"series {series_id!r}: gap of {len(run)} at series "
                         f"start cannot be forward-filled (no prior value)")
                 out_dates.extend(run)
@@ -201,8 +201,8 @@ def naive_crossover(f, min_side_points, improvement_threshold):
     scales = f.scales[usable]
     n_pts = scales.size
     if n_pts < 2 * min_side_points + 1:
-        raise FitError(f"{f.series_id!r}: {n_pts} usable scales, need at "
-                       f"least {2 * min_side_points + 1} for a crossover search")
+        raise LongmemError(f"{f.series_id!r}: {n_pts} usable scales, need at "
+                           f"least {2 * min_side_points + 1} for a crossover search")
     log_s = np.log10(scales.astype(float))
     log_f = np.log10(f.values[usable])
     _, sse_single = naive_line(log_s, log_f)

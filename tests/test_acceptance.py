@@ -14,7 +14,7 @@ import numpy as np
 
 from longmem.cli import main, rerun_from_manifest
 from longmem.dcca import pairwise_matrix, rho_from_profiles, rho_vs_scale
-from longmem.errors import DegenerateSeriesError, FitError
+from longmem.errors import DegenerateSeriesError, LongmemError
 from longmem.hurst import detect_crossover, fit_hurst
 from longmem.network import (
     average_weighted_degree,
@@ -288,8 +288,9 @@ def test_criterion_8_degenerate_handling():
     try:
         fit_hurst(FluctuationFunction("z0", dfa(1), scales, 0.0 * scales))
         all_zero_rejected = False
-    except FitError:
-        all_zero_rejected = True
+    except LongmemError as exc:
+        all_zero_rejected = (type(exc) is LongmemError and str(exc) ==
+                             "'z0': 0 usable scales in [0, 250], need at least 3")
 
     lin = Profile("lin", np.linspace(-7.5, 0.0, 300))
     f_lin = fluctuation(lin, default_grid(300), dfa(1))

@@ -1029,6 +1029,42 @@ def test_written_modularity_matches_its_formula(tmp_path):
         assert math.isclose(part["modularity_q"], q, rel_tol=1e-12)
 
 
+def test_column_order_permutes_ids_and_keeps_partitions(tmp_path):
+    # nodes are visited in the panel's header order, so a column shuffle
+    # may relabel communities but not move a member between them; these
+    # blocks keep every gain far from Louvain's tie window
+    assert run(["synth", "--blocks", "4x3", "--weight", "0.5", "--hurst", "0.7",
+                "--n", "1500", "--seed", "3", "--output-dir", tmp_path]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "panel.csv").read_text().splitlines()]
+
+    def network(order):
+        path, out = tmp_path / "shuffled.csv", tmp_path / "out"
+        path.write_text("".join(",".join(r[i] for i in [0, *order]) + "\n"
+                                for r in rows))
+        assert run(["network", "--input", path, "--output-dir", out,
+                    *INCREMENTS, "--scale", "20,60", "--threshold", "0.15"]) == 0
+        return json.loads((out / "network.json").read_text())
+
+    def groups(assignment):
+        return {frozenset(i for i, c in assignment if c == k)
+                for _, k in assignment}
+
+    columns = range(1, len(rows[0]))
+    base = network(columns)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        order = [columns[i] for i in rng.permutation(len(columns))]
+        got = network(order)
+        assert len(got) == len(base) == 2
+        for want, entry in zip(base, got):
+            assert entry["network"]["ids"] == [rows[0][i] for i in order]
+            assert (groups(entry["partition"]["assignment"])
+                    == groups(want["partition"]["assignment"]))
+            assert abs(entry["partition"]["modularity_q"]
+                       - want["partition"]["modularity_q"]) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # report and manifest rerun
 

@@ -15,12 +15,7 @@ from longmem.dcca import (
     rho_from_profiles,
     rho_vs_scale,
 )
-from longmem.errors import (
-    AlignmentError,
-    DegenerateSeriesError,
-    LongmemError,
-    ScaleError,
-)
+from longmem.errors import DegenerateSeriesError, LongmemError
 from longmem.network import build_network
 from longmem.scaling import ScaleGrid, default_grid, dfa, dma, fluctuation
 from longmem.series import (
@@ -390,17 +385,17 @@ RULES = {
         ("test_length_mismatch",
          lambda: rho_from_profiles(fgn_profile(0, n=512), fgn_profile(1, n=1024),
                                    10, dfa(1)),
-         AlignmentError, "profiles 'fgn-h0.7-seed0' and 'fgn-h0.7-seed1' have "
-                         "different lengths (512 vs 1024); align first")],
+         LongmemError, "profiles 'fgn-h0.7-seed0' and 'fgn-h0.7-seed1' have "
+                       "different lengths (512 vs 1024); align first")],
     "TestRho": [
         ("test_date_mismatch",
          lambda: rho_vs_scale(*pair_off_by_a_year(100), ScaleGrid((10,)),
                               method=dfa(1)),
-         AlignmentError, "series 'a' and 'b' are not on a common date index")],
+         LongmemError, "series 'a' and 'b' are not on a common date index")],
     "TestPairwiseMatrix": [
         ("test_unaligned_rejected",
          lambda: pairwise_matrix(RatePanel(pair_off_by_a_year(300)), 20, dfa(1)),
-         AlignmentError, "panel must be aligned before pairwise analysis"),
+         LongmemError, "panel must be aligned before pairwise analysis"),
         ("test_single_series_rejected", lambda: pairwise_matrix(ONE_SERIES, 10, dfa(1)),
          LongmemError, "need at least two series for a pairwise matrix"),
         ("test_matrix_validation[square]", dcca_matrix(np.ones((2, 3))), LongmemError,
@@ -418,7 +413,7 @@ RULES = {
         ("test_too_short_for_default_grid", lambda: rho_vs_scale(
             *(generate_fgn(FgnSpec(n=300, hurst=0.7, seed=k)) for k in (0, 1)),
             ScaleGrid((5, 500)), method=dfa(1), input_kind="increments"),
-         ScaleError, "scale 500 exceeds half the profile length 300"),
+         LongmemError, "scale 500 exceeds half the profile length 300"),
         ("test_method_required",
          lambda: rho_vs_scale(*pair_off_by_a_year(100), SMALL_GRID), TypeError,
          "rho_vs_scale() missing 1 required keyword-only argument: 'method'")],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from longmem import hurst
 from longmem.cli import main
 from longmem.dcca import pairwise_matrix, rho_vs_scale
-from longmem.errors import AlignmentError, FitError, LongmemError
+from longmem.errors import LongmemError
 from longmem.hurst import (
     HurstEstimate,
     _fit_line,
@@ -174,7 +174,9 @@ def piecewise_values(scales, s_break, slope_left, slope_right, amplitude=0.02):
 TENT = np.array([0, 1, 2, 3, 4, 4, 4, 3, 2, 1, 0], dtype=float)
 # test_rounding_tie_goes_to_the_larger_scale's curve at slope 0.185, its last
 # F raised until the split after 512 lands exactly on the tie window's edge:
-# its SSE equals the best one's plus max(1e-20, 1e-9 of the larger)
+# its SSE equals the best one's plus max(1e-20, 1e-9 of the larger).  It does
+# so only under OpenBLAS's SkylakeX kernels; elsewhere it is one more oracle
+# input, and the test_sse_tie_window rows pin the window on every platform
 EDGE_CURVE = FluctuationFunction("edge", dfa(1), 2 ** np.arange(4, 15),
                                  np.append(10.0 ** (0.185 * TENT[:-1]),
                                            1.0000000005324725))
@@ -210,10 +212,10 @@ class TestDetectCrossover:
     def test_matches_the_loop_oracle(self, f, min_side_points, threshold):
         try:
             want = naive_crossover(f, min_side_points, threshold)
-        except FitError as exc:
-            with pytest.raises(FitError) as info:
+        except LongmemError as exc:
+            with pytest.raises(LongmemError) as info:
                 detect_crossover(f, min_side_points, threshold)
-            assert str(info.value) == str(exc)
+            assert type(info.value) is LongmemError and str(info.value) == str(exc)
             return
         # repr: field by field, NaN equal to NaN
         assert repr(detect_crossover(f, min_side_points, threshold)) == repr(want)
@@ -369,7 +371,7 @@ class TestHurstDistribution:
         assert type(info.value) is ValueError
 
     def test_all_members_failing(self):
-        with pytest.raises(FitError, match="no panel member") as info:
+        with pytest.raises(LongmemError, match="no panel member") as info:
             hurst_distribution(flat_panel(7), dfa(1))
         # the first five ids, then the rest counted; three distinct reasons
         message = str(info.value)
@@ -546,15 +548,15 @@ FLAT_REASON = "0 usable scales in [0, 250], need at least 3"
 
 RULES = {
     "TestFitHurst": [
-        ("test_too_few_points", fit_of([10, 20], [1.0, 2.0]), FitError,
+        ("test_too_few_points", fit_of([10, 20], [1.0, 2.0]), LongmemError,
          "'x': 2 usable scales in [0, 250], need at least 3"),
-        ("test_all_zero_values", fit_of([10, 20, 40], [0.0, 0.0, 0.0]), FitError,
+        ("test_all_zero_values", fit_of([10, 20, 40], [0.0, 0.0, 0.0]), LongmemError,
          "'x': 0 usable scales in [0, 250], need at least 3"),
-        ("test_identical_scales", fit_of([10, 10, 10], [1.0, 2.0, 3.0]), FitError,
+        ("test_identical_scales", fit_of([10, 10, 10], [1.0, 2.0, 3.0]), LongmemError,
          "'x': all usable scales identical"),
         ("test_empty_range",
          lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(100, 50)),
-         FitError, "empty fit range (100, 50)"),
+         LongmemError, "empty fit range (100, 50)"),
         ("test_fit_line_zero_variance[flat]",
          lambda: repr(_fit_line(np.stack((LOG_SCALES, FLAT_Y)))[:4]), None, "(0.0, 0.5, nan, nan)"),
         ("test_fit_line_zero_variance[tiny]",
@@ -570,9 +572,9 @@ RULES = {
          lambda: repr(_fit_line(np.stack((LOG_SCALES[:2], LOG_SCALES[:2])))[3]), None, "nan"),
         ("test_one_scale_range",
          lambda: fit_hurst(power_law(TEN_SCALES, 1.0, 0.5), fit_range=(50, 50)),
-         FitError, "'pl': 0 usable scales in [50, 50], need at least 3")],
+         LongmemError, "'pl': 0 usable scales in [50, 50], need at least 3")],
     "TestDetectCrossover": [
-        ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), FitError,
+        ("test_too_few_points", crossover_of([10, 20, 40, 80, 160, 320]), LongmemError,
          "'pl': 6 usable scales, need at least 7 for a crossover search"),
         ("test_parameter_validation[improvement_threshold]",
          crossover_of(PIECEWISE_GRID, improvement_threshold=0.0), LongmemError,
@@ -598,7 +600,7 @@ RULES = {
         ("test_zero_values_excluded",
          lambda: detect_crossover(FluctuationFunction(
              "z", dfa(1), SEVEN_SCALES, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
-         FitError, "'z': 6 usable scales, need at least 7 for a crossover search"),
+         LongmemError, "'z': 6 usable scales, need at least 7 for a crossover search"),
         # the single line's SSE is 1.8e-20 (above the 1e-20 floor) or 4.5e-21
         # (below it: ratio 0); splits whose SSEs are within 1e-20 of the
         # best tie, so the largest such split scale wins
@@ -613,7 +615,7 @@ RULES = {
          lambda: detect_crossover(tie_curve(5e-10)).breakpoint_scale, None, 256)],
     "TestHurstDistribution": [
         ("test_unaligned_panel_rejected",
-         lambda: hurst_distribution(unaligned_pair(), dfa(1)), AlignmentError,
+         lambda: hurst_distribution(unaligned_pair(), dfa(1)), LongmemError,
          "panel must be aligned before batch estimation"),
         *[(name, lambda w=w: hurst_distribution(fgn_panel(0.6, 3), dfa(1), bin_width=w),
            LongmemError, "bin_width must be positive and finite") for name, w in [
@@ -626,7 +628,7 @@ RULES = {
            f"bin width {w!r} splits the exponent range [0.5, 0.75] into 2**60 "
            "or more bins") for w in (2.0 ** -62, 5e-324)],
         ("test_five_members_failing",
-         lambda: hurst_distribution(flat_panel(5), dfa(1)), FitError,
+         lambda: hurst_distribution(flat_panel(5), dfa(1)), LongmemError,
          "no panel member produced a usable fit: 5 failed (f0, f1, f2, f3, f4); "
          f"'f0': {FLAT_REASON}; 'f1': {FLAT_REASON}; 'f2': {FLAT_REASON}")],
 }

@@ -9,7 +9,7 @@ import pytest
 from longmem.cli import _csv
 from longmem.dcca import DccaMatrix, pairwise_matrix
 from longmem import network
-from longmem.errors import AlignmentError, LongmemError
+from longmem.errors import LongmemError
 from longmem.network import (
     CommunityPartition,
     CorrelationNetwork,
@@ -347,7 +347,7 @@ class TestSplitPeriods:
         (sub,) = split_periods(panel, [(D(2020, 1, 2), D(2020, 1, 4))])
         assert sub.date_index == (D(2020, 1, 3), D(2020, 1, 4))
         assert sub.is_aligned
-        with pytest.raises(AlignmentError, match="'a'.*keeps 1"):
+        with pytest.raises(LongmemError, match="'a'.*keeps 1"):
             split_periods(panel, [(D(2020, 1, 1), D(2020, 1, 2))])
 
     def test_window_copies_only_when_a_date_drops(self):
@@ -506,7 +506,7 @@ RULES = {
     "TestSplitPeriods": [
         ("test_window_outside_range",
          lambda: split_periods(two_ramps(), [(D(1990, 1, 1), D(1990, 6, 1))]),
-         AlignmentError,
+         LongmemError,
          "series 'a': window 1990-01-01..1990-06-01 keeps 0 observations (< 2)"),
         ("test_window_with_one_shared_date",
          lambda: split_periods(ONE_SHARED_DATE, [(D(2020, 1, 1), D(2020, 1, 5))]),

@@ -127,9 +127,10 @@ def _handles(func, names):
 
 
 def _raised(node):
-    """Name of the exception a raise statement raises, called or not."""
+    """Name of the exception a raise statement raises, called or not, as
+    written (``argparse.ArgumentTypeError``); None for a bare re-raise."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return getattr(exc, "id", None)
+    return None if exc is None else ast.unparse(exc)
 
 
 def test_no_module_raises_a_bare_value_error():
@@ -138,6 +139,20 @@ def test_no_module_raises_a_bare_value_error():
     raises = calls_in_the_package(lambda node: _raised(node) == "ValueError",
                                   kind=ast.Raise)
     assert not raises, raises
+
+
+# every exception longmem raises: its error family, the CLI's own, and one
+# each for a bug report, a non-date item, a missing member and a re-raise;
+# a new class here is a decision for callers, so it needs an edit
+RAISED = {"LongmemError", "SchemaError", "DegenerateSeriesError",
+          "ConfigError", "argparse.ArgumentTypeError", "SystemExit",
+          "RuntimeError", "TypeError", "KeyError", None}
+
+
+def test_every_raise_is_on_the_allow_list():
+    others = calls_in_the_package(lambda node: _raised(node) not in RAISED,
+                                  kind=ast.Raise)
+    assert not others, others
 
 
 # the functions that catch the ValueError of float(), int() or list.index

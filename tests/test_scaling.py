@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from longmem.errors import LongmemError, ScaleError
+from longmem.errors import LongmemError
 from longmem.scaling import (
     _CHUNK_ELEMS,
     _DEFAULT_SCALE_CAP,
@@ -233,7 +233,7 @@ BAD_ALIGNMENT = "dma alignment must be 'centered' or 'backward', got 'forward'"
 RULES = {
     "TestDetrendedSegments": [
         *[(f"test_scale_bounds[{n}-{s}-{m.label}-{error}]",
-           lambda n=n, s=s, m=m: walk_segments(n, s, m), ScaleError, error)
+           lambda n=n, s=s, m=m: walk_segments(n, s, m), LongmemError, error)
           for n, s, m, error in [
               (5, 6, dma(), "scale 6 exceeds half the profile length 5"),
               (40, 21, dfa(1), "scale 21 exceeds half the profile length 40"),
@@ -292,23 +292,23 @@ RULES = {
          lambda: list(default_grid(100_000, s_max=800, num=30))[-1], None, 800),
         ("test_default_grid_custom_min", lambda: list(default_grid(1000, s_min=5))[0],
          None, 5),
-        ("test_empty", lambda: ScaleGrid(()), ScaleError, "empty scale grid"),
-        ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), ScaleError,
+        ("test_empty", lambda: ScaleGrid(()), LongmemError, "empty scale grid"),
+        ("test_scales_at_least_two[1]", lambda: ScaleGrid((1, 5)), LongmemError,
          "scale 1 below 2"),
         ("test_scales_at_least_two[2]", lambda: list(ScaleGrid((2, 5))), None, [2, 5]),
-        ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), ScaleError,
+        ("test_not_increasing", lambda: ScaleGrid((10, 10, 20)), LongmemError,
          "scales not strictly increasing at 10, 10"),
         ("test_numpy_integers",
          lambda: [type(s) for s in ScaleGrid(np.array([2, 5])).scales], None,
          [int, int]),
-        ("test_not_integers[float]", lambda: ScaleGrid((2.5, 5.9)), ScaleError,
+        ("test_not_integers[float]", lambda: ScaleGrid((2.5, 5.9)), LongmemError,
          "scale 2.5 is not an integer"),
-        ("test_not_integers[str]", lambda: ScaleGrid(("3", 5)), ScaleError,
+        ("test_not_integers[str]", lambda: ScaleGrid(("3", 5)), LongmemError,
          "scale '3' is not an integer"),
-        ("test_default_grid_too_short", lambda: default_grid(30), ScaleError,
+        ("test_default_grid_too_short", lambda: default_grid(30), LongmemError,
          "profile of length 30 leaves no scales in [10, 7]"),
         *[(f"test_default_grid_min_below_two[{s_min}]",
-           lambda s_min=s_min: default_grid(1000, s_min=s_min), ScaleError,
+           lambda s_min=s_min: default_grid(1000, s_min=s_min), LongmemError,
            f"s_min must be >= 2, got {s_min}") for s_min in (1, 0, -3)],
         ("test_default_grid_min_of_two",
          lambda: list(default_grid(1000, s_min=2, s_max=4, num=3)), None, [2, 3, 4]),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longmem.errors import AlignmentError, LongmemError, SchemaError
+from longmem.errors import LongmemError, SchemaError
 from longmem.synthetic import BlockSpec, generate_blocks, trading_dates
 from longmem.series import (
     Profile,
@@ -387,13 +387,13 @@ class TestAlign:
         try:
             filled = [naive_forward_fill(ts.id, ts.dates, ts.values, index,
                                          max_gap) for ts in members]
-        except AlignmentError as exc:
-            with pytest.raises(AlignmentError, match=re.escape(str(exc))):
+        except LongmemError as exc:
+            with pytest.raises(LongmemError, match=re.escape(str(exc))):
                 align(panel, policy="forward_fill", max_gap=max_gap)
             return
         shared = sorted(set.intersection(*(set(d) for d, _ in filled)))
         if len(shared) < 2:
-            with pytest.raises(AlignmentError, match="shared dates"):
+            with pytest.raises(LongmemError, match="shared dates"):
                 align(panel, policy="forward_fill", max_gap=max_gap)
             return
         out = align(panel, policy="forward_fill", max_gap=max_gap)
@@ -711,7 +711,7 @@ RULES = {
            lambda i=i: TimeSeries("a", with_nat(i), [1.0, 2.0, 3.0]), LongmemError,
            f"series 'a': dates hold NaT at position {i}") for i in range(3)]],
     "TestAlign": [
-        ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), AlignmentError,
+        ("test_disjoint_ranges", lambda: align(RatePanel((A, B2021))), LongmemError,
          "aligned panel would have 0 shared dates (< 2)"),
         ("test_forward_fill_requires_max_gap", lambda: align(AB, policy="forward_fill"),
          LongmemError, "forward_fill requires max_gap >= 1"),
@@ -719,8 +719,8 @@ RULES = {
          LongmemError, "max_gap=3 applies only to forward_fill, not 'intersect'"),
         ("test_forward_fill_leading_gap_is_error",
          lambda: align(RatePanel((FULL, LATE)), policy="forward_fill", max_gap=2),
-         AlignmentError, "series 'late': gap of 1 at series start cannot be "
-                         "forward-filled (no prior value)"),
+         LongmemError, "series 'late': gap of 1 at series start cannot be "
+                       "forward-filled (no prior value)"),
         ("test_forward_fill_rejects_zero_max_gap",
          lambda: align(AB, policy="forward_fill", max_gap=0), LongmemError,
          "forward_fill requires max_gap >= 1"),
